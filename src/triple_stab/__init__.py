@@ -23,7 +23,6 @@ from .lab import (
 from .linalg import (
     ComplexMatrix,
     DimensionMismatchError,
-    PowerIterationError,
     add,
     adjoint,
     as_matrix,

@@ -130,6 +130,27 @@ def _report_failures(checks: list[dict]) -> None:
             )
 
 
+_STAGES = (
+    "axioms",
+    "recover",
+    "hypotheses",
+    "bound",
+    "homogeneity",
+    "certificate",
+    "sequence",
+    "rate",
+    "total",
+)
+
+
+def _print_timings(timings: dict[str, float]) -> None:
+    # a run that stops after recovery has no later stages to show
+    for stage in _STAGES:
+        seconds = timings.get(f"{stage}_s")
+        if seconds is not None:
+            print(f"{stage} {seconds:.6f}")
+
+
 def _emit_if_requested(report, args: argparse.Namespace) -> None:
     if args.out:
         emit_report(report, args.format, args.out)
@@ -161,6 +182,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         f"recover: {passed}/{len(report.checks)} checks passed "
         f"in {report.timings.get('total_s', 0.0):.2f} s"
     )
+    if args.timings:
+        _print_timings(report.timings)
     _emit_if_requested(report, args)
     if not report.passed:
         _report_failures(report.checks)
@@ -234,6 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover = sub.add_parser("recover", help="run the full recovery pipeline")
     _add_config_flags(p_recover)
     _add_output_flags(p_recover)
+    p_recover.add_argument(
+        "--timings",
+        action="store_true",
+        help="print wall seconds per pipeline stage (never written to the report)",
+    )
 
     p_bounds = sub.add_parser(
         "bounds", help="print the stability-constant table over a grid of p"

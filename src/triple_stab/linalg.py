@@ -7,48 +7,24 @@ routes its inputs through it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # A validated n x n complex128 array.  Kept as a plain ndarray so numpy
 # arithmetic stays available to callers.
 ComplexMatrix = np.ndarray
 
-DEFAULT_NORM_TOL = 1e-12
-DEFAULT_NORM_MAX_ITER = 10_000
-
-# Power iteration runs this many steps before handing an unsettled Gram
-# matrix to the Jacobi completion.  Matrices whose top two singular values
-# nearly coincide force the Rayleigh sequence through O(1/gap) iterations,
-# so waiting longer buys nothing that the completion does not already give.
-POWER_PHASE_LIMIT = 48
-
-_JACOBI_SWEEP_LIMIT = 60
-_JACOBI_OFF_TOL = 1e-15
-
 
 class DimensionMismatchError(ValueError):
     """Raised when two operands carry different square dimensions."""
 
 
-class PowerIterationError(RuntimeError):
-    """Spectral-norm iteration exhausted max_iter without settling.
-
-    Carries the last estimate so callers can decide whether it is usable.
-    """
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 def as_matrix(x) -> ComplexMatrix:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
+    """Coerce to a nonempty square complex128 array with finite entries."""
     m = np.asarray(x, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    # a complex entry is finite only when both of its parts are
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -101,139 +77,11 @@ def max_entry_diff(x, y) -> float:
     return float(np.max(np.abs(mx - my)))
 
 
-def _gram_top_eigenvalue(gram: ComplexMatrix) -> float:
-    """Largest eigenvalue of a Hermitian PSD matrix by cyclic Jacobi sweeps.
+def spectral_norm(x) -> float:
+    """Largest singular value of a square complex matrix, by LAPACK SVD.
 
-    Each sweep annihilates every off-diagonal pair with a unitary plane
-    rotation; the off-diagonal mass shrinks quadratically regardless of how
-    the eigenvalues are spaced, which is exactly the regime where power
-    iteration stalls.  Fully deterministic: no start vector, no randomness.
+    LAPACK scales the input internally, so entries near the overflow or
+    underflow threshold give the correctly scaled norm.
     """
-    a = gram.copy()
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0].real)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return 0.0
-    # rotations on entries this far under the stopping threshold change
-    # nothing and can hit denormal division, so they are skipped outright
-    skip_floor = 1e-18 * fro
-    idx = np.arange(n)
-    for _ in range(_JACOBI_SWEEP_LIMIT):
-        abs_sq = np.abs(a) ** 2
-        abs_sq[idx, idx] = 0.0
-        off_sq = float(abs_sq.sum())
-        if off_sq <= (_JACOBI_OFF_TOL * fro) ** 2:
-            return float(np.max(np.diagonal(a).real))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = abs(a[p, q])
-                if b <= skip_floor:
-                    continue
-                phase = a[p, q] / b
-                conj_phase = phase.conjugate()
-                theta = 0.5 * math.atan2(2.0 * b, float(a[p, p].real - a[q, q].real))
-                # same annihilation, smaller angle; cyclic sweeps only
-                # converge with rotations kept inside [-pi/4, pi/4]
-                if theta > 0.25 * math.pi:
-                    theta -= 0.5 * math.pi
-                c = math.cos(theta)
-                s = math.sin(theta)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * conj_phase * col_q
-                a[:, q] = -s * col_p + c * conj_phase * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * row_p + c * phase * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    estimate = float(np.max(np.diagonal(a).real))
-    raise PowerIterationError(
-        f"jacobi sweeps did not settle within {_JACOBI_SWEEP_LIMIT} sweeps "
-        f"(last estimate {estimate!r})",
-        last_estimate=estimate,
-    )
-
-
-def spectral_norm(
-    x,
-    tol: float = DEFAULT_NORM_TOL,
-    max_iter: int = DEFAULT_NORM_MAX_ITER,
-) -> float:
-    """Largest singular value of a square complex matrix.
-
-    The primary route is power iteration on the Gram matrix x*x from the
-    deterministic all-ones start vector: the Rayleigh-quotient estimate is
-    accepted once two consecutive updates agree to relative ``tol`` and the
-    value is consistent with the largest Gram column norm, which is a
-    certified lower bound on the top eigenvalue.  When the top two singular
-    values nearly coincide the Rayleigh sequence needs O(1/gap) iterations
-    to settle, so after ``POWER_PHASE_LIMIT`` steps the Gram matrix is
-    instead diagonalised by cyclic Jacobi rotations, whose convergence rate
-    is independent of the spectral gap.  Both phases are deterministic.
-    The input is pre-scaled by its largest entry so the Gram matrix cannot
-    overflow.
-
-    Accuracy: relative ``tol`` when the top two singular values are
-    separated by more than roughly 1e-8 of their size or by less than
-    ``tol``; inside that narrow band the power phase can stop on the
-    cluster mean, so the error is bounded by the cluster width rather
-    than by ``tol``.
-
-    Passing ``max_iter`` below ``POWER_PHASE_LIMIT`` requests a pure bounded
-    power iteration: the Jacobi completion is skipped and exhaustion raises
-    ``PowerIterationError`` carrying the last estimate.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     m = as_matrix(x)
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
-        return 0.0
-    a = m / scale
-    gram = a.conj().T @ a
-    n = gram.shape[0]
-    # ||gram @ e_j|| <= lambda_max for every basis vector, so the largest
-    # column norm certifies a floor under any acceptable Rayleigh estimate.
-    col_bound = float(np.sqrt((np.abs(gram) ** 2).sum(axis=0).max()))
-    guard = max(1e-14, 4.0 * tol)
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    w = gram @ v
-    if not np.any(w):
-        # all-ones start lies in the kernel; restart off the largest diagonal,
-        # which is nonzero because the Gram matrix of a nonzero input is nonzero
-        k = int(np.argmax(gram.diagonal().real))
-        v = np.zeros(n, dtype=np.complex128)
-        v[k] = 1.0
-        w = gram @ v
-    lam = float(np.vdot(v, w).real)
-    agreed = 0
-    for _ in range(min(max_iter, POWER_PHASE_LIMIT)):
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return scale * math.sqrt(max(lam, 0.0))
-        v = w / norm_w
-        w = gram @ v
-        new_lam = float(np.vdot(v, w).real)
-        if abs(new_lam - lam) <= tol * abs(new_lam):
-            agreed += 1
-            if agreed >= 2 and new_lam >= col_bound * (1.0 - guard):
-                return scale * math.sqrt(max(new_lam, 0.0))
-        else:
-            agreed = 0
-        lam = new_lam
-    if max_iter < POWER_PHASE_LIMIT:
-        estimate = scale * math.sqrt(max(lam, 0.0))
-        raise PowerIterationError(
-            f"power iteration did not settle within {max_iter} iterations "
-            f"(last estimate {estimate!r})",
-            last_estimate=estimate,
-        )
-    return scale * math.sqrt(max(_gram_top_eigenvalue(gram), 0.0))
+    return float(np.linalg.svd(m, compute_uv=False)[0])

@@ -83,6 +83,35 @@ def test_recover_command_writes_report(tmp_path, capsys):
     assert load_report(str(json_path)).to_dict() == report.to_dict()
 
 
+def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):
+    plain_path = tmp_path / "plain.json"
+    timed_path = tmp_path / "timed.json"
+    assert main(["recover", *TRIMMED, "--out", str(plain_path)]) == 0
+    assert "total " not in capsys.readouterr().out
+    assert main(["recover", *TRIMMED, "--timings", "--out", str(timed_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    stages = (
+        "axioms",
+        "recover",
+        "hypotheses",
+        "bound",
+        "homogeneity",
+        "certificate",
+        "sequence",
+        "rate",
+        "total",
+    )
+    table = {}
+    for line in lines:
+        name, _, seconds = line.partition(" ")
+        if name in stages:
+            table[name] = float(seconds)
+    assert list(table) == list(stages)
+    assert all(seconds >= 0.0 for seconds in table.values())
+    # wall times are shown on the console only; the report bytes are unchanged
+    assert timed_path.read_bytes() == plain_path.read_bytes()
+
+
 def test_bounds_grid_has_no_rejections(capsys):
     code = main(["bounds"])
     out = capsys.readouterr().out
