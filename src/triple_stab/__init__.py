@@ -37,6 +37,7 @@ from .sampling import (
     haar_unitary,
     make_mu_samples,
     make_probes,
+    random_matrices,
     random_matrix,
     rng_for,
     skew_matrix,
@@ -56,6 +57,7 @@ from .stability import (
     complex_homogeneity_via_decomposition,
     derivation_limit_residual,
     derivation_limit_sequence,
+    direct_limits,
     direct_method,
     estimate_convergence_rate,
     hyers_bound,

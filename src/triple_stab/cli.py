@@ -3,7 +3,8 @@
 Configs come from a JSON file via --config; every config field can also be
 set or overridden by a same-named long flag.  Exit code 0 means every
 enabled check passed; failed checks are enumerated on standard error.
-The TRIPLE_STAB_THREADS environment variable caps worker threads.
+TRIPLE_STAB_THREADS is accepted and validated; the pipeline evaluates probe
+stacks in one thread, and reports are byte-identical for any value of it.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 A single 64-bit experiment seed determines everything a scenario touches:
 the structure maps, the perturbation defects, every probe set, and every
 unimodular sample.  Reports therefore serialize to identical bytes on
-every run with the same config, independent of the thread count used.
+every run with the same config.  The pipeline evaluates each stage's probes
+as one stack in a single thread; TRIPLE_STAB_THREADS is still accepted and
+validated, and reports are byte-identical for any value of it.
 
 The runner builds an exact pair (D, theta) from a unitary conjugation and
 a skew-adjoint commutator, perturbs both maps, recovers them back through
@@ -17,8 +19,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
@@ -40,6 +40,7 @@ from .sampling import (
     haar_unitary,
     make_mu_samples,
     make_probes,
+    random_matrices,
     random_matrix,
     rng_for,
     skew_matrix,
@@ -248,7 +249,11 @@ class ExperimentConfig:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Requested worker count, falling back to the environment variable."""
+    """Validated thread count, falling back to the environment variable.
+
+    The pipeline runs in one thread whatever the count; a bad value still
+    raises ConfigError.
+    """
     if threads is None:
         raw = os.environ.get(THREADS_ENV)
         if raw is None:
@@ -262,21 +267,6 @@ def resolve_threads(threads: int | None = None) -> int:
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"thread count must be a positive integer, got {threads!r}")
     return threads
-
-
-@contextmanager
-def experiment_mapper(threads: int | None = None):
-    """An ordered map callable; parallel when more than one thread is allowed.
-
-    Results always come back in input order, so reductions over them are
-    identical no matter how many workers ran.
-    """
-    n = resolve_threads(threads)
-    if n == 1:
-        yield map
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            yield pool.map
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +294,12 @@ def build_generators(config: ExperimentConfig):
 # axiom suite
 # ---------------------------------------------------------------------------
 
-def run_axiom_suite(config: ExperimentConfig, samples: int | None = None, mapper=map) -> dict:
+def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dict:
     """All four triple axioms plus product-form agreement on seeded data.
 
     Returns a report fragment with the worst residual of each check over
-    ``samples`` draws (default: the config probe count).
+    ``samples`` draws (default: the config probe count).  Each check runs
+    once over the stack of all draws.
     """
     config.validate()
     n = config.dim
@@ -316,43 +307,23 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None, mapper
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
     rng = rng_for(config.seed, ROLE_AXIOMS)
-    draws = []
-    for _ in range(count):
-        mats = [random_matrix(rng, n) for _ in range(5)]
-        a_pos = random_matrix(rng, n)
-        pos_probes = [random_matrix(rng, n) for _ in range(4)]
-        draws.append((mats, a_pos, pos_probes))
-
-    def one(draw):
-        (a, b, x, y, z), a_pos, pos_probes = draw
-        comm = check_commutativity(x, y, z, tol=AXIOM_COMMUTATIVITY_TOL)
-        jordan = check_jordan_identity(a, b, x, y, z, tol=AXIOM_JORDAN_TOL)
-        # thresholds scale with the input norms; renormalize for aggregation
-        jordan_rel = jordan.residual * (AXIOM_JORDAN_TOL / jordan.threshold)
-        norm_id = check_norm_identity(x, tol=AXIOM_NORM_TOL)
-        lpos = check_L_positive(a_pos, pos_probes, tol=AXIOM_L_POSITIVITY_TOL)
-        p_cstar = triple_product_cstar(x, y, z)
-        p_jordan = triple_product_jbstar(x, y, z)
-        scale = max(
-            1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z)
-        )
-        agreement = spectral_norm(p_cstar - p_jordan) / scale
-        return (
-            comm.residual,
-            jordan_rel,
-            norm_id.residual,
-            lpos.max_selfadjoint_violation,
-            lpos.max_negativity,
-            agreement,
-        )
-
-    rows = list(mapper(one, draws))
-    max_comm = max(r[0] for r in rows)
-    max_jordan = max(r[1] for r in rows)
-    max_norm = max(r[2] for r in rows)
-    max_asym = max(r[3] for r in rows)
-    max_neg = max(r[4] for r in rows)
-    max_agree = max(r[5] for r in rows)
+    # per draw: a, b, x, y, z, the positivity generator and its four probes
+    draws = random_matrices(rng, 10 * count, n).reshape(count, 10, n, n)
+    a, b, x, y, z, a_pos = (draws[:, i] for i in range(6))
+    comm = check_commutativity(x, y, z, tol=AXIOM_COMMUTATIVITY_TOL)
+    jordan = check_jordan_identity(a, b, x, y, z, tol=AXIOM_JORDAN_TOL)
+    # thresholds scale with the input norms; renormalize for aggregation
+    jordan_rel = jordan.residual * (AXIOM_JORDAN_TOL / jordan.threshold)
+    norm_id = check_norm_identity(x, tol=AXIOM_NORM_TOL)
+    lpos = check_L_positive(a_pos, draws[:, 6:], tol=AXIOM_L_POSITIVITY_TOL)
+    scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
+    agreement = spectral_norm(triple_product_cstar(x, y, z) - triple_product_jbstar(x, y, z))
+    max_comm = float(comm.residual.max())
+    max_jordan = float(jordan_rel.max())
+    max_norm = float(norm_id.residual.max())
+    max_asym = float(lpos.max_selfadjoint_violation.max())
+    max_neg = float(lpos.max_negativity.max())
+    max_agree = float((agreement / scale).max())
     fragment = {
         "samples": count,
         "commutativity": {
@@ -438,8 +409,8 @@ def axioms_report(
 ) -> tuple[dict, dict]:
     """Standalone axiom-suite report for the CLI, with wall-clock timings."""
     started = time.perf_counter()
-    with experiment_mapper(threads) as mapper:
-        fragment = run_axiom_suite(config, samples=samples, mapper=mapper)
+    resolve_threads(threads)
+    fragment = run_axiom_suite(config, samples=samples)
     checks = _axiom_checks(fragment)
     report = {
         "config": config.to_dict(),
@@ -502,18 +473,16 @@ class StabilityReport:
         return cls(**{name: data[name] for name in cls._SERIALIZED})
 
 
-def _sequence_triples(config: ExperimentConfig) -> list:
-    """Probe triples with norms in [1, 2] for the residual trajectory."""
+def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
+    """(count, 3, n, n) probe triples with norms in [1, 2] for the residual trajectory."""
     rng = rng_for(config.seed, ROLE_SEQUENCE_TRIPLES)
-    triples = []
-    for _ in range(SEQUENCE_TRIPLE_COUNT):
-        mats = []
-        for _ in range(3):
-            m = random_matrix(rng, config.dim)
-            target = 1.0 + rng.uniform()
-            mats.append(m * (target / spectral_norm(m)))
-        triples.append(tuple(mats))
-    return triples
+    mats, targets = [], []
+    for _ in range(3 * SEQUENCE_TRIPLE_COUNT):
+        mats.append(random_matrix(rng, config.dim))
+        targets.append(1.0 + rng.uniform())
+    mats = np.stack(mats)
+    scaled = mats * (np.array(targets) / spectral_norm(mats))[:, None, None]
+    return scaled.reshape(SEQUENCE_TRIPLE_COUNT, 3, config.dim, config.dim)
 
 
 def _sequence_section(values: list[float], levels: list[int], expected_rate: float) -> dict:
@@ -555,6 +524,7 @@ def _sequence_section(values: list[float], levels: list[int], expected_rate: flo
 def run_recovery(config: ExperimentConfig, threads: int | None = None) -> StabilityReport:
     """End-to-end scenario: build, perturb, recover, certify, report."""
     config.validate()
+    resolve_threads(threads)
     scheme = config.scheme_enum()
     phi = PowerType(config.eps, config.p)
     form = scheme.hypothesis_form
@@ -570,294 +540,271 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     rate_probes = make_probes(
         config.dim, RATE_PROBE_COUNT, rng_for(config.seed, ROLE_RATE_PROBES), 0.5, 2.0
     )
-    cert_rng = rng_for(config.seed, ROLE_CERT_TRIPLES)
-    cert_triples = [
-        tuple(random_matrix(cert_rng, config.dim) for _ in range(3))
-        for _ in range(CERT_TRIPLE_COUNT)
-    ]
+    cert_triples = random_matrices(
+        rng_for(config.seed, ROLE_CERT_TRIPLES), 3 * CERT_TRIPLE_COUNT, config.dim
+    ).reshape(CERT_TRIPLE_COUNT, 3, config.dim, config.dim)
 
     checks: list[dict] = []
-    with experiment_mapper(threads) as mapper:
-        t0 = time.perf_counter()
-        axioms = run_axiom_suite(config, samples=min(config.probe_count, 50), mapper=mapper)
-        checks.extend(_axiom_checks(axioms))
-        timings["axioms_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    axioms = run_axiom_suite(config, samples=min(config.probe_count, 50))
+    checks.extend(_axiom_checks(axioms))
+    timings["axioms_s"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        recovery_error: str | None = None
-        d_hat = theta_hat = None
-        try:
-            d_hat = recover_linear_map(
-                f, scheme, tol=config.tol, l_max=config.l_max, mapper=mapper
-            )
-            theta_hat = recover_linear_map(
-                h, scheme, tol=config.tol, l_max=config.l_max, mapper=mapper
-            )
-        except (ConvergenceError, LinearityCertificationError) as exc:
-            recovery_error = str(exc)
-        timings["recover_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    recovery_error: str | None = None
+    d_hat = theta_hat = None
+    try:
+        d_hat = recover_linear_map(f, scheme, tol=config.tol, l_max=config.l_max)
+        theta_hat = recover_linear_map(h, scheme, tol=config.tol, l_max=config.l_max)
+    except (ConvergenceError, LinearityCertificationError) as exc:
+        recovery_error = str(exc)
+    timings["recover_s"] = time.perf_counter() - t0
 
-        converged = recovery_error is None
-        checks.append(
-            {
-                "name": "recovery_converged",
-                "passed": converged,
-                "value": None,
-                "tolerance": None,
-            }
-        )
-        if not converged:
-            recovery = {
-                "converged": False,
-                "error": recovery_error,
-                "d_entrywise_error": None,
-                "theta_entrywise_error": None,
-                "tolerance": RECOVERY_ERROR_TOL,
-                "passed": False,
-            }
-            timings["total_s"] = time.perf_counter() - started
-            return StabilityReport(
-                config=config.to_dict(),
-                axioms=axioms,
-                hypotheses={},
-                bound={"rows": [], "max_ratio": 0.0, "slack": BOUND_SLACK, "passed": False},
-                bound_theta={},
-                recovery=recovery,
-                rate={},
-                derivation_certificate={},
-                derivation_sequence={},
-                homogeneity={},
-                checks=checks,
-                passed=False,
-                timings=timings,
-            )
-
-        t0 = time.perf_counter()
-        err_d = max_entry_diff(d_hat.coeffs, big_d.to_tabulated().coeffs)
-        err_theta = max_entry_diff(theta_hat.coeffs, theta.to_tabulated().coeffs)
+    converged = recovery_error is None
+    checks.append(
+        {
+            "name": "recovery_converged",
+            "passed": converged,
+            "value": None,
+            "tolerance": None,
+        }
+    )
+    if not converged:
         recovery = {
-            "converged": True,
-            "error": None,
-            "d_entrywise_error": err_d,
-            "theta_entrywise_error": err_theta,
+            "converged": False,
+            "error": recovery_error,
+            "d_entrywise_error": None,
+            "theta_entrywise_error": None,
             "tolerance": RECOVERY_ERROR_TOL,
-            "passed": max(err_d, err_theta) <= RECOVERY_ERROR_TOL,
+            "passed": False,
         }
-        checks.append(
-            {
-                "name": "recovery_error_d",
-                "passed": err_d <= RECOVERY_ERROR_TOL,
-                "value": err_d,
-                "tolerance": RECOVERY_ERROR_TOL,
-            }
-        )
-        checks.append(
-            {
-                "name": "recovery_error_theta",
-                "passed": err_theta <= RECOVERY_ERROR_TOL,
-                "value": err_theta,
-                "tolerance": RECOVERY_ERROR_TOL,
-            }
+        timings["total_s"] = time.perf_counter() - started
+        return StabilityReport(
+            config=config.to_dict(),
+            axioms=axioms,
+            hypotheses={},
+            bound={"rows": [], "max_ratio": 0.0, "slack": BOUND_SLACK, "passed": False},
+            bound_theta={},
+            recovery=recovery,
+            rate={},
+            derivation_certificate={},
+            derivation_sequence={},
+            homogeneity={},
+            checks=checks,
+            passed=False,
+            timings=timings,
         )
 
-        hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples, mapper=mapper)
-        hypotheses = {
-            "form": hyp.form,
-            "samples": hyp.samples,
-            "max_ratio_f": hyp.max_ratio_f,
-            "max_ratio_h": hyp.max_ratio_h,
-            "max_triple_ratio": hyp.max_triple_ratio,
-            "zero_control_samples": hyp.zero_control_samples,
-            "max_zero_control_residual": hyp.max_zero_control_residual,
-            "passed": hyp.passed,
+    t0 = time.perf_counter()
+    err_d = max_entry_diff(d_hat.coeffs, big_d.to_tabulated().coeffs)
+    err_theta = max_entry_diff(theta_hat.coeffs, theta.to_tabulated().coeffs)
+    recovery = {
+        "converged": True,
+        "error": None,
+        "d_entrywise_error": err_d,
+        "theta_entrywise_error": err_theta,
+        "tolerance": RECOVERY_ERROR_TOL,
+        "passed": max(err_d, err_theta) <= RECOVERY_ERROR_TOL,
+    }
+    checks.append(
+        {
+            "name": "recovery_error_d",
+            "passed": err_d <= RECOVERY_ERROR_TOL,
+            "value": err_d,
+            "tolerance": RECOVERY_ERROR_TOL,
         }
-        checks.append(
-            {
-                "name": "hypothesis_ratio_f",
-                "passed": hyp.max_ratio_f <= 1.0,
-                "value": hyp.max_ratio_f,
-                "tolerance": 1.0,
-            }
-        )
-        checks.append(
-            {
-                "name": "hypothesis_ratio_h",
-                "passed": hyp.max_ratio_h <= 1.0,
-                "value": hyp.max_ratio_h,
-                "tolerance": 1.0,
-            }
-        )
-        timings["hypotheses_s"] = time.perf_counter() - t0
+    )
+    checks.append(
+        {
+            "name": "recovery_error_theta",
+            "passed": err_theta <= RECOVERY_ERROR_TOL,
+            "value": err_theta,
+            "tolerance": RECOVERY_ERROR_TOL,
+        }
+    )
 
-        t0 = time.perf_counter()
-        bound_f = verify_stability_bound(
-            f, d_hat, phi, scheme, probes, slack=BOUND_SLACK, mapper=mapper
-        )
-        bound_h = verify_stability_bound(
-            h, theta_hat, phi, scheme, probes, slack=BOUND_SLACK, mapper=mapper
-        )
-        bound = {
-            "rows": [list(r) for r in bound_f.rows],
-            "max_ratio": bound_f.max_ratio,
-            "slack": bound_f.slack,
+    hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
+    hypotheses = {
+        "form": hyp.form,
+        "samples": hyp.samples,
+        "max_ratio_f": hyp.max_ratio_f,
+        "max_ratio_h": hyp.max_ratio_h,
+        "max_triple_ratio": hyp.max_triple_ratio,
+        "zero_control_samples": hyp.zero_control_samples,
+        "max_zero_control_residual": hyp.max_zero_control_residual,
+        "passed": hyp.passed,
+    }
+    checks.append(
+        {
+            "name": "hypothesis_ratio_f",
+            "passed": hyp.max_ratio_f <= 1.0,
+            "value": hyp.max_ratio_f,
+            "tolerance": 1.0,
+        }
+    )
+    checks.append(
+        {
+            "name": "hypothesis_ratio_h",
+            "passed": hyp.max_ratio_h <= 1.0,
+            "value": hyp.max_ratio_h,
+            "tolerance": 1.0,
+        }
+    )
+    timings["hypotheses_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    bound_f = verify_stability_bound(f, d_hat, phi, scheme, probes, slack=BOUND_SLACK)
+    bound_h = verify_stability_bound(h, theta_hat, phi, scheme, probes, slack=BOUND_SLACK)
+    bound = {
+        "rows": [list(r) for r in bound_f.rows],
+        "max_ratio": bound_f.max_ratio,
+        "slack": bound_f.slack,
+        "passed": bound_f.passed,
+    }
+    bound_theta = {
+        "max_ratio": bound_h.max_ratio,
+        "slack": bound_h.slack,
+        "passed": bound_h.passed,
+    }
+    checks.append(
+        {
+            "name": "bound_ratio",
             "passed": bound_f.passed,
+            "value": bound_f.max_ratio,
+            "tolerance": 1.0 + BOUND_SLACK,
         }
-        bound_theta = {
-            "max_ratio": bound_h.max_ratio,
-            "slack": bound_h.slack,
+    )
+    checks.append(
+        {
+            "name": "bound_ratio_theta",
             "passed": bound_h.passed,
+            "value": bound_h.max_ratio,
+            "tolerance": 1.0 + BOUND_SLACK,
         }
-        checks.append(
-            {
-                "name": "bound_ratio",
-                "passed": bound_f.passed,
-                "value": bound_f.max_ratio,
-                "tolerance": 1.0 + BOUND_SLACK,
-            }
-        )
-        checks.append(
-            {
-                "name": "bound_ratio_theta",
-                "passed": bound_h.passed,
-                "value": bound_h.max_ratio,
-                "tolerance": 1.0 + BOUND_SLACK,
-            }
-        )
-        timings["bound_s"] = time.perf_counter() - t0
+    )
+    timings["bound_s"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        s1 = verify_s1_homogeneity(
-            d_hat, probes[:S1_PROBE_COUNT], mu_samples, tol=HOMOGENEITY_TOL
-        )
-        s1_value = max(s1.max_residual, s1.zero_residual)
-        checks.append(
-            {
-                "name": "s1_homogeneity",
-                "passed": s1.passed,
-                "value": s1_value,
-                "tolerance": HOMOGENEITY_TOL,
-            }
-        )
-        complex_entries = []
-        mid_probes = [probes[0], probes[len(probes) // 2], probes[-1]]
-        for lam, label in COMPLEX_LAMBDAS:
-            worst = None
-            for x in mid_probes:
-                res = complex_homogeneity_via_decomposition(
-                    d_hat, lam, x, tol=HOMOGENEITY_TOL
-                )
-                if worst is None or res.residual / res.threshold > worst.residual / worst.threshold:
-                    worst = res
-            complex_entries.append(
-                {
-                    "label": label,
-                    "lambda": [lam.real, lam.imag],
-                    "residual": worst.residual,
-                    "threshold": worst.threshold,
-                    "passed": worst.passed,
-                }
-            )
-            checks.append(
-                {
-                    "name": f"complex_homogeneity_{label}",
-                    "passed": worst.passed,
-                    "value": worst.residual,
-                    "tolerance": worst.threshold,
-                }
-            )
-        homogeneity = {
-            "s1": {
-                "max_residual": s1.max_residual,
-                "zero_residual": s1.zero_residual,
-                "threshold": s1.threshold,
-                "passed": s1.passed,
-            },
-            "complex": complex_entries,
-            "passed": s1.passed and all(e["passed"] for e in complex_entries),
+    t0 = time.perf_counter()
+    s1 = verify_s1_homogeneity(
+        d_hat, probes[:S1_PROBE_COUNT], mu_samples, tol=HOMOGENEITY_TOL
+    )
+    s1_value = max(s1.max_residual, s1.zero_residual)
+    checks.append(
+        {
+            "name": "s1_homogeneity",
+            "passed": s1.passed,
+            "value": s1_value,
+            "tolerance": HOMOGENEITY_TOL,
         }
-        timings["homogeneity_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        cert = certify_theta_derivation(
-            d_hat, theta_hat, cert_triples, tol=DERIVATION_TOL, mapper=mapper
+    )
+    complex_entries = []
+    mid_probes = np.stack([probes[0], probes[len(probes) // 2], probes[-1]])
+    for lam, label in COMPLEX_LAMBDAS:
+        res = complex_homogeneity_via_decomposition(d_hat, lam, mid_probes, tol=HOMOGENEITY_TOL)
+        worst = int(np.argmax(res.residual / res.threshold))
+        residual, threshold = float(res.residual[worst]), float(res.threshold[worst])
+        passed = residual <= threshold
+        complex_entries.append(
+            {
+                "label": label,
+                "lambda": [lam.real, lam.imag],
+                "residual": residual,
+                "threshold": threshold,
+                "passed": passed,
+            }
         )
-        derivation_certificate = {
-            "max_relative_residual": cert.max_relative_residual,
-            "worst_index": cert.worst_index,
-            "threshold": cert.threshold,
+        checks.append(
+            {
+                "name": f"complex_homogeneity_{label}",
+                "passed": passed,
+                "value": residual,
+                "tolerance": threshold,
+            }
+        )
+    homogeneity = {
+        "s1": {
+            "max_residual": s1.max_residual,
+            "zero_residual": s1.zero_residual,
+            "threshold": s1.threshold,
+            "passed": s1.passed,
+        },
+        "complex": complex_entries,
+        "passed": s1.passed and all(e["passed"] for e in complex_entries),
+    }
+    timings["homogeneity_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    cert = certify_theta_derivation(d_hat, theta_hat, cert_triples, tol=DERIVATION_TOL)
+    derivation_certificate = {
+        "max_relative_residual": cert.max_relative_residual,
+        "worst_index": cert.worst_index,
+        "threshold": cert.threshold,
+        "passed": cert.passed,
+    }
+    checks.append(
+        {
+            "name": "derivation_certificate",
             "passed": cert.passed,
+            "value": cert.max_relative_residual,
+            "tolerance": cert.threshold,
         }
+    )
+    timings["certificate_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    expected_rate = perturbation_decay_rate(scheme, config.p)
+    if scheme in SEQUENCE_LEVELS:
+        levels = list(range(SEQUENCE_LEVELS[scheme]))
+        values = derivation_limit_sequence(f, h, scheme, _sequence_triples(config), levels)
+        derivation_sequence = _sequence_section(values, levels, expected_rate)
         checks.append(
             {
-                "name": "derivation_certificate",
-                "passed": cert.passed,
-                "value": cert.max_relative_residual,
-                "tolerance": cert.threshold,
+                "name": "derivation_sequence_decreasing",
+                "passed": derivation_sequence["decreasing_passed"],
+                "value": derivation_sequence["max_tail_ratio"],
+                "tolerance": 1.0,
             }
         )
-        timings["certificate_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        expected_rate = perturbation_decay_rate(scheme, config.p)
-        if scheme in SEQUENCE_LEVELS:
-            levels = list(range(SEQUENCE_LEVELS[scheme]))
-            values = derivation_limit_sequence(
-                f, h, scheme, _sequence_triples(config), levels, mapper=mapper
-            )
-            derivation_sequence = _sequence_section(values, levels, expected_rate)
-            checks.append(
-                {
-                    "name": "derivation_sequence_decreasing",
-                    "passed": derivation_sequence["decreasing_passed"],
-                    "value": derivation_sequence["max_tail_ratio"],
-                    "tolerance": 1.0,
-                }
-            )
-            checks.append(
-                {
-                    "name": "derivation_sequence_rate",
-                    "passed": derivation_sequence["rate_passed"],
-                    "value": derivation_sequence["tail_rate"],
-                    "tolerance": RATE_WINDOW,
-                }
-            )
-        else:
-            derivation_sequence = {
-                "skipped": (
-                    "the derivation-limit residual is not defined for scheme "
-                    f"{scheme.value}"
-                )
-            }
-        timings["sequence_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        rate_est = estimate_convergence_rate(
-            f,
-            scheme,
-            rate_probes,
-            tol=config.tol,
-            l_max=config.l_max,
-            mapper=mapper,
-        )
-        rate_ok = rate_est.rate is None or abs(rate_est.rate - expected_rate) <= RATE_WINDOW
-        rate = {
-            "estimate": rate_est.rate,
-            "expected": expected_rate,
-            "window": RATE_WINDOW,
-            "first_level": rate_est.first_level,
-            "last_level": rate_est.last_level,
-            "probes": rate_est.probes_used,
-            "passed": rate_ok,
-        }
         checks.append(
             {
-                "name": "approximant_rate",
-                "passed": rate_ok,
-                "value": rate_est.rate,
+                "name": "derivation_sequence_rate",
+                "passed": derivation_sequence["rate_passed"],
+                "value": derivation_sequence["tail_rate"],
                 "tolerance": RATE_WINDOW,
             }
         )
-        timings["rate_s"] = time.perf_counter() - t0
+    else:
+        derivation_sequence = {
+            "skipped": (
+                "the derivation-limit residual is not defined for scheme "
+                f"{scheme.value}"
+            )
+        }
+    timings["sequence_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    rate_est = estimate_convergence_rate(
+        f, scheme, rate_probes, tol=config.tol, l_max=config.l_max
+    )
+    rate_ok = rate_est.rate is None or abs(rate_est.rate - expected_rate) <= RATE_WINDOW
+    rate = {
+        "estimate": rate_est.rate,
+        "expected": expected_rate,
+        "window": RATE_WINDOW,
+        "first_level": rate_est.first_level,
+        "last_level": rate_est.last_level,
+        "probes": rate_est.probes_used,
+        "passed": rate_ok,
+    }
+    checks.append(
+        {
+            "name": "approximant_rate",
+            "passed": rate_ok,
+            "value": rate_est.rate,
+            "tolerance": RATE_WINDOW,
+        }
+    )
+    timings["rate_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - started
     return StabilityReport(

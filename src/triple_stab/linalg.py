@@ -1,15 +1,17 @@
 """Dense complex matrix kernel: arithmetic, adjoint, spectral norm, HS pairing.
 
-Matrices are square numpy arrays of complex128.  ``as_matrix`` is the single
-entry point that enforces squareness and finiteness; every public operation
-routes its inputs through it.
+Matrices are square numpy arrays of complex128, either one n x n matrix or
+a stack of shape (..., n, n).  ``as_matrix`` is the single entry point that
+enforces squareness and finiteness; every public operation routes its
+inputs through it.  ``spectral_norm`` and ``hs_inner`` act slice by slice
+on stacks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# A validated n x n complex128 array.  Kept as a plain ndarray so numpy
+# A validated (..., n, n) complex128 array.  Kept as a plain ndarray so numpy
 # arithmetic stays available to callers.
 ComplexMatrix = np.ndarray
 
@@ -19,9 +21,12 @@ class DimensionMismatchError(ValueError):
 
 
 def as_matrix(x) -> ComplexMatrix:
-    """Coerce to a nonempty square complex128 array with finite entries."""
+    """Coerce to a complex128 matrix, or stack of matrices, with finite entries.
+
+    The trailing two dimensions must be equal and nonzero.
+    """
     m = np.asarray(x, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     # a complex entry is finite only when both of its parts are
     if not np.isfinite(m).all():
@@ -31,9 +36,9 @@ def as_matrix(x) -> ComplexMatrix:
 
 def _same_dim_pair(x, y) -> tuple[ComplexMatrix, ComplexMatrix]:
     mx, my = as_matrix(x), as_matrix(y)
-    if mx.shape != my.shape:
+    if mx.shape[-1] != my.shape[-1]:
         raise DimensionMismatchError(
-            f"dimension mismatch: {mx.shape[0]} vs {my.shape[0]}"
+            f"dimension mismatch: {mx.shape[-1]} vs {my.shape[-1]}"
         )
     return mx, my
 
@@ -56,14 +61,15 @@ def matmul(x, y) -> ComplexMatrix:
 
 
 def adjoint(x) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return as_matrix(x).conj().T.copy()
+    """Conjugate transpose of each matrix."""
+    return np.swapaxes(as_matrix(x).conj(), -1, -2).copy()
 
 
-def hs_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product trace(x y*)."""
+def hs_inner(x, y):
+    """Hilbert-Schmidt inner product trace(x y*); an array over stack slices."""
     mx, my = _same_dim_pair(x, y)
-    return complex(np.trace(mx @ my.conj().T))
+    inner = np.einsum("...ij,...ij->...", mx, my.conj())
+    return complex(inner) if inner.ndim == 0 else inner
 
 
 def max_abs(x) -> float:
@@ -77,11 +83,13 @@ def max_entry_diff(x, y) -> float:
     return float(np.max(np.abs(mx - my)))
 
 
-def spectral_norm(x) -> float:
+def spectral_norm(x):
     """Largest singular value of a square complex matrix, by LAPACK SVD.
 
+    Returns a float for one matrix and an array of norms for a stack.
     LAPACK scales the input internally, so entries near the overflow or
     underflow threshold give the correctly scaled norm.
     """
     m = as_matrix(x)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    top = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(top) if m.ndim == 2 else top

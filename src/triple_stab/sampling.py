@@ -48,9 +48,19 @@ def child_seed(seed: int, role: int) -> int:
     return int(rng_for(seed, role).integers(0, 2**63))
 
 
+def random_matrices(rng: np.random.Generator, count: int, dim: int) -> ComplexMatrix:
+    """(count, dim, dim) stack of ``random_matrix`` draws, in one call.
+
+    Consumes the stream exactly as ``count`` successive ``random_matrix``
+    calls do: per matrix, the real parts and then the imaginary parts.
+    """
+    u = rng.uniform(-1.0, 1.0, (count, 2, dim, dim))
+    return u[:, 0] + 1j * u[:, 1]
+
+
 def random_matrix(rng: np.random.Generator, dim: int) -> ComplexMatrix:
     """Entries uniform on [-1, 1]^2 in real and imaginary parts."""
-    return rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+    return random_matrices(rng, 1, dim)[0]
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> ComplexMatrix:
@@ -81,13 +91,11 @@ def make_probes(
     if not 0.0 < norm_min <= norm_max:
         raise ValueError("norm range must satisfy 0 < norm_min <= norm_max")
     lo, hi = np.log10(norm_min), np.log10(norm_max)
-    probes = []
-    for k in range(count):
-        t = lo if count == 1 else lo + (hi - lo) * k / (count - 1)
-        target = 10.0**t
-        direction = random_matrix(rng, dim)
-        probes.append(direction * (target / spectral_norm(direction)))
-    return probes
+    targets = np.array(
+        [10.0 ** (lo if count == 1 else lo + (hi - lo) * k / (count - 1)) for k in range(count)]
+    )
+    directions = random_matrices(rng, count, dim)
+    return list(directions * (targets / spectral_norm(directions))[:, None, None])
 
 
 def make_mu_samples(count: int, rng: np.random.Generator) -> list[complex]:

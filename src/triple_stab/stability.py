@@ -15,6 +15,10 @@ Each carries a weighted series phi_tilde over the control function and a
 summability gate that must hold before any bound is quoted.  For power-type
 controls eps * (||x||^p + ||y||^p + ||z||^p) the gates are p < 1, p > 1,
 p < 1 and p > 3 respectively.
+
+Maps, controls and certificates take (k, n, n) probe stacks: every stage
+makes one call per level or per check over all of its probes, and
+``direct_limits`` runs the direct method for a whole stack in lockstep.
 """
 
 from __future__ import annotations
@@ -166,18 +170,22 @@ class Scheme(enum.Enum):
 # control functions
 # ---------------------------------------------------------------------------
 
-def norm_power(norm: float, p: float) -> float:
-    """||x||^p with the convention ||0||^p = 0, including p = 0."""
-    return 0.0 if norm == 0.0 else norm**p
+def norm_power(norm, p: float):
+    """||x||^p with the convention ||0||^p = 0, including p = 0; elementwise."""
+    out = np.where(norm == 0.0, 0.0, np.power(norm, p))
+    return float(out) if out.ndim == 0 else out
 
 
 class ControlFunction:
-    """Nonnegative control phi(x, y, z) pricing a perturbation residual."""
+    """Nonnegative control phi(x, y, z) pricing a perturbation residual.
 
-    def value(self, x, y, z) -> float:
+    On (k, n, n) stacks ``value`` returns one value per slice.
+    """
+
+    def value(self, x, y, z):
         raise NotImplementedError
 
-    def __call__(self, x, y, z) -> float:
+    def __call__(self, x, y, z):
         return self.value(x, y, z)
 
 
@@ -204,11 +212,17 @@ class PowerType(ControlFunction):
 
 @dataclass(frozen=True)
 class Custom(ControlFunction):
-    """User-supplied control; values are checked to be nonnegative."""
+    """User-supplied control; values are checked to be nonnegative.
+
+    ``fn`` takes single matrices; on stacks it is called once per slice.
+    """
 
     fn: Callable
 
-    def value(self, x, y, z) -> float:
+    def value(self, x, y, z):
+        mx, my, mz = np.broadcast_arrays(as_matrix(x), as_matrix(y), as_matrix(z))
+        if mx.ndim > 2:
+            return np.array([self.value(a, b, c) for a, b, c in zip(mx, my, mz)])
         v = float(self.fn(x, y, z))
         if v < 0.0 or not math.isfinite(v):
             raise ValueError(f"control function returned {v!r}; needs finite >= 0")
@@ -355,8 +369,8 @@ class PerturbedMap:
             return np.zeros_like(mx)
         nx = spectral_norm(mx)
         envelope = self.amplitude * norm_power(nx, self.exponent)
-        phase = math.sin(self.alpha * nx + self.beta * float(np.trace(mx).real))
-        return envelope * phase * self.direction
+        phase = np.sin(self.alpha * nx + self.beta * np.trace(mx, axis1=-2, axis2=-1).real)
+        return np.multiply.outer(envelope * phase, self.direction)
 
     def __call__(self, x) -> ComplexMatrix:
         return self.base(x) + self.defect(x)
@@ -423,6 +437,27 @@ def make_perturbation(
     )
 
 
+def _stack(mats, what: str, inner: int = 0) -> np.ndarray:
+    """(k, n, n) stack of a nonempty probe sequence.
+
+    With ``inner`` set, the items are tuples of that many matrices and the
+    stack has shape (k, inner, n, n).
+    """
+    noun = "triple" if inner == 3 else "probe"
+    if len(mats) == 0:
+        raise ValueError(f"{what} needs at least one {noun}")
+    out = as_matrix(mats)
+    if out.shape[:-2] != ((len(mats), inner) if inner else (len(mats),)):
+        raise ValueError(f"{what} got {noun}s of shape {out.shape}")
+    return out
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, at_zero) -> np.ndarray:
+    """num / den where den > 0, else ``at_zero``, without dividing by zero."""
+    out = np.array(np.broadcast_to(at_zero, np.shape(num)), dtype=float)
+    return np.divide(num, den, out=out, where=den > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis verification
 # ---------------------------------------------------------------------------
@@ -458,7 +493,6 @@ def verify_hypotheses(
     form: str,
     probes: Sequence,
     mu_samples: Sequence[complex],
-    mapper=map,
 ) -> HypothesisReport:
     """Sampled confirmation of the functional inequalities behind a run.
 
@@ -472,46 +506,31 @@ def verify_hypotheses(
     perturbation construction does not promise it stays below 1.
     """
     form = _parse_form(form)
-    probes = [as_matrix(p) for p in probes]
-    if not probes:
-        raise ValueError("verify_hypotheses needs at least one probe")
+    x = _stack(probes, "verify_hypotheses")
     if not mu_samples:
         raise ValueError("verify_hypotheses needs at least one unimodular sample")
-    m = len(probes)
-    off_y = max(1, m // 2) % m
-    off_z = max(1, m // 3) % m
-
-    def one(k: int) -> tuple[float, float, float, int, float]:
-        x = probes[k]
-        y = probes[(k + off_y) % m]
-        z = probes[(k + off_z) % m]
-        mu = complex(mu_samples[k % len(mu_samples)])
-        denom_pair = phi.value(x, y, np.zeros_like(x))
-        rf = _pair_residual(f, form, mu, x, y)
-        rh = _pair_residual(h, form, mu, x, y)
-        zero_count, zero_abs = 0, 0.0
-        if denom_pair > 0.0:
-            ratio_f, ratio_h = rf / denom_pair, rh / denom_pair
-        else:
-            ratio_f, ratio_h = 0.0, 0.0
-            zero_count, zero_abs = 1, max(rf, rh)
-        txyz = triple_product_cstar(x, y, z)
-        triple_res = spectral_norm(
-            f(txyz)
-            - triple_product_cstar(f(x), h(y), h(z))
-            - triple_product_cstar(h(x), f(y), h(z))
-            - triple_product_cstar(h(x), h(y), f(z))
-        )
-        denom_triple = phi.value(x, y, z)
-        triple_ratio = triple_res / denom_triple if denom_triple > 0.0 else 0.0
-        return ratio_f, ratio_h, triple_ratio, zero_count, zero_abs
-
-    rows = list(mapper(one, range(m)))
-    max_f = max(r[0] for r in rows)
-    max_h = max(r[1] for r in rows)
-    max_t = max(r[2] for r in rows)
-    zero_samples = sum(r[3] for r in rows)
-    zero_abs = max(r[4] for r in rows)
+    m = len(x)
+    k = np.arange(m)
+    iy = (k + max(1, m // 2) % m) % m
+    iz = (k + max(1, m // 3) % m) % m
+    y, z = x[iy], x[iz]
+    mu = np.array([complex(mu_samples[i % len(mu_samples)]) for i in range(m)])
+    mu = mu[:, None, None]
+    denom_pair = phi.value(x, y, np.zeros_like(x))
+    rf = _pair_residual(f, form, mu, x, y)
+    rh = _pair_residual(h, form, mu, x, y)
+    zero = denom_pair <= 0.0
+    t = triple_product_cstar
+    fx, hx = f(x), h(x)
+    fy, fz, hy, hz = fx[iy], fx[iz], hx[iy], hx[iz]
+    triple_res = spectral_norm(
+        f(t(x, y, z)) - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz)
+    )
+    max_f = float(_ratio(rf, denom_pair, 0.0).max())
+    max_h = float(_ratio(rh, denom_pair, 0.0).max())
+    max_t = float(_ratio(triple_res, phi.value(x, y, z), 0.0).max())
+    zero_samples = int(zero.sum())
+    zero_abs = float(np.where(zero, np.maximum(rf, rh), 0.0).max())
     return HypothesisReport(
         form=form,
         samples=m,
@@ -537,7 +556,10 @@ class DirectMethodResult:
 
 
 def scheme_approximant(f, scheme, x, l: int) -> ComplexMatrix:
-    """A_l(x) for the scheme, with an overflow guard on the scaled argument."""
+    """A_l(x) for the scheme, with an overflow guard on the scaled argument.
+
+    On a stack the guard trips when any slice would leave the range.
+    """
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
     s = float(scheme.base) ** l
@@ -551,6 +573,50 @@ def scheme_approximant(f, scheme, x, l: int) -> ComplexMatrix:
     return as_matrix(f(s * mx)) / s
 
 
+def direct_limits(
+    f,
+    scheme,
+    xs,
+    tol: float = 1e-9,
+    l_max: int = 200,
+) -> list[DirectMethodResult]:
+    """The direct method at every slice of a (k, n, n) stack, in lockstep.
+
+    Each level evaluates f once on the probes still iterating.  A probe
+    leaves the stack at the first l with
+    ||A_l(x) - A_{l-1}(x)|| <= tol * max(1, ||A_{l-1}(x)||) and keeps A_l;
+    a probe still iterating at l_max keeps A_{l_max} with converged = False.
+    Every result equals what the iteration at that probe alone returns.
+    """
+    scheme = Scheme.parse(scheme)
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
+    xs = as_matrix(xs)
+    if xs.ndim != 3 or not len(xs):
+        raise ValueError(f"direct_limits needs a (k, n, n) stack, got shape {xs.shape}")
+    results: list[DirectMethodResult | None] = [None] * len(xs)
+    deltas: list[list[float]] = [[] for _ in xs]
+    active = np.arange(len(xs))
+    prev = scheme_approximant(f, scheme, xs, 0)
+    for l in range(1, l_max + 1):
+        cur = scheme_approximant(f, scheme, xs[active], l)
+        delta = spectral_norm(cur - prev)
+        for i, d in zip(active.tolist(), delta.tolist()):
+            deltas[i].append(d)
+        settled = delta <= tol * np.maximum(1.0, spectral_norm(prev))
+        for j in np.flatnonzero(settled).tolist():
+            i = int(active[j])
+            results[i] = DirectMethodResult(cur[j], l, True, tuple(deltas[i]))
+        active, prev = active[~settled], cur[~settled]
+        if not active.size:
+            break
+    for j, i in enumerate(active.tolist()):
+        results[i] = DirectMethodResult(prev[j], l_max, False, tuple(deltas[i]))
+    return results
+
+
 def direct_method(
     f,
     scheme,
@@ -562,23 +628,9 @@ def direct_method(
 
     Stops at the first l with ||A_{l+1}(x) - A_l(x)|| <= tol * max(1, ||A_l(x)||)
     and returns A_{l+1}; if l_max is exhausted the last approximant is
-    returned with converged = False.
+    returned with converged = False.  One probe of ``direct_limits``.
     """
-    scheme = Scheme.parse(scheme)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    prev = scheme_approximant(f, scheme, x, 0)
-    deltas: list[float] = []
-    for l in range(1, l_max + 1):
-        cur = scheme_approximant(f, scheme, x, l)
-        delta = spectral_norm(cur - prev)
-        deltas.append(delta)
-        if delta <= tol * max(1.0, spectral_norm(prev)):
-            return DirectMethodResult(cur, l, True, tuple(deltas))
-        prev = cur
-    return DirectMethodResult(prev, l_max, False, tuple(deltas))
+    return direct_limits(f, scheme, as_matrix(x)[None], tol=tol, l_max=l_max)[0]
 
 
 def recover_linear_map(
@@ -587,62 +639,46 @@ def recover_linear_map(
     tol: float = 1e-9,
     l_max: int = 200,
     cert_probe_count: int = 24,
-    mapper=map,
 ) -> Tabulated:
     """Recover the exact linear map behind a perturbed one.
 
     Runs the direct method on every matrix unit to tabulate the limit, then
-    certifies linearity by comparing the tabulated map against fresh direct
+    certifies linearity by comparing the tabulated map against direct
     limits on random probes, at threshold 10 * tol * max(1, ||x||).  The
     inner iterations run at tol / 64 so the certificate threshold retains
-    headroom over the stopping error.
+    headroom over the stopping error.  Basis and probes iterate as one
+    lockstep stack.
     """
     scheme = Scheme.parse(scheme)
     dim = f.dim
     inner_tol = tol / RECOVERY_REFINEMENT
     basis = matrix_basis(dim)
-
-    def limit_at(x) -> DirectMethodResult:
-        return direct_method(f, scheme, x, tol=inner_tol, l_max=l_max)
-
-    runs = list(mapper(limit_at, basis))
+    seed = getattr(f, "seed", 0)
+    probes = np.stack(
+        make_probes(dim, cert_probe_count, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
+    )
+    runs = direct_limits(f, scheme, np.concatenate([basis, probes]), tol=inner_tol, l_max=l_max)
+    runs, directs = runs[: len(basis)], runs[len(basis) :]
     for run in runs:
         if not run.converged:
             raise ConvergenceError(
                 f"direct method did not converge within l_max = {l_max} "
                 f"on a basis element (last difference {run.deltas[-1]:.3e})"
             )
-    coeffs = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for j, run in enumerate(runs):
-        coeffs[:, j] = vec(run.value)
-    recovered = Tabulated(coeffs)
-
-    seed = getattr(f, "seed", 0)
-    probes = make_probes(
-        dim, cert_probe_count, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1
-    )
-
-    def cert_gap(x) -> float:
-        direct = direct_method(f, scheme, x, tol=inner_tol, l_max=l_max)
-        if not direct.converged:
-            raise ConvergenceError(
-                f"direct method did not converge within l_max = {l_max} on a probe"
-            )
-        return spectral_norm(recovered(x) - direct.value)
-
-    gaps = list(mapper(cert_gap, probes))
-    worst_idx = -1
-    worst_excess = 0.0
-    for i, (x, gap) in enumerate(zip(probes, gaps)):
-        allowed = 10.0 * tol * max(1.0, spectral_norm(x))
-        if gap > allowed and gap - allowed > worst_excess:
-            worst_idx, worst_excess = i, gap - allowed
-    if worst_idx >= 0:
+    recovered = Tabulated(vec(np.stack([run.value for run in runs])).T)
+    if not all(run.converged for run in directs):
+        raise ConvergenceError(
+            f"direct method did not converge within l_max = {l_max} on a probe"
+        )
+    gaps = spectral_norm(recovered(probes) - np.stack([run.value for run in directs]))
+    excess = gaps - 10.0 * tol * np.maximum(1.0, spectral_norm(probes))
+    worst_idx = int(np.argmax(excess))
+    if excess[worst_idx] > 0.0:
         raise LinearityCertificationError(
             f"recovered map failed linearity certification: probe {worst_idx} "
             f"disagrees with its direct limit by {gaps[worst_idx]:.3e}",
             worst_probe=probes[worst_idx],
-            residual=gaps[worst_idx],
+            residual=float(gaps[worst_idx]),
         )
     return recovered
 
@@ -668,25 +704,22 @@ def verify_stability_bound(
     scheme,
     probes: Sequence,
     slack: float = 1e-9,
-    mapper=map,
 ) -> BoundReport:
-    """Check ||f(x) - recovered(x)|| <= hyers_bound(phi, scheme, x) on probes."""
+    """Check ||f(x) - recovered(x)|| <= hyers_bound(phi, scheme, x) on probes.
+
+    Power-type bounds are evaluated on the whole stack; other controls sum
+    their series term by term at each probe.
+    """
     scheme = Scheme.parse(scheme)
-    probes = [as_matrix(p) for p in probes]
-    if not probes:
-        raise ValueError("verify_stability_bound needs at least one probe")
-
-    def one(x) -> tuple[float, float, float, float]:
-        bound = hyers_bound(phi, scheme, x)
-        error = spectral_norm(f(x) - recovered(x))
-        if bound > 0.0:
-            ratio = error / bound
-        else:
-            ratio = 0.0 if error == 0.0 else math.inf
-        return (spectral_norm(x), bound, error, ratio)
-
-    rows = tuple(mapper(one, probes))
-    max_ratio = max(r[3] for r in rows)
+    x = _stack(probes, "verify_stability_bound")
+    if isinstance(phi, PowerType):
+        bounds = hyers_bound(phi, scheme, x)
+    else:
+        bounds = np.array([hyers_bound(phi, scheme, p) for p in x])
+    errors = spectral_norm(f(x) - recovered(x))
+    ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
+    rows = tuple(zip(*(a.tolist() for a in (spectral_norm(x), bounds, errors, ratios))))
+    max_ratio = float(ratios.max())
     return BoundReport(rows, max_ratio, slack, max_ratio <= 1.0 + slack)
 
 
@@ -707,19 +740,14 @@ def verify_s1_homogeneity(
     tol: float = 1e-6,
 ) -> HomogeneityReport:
     """Max of ||op(mu x) - mu op(x)|| / max(1, ||x||), plus the zero case."""
-    probes = [as_matrix(p) for p in probes]
-    if not probes or not mu_samples:
+    if not len(probes) or not mu_samples:
         raise ValueError("verify_s1_homogeneity needs probes and scalar samples")
-    worst = 0.0
-    for x in probes:
-        image = op(x)
-        scale = max(1.0, spectral_norm(x))
-        for mu in mu_samples:
-            mu = complex(mu)
-            res = spectral_norm(op(mu * x) - mu * image) / scale
-            if res > worst:
-                worst = res
-    zero_residual = spectral_norm(op(np.zeros_like(probes[0])))
+    x = _stack(probes, "verify_s1_homogeneity")
+    # (scalar, probe, n, n): every scalar against every probe in one call
+    mu = np.array([complex(m) for m in mu_samples])[:, None, None, None]
+    res = spectral_norm(op(mu * x) - mu * op(x)) / np.maximum(1.0, spectral_norm(x))
+    worst = float(res.max())
+    zero_residual = spectral_norm(op(np.zeros_like(x[0])))
     passed = worst <= tol and zero_residual <= tol
     return HomogeneityReport(worst, zero_residual, tol, passed)
 
@@ -743,7 +771,8 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
         route = n1 op(x) + (op(m11 x) + op(m12 x)) / 2
               + i * (n2 op(x) + (op(m21 x) + op(m22 x)) / 2)
 
-    Returns the residual against op(lam x), normalized by max(1, |lam| ||x||).
+    Returns the residual against op(lam x), normalized by max(1, |lam| ||x||);
+    on a stack of x, one entry per slice.
     """
     from .triple import CheckResult
 
@@ -760,7 +789,7 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
             contribution = contribution + (op(mu1.value * mx) + op(mu2.value * mx)) / 2.0
         route = route + factor * contribution
     residual = spectral_norm(op(lam * mx) - route)
-    threshold = tol * max(1.0, abs(lam) * spectral_norm(mx))
+    threshold = tol * np.maximum(1.0, abs(lam) * spectral_norm(mx))
     return CheckResult(residual, threshold, residual <= threshold)
 
 
@@ -774,6 +803,7 @@ def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
 
     and the contractive tripling scheme uses arguments divided by the scales
     with the reciprocal prefactor.  Not defined for cauchy2-contractive.
+    On stacks of triples it returns one residual per triple.
     """
     scheme = Scheme.parse(scheme)
     if scheme is Scheme.CAUCHY2_CONTRACTIVE:
@@ -799,12 +829,13 @@ def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
             )
         ax, ay, az, aprod = s * mx, s * my, s * mz, s3 * txyz
         prefactor = 1.0 / s3
-    residual = spectral_norm(
-        f(aprod)
-        - triple_product_cstar(f(ax), h(ay), h(az))
-        - triple_product_cstar(h(ax), f(ay), h(az))
-        - triple_product_cstar(h(ax), h(ay), f(az))
-    )
+    # each map once over every scaled argument it is needed at
+    n = mx.shape[-1]
+    args = np.stack([aprod, ax, ay, az])
+    fp, fx, fy, fz = as_matrix(f(args.reshape(-1, n, n))).reshape(args.shape)
+    hx, hy, hz = as_matrix(h(args[1:].reshape(-1, n, n))).reshape(args[1:].shape)
+    t = triple_product_cstar
+    residual = spectral_norm(fp - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz))
     return prefactor * residual
 
 
@@ -814,18 +845,14 @@ def derivation_limit_sequence(
     scheme,
     triples: Sequence,
     l_values: Sequence[int],
-    mapper=map,
 ) -> list[float]:
     """Mean derivation-limit residual over a triple set at each level."""
-    triples = [tuple(as_matrix(m) for m in t) for t in triples]
-    if not triples:
-        raise ValueError("derivation_limit_sequence needs at least one triple")
-
-    def level_mean(l: int) -> float:
-        values = [derivation_limit_residual(f, h, scheme, x, y, z, l) for x, y, z in triples]
-        return sum(values) / len(values)
-
-    return list(mapper(level_mean, list(l_values)))
+    t = _stack(triples, "derivation_limit_sequence", inner=3)
+    x, y, z = t[:, 0], t[:, 1], t[:, 2]
+    return [
+        float(np.mean(derivation_limit_residual(f, h, scheme, x, y, z, l)))
+        for l in l_values
+    ]
 
 
 @dataclass(frozen=True)
@@ -843,27 +870,21 @@ def certify_theta_derivation(
     theta_hat,
     triples: Sequence,
     tol: float = 1e-6,
-    mapper=map,
 ) -> DerivationCertificate:
     """Check the derivation identity of (d_hat, theta_hat) on probe triples."""
     from .triple import theta_derivation_residual
 
-    triples = [tuple(as_matrix(m) for m in t) for t in triples]
-    if not triples:
-        raise ValueError("certify_theta_derivation needs at least one triple")
-
-    def one(t) -> float:
-        x, y, z = t
-        scale = max(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
-        return theta_derivation_residual(d_hat, theta_hat, x, y, z) / scale
-
-    values = list(mapper(one, triples))
-    worst = max(range(len(values)), key=lambda i: values[i])
+    t = _stack(triples, "certify_theta_derivation", inner=3)
+    x, y, z = t[:, 0], t[:, 1], t[:, 2]
+    scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
+    values = theta_derivation_residual(d_hat, theta_hat, x, y, z) / scale
+    worst = int(np.argmax(values))
+    worst_value = float(values[worst])
     return DerivationCertificate(
-        max_relative_residual=values[worst],
+        max_relative_residual=worst_value,
         worst_index=worst,
         threshold=tol,
-        passed=values[worst] <= tol,
+        passed=worst_value <= tol,
     )
 
 
@@ -896,17 +917,9 @@ def estimate_convergence_rate(
     tol: float = 1e-9,
     l_max: int = 200,
     window: int = 10,
-    mapper=map,
 ) -> RateEstimate:
-    scheme = Scheme.parse(scheme)
-    probes = [as_matrix(p) for p in probes]
-    if not probes:
-        raise ValueError("estimate_convergence_rate needs at least one probe")
-
-    def run(x):
-        return direct_method(f, scheme, x, tol=tol, l_max=l_max)
-
-    runs = list(mapper(run, probes))
+    x = _stack(probes, "estimate_convergence_rate")
+    runs = direct_limits(f, scheme, x, tol=tol, l_max=l_max)
     usable = [r.deltas for r in runs if r.deltas and r.deltas[0] > 0.0]
     if not usable:
         return RateEstimate(None, (), 0, 0, 0)

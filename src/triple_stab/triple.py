@@ -10,6 +10,10 @@ plus numeric checkers for the triple axioms, a small immutable operator
 algebra (conjugations, commutators, sums, compositions, tabulated forms)
 with JSON serialization, and constructors for exact triple homomorphisms,
 triple derivations, and theta-derivations.
+
+Products, operators, residuals and axiom checkers all accept stacks of
+shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
+probe set in one call.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ import numpy as np
 from .linalg import (
     ComplexMatrix,
     DimensionMismatchError,
-    adjoint,
     as_matrix,
     hs_inner,
-    max_abs,
     spectral_norm,
 )
 
@@ -41,11 +43,11 @@ class OperatorValidationError(ValueError):
 
 def _same_dim(*mats) -> list[ComplexMatrix]:
     out = [as_matrix(m) for m in mats]
-    n = out[0].shape[0]
+    n = out[0].shape[-1]
     for m in out[1:]:
-        if m.shape[0] != n:
+        if m.shape[-1] != n:
             raise DimensionMismatchError(
-                f"dimension mismatch: {n} vs {m.shape[0]}"
+                f"dimension mismatch: {n} vs {m.shape[-1]}"
             )
     return out
 
@@ -59,14 +61,14 @@ def jordan_product(x, y) -> ComplexMatrix:
 def triple_product_cstar(x, y, z) -> ComplexMatrix:
     """Canonical triple product (x y* z + z y* x) / 2."""
     mx, my, mz = _same_dim(x, y, z)
-    ys = my.conj().T
+    ys = np.swapaxes(my.conj(), -1, -2)
     return (mx @ ys @ mz + mz @ ys @ mx) / 2.0
 
 
 def triple_product_jbstar(x, y, z) -> ComplexMatrix:
     """Jordan-form triple product; agrees with the C*-form on matrices."""
     mx, my, mz = _same_dim(x, y, z)
-    ys = my.conj().T
+    ys = np.swapaxes(my.conj(), -1, -2)
     return (
         jordan_product(jordan_product(mx, ys), mz)
         + jordan_product(jordan_product(ys, mz), mx)
@@ -79,16 +81,21 @@ def triple_product_jbstar(x, y, z) -> ComplexMatrix:
 # ---------------------------------------------------------------------------
 
 def vec(x) -> np.ndarray:
-    """Column-stack a matrix: basis order E11, E21, ..., En1, E12, ..., Enn."""
-    return as_matrix(x).flatten(order="F")
+    """Column-stack a matrix: basis order E11, E21, ..., En1, E12, ..., Enn.
+
+    A (..., n, n) stack gives (..., n^2), one vector per slice.
+    """
+    m = as_matrix(x)
+    # the column-stacked matrix is its transpose read row by row
+    return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], m.shape[-1] ** 2)
 
 
 def unvec(u, dim: int) -> ComplexMatrix:
-    """Inverse of ``vec`` for a given dimension."""
+    """Inverse of ``vec`` for a given dimension; (..., n^2) gives (..., n, n)."""
     arr = np.asarray(u, dtype=np.complex128)
-    if arr.shape != (dim * dim,):
-        raise ValueError(f"expected a vector of length {dim * dim}, got {arr.shape}")
-    return arr.reshape((dim, dim), order="F")
+    if arr.ndim < 1 or arr.shape[-1] != dim * dim:
+        raise ValueError(f"expected vectors of length {dim * dim}, got {arr.shape}")
+    return np.swapaxes(arr.reshape(*arr.shape[:-1], dim, dim), -1, -2)
 
 
 def matrix_basis(dim: int) -> list[ComplexMatrix]:
@@ -134,11 +141,7 @@ class LinearOperator:
 
     def to_tabulated(self) -> "Tabulated":
         """Lower to the dense n^2 x n^2 matrix acting on vec(x)."""
-        n = self.dim
-        coeffs = np.zeros((n * n, n * n), dtype=np.complex128)
-        for j, e in enumerate(matrix_basis(n)):
-            coeffs[:, j] = vec(self.apply(e))
-        return Tabulated(coeffs)
+        return Tabulated(vec(self.apply(np.stack(matrix_basis(self.dim)))).T)
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -342,18 +345,19 @@ class Tabulated(LinearOperator):
             raise ValueError(
                 f"coefficient side {arr.shape[0]} is not a perfect square"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        # a complex entry is finite only when both of its parts are
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         self.coeffs = _frozen(arr)
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
         mx = as_matrix(x)
-        if mx.shape[0] != self.dim:
+        if mx.shape[-1] != self.dim:
             raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {mx.shape[0]}"
+                f"dimension mismatch: {self.dim} vs {mx.shape[-1]}"
             )
-        return unvec(self.coeffs @ vec(mx), self.dim)
+        return unvec(vec(mx) @ self.coeffs.T, self.dim)
 
     def to_tabulated(self) -> "Tabulated":
         return self
@@ -420,7 +424,10 @@ def operator_L(a, b) -> Tabulated:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Numeric residual together with the threshold it was compared against."""
+    """Numeric residual together with the threshold it was compared against.
+
+    On stacked inputs each field holds one entry per slice.
+    """
 
     residual: float
     threshold: float
@@ -429,7 +436,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class LPositivityReport:
-    """Violations of hermiticity and positivity of L(a, a) on a probe set."""
+    """Violations of hermiticity and positivity of L(a, a) on a probe set.
+
+    On a stack of generators each violation holds one entry per generator.
+    """
 
     max_selfadjoint_violation: float
     max_negativity: float
@@ -462,8 +472,8 @@ def check_jordan_identity(a, b, x, y, z, tol: float = 1e-10) -> CheckResult:
     )
     scale = 1.0
     for m in (ma, mb, mx, my, mz):
-        scale *= spectral_norm(m)
-    threshold = tol * max(1.0, scale)
+        scale = scale * spectral_norm(m)
+    threshold = tol * np.maximum(1.0, scale)
     r = spectral_norm(lhs - rhs)
     return CheckResult(r, threshold, r <= threshold)
 
@@ -473,8 +483,8 @@ def check_norm_identity(x, tol: float = 1e-8) -> CheckResult:
     mx = as_matrix(x)
     nx = spectral_norm(mx)
     cube = spectral_norm(triple_product_cstar(mx, mx, mx))
-    denom = max(1.0, nx**3)
-    r = abs(cube - nx**3) / denom
+    denom = np.maximum(1.0, nx**3)
+    r = np.abs(cube - nx**3) / denom
     return CheckResult(r, tol, r <= tol)
 
 
@@ -483,24 +493,24 @@ def check_L_positive(a, probes, tol: float = 1e-10) -> LPositivityReport:
 
     Checks |<Lx, y> - <x, Ly>| over all probe pairs and
     Re <Lx, x> >= -tol over all probes, reporting the worst violations.
+    ``probes`` has shape (m, n, n) for one generator a, or (k, m, n, n)
+    for a stack of k generators, each with its own m probes.
     """
     ma = as_matrix(a)
-    probes = [as_matrix(p) for p in probes]
-    if not probes:
-        raise ValueError("check_L_positive needs at least one probe")
-    images = [triple_product_cstar(ma, ma, p) for p in probes]
-    max_asym = 0.0
-    for i, (xi, li) in enumerate(zip(probes, images)):
-        for xj, lj in zip(probes[i:], images[i:]):
-            gap = abs(hs_inner(li, xj) - hs_inner(xi, lj))
-            if gap > max_asym:
-                max_asym = gap
-    max_neg = 0.0
-    for xi, li in zip(probes, images):
-        quad = hs_inner(li, xi).real
-        if -quad > max_neg:
-            max_neg = -quad
-    passed = max_asym <= tol and max_neg <= tol
+    probes = as_matrix(probes)
+    if probes.ndim != ma.ndim + 1 or probes.shape[-3] == 0:
+        raise ValueError("check_L_positive needs at least one probe per generator")
+    gen = ma[..., None, :, :]
+    images = triple_product_cstar(gen, gen, probes)
+    # pairings over every ordered (i, j); swapping i and j conjugates the
+    # gap, so the maximum over all pairs is the one over i <= j
+    gaps = np.abs(
+        hs_inner(images[..., :, None, :, :], probes[..., None, :, :, :])
+        - hs_inner(probes[..., :, None, :, :], images[..., None, :, :, :])
+    )
+    max_asym = gaps.max(axis=(-2, -1))
+    max_neg = np.maximum(0.0, -hs_inner(images, probes).real.min(axis=-1))
+    passed = (max_asym <= tol) & (max_neg <= tol)
     return LPositivityReport(max_asym, max_neg, tol, passed)
 
 
@@ -532,11 +542,10 @@ def theta_derivation_residual(d_op: LinearOperator, theta: LinearOperator, x, y,
     where D = d_op and T = theta.
     """
     t = triple_product_cstar
+    dx, dy, dz = d_op(x), d_op(y), d_op(z)
+    tx, ty, tz = theta(x), theta(y), theta(z)
     return spectral_norm(
-        d_op(t(x, y, z))
-        - t(d_op(x), theta(y), theta(z))
-        - t(theta(x), d_op(y), theta(z))
-        - t(theta(x), theta(y), d_op(z))
+        d_op(t(x, y, z)) - t(dx, ty, tz) - t(tx, dy, tz) - t(tx, ty, dz)
     )
 
 
@@ -545,8 +554,8 @@ def jordan_theta_residual(d_op: LinearOperator, theta: LinearOperator, x) -> flo
     return theta_derivation_residual(d_op, theta, x, x, x)
 
 
-def _verification_triples(dim: int) -> list[tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]]:
-    # deterministic probes: a few basis triples plus two fixed random ones
+def _verification_triples(dim: int) -> np.ndarray:
+    """(4, 3, n, n): a few basis triples plus two fixed random ones."""
     basis = matrix_basis(dim)
     triples = [
         (basis[0], basis[0], basis[0]),
@@ -558,8 +567,8 @@ def _verification_triples(dim: int) -> list[tuple[ComplexMatrix, ComplexMatrix, 
             rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
             for _ in range(3)
         ]
-        triples.append(tuple(mats))
-    return triples
+        triples.append(mats)
+    return np.array(triples)
 
 
 def make_triple_homomorphism(u) -> Conjugation:
@@ -583,18 +592,17 @@ def make_theta_derivation(theta: LinearOperator, d: LinearOperator) -> Compose:
         raise DimensionMismatchError(
             f"dimension mismatch: {theta.dim} vs {d.dim}"
         )
-    for x, y, z in _verification_triples(theta.dim):
-        scale = max(
-            1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z)
+    triples = _verification_triples(theta.dim)
+    x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
+    scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
+    r_theta = (homomorphism_residual(theta, x, y, z) / scale).max()
+    if r_theta > GENERATOR_VERIFY_TOL:
+        raise OperatorValidationError(
+            f"theta is not a triple homomorphism: residual {r_theta:.3e}"
         )
-        r_theta = homomorphism_residual(theta, x, y, z) / scale
-        if r_theta > GENERATOR_VERIFY_TOL:
-            raise OperatorValidationError(
-                f"theta is not a triple homomorphism: residual {r_theta:.3e}"
-            )
-        r_d = derivation_residual(d, x, y, z) / scale
-        if r_d > GENERATOR_VERIFY_TOL:
-            raise OperatorValidationError(
-                f"d is not a triple derivation: residual {r_d:.3e}"
-            )
+    r_d = (derivation_residual(d, x, y, z) / scale).max()
+    if r_d > GENERATOR_VERIFY_TOL:
+        raise OperatorValidationError(
+            f"d is not a triple derivation: residual {r_d:.3e}"
+        )
     return Compose(theta, d)

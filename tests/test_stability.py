@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from triple_stab.linalg import max_entry_diff, spectral_norm
 from triple_stab.sampling import haar_unitary, make_probes, make_mu_samples, rng_for, skew_matrix
 from triple_stab.stability import (
+    OVERFLOW_LIMIT,
     ConvergenceError,
     Custom,
     LinearityCertificationError,
@@ -30,6 +31,7 @@ from triple_stab.stability import (
     complex_homogeneity_via_decomposition,
     derivation_limit_residual,
     derivation_limit_sequence,
+    direct_limits,
     direct_method,
     estimate_convergence_rate,
     hyers_bound,
@@ -287,6 +289,67 @@ def test_scheme_approximant_overflow_guard():
         scheme_approximant(f, Scheme.CAUCHY2, E11, 600)
 
 
+def _one_probe_iteration(f, scheme, x, tol, l_max):
+    # the direct method written out for a single probe, as an oracle for
+    # the lockstep bookkeeping of direct_limits
+    prev = scheme_approximant(f, scheme, x, 0)
+    deltas = []
+    for l in range(1, l_max + 1):
+        cur = scheme_approximant(f, scheme, x, l)
+        delta = spectral_norm(cur - prev)
+        deltas.append(delta)
+        if delta <= tol * max(1.0, spectral_norm(prev)):
+            return cur, l, True, tuple(deltas)
+        prev = cur
+    return prev, l_max, False, tuple(deltas)
+
+
+def test_direct_limits_lockstep_matches_one_probe_runs():
+    _, _, big_d = _generators(51)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=28)
+    xs = np.stack(make_probes(2, 12, rng_for(29, 2)) + [np.zeros((2, 2))])
+    settled = direct_limits(f, Scheme.CAUCHY2, xs, tol=1e-9)
+    levels = sorted(r.l_used for r in settled)
+    assert all(r.converged for r in settled) and levels[0] < levels[-1]
+    # cap the iteration between the earliest and latest settling level, so
+    # part of the stack settles and the rest exhausts l_max
+    l_max = levels[len(levels) // 2]
+    runs = direct_limits(f, Scheme.CAUCHY2, xs, tol=1e-9, l_max=l_max)
+    assert {r.converged for r in runs} == {True, False}
+    for x, run in zip(xs, runs):
+        single = direct_method(f, Scheme.CAUCHY2, x, tol=1e-9, l_max=l_max)
+        value, l_used, converged, deltas = _one_probe_iteration(
+            f, Scheme.CAUCHY2, x, 1e-9, l_max
+        )
+        for got in (run, single):
+            assert got.l_used == l_used
+            assert got.converged == converged
+            assert got.deltas == deltas
+            assert np.array_equal(got.value, value)
+
+
+def test_direct_limits_overflow_guard_sees_active_probes_only():
+    _, _, big_d = _generators(52)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=30)
+    small = np.array([[0.5, 0.25j], [-0.5, 1.0]])
+    # settles at level 1, long before 2^l * 1e149 would pass the limit
+    large = 1e149 * E11
+    runs = direct_limits(f, Scheme.CAUCHY2, np.stack([large, small]), tol=1e-9)
+    assert runs[0].l_used == 1 and runs[1].l_used > 4
+    assert runs[1].deltas == direct_method(f, Scheme.CAUCHY2, small, tol=1e-9).deltas
+    past = 2.0 * OVERFLOW_LIMIT * E11
+    with pytest.raises(ScaleOverflowError):
+        direct_limits(f, Scheme.CAUCHY2, np.stack([small, past, small]), tol=1e-9)
+
+
+def test_direct_limits_rejects_non_stacks():
+    _, _, big_d = _generators(53)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
+    for bad in (E11, np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError):
+            direct_limits(f, Scheme.CAUCHY2, bad)
+
+
 def test_recover_exact_map_to_machine_precision():
     _, _, big_d = _generators(38)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=13)
@@ -328,7 +391,7 @@ class _NonLinearMap:
     def __call__(self, x):
         x = np.asarray(x, dtype=np.complex128)
         bump = np.zeros_like(x)
-        bump[0, 0] = 0.05 * spectral_norm(x)
+        bump[..., 0, 0] = 0.05 * spectral_norm(x)
         return self.base(x) + bump
 
 

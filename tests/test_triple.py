@@ -145,6 +145,14 @@ def test_tabulated_matches_source_operator():
         assert max_entry_diff(tab(x), op(x)) <= 1e-12 * max(1.0, spectral_norm(x))
 
 
+@pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(np.inf, 0.0)])
+def test_tabulated_rejects_any_non_finite_part(bad):
+    coeffs = np.eye(4, dtype=np.complex128)
+    coeffs[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Tabulated(coeffs)
+
+
 def test_operator_json_roundtrip():
     u = haar_unitary(rng_for(15, 4), 2)
     a = skew_matrix(rng_for(15, 5), 2)
