@@ -23,14 +23,10 @@ from .lab import (
 from .linalg import (
     ComplexMatrix,
     DimensionMismatchError,
-    add,
-    adjoint,
     as_matrix,
     hs_inner,
-    matmul,
     max_abs,
     max_entry_diff,
-    scalar_mul,
     spectral_norm,
 )
 from .sampling import (
@@ -89,14 +85,10 @@ from .triple import (
     derivation_residual,
     homomorphism_residual,
     jordan_product,
-    jordan_theta_residual,
     make_theta_derivation,
     make_triple_derivation,
     make_triple_homomorphism,
     matrix_basis,
-    operator_from_json,
-    operator_from_json_dict,
-    operator_L,
     theta_derivation_residual,
     triple_product_cstar,
     triple_product_jbstar,

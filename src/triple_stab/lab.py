@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
@@ -294,6 +294,26 @@ def build_generators(config: ExperimentConfig):
 # axiom suite
 # ---------------------------------------------------------------------------
 
+# (axiom-suite section, check name), in report order
+_AXIOM_SECTIONS = (
+    ("commutativity", "axiom_commutativity"),
+    ("jordan_identity", "axiom_jordan_identity"),
+    ("l_positivity", "axiom_l_positivity"),
+    ("norm_identity", "axiom_norm_identity"),
+    ("product_agreement", "product_agreement"),
+)
+
+
+def _check(name: str, passed: bool, value=None, tolerance=None) -> dict:
+    """One row of a report's ``checks`` list."""
+    return {"name": name, "passed": passed, "value": value, "tolerance": tolerance}
+
+
+def _within(threshold: float, **measured: float) -> dict:
+    """A report section: worst measured values, the threshold they must stay within."""
+    return {**measured, "threshold": threshold, "passed": max(measured.values()) <= threshold}
+
+
 def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dict:
     """All four triple axioms plus product-form agreement on seeded data.
 
@@ -318,90 +338,34 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     lpos = check_L_positive(a_pos, draws[:, 6:], tol=AXIOM_L_POSITIVITY_TOL)
     scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
     agreement = spectral_norm(triple_product_cstar(x, y, z) - triple_product_jbstar(x, y, z))
-    max_comm = float(comm.residual.max())
-    max_jordan = float(jordan_rel.max())
-    max_norm = float(norm_id.residual.max())
-    max_asym = float(lpos.max_selfadjoint_violation.max())
-    max_neg = float(lpos.max_negativity.max())
-    max_agree = float((agreement / scale).max())
     fragment = {
         "samples": count,
-        "commutativity": {
-            "max_residual": max_comm,
-            "threshold": AXIOM_COMMUTATIVITY_TOL,
-            "passed": max_comm <= AXIOM_COMMUTATIVITY_TOL,
-        },
-        "jordan_identity": {
-            "max_relative_residual": max_jordan,
-            "threshold": AXIOM_JORDAN_TOL,
-            "passed": max_jordan <= AXIOM_JORDAN_TOL,
-        },
-        "l_positivity": {
-            "max_selfadjoint_violation": max_asym,
-            "max_negativity": max_neg,
-            "threshold": AXIOM_L_POSITIVITY_TOL,
-            "passed": max(max_asym, max_neg) <= AXIOM_L_POSITIVITY_TOL,
-        },
-        "norm_identity": {
-            "max_relative_error": max_norm,
-            "threshold": AXIOM_NORM_TOL,
-            "passed": max_norm <= AXIOM_NORM_TOL,
-        },
-        "product_agreement": {
-            "max_relative_residual": max_agree,
-            "threshold": PRODUCT_AGREEMENT_TOL,
-            "passed": max_agree <= PRODUCT_AGREEMENT_TOL,
-        },
+        "commutativity": _within(AXIOM_COMMUTATIVITY_TOL, max_residual=float(comm.residual.max())),
+        "jordan_identity": _within(
+            AXIOM_JORDAN_TOL, max_relative_residual=float(jordan_rel.max())
+        ),
+        "l_positivity": _within(
+            AXIOM_L_POSITIVITY_TOL,
+            max_selfadjoint_violation=float(lpos.max_selfadjoint_violation.max()),
+            max_negativity=float(lpos.max_negativity.max()),
+        ),
+        "norm_identity": _within(AXIOM_NORM_TOL, max_relative_error=float(norm_id.residual.max())),
+        "product_agreement": _within(
+            PRODUCT_AGREEMENT_TOL, max_relative_residual=float((agreement / scale).max())
+        ),
     }
-    fragment["passed"] = all(
-        fragment[k]["passed"]
-        for k in (
-            "commutativity",
-            "jordan_identity",
-            "l_positivity",
-            "norm_identity",
-            "product_agreement",
-        )
-    )
+    fragment["passed"] = all(fragment[section]["passed"] for section, _ in _AXIOM_SECTIONS)
     return fragment
 
 
 def _axiom_checks(fragment: dict) -> list[dict]:
-    return [
-        {
-            "name": "axiom_commutativity",
-            "passed": fragment["commutativity"]["passed"],
-            "value": fragment["commutativity"]["max_residual"],
-            "tolerance": fragment["commutativity"]["threshold"],
-        },
-        {
-            "name": "axiom_jordan_identity",
-            "passed": fragment["jordan_identity"]["passed"],
-            "value": fragment["jordan_identity"]["max_relative_residual"],
-            "tolerance": fragment["jordan_identity"]["threshold"],
-        },
-        {
-            "name": "axiom_l_positivity",
-            "passed": fragment["l_positivity"]["passed"],
-            "value": max(
-                fragment["l_positivity"]["max_selfadjoint_violation"],
-                fragment["l_positivity"]["max_negativity"],
-            ),
-            "tolerance": fragment["l_positivity"]["threshold"],
-        },
-        {
-            "name": "axiom_norm_identity",
-            "passed": fragment["norm_identity"]["passed"],
-            "value": fragment["norm_identity"]["max_relative_error"],
-            "tolerance": fragment["norm_identity"]["threshold"],
-        },
-        {
-            "name": "product_agreement",
-            "passed": fragment["product_agreement"]["passed"],
-            "value": fragment["product_agreement"]["max_relative_residual"],
-            "tolerance": fragment["product_agreement"]["threshold"],
-        },
-    ]
+    """One check row per axiom section, valued at its worst measured residual."""
+    rows = []
+    for section, name in _AXIOM_SECTIONS:
+        part = fragment[section]
+        worst = max(v for k, v in part.items() if k not in ("threshold", "passed"))
+        rows.append(_check(name, part["passed"], worst, part["threshold"]))
+    return rows
 
 
 def axioms_report(
@@ -435,16 +399,17 @@ class StabilityReport:
 
     config: dict
     axioms: dict
-    hypotheses: dict
     bound: dict
-    bound_theta: dict
     recovery: dict
-    rate: dict
-    derivation_certificate: dict
-    derivation_sequence: dict
-    homogeneity: dict
     checks: list
     passed: bool
+    # stages after recovery; a run whose recovery fails leaves them empty
+    hypotheses: dict = field(default_factory=dict)
+    bound_theta: dict = field(default_factory=dict)
+    rate: dict = field(default_factory=dict)
+    derivation_certificate: dict = field(default_factory=dict)
+    derivation_sequence: dict = field(default_factory=dict)
+    homogeneity: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict, compare=False)
 
     _SERIALIZED = (
@@ -552,7 +517,6 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
 
     t0 = time.perf_counter()
     recovery_error: str | None = None
-    d_hat = theta_hat = None
     try:
         d_hat = recover_linear_map(f, scheme, tol=config.tol, l_max=config.l_max)
         theta_hat = recover_linear_map(h, scheme, tol=config.tol, l_max=config.l_max)
@@ -560,36 +524,22 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         recovery_error = str(exc)
     timings["recover_s"] = time.perf_counter() - t0
 
-    converged = recovery_error is None
-    checks.append(
-        {
-            "name": "recovery_converged",
-            "passed": converged,
-            "value": None,
-            "tolerance": None,
-        }
-    )
-    if not converged:
-        recovery = {
-            "converged": False,
-            "error": recovery_error,
-            "d_entrywise_error": None,
-            "theta_entrywise_error": None,
-            "tolerance": RECOVERY_ERROR_TOL,
-            "passed": False,
-        }
+    recovery = {
+        "converged": recovery_error is None,
+        "error": recovery_error,
+        "d_entrywise_error": None,
+        "theta_entrywise_error": None,
+        "tolerance": RECOVERY_ERROR_TOL,
+        "passed": False,
+    }
+    checks.append(_check("recovery_converged", recovery["converged"]))
+    if recovery_error is not None:
         timings["total_s"] = time.perf_counter() - started
         return StabilityReport(
             config=config.to_dict(),
             axioms=axioms,
-            hypotheses={},
             bound={"rows": [], "max_ratio": 0.0, "slack": BOUND_SLACK, "passed": False},
-            bound_theta={},
             recovery=recovery,
-            rate={},
-            derivation_certificate={},
-            derivation_sequence={},
-            homogeneity={},
             checks=checks,
             passed=False,
             timings=timings,
@@ -598,58 +548,17 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     t0 = time.perf_counter()
     err_d = max_entry_diff(d_hat.coeffs, big_d.to_tabulated().coeffs)
     err_theta = max_entry_diff(theta_hat.coeffs, theta.to_tabulated().coeffs)
-    recovery = {
-        "converged": True,
-        "error": None,
-        "d_entrywise_error": err_d,
-        "theta_entrywise_error": err_theta,
-        "tolerance": RECOVERY_ERROR_TOL,
-        "passed": max(err_d, err_theta) <= RECOVERY_ERROR_TOL,
-    }
-    checks.append(
-        {
-            "name": "recovery_error_d",
-            "passed": err_d <= RECOVERY_ERROR_TOL,
-            "value": err_d,
-            "tolerance": RECOVERY_ERROR_TOL,
-        }
+    recovery.update(
+        d_entrywise_error=err_d,
+        theta_entrywise_error=err_theta,
+        passed=max(err_d, err_theta) <= RECOVERY_ERROR_TOL,
     )
-    checks.append(
-        {
-            "name": "recovery_error_theta",
-            "passed": err_theta <= RECOVERY_ERROR_TOL,
-            "value": err_theta,
-            "tolerance": RECOVERY_ERROR_TOL,
-        }
-    )
+    for name, err in (("recovery_error_d", err_d), ("recovery_error_theta", err_theta)):
+        checks.append(_check(name, err <= RECOVERY_ERROR_TOL, err, RECOVERY_ERROR_TOL))
 
     hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
-    hypotheses = {
-        "form": hyp.form,
-        "samples": hyp.samples,
-        "max_ratio_f": hyp.max_ratio_f,
-        "max_ratio_h": hyp.max_ratio_h,
-        "max_triple_ratio": hyp.max_triple_ratio,
-        "zero_control_samples": hyp.zero_control_samples,
-        "max_zero_control_residual": hyp.max_zero_control_residual,
-        "passed": hyp.passed,
-    }
-    checks.append(
-        {
-            "name": "hypothesis_ratio_f",
-            "passed": hyp.max_ratio_f <= 1.0,
-            "value": hyp.max_ratio_f,
-            "tolerance": 1.0,
-        }
-    )
-    checks.append(
-        {
-            "name": "hypothesis_ratio_h",
-            "passed": hyp.max_ratio_h <= 1.0,
-            "value": hyp.max_ratio_h,
-            "tolerance": 1.0,
-        }
-    )
+    checks.append(_check("hypothesis_ratio_f", hyp.max_ratio_f <= 1.0, hyp.max_ratio_f, 1.0))
+    checks.append(_check("hypothesis_ratio_h", hyp.max_ratio_h <= 1.0, hyp.max_ratio_h, 1.0))
     timings["hypotheses_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -666,68 +575,32 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         "slack": bound_h.slack,
         "passed": bound_h.passed,
     }
-    checks.append(
-        {
-            "name": "bound_ratio",
-            "passed": bound_f.passed,
-            "value": bound_f.max_ratio,
-            "tolerance": 1.0 + BOUND_SLACK,
-        }
-    )
-    checks.append(
-        {
-            "name": "bound_ratio_theta",
-            "passed": bound_h.passed,
-            "value": bound_h.max_ratio,
-            "tolerance": 1.0 + BOUND_SLACK,
-        }
-    )
+    for name, result in (("bound_ratio", bound_f), ("bound_ratio_theta", bound_h)):
+        checks.append(_check(name, result.passed, result.max_ratio, 1.0 + BOUND_SLACK))
     timings["bound_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    s1 = verify_s1_homogeneity(
-        d_hat, probes[:S1_PROBE_COUNT], mu_samples, tol=HOMOGENEITY_TOL
-    )
+    s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples, tol=HOMOGENEITY_TOL)
     s1_value = max(s1.max_residual, s1.zero_residual)
-    checks.append(
-        {
-            "name": "s1_homogeneity",
-            "passed": s1.passed,
-            "value": s1_value,
-            "tolerance": HOMOGENEITY_TOL,
-        }
-    )
+    checks.append(_check("s1_homogeneity", s1.passed, s1_value, HOMOGENEITY_TOL))
     complex_entries = []
     mid_probes = np.stack([probes[0], probes[len(probes) // 2], probes[-1]])
     for lam, label in COMPLEX_LAMBDAS:
         res = complex_homogeneity_via_decomposition(d_hat, lam, mid_probes, tol=HOMOGENEITY_TOL)
-        worst = int(np.argmax(res.residual / res.threshold))
-        residual, threshold = float(res.residual[worst]), float(res.threshold[worst])
-        passed = residual <= threshold
+        residual = float(res.residual.max())
+        passed = residual <= HOMOGENEITY_TOL
         complex_entries.append(
             {
                 "label": label,
                 "lambda": [lam.real, lam.imag],
                 "residual": residual,
-                "threshold": threshold,
+                "threshold": HOMOGENEITY_TOL,
                 "passed": passed,
             }
         )
-        checks.append(
-            {
-                "name": f"complex_homogeneity_{label}",
-                "passed": passed,
-                "value": residual,
-                "tolerance": threshold,
-            }
-        )
+        checks.append(_check(f"complex_homogeneity_{label}", passed, residual, HOMOGENEITY_TOL))
     homogeneity = {
-        "s1": {
-            "max_residual": s1.max_residual,
-            "zero_residual": s1.zero_residual,
-            "threshold": s1.threshold,
-            "passed": s1.passed,
-        },
+        "s1": asdict(s1),
         "complex": complex_entries,
         "passed": s1.passed and all(e["passed"] for e in complex_entries),
     }
@@ -735,19 +608,8 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
 
     t0 = time.perf_counter()
     cert = certify_theta_derivation(d_hat, theta_hat, cert_triples, tol=DERIVATION_TOL)
-    derivation_certificate = {
-        "max_relative_residual": cert.max_relative_residual,
-        "worst_index": cert.worst_index,
-        "threshold": cert.threshold,
-        "passed": cert.passed,
-    }
     checks.append(
-        {
-            "name": "derivation_certificate",
-            "passed": cert.passed,
-            "value": cert.max_relative_residual,
-            "tolerance": cert.threshold,
-        }
+        _check("derivation_certificate", cert.passed, cert.max_relative_residual, cert.threshold)
     )
     timings["certificate_s"] = time.perf_counter() - t0
 
@@ -758,20 +620,20 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         values = derivation_limit_sequence(f, h, scheme, _sequence_triples(config), levels)
         derivation_sequence = _sequence_section(values, levels, expected_rate)
         checks.append(
-            {
-                "name": "derivation_sequence_decreasing",
-                "passed": derivation_sequence["decreasing_passed"],
-                "value": derivation_sequence["max_tail_ratio"],
-                "tolerance": 1.0,
-            }
+            _check(
+                "derivation_sequence_decreasing",
+                derivation_sequence["decreasing_passed"],
+                derivation_sequence["max_tail_ratio"],
+                1.0,
+            )
         )
         checks.append(
-            {
-                "name": "derivation_sequence_rate",
-                "passed": derivation_sequence["rate_passed"],
-                "value": derivation_sequence["tail_rate"],
-                "tolerance": RATE_WINDOW,
-            }
+            _check(
+                "derivation_sequence_rate",
+                derivation_sequence["rate_passed"],
+                derivation_sequence["tail_rate"],
+                RATE_WINDOW,
+            )
         )
     else:
         derivation_sequence = {
@@ -796,26 +658,19 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         "probes": rate_est.probes_used,
         "passed": rate_ok,
     }
-    checks.append(
-        {
-            "name": "approximant_rate",
-            "passed": rate_ok,
-            "value": rate_est.rate,
-            "tolerance": RATE_WINDOW,
-        }
-    )
+    checks.append(_check("approximant_rate", rate_ok, rate_est.rate, RATE_WINDOW))
     timings["rate_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - started
     return StabilityReport(
         config=config.to_dict(),
         axioms=axioms,
-        hypotheses=hypotheses,
+        hypotheses=asdict(hyp),
         bound=bound,
         bound_theta=bound_theta,
         recovery=recovery,
         rate=rate,
-        derivation_certificate=derivation_certificate,
+        derivation_certificate=asdict(cert),
         derivation_sequence=derivation_sequence,
         homogeneity=homogeneity,
         checks=checks,

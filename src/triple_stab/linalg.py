@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel: arithmetic, adjoint, spectral norm, HS pairing.
+"""Dense complex matrix kernel: validation, spectral norm, HS pairing.
 
 Matrices are square numpy arrays of complex128, either one n x n matrix or
 a stack of shape (..., n, n).  ``as_matrix`` is the single entry point that
@@ -41,28 +41,6 @@ def _same_dim_pair(x, y) -> tuple[ComplexMatrix, ComplexMatrix]:
             f"dimension mismatch: {mx.shape[-1]} vs {my.shape[-1]}"
         )
     return mx, my
-
-
-def add(x, y) -> ComplexMatrix:
-    """Entrywise sum of two matrices of equal dimension."""
-    mx, my = _same_dim_pair(x, y)
-    return mx + my
-
-
-def scalar_mul(lam, x) -> ComplexMatrix:
-    """Scale a matrix by a complex scalar."""
-    return complex(lam) * as_matrix(x)
-
-
-def matmul(x, y) -> ComplexMatrix:
-    """Associative matrix product."""
-    mx, my = _same_dim_pair(x, y)
-    return mx @ my
-
-
-def adjoint(x) -> ComplexMatrix:
-    """Conjugate transpose of each matrix."""
-    return np.swapaxes(as_matrix(x).conj(), -1, -2).copy()
 
 
 def hs_inner(x, y):

@@ -38,7 +38,15 @@ from .linalg import (
     spectral_norm,
 )
 from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, rng_for
-from .triple import LinearOperator, Tabulated, matrix_basis, triple_product_cstar, vec
+from .triple import (
+    CheckResult,
+    LinearOperator,
+    Tabulated,
+    matrix_basis,
+    theta_derivation_residual,
+    triple_product_cstar,
+    vec,
+)
 
 # scaled arguments beyond this entry magnitude abort the iteration
 OVERFLOW_LIMIT = 1e150
@@ -119,10 +127,6 @@ class Scheme(enum.Enum):
         """Term ratio of the weighted bound series for a power-type control."""
         b = float(self.base)
         return b ** (p - 1.0) if not self.contractive else b ** (1.0 - p)
-
-    def difference_rate(self, p: float) -> float:
-        """Geometric decay rate of successive approximant differences."""
-        return self.series_ratio(p)
 
     def power_gate_ok(self, p: float) -> bool:
         if self is Scheme.CAUCHY2 or self is Scheme.JENSEN3:
@@ -771,11 +775,9 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
         route = n1 op(x) + (op(m11 x) + op(m12 x)) / 2
               + i * (n2 op(x) + (op(m21 x) + op(m22 x)) / 2)
 
-    Returns the residual against op(lam x), normalized by max(1, |lam| ||x||);
-    on a stack of x, one entry per slice.
+    Returns the residual against op(lam x), normalized by max(1, |lam| ||x||),
+    compared against tol; on a stack of x, one residual per slice.
     """
-    from .triple import CheckResult
-
     mx = as_matrix(x)
     lam = complex(lam)
     route = np.zeros_like(mx)
@@ -788,9 +790,9 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
             mu1, mu2 = unimodular_average_decomposition(frac)
             contribution = contribution + (op(mu1.value * mx) + op(mu2.value * mx)) / 2.0
         route = route + factor * contribution
-    residual = spectral_norm(op(lam * mx) - route)
-    threshold = tol * np.maximum(1.0, abs(lam) * spectral_norm(mx))
-    return CheckResult(residual, threshold, residual <= threshold)
+    scale = np.maximum(1.0, abs(lam) * spectral_norm(mx))
+    residual = spectral_norm(op(lam * mx) - route) / scale
+    return CheckResult(residual, tol, residual <= tol)
 
 
 def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
@@ -872,8 +874,6 @@ def certify_theta_derivation(
     tol: float = 1e-6,
 ) -> DerivationCertificate:
     """Check the derivation identity of (d_hat, theta_hat) on probe triples."""
-    from .triple import theta_derivation_residual
-
     t = _stack(triples, "certify_theta_derivation", inner=3)
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
@@ -904,7 +904,6 @@ class RateEstimate:
     """
 
     rate: float | None
-    ratios: tuple[float, ...]
     first_level: int
     last_level: int
     probes_used: int
@@ -922,10 +921,10 @@ def estimate_convergence_rate(
     runs = direct_limits(f, scheme, x, tol=tol, l_max=l_max)
     usable = [r.deltas for r in runs if r.deltas and r.deltas[0] > 0.0]
     if not usable:
-        return RateEstimate(None, (), 0, 0, 0)
+        return RateEstimate(None, 0, 0, 0)
     depth = min(len(d) for d in usable)
     if depth < 2:
-        return RateEstimate(None, (), 0, 0, len(usable))
+        return RateEstimate(None, 0, 0, len(usable))
     aggregated = [
         sum(d[l] / d[0] for d in usable) / len(usable) for l in range(depth)
     ]
@@ -933,10 +932,6 @@ def estimate_convergence_rate(
     last = depth - 1
     first = last - k
     if aggregated[first] <= 0.0 or aggregated[last] <= 0.0:
-        return RateEstimate(None, (), first, last, len(usable))
+        return RateEstimate(None, first, last, len(usable))
     rate = (aggregated[last] / aggregated[first]) ** (1.0 / k)
-    ratios = tuple(
-        aggregated[l + 1] / aggregated[l] if aggregated[l] > 0.0 else math.inf
-        for l in range(first, last)
-    )
-    return RateEstimate(rate, ratios, first, last, len(usable))
+    return RateEstimate(rate, first, last, len(usable))

@@ -7,9 +7,9 @@ Two realizations of the triple product are provided and kept in agreement:
   with x o y = (x y + y x) / 2
 
 plus numeric checkers for the triple axioms, a small immutable operator
-algebra (conjugations, commutators, sums, compositions, tabulated forms)
-with JSON serialization, and constructors for exact triple homomorphisms,
-triple derivations, and theta-derivations.
+algebra (conjugations, commutators, sums, compositions, tabulated forms),
+and constructors for exact triple homomorphisms, triple derivations, and
+theta-derivations.
 
 Products, operators, residuals and axiom checkers all accept stacks of
 shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
@@ -18,7 +18,6 @@ probe set in one call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,24 +113,10 @@ def _frozen(arr) -> np.ndarray:
     return copy
 
 
-def _pairs_from_matrix(m: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in m.flatten(order="C")]
-
-
-def _matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
-    flat = np.array(
-        [complex(re, im) for re, im in pairs], dtype=np.complex128
-    )
-    if flat.shape != (rows * cols,):
-        raise ValueError(f"expected {rows * cols} coefficient pairs, got {flat.shape[0]}")
-    return flat.reshape((rows, cols), order="C")
-
-
 class LinearOperator:
     """Immutable linear map on M_n(C); subclasses fix the structural form."""
 
     dim: int
-    form: str
 
     def apply(self, x) -> ComplexMatrix:
         raise NotImplementedError
@@ -143,23 +128,9 @@ class LinearOperator:
         """Lower to the dense n^2 x n^2 matrix acting on vec(x)."""
         return Tabulated(vec(self.apply(np.stack(matrix_basis(self.dim)))).T)
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def __eq__(self, other) -> bool:
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError(f"{type(self).__name__} is not hashable")
-
 
 class Conjugation(LinearOperator):
     """x -> u x u* for a unitary u; an exact triple homomorphism."""
-
-    form = "conjugation"
 
     def __init__(self, u):
         mu = as_matrix(u)
@@ -176,26 +147,12 @@ class Conjugation(LinearOperator):
         mx = _same_dim(self.matrix, x)[1]
         return self.matrix @ mx @ self.matrix.conj().T
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "form": self.form,
-            "matrix": _pairs_from_matrix(self.matrix),
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Conjugation):
-            return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.matrix, other.matrix)
-
     def __repr__(self):
         return f"Conjugation(dim={self.dim})"
 
 
 class Commutator(LinearOperator):
     """x -> a x - x a for a skew-adjoint a; an exact triple derivation."""
-
-    form = "commutator"
 
     def __init__(self, a):
         ma = as_matrix(a)
@@ -211,26 +168,12 @@ class Commutator(LinearOperator):
         mx = _same_dim(self.matrix, x)[1]
         return self.matrix @ mx - mx @ self.matrix
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "form": self.form,
-            "matrix": _pairs_from_matrix(self.matrix),
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Commutator):
-            return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.matrix, other.matrix)
-
     def __repr__(self):
         return f"Commutator(dim={self.dim})"
 
 
 class Scaled(LinearOperator):
     """factor * inner(x)."""
-
-    form = "scaled"
 
     def __init__(self, factor, inner: LinearOperator):
         self.factor = complex(factor)
@@ -240,27 +183,12 @@ class Scaled(LinearOperator):
     def apply(self, x) -> ComplexMatrix:
         return self.factor * self.inner.apply(x)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "form": self.form,
-            "factor": [self.factor.real, self.factor.imag],
-            "inner": self.inner.to_json_dict(),
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scaled):
-            return NotImplemented
-        return self.factor == other.factor and self.inner == other.inner
-
     def __repr__(self):
         return f"Scaled({self.factor!r}, {self.inner!r})"
 
 
 class OperatorSum(LinearOperator):
     """Pointwise sum of operators of a common dimension."""
-
-    form = "sum"
 
     def __init__(self, terms):
         terms = list(terms)
@@ -281,26 +209,12 @@ class OperatorSum(LinearOperator):
             acc = acc + t.apply(x)
         return acc
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "form": self.form,
-            "terms": [t.to_json_dict() for t in self.terms],
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorSum):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __repr__(self):
         return f"OperatorSum({list(self.terms)!r})"
 
 
 class Compose(LinearOperator):
     """outer(inner(x))."""
-
-    form = "compose"
 
     def __init__(self, outer: LinearOperator, inner: LinearOperator):
         if outer.dim != inner.dim:
@@ -314,27 +228,12 @@ class Compose(LinearOperator):
     def apply(self, x) -> ComplexMatrix:
         return self.outer.apply(self.inner.apply(x))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "form": self.form,
-            "outer": self.outer.to_json_dict(),
-            "inner": self.inner.to_json_dict(),
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Compose):
-            return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
-
     def __repr__(self):
         return f"Compose({self.outer!r}, {self.inner!r})"
 
 
 class Tabulated(LinearOperator):
     """Dense n^2 x n^2 coefficient matrix acting on column-stacked input."""
-
-    form = "tabulated"
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs, dtype=np.complex128)
@@ -362,59 +261,8 @@ class Tabulated(LinearOperator):
     def to_tabulated(self) -> "Tabulated":
         return self
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "form": self.form,
-            "coeffs": _pairs_from_matrix(self.coeffs),
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tabulated):
-            return NotImplemented
-        return np.array_equal(self.coeffs, other.coeffs)
-
     def __repr__(self):
         return f"Tabulated(dim={self.dim})"
-
-
-def operator_from_json_dict(data: dict) -> LinearOperator:
-    """Rebuild an operator from its JSON object; inverse of to_json_dict."""
-    form = data.get("form")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"bad operator dimension: {dim!r}")
-    if form == "conjugation":
-        return Conjugation(_matrix_from_pairs(data["matrix"], dim, dim))
-    if form == "commutator":
-        return Commutator(_matrix_from_pairs(data["matrix"], dim, dim))
-    if form == "scaled":
-        re, im = data["factor"]
-        return Scaled(complex(re, im), operator_from_json_dict(data["inner"]))
-    if form == "sum":
-        return OperatorSum([operator_from_json_dict(t) for t in data["terms"]])
-    if form == "compose":
-        return Compose(
-            operator_from_json_dict(data["outer"]),
-            operator_from_json_dict(data["inner"]),
-        )
-    if form == "tabulated":
-        return Tabulated(_matrix_from_pairs(data["coeffs"], dim * dim, dim * dim))
-    raise ValueError(f"unknown operator form: {form!r}")
-
-
-def operator_from_json(text: str) -> LinearOperator:
-    return operator_from_json_dict(json.loads(text))
-
-
-def operator_L(a, b) -> Tabulated:
-    """The multiplication operator x -> {a, b, x}, lowered to tabulated form."""
-    ma, mb = _same_dim(a, b)
-    n = ma.shape[0]
-    coeffs = np.zeros((n * n, n * n), dtype=np.complex128)
-    for j, e in enumerate(matrix_basis(n)):
-        coeffs[:, j] = vec(triple_product_cstar(ma, mb, e))
-    return Tabulated(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +395,6 @@ def theta_derivation_residual(d_op: LinearOperator, theta: LinearOperator, x, y,
     return spectral_norm(
         d_op(t(x, y, z)) - t(dx, ty, tz) - t(tx, dy, tz) - t(tx, ty, dz)
     )
-
-
-def jordan_theta_residual(d_op: LinearOperator, theta: LinearOperator, x) -> float:
-    """Theta-derivation defect on the diagonal (x, x, x) only."""
-    return theta_derivation_residual(d_op, theta, x, x, x)
 
 
 def _verification_triples(dim: int) -> np.ndarray:

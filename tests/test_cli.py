@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,13 @@ def test_recover_command_writes_report(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert load_report(str(json_path)).to_dict() == report.to_dict()
+
+
+def test_recover_exits_one_when_recovery_fails(capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    code = main(["recover", "--config", str(config), "--l-max", "1"])
+    assert code == 1
+    assert "FAILED recovery_converged" in capsys.readouterr().err
 
 
 def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):

@@ -47,6 +47,12 @@ CHECK_NAMES = [
 ]
 
 
+def _shipped_config(name: str, **overrides) -> ExperimentConfig:
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return ExperimentConfig.from_dict({**data, **overrides})
+
+
 def _trimmed_config(**overrides):
     base = dict(
         dim=2,
@@ -347,3 +353,32 @@ def test_run_recovery_thread_counts_agree_byte_for_byte():
     one = run_recovery(cfg, threads=1)
     two = run_recovery(cfg, threads=2)
     assert render_json(one.to_dict()) == render_json(two.to_dict())
+
+
+def test_run_recovery_stops_after_failed_recovery(tmp_path):
+    report = run_recovery(_shipped_config("cauchy2", l_max=1))
+    assert [c["name"] for c in report.checks] == CHECK_NAMES[:6]
+    assert not report.checks[-1]["passed"]
+    assert not report.passed
+    assert not report.recovery["converged"]
+    for section in (
+        "hypotheses",
+        "bound_theta",
+        "rate",
+        "derivation_certificate",
+        "derivation_sequence",
+        "homogeneity",
+    ):
+        assert getattr(report, section) == {}
+    path = tmp_path / "failed.json"
+    emit_report(report, "json", str(path))
+    assert load_report(str(path)).to_dict() == report.to_dict()
+
+
+def test_run_recovery_skips_sequence_rows_where_undefined():
+    report = run_recovery(_shipped_config("cauchy2_contractive", dim=1))
+    assert [c["name"] for c in report.checks] == [
+        name for name in CHECK_NAMES if not name.startswith("derivation_sequence_")
+    ]
+    assert list(report.derivation_sequence) == ["skipped"]
+    assert "cauchy2-contractive" in report.derivation_sequence["skipped"]

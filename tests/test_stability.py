@@ -458,6 +458,16 @@ def test_complex_homogeneity_via_decomposition():
         assert res.residual <= 1e-12
 
 
+def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
+    # conjugation is additive and fixes real scalars, but maps i x to -i conj(x);
+    # at lam = i, x = 100 E11 the route gives 100i E11 against -100i E11, a gap
+    # of 200 on |lam| ||x|| = 100
+    res = complex_homogeneity_via_decomposition(lambda x: x.conj(), 1j, 100.0 * E11, tol=1e-6)
+    assert res.residual == 2.0
+    assert res.threshold == 1e-6
+    assert not res.passed
+
+
 def test_estimate_rate_trivial_on_exact_map():
     _, _, big_d = _generators(48)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=23)

@@ -3,7 +3,7 @@
 Product values are pinned by hand computations on matrix units, and the two
 product routes (associative form and Jordan form) are compared against each
 other on random inputs.  Operator classes are checked against direct numpy
-evaluations and through their JSON round trips.
+evaluations.
 """
 
 import numpy as np
@@ -33,9 +33,6 @@ from triple_stab.triple import (
     make_triple_derivation,
     make_triple_homomorphism,
     matrix_basis,
-    operator_L,
-    operator_from_json,
-    operator_from_json_dict,
     theta_derivation_residual,
     triple_product_cstar,
     triple_product_jbstar,
@@ -151,41 +148,6 @@ def test_tabulated_rejects_any_non_finite_part(bad):
     coeffs[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         Tabulated(coeffs)
-
-
-def test_operator_json_roundtrip():
-    u = haar_unitary(rng_for(15, 4), 2)
-    a = skew_matrix(rng_for(15, 5), 2)
-    ops = [
-        Conjugation(u),
-        Commutator(a),
-        Scaled(1.5, Commutator(a)),
-        OperatorSum((Conjugation(u), Commutator(a))),
-        Compose(Conjugation(u), Commutator(a)),
-        Compose(Conjugation(u), Commutator(a)).to_tabulated(),
-    ]
-    x = _random_matrix(9, 2)
-    for op in ops:
-        back = operator_from_json_dict(op.to_json_dict())
-        assert type(back) is type(op)
-        assert np.allclose(back(x), op(x), atol=1e-12)
-        again = operator_from_json(op.to_json())
-        assert np.allclose(again(x), op(x), atol=1e-12)
-
-
-def test_operator_json_rejects_unknown_form():
-    with pytest.raises(ValueError):
-        operator_from_json_dict({"form": "mystery", "dim": 2})
-
-
-def test_operator_l_matches_product():
-    a = _random_matrix(16, 3)
-    b = _random_matrix(17, 3)
-    op = operator_L(a, b)
-    for seed in range(4):
-        x = _random_matrix(200 + seed, 3)
-        want = triple_product_cstar(a, b, x)
-        assert max_entry_diff(op(x), want) <= 1e-12 * max(1.0, spectral_norm(want))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 4))
