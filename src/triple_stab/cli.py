@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .lab import (
+    DIM_MAX,
     ConfigError,
     ExperimentConfig,
     ReportFormatError,
@@ -188,6 +189,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     _emit_if_requested(report, args)
     if not report.passed:
         _report_failures(report.checks)
+        if report.recovery["error"] is not None:
+            print(f"recovery error: {report.recovery['error']}", file=sys.stderr)
         return 1
     return 0
 
@@ -197,8 +200,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if eps < 0.0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
     dim = args.dim if args.dim is not None else 2
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
+    if not 1 <= dim <= DIM_MAX:
+        raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {dim}")
     schemes = list(Scheme)
     if args.scheme is not None:
         schemes = [Scheme.parse(args.scheme)]
@@ -267,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser(
         "bounds", help="print the stability-constant table over a grid of p"
     )
-    p_bounds.add_argument("--config", metavar="PATH", help=argparse.SUPPRESS)
     p_bounds.add_argument("--scheme", help="restrict to one scheme")
     p_bounds.add_argument("--eps", type=float, help="control amplitude (default 1)")
     p_bounds.add_argument("--p", type=float, help="single exponent instead of the grid")

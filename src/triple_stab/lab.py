@@ -50,6 +50,7 @@ from .stability import (
     LinearityCertificationError,
     PowerType,
     Scheme,
+    SchemeError,
     certify_theta_derivation,
     complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
@@ -97,11 +98,6 @@ SEQUENCE_STRICT_AFTER = 5
 # values this small sit on the floating-point floor of the residual
 # computation; decrease and ratio checks skip them
 SEQUENCE_FLOOR = 1e-13
-SEQUENCE_LEVELS = {
-    Scheme.CAUCHY2: 25,
-    Scheme.JENSEN3: 19,
-    Scheme.JENSEN3_CONTRACTIVE: 7,
-}
 
 COMPLEX_LAMBDAS = (
     (complex(2.0, 0.0), "2"),
@@ -399,11 +395,11 @@ class StabilityReport:
 
     config: dict
     axioms: dict
-    bound: dict
     recovery: dict
     checks: list
     passed: bool
     # stages after recovery; a run whose recovery fails leaves them empty
+    bound: dict = field(default_factory=dict)
     hypotheses: dict = field(default_factory=dict)
     bound_theta: dict = field(default_factory=dict)
     rate: dict = field(default_factory=dict)
@@ -452,23 +448,18 @@ def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
 
 def _sequence_section(values: list[float], levels: list[int], expected_rate: float) -> dict:
     """Strict-decrease and tail-rate analysis of a residual trajectory."""
-    usable_pairs = [
-        (values[i], values[i + 1])
-        for i in range(len(values) - 1)
-        if levels[i] >= SEQUENCE_STRICT_AFTER and values[i] > SEQUENCE_FLOOR
+    # indices past the pre-asymptotic levels and above the round-off floor
+    kept = [
+        i
+        for i, (lvl, v) in enumerate(zip(levels, values))
+        if lvl >= SEQUENCE_STRICT_AFTER and v > SEQUENCE_FLOOR
     ]
-    decreasing = all(b < a for a, b in usable_pairs)
-    max_tail_ratio = max((b / a for a, b in usable_pairs), default=None)
-
-    first = None
-    last = None
-    for i, (lvl, v) in enumerate(zip(levels, values)):
-        if lvl >= SEQUENCE_STRICT_AFTER and v > SEQUENCE_FLOOR:
-            if first is None:
-                first = i
-            last = i
+    pairs = [(values[i], values[i + 1]) for i in kept if i + 1 < len(values)]
+    decreasing = all(b < a for a, b in pairs)
+    max_tail_ratio = max((b / a for a, b in pairs), default=None)
     tail_rate = None
-    if first is not None and last is not None and last > first:
+    if len(kept) > 1:
+        first, last = kept[0], kept[-1]
         tail_rate = (values[last] / values[first]) ** (1.0 / (last - first))
     rate_ok = tail_rate is None or abs(tail_rate - expected_rate) <= RATE_WINDOW
     return {
@@ -538,7 +529,6 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         return StabilityReport(
             config=config.to_dict(),
             axioms=axioms,
-            bound={"rows": [], "max_ratio": 0.0, "slack": BOUND_SLACK, "passed": False},
             recovery=recovery,
             checks=checks,
             passed=False,
@@ -615,8 +605,11 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
 
     t0 = time.perf_counter()
     expected_rate = perturbation_decay_rate(scheme, config.p)
-    if scheme in SEQUENCE_LEVELS:
-        levels = list(range(SEQUENCE_LEVELS[scheme]))
+    try:
+        levels = list(scheme.derivation_levels())
+    except SchemeError as exc:
+        derivation_sequence = {"skipped": str(exc)}
+    else:
         values = derivation_limit_sequence(f, h, scheme, _sequence_triples(config), levels)
         derivation_sequence = _sequence_section(values, levels, expected_rate)
         checks.append(
@@ -635,13 +628,6 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
                 RATE_WINDOW,
             )
         )
-    else:
-        derivation_sequence = {
-            "skipped": (
-                "the derivation-limit residual is not defined for scheme "
-                f"{scheme.value}"
-            )
-        }
     timings["sequence_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -4,12 +4,11 @@ The module turns an exact structure map into a controlled perturbation,
 recovers the exact map back by scaled-approximant iteration, and prices the
 distance between the two against a weighted series over a control function.
 
-Four iteration schemes are supported.  Writing f for the perturbed map:
-
-* ``cauchy2``               A_l(x) = f(2^l x) / 2^l
-* ``cauchy2-contractive``   A_l(x) = 2^l f(x / 2^l)
-* ``jensen3``               A_l(x) = f(3^l x) / 3^l
-* ``jensen3-contractive``   A_l(x) = 3^l f(x / 3^l)
+Four iteration schemes are supported, one row of ``Scheme`` each: base
+b = 2 (``cauchy2``) or b = 3 (``jensen3``), expanding or ``-contractive``.
+Level l scales the argument by s = b^l for an expanding scheme and by
+s = b^-l for a contractive one, and writing f for the perturbed map every
+scheme's approximant is A_l(x) = f(s x) / s.
 
 Each carries a weighted series phi_tilde over the control function and a
 summability gate that must hold before any bound is quoted.  For power-type
@@ -85,89 +84,78 @@ class LinearityCertificationError(RuntimeError):
 
 
 class Scheme(enum.Enum):
-    """Iteration scheme tags; values double as config and CLI spellings."""
+    """Iteration schemes, one row of facts each; values are the config and CLI tags.
 
-    CAUCHY2 = "cauchy2"
-    CAUCHY2_CONTRACTIVE = "cauchy2-contractive"
-    JENSEN3 = "jensen3"
-    JENSEN3_CONTRACTIVE = "jensen3-contractive"
+    Approximants, bound series and gates all derive from the row and scale(l).
+    """
+
+    # tag, base b, contractive, gate on p, first index of the bound series,
+    # derivation-sequence levels (None where the residual is undefined);
+    # the contractive doubling series telescopes from j = 1
+    CAUCHY2 = ("cauchy2", 2, False, 1, 0, 25)
+    CAUCHY2_CONTRACTIVE = ("cauchy2-contractive", 2, True, 1, 1, None)
+    JENSEN3 = ("jensen3", 3, False, 1, 0, 19)
+    JENSEN3_CONTRACTIVE = ("jensen3-contractive", 3, True, 3, 0, 7)
+
+    def __new__(cls, tag: str, *facts):
+        member = object.__new__(cls)
+        member._value_ = tag
+        return member
+
+    def __init__(self, tag, base, contractive, gate, series_start, sequence_levels):
+        self.base = base
+        self.contractive = contractive
+        self.gate = gate
+        self.series_start = series_start
+        self.sequence_levels = sequence_levels
+        # functional-inequality shape the scheme iterates on
+        self.hypothesis_form = "cauchy" if base == 2 else "jensen"
 
     @classmethod
     def parse(cls, tag) -> "Scheme":
         if isinstance(tag, Scheme):
             return tag
-        normalized = str(tag).strip().lower().replace("_", "-")
-        for member in cls:
-            if member.value == normalized:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise SchemeError(f"unknown scheme {tag!r}; expected one of: {valid}")
+        try:
+            return cls(str(tag).strip().lower().replace("_", "-"))
+        except ValueError:
+            valid = ", ".join(m.value for m in cls)
+            raise SchemeError(f"unknown scheme {tag!r}; expected one of: {valid}") from None
 
-    @property
-    def base(self) -> int:
-        return 2 if self in (Scheme.CAUCHY2, Scheme.CAUCHY2_CONTRACTIVE) else 3
-
-    @property
-    def contractive(self) -> bool:
-        return self in (Scheme.CAUCHY2_CONTRACTIVE, Scheme.JENSEN3_CONTRACTIVE)
-
-    @property
-    def hypothesis_form(self) -> str:
-        """Functional-inequality shape the scheme iterates on."""
-        if self in (Scheme.CAUCHY2, Scheme.CAUCHY2_CONTRACTIVE):
-            return "cauchy"
-        return "jensen"
-
-    @property
-    def series_start(self) -> int:
-        # the contractive doubling series telescopes from j = 1
-        return 1 if self is Scheme.CAUCHY2_CONTRACTIVE else 0
+    def scale(self, l: float) -> float:
+        """Argument scale at level l: b^-l for a contractive scheme, else b^l."""
+        return float(self.base) ** (-l if self.contractive else l)
 
     def series_ratio(self, p: float) -> float:
         """Term ratio of the weighted bound series for a power-type control."""
-        b = float(self.base)
-        return b ** (p - 1.0) if not self.contractive else b ** (1.0 - p)
+        return self.scale(p - 1.0)
 
     def power_gate_ok(self, p: float) -> bool:
-        if self is Scheme.CAUCHY2 or self is Scheme.JENSEN3:
-            return p < 1.0
-        if self is Scheme.CAUCHY2_CONTRACTIVE:
-            return p > 1.0
-        return p > 3.0
+        return p > self.gate if self.contractive else p < self.gate
+
+    def derivation_levels(self) -> range:
+        """Levels of the derivation-limit sequence; SchemeError where it is undefined."""
+        if self.sequence_levels is None:
+            raise SchemeError(
+                f"the derivation-limit residual is not defined for scheme {self.value}"
+            )
+        return range(self.sequence_levels)
 
     def gate_message(self, p: float) -> str:
         """Human-readable statement of the violated summability condition."""
-        if self is Scheme.CAUCHY2:
-            msg = (
-                f"scheme cauchy2 requires p < 1: the weighted series has term "
-                f"ratio 2^(p-1) = {2.0 ** (p - 1.0):g}, which does not decay at p = {p:g}"
-            )
-            if p == 1.0:
-                msg += " (no finite stability constant exists at p = 1)"
-            return msg
-        if self is Scheme.CAUCHY2_CONTRACTIVE:
-            return (
-                f"scheme cauchy2-contractive requires p > 1: the weighted series "
-                f"has term ratio 2^(1-p) = {2.0 ** (1.0 - p):g}, which does not decay "
-                f"at p = {p:g}"
-            )
-        if self is Scheme.JENSEN3:
-            return (
-                f"scheme jensen3 requires p < 1: the weighted series has term "
-                f"ratio 3^(p-1) = {3.0 ** (p - 1.0):g}, which does not decay at p = {p:g}"
-            )
-        return (
-            f"scheme jensen3-contractive requires p > 3: its summability gate "
-            f"weights terms by 3^(3j), giving ratio 3^(3-p) = {3.0 ** (3.0 - p):g}, "
-            f"which does not decay at p = {p:g}"
+        b, gate = self.base, self.gate
+        relation, exponent = (">", f"{gate}-p") if self.contractive else ("<", f"p-{gate}")
+        weighting = (
+            "the weighted series has term "
+            if gate == 1
+            else f"its summability gate weights terms by {b}^({gate}j), giving "
         )
-
-    def series_term(self, j: int) -> tuple[float, float]:
-        """(weight, argument scale) of the j-th term of the bound series."""
-        b = float(self.base)
-        if self.contractive:
-            return b**j, b**-j
-        return b**-j, b**j
+        msg = (
+            f"scheme {self.value} requires p {relation} {gate}: {weighting}ratio "
+            f"{b}^({exponent}) = {self.scale(p - gate):g}, which does not decay at p = {p:g}"
+        )
+        if self is Scheme.CAUCHY2 and p == 1.0:
+            msg += " (no finite stability constant exists at p = 1)"
+        return msg
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +265,7 @@ def phi_tilde(
     growth_streak = 0
     for j in range(scheme.series_start, scheme.series_start + CUSTOM_SERIES_CAP):
         try:
-            weight, arg_scale = scheme.series_term(j)
+            weight, arg_scale = scheme.scale(-j), scheme.scale(j)
         except OverflowError:
             weight, arg_scale = math.inf, math.inf
         if (
@@ -318,9 +306,9 @@ def hyers_bound(phi: ControlFunction, scheme, x, tol: float = 1e-15) -> float:
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
     zero = np.zeros_like(mx)
-    if scheme in (Scheme.CAUCHY2, Scheme.CAUCHY2_CONTRACTIVE):
+    if scheme.hypothesis_form == "cauchy":
         return 0.5 * phi_tilde(phi, scheme, mx, mx, zero, tol=tol)
-    if scheme is Scheme.JENSEN3:
+    if not scheme.contractive:
         return (
             phi_tilde(phi, scheme, mx, -mx, zero, tol=tol)
             + phi_tilde(phi, scheme, -mx, 3.0 * mx, zero, tol=tol)
@@ -560,18 +548,17 @@ class DirectMethodResult:
 
 
 def scheme_approximant(f, scheme, x, l: int) -> ComplexMatrix:
-    """A_l(x) for the scheme, with an overflow guard on the scaled argument.
+    """A_l(x) = f(s x) / s with s = scheme.scale(l), guarded against overflow.
 
-    On a stack the guard trips when any slice would leave the range.
+    The guard trips when the scaled argument s x (on a stack, any slice of
+    it) or the prefactor 1/s would leave the range.
     """
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
-    s = float(scheme.base) ** l
-    if scheme.contractive:
-        return s * as_matrix(f(mx / s))
-    if s * max_abs(mx) > OVERFLOW_LIMIT:
+    s = scheme.scale(l)
+    if s * max_abs(mx) > OVERFLOW_LIMIT or s * OVERFLOW_LIMIT < 1.0:
         raise ScaleOverflowError(
-            f"scaled argument {scheme.base}^{l} * x exceeds {OVERFLOW_LIMIT:g}; "
+            f"scale {s:g} at level l = {l} takes s * x or 1/s beyond {OVERFLOW_LIMIT:g}; "
             f"reduce l_max or the input norm"
         )
     return as_matrix(f(s * mx)) / s
@@ -798,39 +785,29 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
 def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
     """Scaled three-slot residual at level l along the scheme's trajectory.
 
-    For the expanding schemes with base b this is
+    With s = scheme.scale(l) and s3 = scheme.scale(3l) this is
 
-      b^(-3l) || f(b^(3l) {x,y,z}) - {f(b^l x) h(b^l y) h(b^l z)}
-                - {h(b^l x) f(b^l y) h(b^l z)} - {h(b^l x) h(b^l y) f(b^l z)} ||
+      || f(s3 {x,y,z}) - {f(s x) h(s y) h(s z)}
+         - {h(s x) f(s y) h(s z)} - {h(s x) h(s y) f(s z)} || / s3.
 
-    and the contractive tripling scheme uses arguments divided by the scales
-    with the reciprocal prefactor.  Not defined for cauchy2-contractive.
-    On stacks of triples it returns one residual per triple.
+    Raises SchemeError for a scheme without derivation-sequence levels
+    (cauchy2-contractive).  On stacks of triples it returns one residual per
+    triple.
     """
     scheme = Scheme.parse(scheme)
-    if scheme is Scheme.CAUCHY2_CONTRACTIVE:
-        raise SchemeError(
-            "the derivation-limit residual is not defined for scheme "
-            "cauchy2-contractive"
-        )
+    scheme.derivation_levels()  # SchemeError where the residual is undefined
     if l < 0:
         raise ValueError("l must be nonnegative")
     mx, my, mz = as_matrix(x), as_matrix(y), as_matrix(z)
     txyz = triple_product_cstar(mx, my, mz)
-    s = float(scheme.base) ** l
-    s3 = float(scheme.base) ** (3 * l)
-    if scheme.contractive:
-        ax, ay, az, aprod = mx / s, my / s, mz / s, txyz / s3
-        prefactor = s3
-    else:
-        if s3 * max(max_abs(txyz), 1.0) > OVERFLOW_LIMIT or s * max(
-            max_abs(mx), max_abs(my), max_abs(mz)
-        ) > OVERFLOW_LIMIT:
-            raise ScaleOverflowError(
-                f"scaled arguments at level l = {l} exceed {OVERFLOW_LIMIT:g}"
-            )
-        ax, ay, az, aprod = s * mx, s * my, s * mz, s3 * txyz
-        prefactor = 1.0 / s3
+    s, s3 = scheme.scale(l), scheme.scale(3 * l)
+    if (
+        s3 * OVERFLOW_LIMIT < 1.0
+        or s3 * max(max_abs(txyz), 1.0) > OVERFLOW_LIMIT
+        or s * max(max_abs(mx), max_abs(my), max_abs(mz)) > OVERFLOW_LIMIT
+    ):
+        raise ScaleOverflowError(f"scaled arguments at level l = {l} exceed {OVERFLOW_LIMIT:g}")
+    ax, ay, az, aprod = s * mx, s * my, s * mz, s3 * txyz
     # each map once over every scaled argument it is needed at
     n = mx.shape[-1]
     args = np.stack([aprod, ax, ay, az])
@@ -838,7 +815,7 @@ def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
     hx, hy, hz = as_matrix(h(args[1:].reshape(-1, n, n))).reshape(args[1:].shape)
     t = triple_product_cstar
     residual = spectral_norm(fp - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz))
-    return prefactor * residual
+    return (1.0 / s3) * residual
 
 
 def derivation_limit_sequence(

@@ -88,7 +88,21 @@ def test_recover_exits_one_when_recovery_fails(capsys):
     config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
     code = main(["recover", "--config", str(config), "--l-max", "1"])
     assert code == 1
-    assert "FAILED recovery_converged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAILED recovery_converged" in err
+    assert "did not converge within l_max = 1" in err
+
+
+def test_report_of_failed_recovery_has_no_bound_table(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    out_path = tmp_path / "failed.json"
+    assert main(["recover", "--config", str(config), "--l-max", "1", "--out", str(out_path)]) == 1
+    capsys.readouterr()
+    code = main(["report", "--in", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "report has no per-probe bound table" in captured.err
+    assert captured.out == ""
 
 
 def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):
@@ -163,6 +177,8 @@ def test_recover_rejects_gate_violation(capsys):
         (["recover", "--generator", "{not json"], "generator is not valid JSON"),
         (["axioms", "--dim", "40"], "dim must be in"),
         (["report", "--in", "/nonexistent/report.json"], "could not read report"),
+        (["bounds", "--dim", "17"], "dim must be in [1, 16]"),
+        (["bounds", "--dim", "0"], "dim must be in [1, 16]"),
     ],
 )
 def test_errors_exit_two_with_message(argv, fragment, capsys):

@@ -363,6 +363,7 @@ def test_run_recovery_stops_after_failed_recovery(tmp_path):
     assert not report.recovery["converged"]
     for section in (
         "hypotheses",
+        "bound",
         "bound_theta",
         "rate",
         "derivation_certificate",

@@ -289,6 +289,18 @@ def test_scheme_approximant_overflow_guard():
         scheme_approximant(f, Scheme.CAUCHY2, E11, 600)
 
 
+def test_contractive_guard_trips_on_the_prefactor():
+    # s = b^-l shrinks the argument; past the limit 1/s would overflow
+    _, _, big_d = _generators(37)
+    f = make_perturbation(big_d, 0.1, 4.0, "jensen", seed=12)
+    for scheme, level in ((Scheme.CAUCHY2_CONTRACTIVE, 500), (Scheme.JENSEN3_CONTRACTIVE, 700)):
+        with pytest.raises(ScaleOverflowError):
+            scheme_approximant(f, scheme, E11, level)
+    assert np.isfinite(scheme_approximant(f, Scheme.JENSEN3_CONTRACTIVE, E11, 300)).all()
+    with pytest.raises(ScaleOverflowError):
+        derivation_limit_residual(f, f, Scheme.JENSEN3_CONTRACTIVE, E11, E11, E11, 110)
+
+
 def _one_probe_iteration(f, scheme, x, tol, l_max):
     # the direct method written out for a single probe, as an oracle for
     # the lockstep bookkeeping of direct_limits
