@@ -53,7 +53,6 @@ from .stability import (
     complex_homogeneity_via_decomposition,
     derivation_limit_residual,
     derivation_limit_sequence,
-    direct_limits,
     direct_method,
     estimate_convergence_rate,
     hyers_bound,

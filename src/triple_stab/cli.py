@@ -57,8 +57,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, help="control exponent")
     parser.add_argument("--seed", type=int, help="64-bit experiment seed")
     parser.add_argument("--probe-count", type=int, dest="probe_count", help="probes per table")
-    parser.add_argument("--tol", type=float, help="stopping tolerance")
-    parser.add_argument("--l-max", type=int, dest="l_max", help="iteration cap")
+    parser.add_argument("--tol", type=float, help="certified accuracy of the recovered map")
+    parser.add_argument("--l-max", type=int, dest="l_max", help="cap on the recovery level")
     parser.add_argument(
         "--generator",
         help='generator spec: "identity" or a JSON object',

@@ -46,6 +46,7 @@ from .sampling import (
     skew_matrix,
 )
 from .stability import (
+    ROUNDOFF_FLOOR,
     ConvergenceError,
     LinearityCertificationError,
     PowerType,
@@ -57,6 +58,7 @@ from .stability import (
     estimate_convergence_rate,
     make_perturbation,
     perturbation_decay_rate,
+    pooled_rate,
     recover_linear_map,
     verify_hypotheses,
     verify_s1_homogeneity,
@@ -91,13 +93,10 @@ RATE_WINDOW = 0.05
 
 MU_SAMPLE_COUNT = 16
 S1_PROBE_COUNT = 8
-RATE_PROBE_COUNT = 30
+RATE_PROBE_COUNT = 120
 CERT_TRIPLE_COUNT = 100
 SEQUENCE_TRIPLE_COUNT = 40
 SEQUENCE_STRICT_AFTER = 5
-# values this small sit on the floating-point floor of the residual
-# computation; decrease and ratio checks skip them
-SEQUENCE_FLOOR = 1e-13
 
 COMPLEX_LAMBDAS = (
     (complex(2.0, 0.0), "2"),
@@ -446,26 +445,26 @@ def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
     return scaled.reshape(SEQUENCE_TRIPLE_COUNT, 3, config.dim, config.dim)
 
 
-def _sequence_section(values: list[float], levels: list[int], expected_rate: float) -> dict:
-    """Strict-decrease and tail-rate analysis of a residual trajectory."""
-    # indices past the pre-asymptotic levels and above the round-off floor
-    kept = [
-        i
-        for i, (lvl, v) in enumerate(zip(levels, values))
-        if lvl >= SEQUENCE_STRICT_AFTER and v > SEQUENCE_FLOOR
-    ]
+def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: float) -> dict:
+    """Strict-decrease test of the mean residual trajectory and its tail rate.
+
+    ``residuals`` has one row per level and one column per triple.  The tail
+    rate is the pooled slope over every triple's residuals at levels from
+    SEQUENCE_STRICT_AFTER on.
+    """
+    values = residuals.mean(axis=1).tolist()
+    tail = [i for i, lvl in enumerate(levels) if lvl >= SEQUENCE_STRICT_AFTER]
+    # mean values past the pre-asymptotic levels and above the round-off floor
+    kept = [i for i in tail if values[i] > ROUNDOFF_FLOOR]
     pairs = [(values[i], values[i + 1]) for i in kept if i + 1 < len(values)]
     decreasing = all(b < a for a, b in pairs)
     max_tail_ratio = max((b / a for a, b in pairs), default=None)
-    tail_rate = None
-    if len(kept) > 1:
-        first, last = kept[0], kept[-1]
-        tail_rate = (values[last] / values[first]) ** (1.0 / (last - first))
+    tail_rate, _ = pooled_rate([levels[i] for i in tail], residuals[tail])
     rate_ok = tail_rate is None or abs(tail_rate - expected_rate) <= RATE_WINDOW
     return {
         "levels": levels,
         "values": values,
-        "floor": SEQUENCE_FLOOR,
+        "floor": ROUNDOFF_FLOOR,
         "strict_after": SEQUENCE_STRICT_AFTER,
         "max_tail_ratio": max_tail_ratio,
         "tail_rate": tail_rate,
@@ -508,9 +507,10 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
 
     t0 = time.perf_counter()
     recovery_error: str | None = None
+    levels: dict[str, int] = {}
     try:
-        d_hat = recover_linear_map(f, scheme, tol=config.tol, l_max=config.l_max)
-        theta_hat = recover_linear_map(h, scheme, tol=config.tol, l_max=config.l_max)
+        d_hat, levels["d"] = recover_linear_map(f, scheme, phi, config.tol, config.l_max)
+        theta_hat, levels["theta"] = recover_linear_map(h, scheme, phi, config.tol, config.l_max)
     except (ConvergenceError, LinearityCertificationError) as exc:
         recovery_error = str(exc)
     timings["recover_s"] = time.perf_counter() - t0
@@ -518,6 +518,8 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     recovery = {
         "converged": recovery_error is None,
         "error": recovery_error,
+        "levels": levels,
+        "series_ratio": scheme.series_ratio(config.p),
         "d_entrywise_error": None,
         "theta_entrywise_error": None,
         "tolerance": RECOVERY_ERROR_TOL,
@@ -631,9 +633,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     timings["sequence_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rate_est = estimate_convergence_rate(
-        f, scheme, rate_probes, tol=config.tol, l_max=config.l_max
-    )
+    rate_est = estimate_convergence_rate(f, scheme, rate_probes)
     rate_ok = rate_est.rate is None or abs(rate_est.rate - expected_rate) <= RATE_WINDOW
     rate = {
         "estimate": rate_est.rate,

@@ -1,8 +1,8 @@
 """Stability machinery: perturbations, weighted bound series, direct method.
 
 The module turns an exact structure map into a controlled perturbation,
-recovers the exact map back by scaled-approximant iteration, and prices the
-distance between the two against a weighted series over a control function.
+recovers the exact map back by scaled approximants, and prices the distance
+between the two against a weighted series over a control function.
 
 Four iteration schemes are supported, one row of ``Scheme`` each: base
 b = 2 (``cauchy2``) or b = 3 (``jensen3``), expanding or ``-contractive``.
@@ -15,9 +15,13 @@ summability gate that must hold before any bound is quoted.  For power-type
 controls eps * (||x||^p + ||y||^p + ||z||^p) the gates are p < 1, p > 1,
 p < 1 and p > 3 respectively.
 
+The bound also fixes the recovery level in advance (the fixed-point
+alternative of Diaz-Margolis and Cadariu-Radu): ``direct_method`` evaluates
+A_L once, at the smallest L the bound certifies.  Convergence rates come
+from one pooled least-squares slope over a fixed window of levels.
+
 Maps, controls and certificates take (k, n, n) probe stacks: every stage
-makes one call per level or per check over all of its probes, and
-``direct_limits`` runs the direct method for a whole stack in lockstep.
+makes one call per level or per check over all of its probes.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .linalg import (
     ComplexMatrix,
     as_matrix,
     max_abs,
-    max_entry_diff,
     spectral_norm,
 )
 from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, rng_for
@@ -50,9 +53,11 @@ from .triple import (
 # scaled arguments beyond this entry magnitude abort the iteration
 OVERFLOW_LIMIT = 1e150
 CUSTOM_SERIES_CAP = 10_000
-# inner refinement applied to direct_method runs inside recover_linear_map,
-# so certification at 10 * tol keeps headroom over the stopping error
-RECOVERY_REFINEMENT = 64.0
+# differences and residuals this small sit on the floating-point floor of
+# their computation; rate fits and decrease checks leave them out
+ROUNDOFF_FLOOR = 1e-13
+# the approximant-rate fit uses ||A_l - A_{l-1}|| at these levels
+RATE_LEVELS = range(3, 13)
 
 
 class SummabilityError(ValueError):
@@ -68,19 +73,22 @@ class ScaleOverflowError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """The approximant iteration exhausted l_max without settling."""
+    """The certified level exceeds l_max or its scale leaves the representable range."""
 
 
 class LinearityCertificationError(RuntimeError):
     """A recovered map failed its linearity certificate.
 
-    Carries the worst probe and its residual for diagnosis.
+    Carries the worst probe, its gap, the allowance it exceeded and the
+    level L for diagnosis.
     """
 
-    def __init__(self, message: str, worst_probe, residual: float):
+    def __init__(self, message: str, worst_probe, residual: float, allowance: float, level: int):
         super().__init__(message)
         self.worst_probe = worst_probe
         self.residual = residual
+        self.allowance = allowance
+        self.level = level
 
 
 class Scheme(enum.Enum):
@@ -541,10 +549,21 @@ def verify_hypotheses(
 
 @dataclass(frozen=True)
 class DirectMethodResult:
+    """A_L on a (k, n, n) stack and the per-slice bound on ||A_L(x) - D(x)||."""
+
     value: ComplexMatrix
     l_used: int
-    converged: bool
-    deltas: tuple[float, ...] = field(repr=False)
+    error_bound: np.ndarray = field(repr=False)
+
+
+def _leaves_range(scheme: Scheme, l: int, largest: float) -> bool:
+    """Whether s x (entries up to ``largest``) or 1/s passes OVERFLOW_LIMIT, s = scale(l).
+
+    Decided in log space: the scale itself may not be a float.
+    """
+    log_s = (-l if scheme.contractive else l) * math.log(scheme.base)
+    log_limit = math.log(OVERFLOW_LIMIT)
+    return -log_s > log_limit or (largest > 0.0 and log_s + math.log(largest) > log_limit)
 
 
 def scheme_approximant(f, scheme, x, l: int) -> ComplexMatrix:
@@ -555,123 +574,105 @@ def scheme_approximant(f, scheme, x, l: int) -> ComplexMatrix:
     """
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
-    s = scheme.scale(l)
-    if s * max_abs(mx) > OVERFLOW_LIMIT or s * OVERFLOW_LIMIT < 1.0:
+    if _leaves_range(scheme, l, max_abs(mx)):
         raise ScaleOverflowError(
-            f"scale {s:g} at level l = {l} takes s * x or 1/s beyond {OVERFLOW_LIMIT:g}; "
-            f"reduce l_max or the input norm"
+            f"level l = {l} scales by {scheme.base}^{-l if scheme.contractive else l}, "
+            f"taking s * x or 1/s beyond {OVERFLOW_LIMIT:g}; reduce l_max or the input norm"
         )
+    s = scheme.scale(l)
     return as_matrix(f(s * mx)) / s
-
-
-def direct_limits(
-    f,
-    scheme,
-    xs,
-    tol: float = 1e-9,
-    l_max: int = 200,
-) -> list[DirectMethodResult]:
-    """The direct method at every slice of a (k, n, n) stack, in lockstep.
-
-    Each level evaluates f once on the probes still iterating.  A probe
-    leaves the stack at the first l with
-    ||A_l(x) - A_{l-1}(x)|| <= tol * max(1, ||A_{l-1}(x)||) and keeps A_l;
-    a probe still iterating at l_max keeps A_{l_max} with converged = False.
-    Every result equals what the iteration at that probe alone returns.
-    """
-    scheme = Scheme.parse(scheme)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    xs = as_matrix(xs)
-    if xs.ndim != 3 or not len(xs):
-        raise ValueError(f"direct_limits needs a (k, n, n) stack, got shape {xs.shape}")
-    results: list[DirectMethodResult | None] = [None] * len(xs)
-    deltas: list[list[float]] = [[] for _ in xs]
-    active = np.arange(len(xs))
-    prev = scheme_approximant(f, scheme, xs, 0)
-    for l in range(1, l_max + 1):
-        cur = scheme_approximant(f, scheme, xs[active], l)
-        delta = spectral_norm(cur - prev)
-        for i, d in zip(active.tolist(), delta.tolist()):
-            deltas[i].append(d)
-        settled = delta <= tol * np.maximum(1.0, spectral_norm(prev))
-        for j in np.flatnonzero(settled).tolist():
-            i = int(active[j])
-            results[i] = DirectMethodResult(cur[j], l, True, tuple(deltas[i]))
-        active, prev = active[~settled], cur[~settled]
-        if not active.size:
-            break
-    for j, i in enumerate(active.tolist()):
-        results[i] = DirectMethodResult(prev[j], l_max, False, tuple(deltas[i]))
-    return results
 
 
 def direct_method(
     f,
     scheme,
-    x,
+    phi: ControlFunction,
+    xs,
     tol: float = 1e-9,
     l_max: int = 200,
 ) -> DirectMethodResult:
-    """Iterate the scheme's approximants at x until successive agreement.
+    """The direct method on a (k, n, n) stack, at the level the bound certifies.
 
-    Stops at the first l with ||A_{l+1}(x) - A_l(x)|| <= tol * max(1, ||A_l(x)||)
-    and returns A_{l+1}; if l_max is exhausted the last approximant is
-    returned with converged = False.  One probe of ``direct_limits``.
+    For f controlled by the power-type phi, ||A_L(x) - D(x)|| <= r^L
+    hyers_bound(phi, scheme, x) with r = scheme.series_ratio(p) and D the
+    exact limit.  L is the smallest level at which this is at most
+    tol * max(1, ||x||) on every slice; A_L is evaluated once there, and
+    ``error_bound`` holds r^L hyers_bound(x) per slice.  Raises
+    ConvergenceError, naming L, r and the limit, when L exceeds l_max or its
+    scale would leave OVERFLOW_LIMIT.
     """
-    return direct_limits(f, scheme, as_matrix(x)[None], tol=tol, l_max=l_max)[0]
+    scheme = Scheme.parse(scheme)
+    if not isinstance(phi, PowerType):
+        raise TypeError(f"direct_method needs a PowerType control, got {type(phi).__name__}")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    xs = _stack(xs, "direct_method")
+    bound = hyers_bound(phi, scheme, xs)
+    target = tol * np.maximum(1.0, spectral_norm(xs))
+    r = scheme.series_ratio(phi.p)
+    need = float((bound / target).max())
+    # r^L need <= 1 from L = log(need) / log(1 / r) on; the float test settles rounding
+    level = math.ceil(math.log(need) / -math.log(r)) if need > 1.0 else 0
+    while level > 0 and (r ** (level - 1) * bound <= target).all():
+        level -= 1
+    while not (r**level * bound <= target).all():
+        level += 1
+    where = f"certified level L = {level} at series ratio {r:.6g}"
+    if level > l_max:
+        raise ConvergenceError(f"{where} exceeds l_max = {l_max}")
+    if _leaves_range(scheme, level, max_abs(xs)):
+        raise ConvergenceError(
+            f"{where} scales by {scheme.base}^{-level if scheme.contractive else level}, "
+            f"beyond the overflow limit {OVERFLOW_LIMIT:g}"
+        )
+    return DirectMethodResult(scheme_approximant(f, scheme, xs, level), level, r**level * bound)
 
 
 def recover_linear_map(
     f,
     scheme,
+    phi: ControlFunction,
     tol: float = 1e-9,
     l_max: int = 200,
     cert_probe_count: int = 24,
-) -> Tabulated:
-    """Recover the exact linear map behind a perturbed one.
+) -> tuple[Tabulated, int]:
+    """Recover the exact linear map behind f, certified to tol, and the level used.
 
-    Runs the direct method on every matrix unit to tabulate the limit, then
-    certifies linearity by comparing the tabulated map against direct
-    limits on random probes, at threshold 10 * tol * max(1, ||x||).  The
-    inner iterations run at tol / 64 so the certificate threshold retains
-    headroom over the stopping error.  Basis and probes iterate as one
-    lockstep stack.
+    One ``direct_method`` call evaluates the matrix units and random
+    certificate probes at one certified level L; the units tabulate the
+    map.  If the limit is linear, the tabulated map and the direct value at
+    a probe x differ by at most sum_ij |x_ij| err(E_ij) + err(x), with err
+    the per-slice error bounds; the certificate allows that plus
+    tol * max(1, ||x||), the requested accuracy, which also covers round-off
+    when the bounds vanish (eps = 0).
     """
     scheme = Scheme.parse(scheme)
     dim = f.dim
-    inner_tol = tol / RECOVERY_REFINEMENT
-    basis = matrix_basis(dim)
+    basis = np.stack(matrix_basis(dim))
     seed = getattr(f, "seed", 0)
     probes = np.stack(
         make_probes(dim, cert_probe_count, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
     )
-    runs = direct_limits(f, scheme, np.concatenate([basis, probes]), tol=inner_tol, l_max=l_max)
-    runs, directs = runs[: len(basis)], runs[len(basis) :]
-    for run in runs:
-        if not run.converged:
-            raise ConvergenceError(
-                f"direct method did not converge within l_max = {l_max} "
-                f"on a basis element (last difference {run.deltas[-1]:.3e})"
-            )
-    recovered = Tabulated(vec(np.stack([run.value for run in runs])).T)
-    if not all(run.converged for run in directs):
-        raise ConvergenceError(
-            f"direct method did not converge within l_max = {l_max} on a probe"
-        )
-    gaps = spectral_norm(recovered(probes) - np.stack([run.value for run in directs]))
-    excess = gaps - 10.0 * tol * np.maximum(1.0, spectral_norm(probes))
-    worst_idx = int(np.argmax(excess))
-    if excess[worst_idx] > 0.0:
+    run = direct_method(f, scheme, phi, np.concatenate([basis, probes]), tol=tol, l_max=l_max)
+    units, directs = run.value[: len(basis)], run.value[len(basis) :]
+    err_units, err_probes = run.error_bound[: len(basis)], run.error_bound[len(basis) :]
+    recovered = Tabulated(vec(units).T)
+    gaps = spectral_norm(recovered(probes) - directs)
+    norms = spectral_norm(probes)
+    # basis order is vec's column-stacking order
+    allowance = np.abs(vec(probes)) @ err_units + err_probes + tol * np.maximum(1.0, norms)
+    worst = int(np.argmax(gaps - allowance))
+    if gaps[worst] > allowance[worst]:
         raise LinearityCertificationError(
-            f"recovered map failed linearity certification: probe {worst_idx} "
-            f"disagrees with its direct limit by {gaps[worst_idx]:.3e}",
-            worst_probe=probes[worst_idx],
-            residual=float(gaps[worst_idx]),
+            f"recovered map failed linearity certification at level L = {run.l_used}: "
+            f"probe {worst} (norm {norms[worst]:.3e}) disagrees with its direct value "
+            f"by {gaps[worst]:.3e}, beyond the allowance {allowance[worst]:.3e}",
+            worst_probe=probes[worst],
+            residual=float(gaps[worst]),
+            allowance=float(allowance[worst]),
+            level=run.l_used,
         )
-    return recovered
+    return recovered, run.l_used
 
 
 # ---------------------------------------------------------------------------
@@ -824,14 +825,11 @@ def derivation_limit_sequence(
     scheme,
     triples: Sequence,
     l_values: Sequence[int],
-) -> list[float]:
-    """Mean derivation-limit residual over a triple set at each level."""
+) -> np.ndarray:
+    """Derivation-limit residuals, one row per level and one column per triple."""
     t = _stack(triples, "derivation_limit_sequence", inner=3)
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    return [
-        float(np.mean(derivation_limit_residual(f, h, scheme, x, y, z, l)))
-        for l in l_values
-    ]
+    return np.stack([derivation_limit_residual(f, h, scheme, x, y, z, l) for l in l_values])
 
 
 @dataclass(frozen=True)
@@ -869,15 +867,34 @@ def certify_theta_derivation(
 # convergence-rate estimation
 # ---------------------------------------------------------------------------
 
+def pooled_rate(levels: Sequence[int], values) -> tuple[float | None, int]:
+    """Common geometric rate of several sequences, from one least-squares slope.
+
+    ``values`` has one row per level and one column per sequence i, and the
+    fit is log(value) = c_i + l log(rate); centring each sequence's levels
+    on their mean removes the intercepts c_i.  Entries at or below
+    ROUNDOFF_FLOOR are left out.  Returns the rate (None when no sequence
+    keeps two levels) and how many sequences do.
+    """
+    values = np.asarray(values, dtype=float)
+    kept = values > ROUNDOFF_FLOOR
+    l = np.where(kept, np.asarray(levels, dtype=float)[:, None], 0.0)
+    count = kept.sum(axis=0)
+    dl = np.where(kept, l - _ratio(l.sum(axis=0), count, 0.0), 0.0)
+    spread = float((dl * dl).sum())
+    used = int((count >= 2).sum())
+    if spread == 0.0:
+        return None, used
+    return math.exp(float((dl * np.log(np.where(kept, values, 1.0))).sum()) / spread), used
+
+
 @dataclass(frozen=True)
 class RateEstimate:
     """Geometric rate of successive approximant differences.
 
-    Per-probe difference sequences are normalized by their first entry and
-    averaged, and the rate is the geometric mean of the aggregated ratios
-    over the last ``window`` recorded levels.  Aggregation across probes is
-    what makes the estimate stable: a single probe's ratios fluctuate with
-    the oscillating defect.
+    ``pooled_rate`` of ||A_l(x) - A_{l-1}(x)|| over the probes at levels
+    first_level..last_level; probes_used counts the probes with at least
+    two differences above the round-off floor.
     """
 
     rate: float | None
@@ -886,29 +903,10 @@ class RateEstimate:
     probes_used: int
 
 
-def estimate_convergence_rate(
-    f,
-    scheme,
-    probes: Sequence,
-    tol: float = 1e-9,
-    l_max: int = 200,
-    window: int = 10,
-) -> RateEstimate:
+def estimate_convergence_rate(f, scheme, probes: Sequence) -> RateEstimate:
+    """Rate of the approximant differences at the fixed RATE_LEVELS window."""
     x = _stack(probes, "estimate_convergence_rate")
-    runs = direct_limits(f, scheme, x, tol=tol, l_max=l_max)
-    usable = [r.deltas for r in runs if r.deltas and r.deltas[0] > 0.0]
-    if not usable:
-        return RateEstimate(None, 0, 0, 0)
-    depth = min(len(d) for d in usable)
-    if depth < 2:
-        return RateEstimate(None, 0, 0, len(usable))
-    aggregated = [
-        sum(d[l] / d[0] for d in usable) / len(usable) for l in range(depth)
-    ]
-    k = min(window, depth - 1)
-    last = depth - 1
-    first = last - k
-    if aggregated[first] <= 0.0 or aggregated[last] <= 0.0:
-        return RateEstimate(None, first, last, len(usable))
-    rate = (aggregated[last] / aggregated[first]) ** (1.0 / k)
-    return RateEstimate(rate, first, last, len(usable))
+    levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
+    approximants = np.stack([scheme_approximant(f, scheme, x, l) for l in levels])
+    rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(approximants, axis=0)))
+    return RateEstimate(rate, RATE_LEVELS[0], RATE_LEVELS[-1], used)

@@ -90,7 +90,26 @@ def test_recover_exits_one_when_recovery_fails(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "FAILED recovery_converged" in err
-    assert "did not converge within l_max = 1" in err
+    assert "recovery error: certified level L = 57 at series ratio 0.707107" in err
+    assert "exceeds l_max = 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["--p", "0.9"], "L = 305 at series ratio 0.933033 exceeds l_max = 200"),
+        (["--p", "0.99", "--l-max", "1000"], "exceeds l_max = 1000"),
+        (["--p", "0.99", "--l-max", "5000"], "beyond the overflow limit"),
+    ],
+)
+def test_recover_names_an_uncertifiable_level(argv, reason, capsys):
+    code = main(["recover", "--scheme", "cauchy2", *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    line = next(line for line in err.splitlines() if line.startswith("recovery error: "))
+    assert "certified level L = " in line
+    assert reason in line
 
 
 def test_report_of_failed_recovery_has_no_bound_table(tmp_path, capsys):

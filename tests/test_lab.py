@@ -1,5 +1,6 @@
 """Tests for experiment configs, the lab pipelines, and report serialization."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -383,3 +384,45 @@ def test_run_recovery_skips_sequence_rows_where_undefined():
     ]
     assert list(report.derivation_sequence) == ["skipped"]
     assert "cauchy2-contractive" in report.derivation_sequence["skipped"]
+
+
+# each scheme at its shipped p and near its summability gate
+_GRID_P = {
+    "cauchy2": (0.5, 0.9),
+    "cauchy2-contractive": (2.0, 1.2),
+    "jensen3": (0.5, 0.9),
+    "jensen3-contractive": (4.0, 3.3),
+}
+_GRID_ALWAYS_PASS = (
+    "recovery_error_d",
+    "recovery_error_theta",
+    "bound_ratio",
+    "bound_ratio_theta",
+    "approximant_rate",
+    "derivation_sequence_rate",
+)
+
+
+def test_config_grid_fails_only_for_predicted_reasons():
+    """32 accepted configs: four schemes x two p x dims {1, 8} x seeds {42, 3}.
+
+    Recovery may fail only because the certified level exceeds l_max
+    (cauchy2 at p = 0.9 needs L = 305).  The accuracy, bound and rate checks
+    never fail, and every recovered map is within tol of the exact one
+    entrywise (implied by the certified column bound).  Not covered: the
+    strict-decrease test of the derivation sequence, which still fails at
+    jensen3 p = 0.9 on some seeds.
+    """
+    grid = [(scheme, p) for scheme, ps in _GRID_P.items() for p in ps]
+    for (scheme, p), dim, seed in itertools.product(grid, (1, 8), (42, 3)):
+        cfg = ExperimentConfig(dim=dim, scheme=scheme, p=p, seed=seed)
+        report = run_recovery(cfg)
+        where = f"{scheme} p={p} dim={dim} seed={seed}"
+        recovery = report.recovery
+        if not recovery["converged"]:
+            assert "exceeds l_max = 200" in recovery["error"], where
+            continue
+        failed = {c["name"] for c in report.checks if not c["passed"]}
+        assert not failed & set(_GRID_ALWAYS_PASS), (where, failed)
+        worst = max(recovery["d_entrywise_error"], recovery["theta_entrywise_error"])
+        assert worst <= cfg.tol, where

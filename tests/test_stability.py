@@ -14,9 +14,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triple_stab.linalg import max_entry_diff, spectral_norm
-from triple_stab.sampling import haar_unitary, make_probes, make_mu_samples, rng_for, skew_matrix
+from triple_stab.sampling import (
+    ROLE_RECOVERY,
+    haar_unitary,
+    make_mu_samples,
+    make_probes,
+    rng_for,
+    skew_matrix,
+)
 from triple_stab.stability import (
-    OVERFLOW_LIMIT,
+    ROUNDOFF_FLOOR,
     ConvergenceError,
     Custom,
     LinearityCertificationError,
@@ -31,7 +38,6 @@ from triple_stab.stability import (
     complex_homogeneity_via_decomposition,
     derivation_limit_residual,
     derivation_limit_sequence,
-    direct_limits,
     direct_method,
     estimate_convergence_rate,
     hyers_bound,
@@ -40,6 +46,7 @@ from triple_stab.stability import (
     perturbation_amplitude,
     perturbation_decay_rate,
     phi_tilde,
+    pooled_rate,
     recover_linear_map,
     scheme_approximant,
     unimodular_average_decomposition,
@@ -53,6 +60,7 @@ from triple_stab.triple import (
     make_theta_derivation,
     make_triple_derivation,
     make_triple_homomorphism,
+    matrix_basis,
 )
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
@@ -264,22 +272,103 @@ def test_verify_hypotheses_ratios_stay_below_one():
     assert rep.samples == 20
 
 
-def test_direct_method_exact_map_converges_immediately():
+# (scheme, form, p): each scheme at its shipped p and near its gate
+_LEVEL_CASES = [
+    (Scheme.CAUCHY2, "cauchy", 0.5),
+    (Scheme.CAUCHY2, "cauchy", 0.9),
+    (Scheme.CAUCHY2_CONTRACTIVE, "cauchy", 2.0),
+    (Scheme.CAUCHY2_CONTRACTIVE, "cauchy", 1.2),
+    (Scheme.JENSEN3, "jensen", 0.5),
+    (Scheme.JENSEN3, "jensen", 0.9),
+    (Scheme.JENSEN3_CONTRACTIVE, "jensen", 4.0),
+    (Scheme.JENSEN3_CONTRACTIVE, "jensen", 3.3),
+]
+
+
+@pytest.mark.parametrize("scheme,form,p", _LEVEL_CASES)
+def test_direct_method_level_is_certified_and_minimal(scheme, form, p):
+    _, _, big_d = _generators(51)
+    phi = PowerType(0.1, p)
+    f = make_perturbation(big_d, phi.eps, p, form, seed=28)
+    xs = np.stack(make_probes(2, 12, rng_for(29, 2), 1e-2, 1e1) + [np.zeros((2, 2))])
+    tol = 1e-9
+    res = direct_method(f, scheme, phi, xs, tol=tol, l_max=400)
+    # the level oracle, written out: r^L hyers_bound(x) <= tol * max(1, ||x||)
+    # on every slice at L and not at L - 1
+    r = scheme.series_ratio(p)
+    bound = np.array([hyers_bound(phi, scheme, x) for x in xs])
+    target = np.array([tol * max(1.0, spectral_norm(x)) for x in xs])
+    level = res.l_used
+    assert level > 0
+    assert (r**level * bound <= target).all()
+    assert not (r ** (level - 1) * bound <= target).all()
+    assert np.allclose(res.error_bound, r**level * bound, rtol=1e-13, atol=0.0)
+    # the bound holds against the exact map, slice by slice, up to round-off
+    # far below tol (the contractive thirding bounds reach 1e-19 on small x)
+    roundoff = 1e-14 * np.maximum(1.0, spectral_norm(xs))
+    assert (spectral_norm(res.value - big_d(xs)) <= res.error_bound + roundoff).all()
+    assert np.array_equal(res.value, scheme_approximant(f, scheme, xs, level))
+
+
+def test_direct_method_exact_map_uses_level_zero():
     _, _, big_d = _generators(35)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=10)
-    x = np.array([[0.5, -1.0j], [1.0, 0.25]])
-    res = direct_method(f, Scheme.CAUCHY2, x, tol=1e-9)
-    assert res.converged
-    assert res.l_used <= 1
+    x = np.array([[[0.5, -1.0j], [1.0, 0.25]], [[2.0, 0.0], [0.0, -3.0j]]])
+    res = direct_method(f, Scheme.CAUCHY2, PowerType(0.0, 0.5), x, tol=1e-9)
+    assert res.l_used == 0
+    assert (res.error_bound == 0.0).all()
     assert max_entry_diff(res.value, big_d(x)) <= 1e-12
 
 
-def test_direct_method_reports_exhaustion():
-    _, _, big_d = _generators(36)
-    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=11)
-    res = direct_method(f, Scheme.CAUCHY2, E11, tol=1e-12, l_max=2)
-    assert not res.converged
-    assert len(res.deltas) == 2
+def test_direct_method_rejects_non_stacks_and_other_controls():
+    _, _, big_d = _generators(53)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
+    phi = PowerType(0.1, 0.5)
+    for bad in (E11, np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError):
+            direct_method(f, Scheme.CAUCHY2, phi, bad)
+    with pytest.raises(ValueError):
+        direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=0.0)
+    with pytest.raises(TypeError):
+        direct_method(f, Scheme.CAUCHY2, Custom(phi.value), E11[None])
+
+
+@pytest.mark.parametrize(
+    "scheme,p,l_max,fragment",
+    [
+        (Scheme.CAUCHY2, 0.9, 200, "exceeds l_max = 200"),
+        (Scheme.CAUCHY2, 0.99, 1000, "exceeds l_max = 1000"),
+        # 2^L x and, for the contractive scheme, 2^L = 1/s leave the range
+        (Scheme.CAUCHY2, 0.99, 5000, "beyond the overflow limit"),
+        (Scheme.CAUCHY2_CONTRACTIVE, 1.001, 10**6, "beyond the overflow limit"),
+    ],
+)
+def test_direct_method_names_an_uncertifiable_level(scheme, p, l_max, fragment):
+    _, _, big_d = _generators(54)
+    f = make_perturbation(big_d, 0.1, p, "cauchy", seed=32)
+    with pytest.raises(ConvergenceError) as exc:
+        direct_method(f, scheme, PowerType(0.1, p), E11[None], tol=1e-9, l_max=l_max)
+    message = str(exc.value)
+    assert fragment in message
+    assert "certified level L = " in message
+    assert f"series ratio {scheme.series_ratio(p):.6g}" in message
+
+
+def test_pooled_rate_recovers_a_common_ratio():
+    levels = np.arange(3, 13)
+    rho = 0.7
+    coeffs = np.array([1.0, 3.5, 0.02, 40.0])
+    values = coeffs[None, :] * rho ** levels[:, None]
+    # entries on or below the floor would bend the slope if they were fitted
+    values[-1, 0] = ROUNDOFF_FLOOR
+    values[-2:, 1] = 0.0
+    rate, used = pooled_rate(levels, values)
+    assert rate == pytest.approx(rho, abs=1e-12)
+    assert used == 4
+    # a sequence with one entry above the floor carries no slope
+    values[1:, 3] = 1e-14
+    assert pooled_rate(levels, values) == (pytest.approx(rho, abs=1e-12), 3)
+    assert pooled_rate(levels, np.full((10, 2), 1e-14)) == (None, 0)
 
 
 def test_scheme_approximant_overflow_guard():
@@ -287,6 +376,9 @@ def test_scheme_approximant_overflow_guard():
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=12)
     with pytest.raises(ScaleOverflowError):
         scheme_approximant(f, Scheme.CAUCHY2, E11, 600)
+    # 2.0 ** 3375 itself is not a float; the guard decides before computing it
+    with pytest.raises(ScaleOverflowError):
+        scheme_approximant(f, Scheme.CAUCHY2, E11, 3375)
 
 
 def test_contractive_guard_trips_on_the_prefactor():
@@ -301,79 +393,20 @@ def test_contractive_guard_trips_on_the_prefactor():
         derivation_limit_residual(f, f, Scheme.JENSEN3_CONTRACTIVE, E11, E11, E11, 110)
 
 
-def _one_probe_iteration(f, scheme, x, tol, l_max):
-    # the direct method written out for a single probe, as an oracle for
-    # the lockstep bookkeeping of direct_limits
-    prev = scheme_approximant(f, scheme, x, 0)
-    deltas = []
-    for l in range(1, l_max + 1):
-        cur = scheme_approximant(f, scheme, x, l)
-        delta = spectral_norm(cur - prev)
-        deltas.append(delta)
-        if delta <= tol * max(1.0, spectral_norm(prev)):
-            return cur, l, True, tuple(deltas)
-        prev = cur
-    return prev, l_max, False, tuple(deltas)
-
-
-def test_direct_limits_lockstep_matches_one_probe_runs():
-    _, _, big_d = _generators(51)
-    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=28)
-    xs = np.stack(make_probes(2, 12, rng_for(29, 2)) + [np.zeros((2, 2))])
-    settled = direct_limits(f, Scheme.CAUCHY2, xs, tol=1e-9)
-    levels = sorted(r.l_used for r in settled)
-    assert all(r.converged for r in settled) and levels[0] < levels[-1]
-    # cap the iteration between the earliest and latest settling level, so
-    # part of the stack settles and the rest exhausts l_max
-    l_max = levels[len(levels) // 2]
-    runs = direct_limits(f, Scheme.CAUCHY2, xs, tol=1e-9, l_max=l_max)
-    assert {r.converged for r in runs} == {True, False}
-    for x, run in zip(xs, runs):
-        single = direct_method(f, Scheme.CAUCHY2, x, tol=1e-9, l_max=l_max)
-        value, l_used, converged, deltas = _one_probe_iteration(
-            f, Scheme.CAUCHY2, x, 1e-9, l_max
-        )
-        for got in (run, single):
-            assert got.l_used == l_used
-            assert got.converged == converged
-            assert got.deltas == deltas
-            assert np.array_equal(got.value, value)
-
-
-def test_direct_limits_overflow_guard_sees_active_probes_only():
-    _, _, big_d = _generators(52)
-    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=30)
-    small = np.array([[0.5, 0.25j], [-0.5, 1.0]])
-    # settles at level 1, long before 2^l * 1e149 would pass the limit
-    large = 1e149 * E11
-    runs = direct_limits(f, Scheme.CAUCHY2, np.stack([large, small]), tol=1e-9)
-    assert runs[0].l_used == 1 and runs[1].l_used > 4
-    assert runs[1].deltas == direct_method(f, Scheme.CAUCHY2, small, tol=1e-9).deltas
-    past = 2.0 * OVERFLOW_LIMIT * E11
-    with pytest.raises(ScaleOverflowError):
-        direct_limits(f, Scheme.CAUCHY2, np.stack([small, past, small]), tol=1e-9)
-
-
-def test_direct_limits_rejects_non_stacks():
-    _, _, big_d = _generators(53)
-    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
-    for bad in (E11, np.zeros((0, 2, 2))):
-        with pytest.raises(ValueError):
-            direct_limits(f, Scheme.CAUCHY2, bad)
-
-
 def test_recover_exact_map_to_machine_precision():
     _, _, big_d = _generators(38)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=13)
-    tab = recover_linear_map(f, Scheme.CAUCHY2, tol=1e-9)
+    tab, level = recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.0, 0.5), tol=1e-9)
+    assert level == 0
     assert max_entry_diff(tab.coeffs, big_d.to_tabulated().coeffs) <= 1e-10
 
 
 def test_recover_perturbed_map_within_tolerance():
     _, _, big_d = _generators(39)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=14)
-    tab = recover_linear_map(f, Scheme.CAUCHY2, tol=1e-9)
-    assert max_entry_diff(tab.coeffs, big_d.to_tabulated().coeffs) <= 1e-6
+    tab, level = recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), tol=1e-9)
+    assert level == 57
+    assert max_entry_diff(tab.coeffs, big_d.to_tabulated().coeffs) <= 1e-9
 
 
 def test_recover_cross_scheme_agreement():
@@ -381,16 +414,16 @@ def test_recover_cross_scheme_agreement():
     # iterations must give the same linear part
     _, _, big_d = _generators(40)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=15)
-    t2 = recover_linear_map(f, Scheme.CAUCHY2, tol=1e-9)
-    t3 = recover_linear_map(f, Scheme.JENSEN3, tol=1e-9)
+    t2, _ = recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), tol=1e-9)
+    t3, _ = recover_linear_map(f, Scheme.JENSEN3, PowerType(0.1, 0.5), tol=1e-9)
     assert max_entry_diff(t2.coeffs, t3.coeffs) <= 1e-6
 
 
 def test_recover_raises_on_exhausted_iterations():
     _, _, big_d = _generators(41)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=16)
-    with pytest.raises(ConvergenceError):
-        recover_linear_map(f, Scheme.CAUCHY2, tol=1e-9, l_max=2)
+    with pytest.raises(ConvergenceError, match="L = 57 .* exceeds l_max = 2"):
+        recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), tol=1e-9, l_max=2)
 
 
 class _NonLinearMap:
@@ -410,8 +443,23 @@ class _NonLinearMap:
 def test_recover_certifies_linearity():
     _, _, big_d = _generators(42)
     with pytest.raises(LinearityCertificationError) as exc:
-        recover_linear_map(_NonLinearMap(big_d), Scheme.CAUCHY2, tol=1e-9)
-    assert exc.value.residual > 0.0
+        recover_linear_map(_NonLinearMap(big_d), Scheme.CAUCHY2, PowerType(0.1, 0.5), tol=1e-9)
+    err = exc.value
+    assert err.residual > err.allowance > 0.0
+    assert err.level == 57
+    for fragment in ("L = 57", "probe ", "norm ", f"{err.residual:.3e}", f"{err.allowance:.3e}"):
+        assert fragment in str(err)
+    # the allowance written out at the worst probe x:
+    # sum_ij |x_ij| err(E_ij) + err(x) + tol * max(1, ||x||)
+    f = _NonLinearMap(big_d)
+    units = matrix_basis(2)
+    probes = make_probes(2, 24, rng_for(0, ROLE_RECOVERY), 1e-2, 1e1)
+    run = direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), np.stack(units + probes))
+    k = next(k for k, x in enumerate(probes) if np.array_equal(x, err.worst_probe))
+    x = probes[k]
+    allowance = sum(abs(x[e == 1.0][0]) * run.error_bound[j] for j, e in enumerate(units))
+    allowance += run.error_bound[len(units) + k] + 1e-9 * max(1.0, spectral_norm(x))
+    assert err.allowance == pytest.approx(allowance, rel=1e-12)
 
 
 def test_derivation_limit_residual_exact_pair():
@@ -435,7 +483,8 @@ def test_derivation_limit_sequence_exact_pair_is_flat():
     h = make_perturbation(theta, 0.0, 0.5, "cauchy", seed=20)
     triples = [tuple(np.eye(2) * (k + 1) for _ in range(3)) for k in range(3)]
     values = derivation_limit_sequence(f, h, Scheme.CAUCHY2, triples, [0, 1, 2])
-    assert all(v <= 1e-9 for v in values)
+    assert values.shape == (3, 3)
+    assert (values <= 1e-9).all()
 
 
 def test_certify_theta_derivation_exact_pair():
@@ -483,7 +532,7 @@ def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
 def test_estimate_rate_trivial_on_exact_map():
     _, _, big_d = _generators(48)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=23)
-    est = estimate_convergence_rate(f, Scheme.CAUCHY2, [E11], tol=1e-9)
+    est = estimate_convergence_rate(f, Scheme.CAUCHY2, [E11])
     assert est.rate is None
     assert est.probes_used == 0
 
@@ -492,7 +541,7 @@ def test_estimate_rate_perturbed_doubling():
     _, _, big_d = _generators(49)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=24)
     probes = make_probes(2, 10, rng_for(25, 11), norm_min=0.5, norm_max=2.0)
-    est = estimate_convergence_rate(f, Scheme.CAUCHY2, probes, tol=1e-9)
+    est = estimate_convergence_rate(f, Scheme.CAUCHY2, probes)
     assert est.rate is not None
     assert est.probes_used == 10
     # a single probe draw scatters around the asymptotic rate by several
@@ -510,7 +559,7 @@ def test_perturbation_decay_rates():
 def test_verify_stability_bound_perturbed_pair():
     _, _, big_d = _generators(50)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=26)
-    recovered = recover_linear_map(f, Scheme.CAUCHY2, tol=1e-9)
+    recovered, _ = recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), tol=1e-9)
     probes = make_probes(2, 20, rng_for(27, 2))
     rep = verify_stability_bound(f, recovered, PowerType(0.1, 0.5), Scheme.CAUCHY2, probes)
     assert rep.passed
