@@ -310,7 +310,8 @@ def test_direct_method_level_is_certified_and_minimal(scheme, form, p):
     assert np.array_equal(res.value, scheme_approximant(f, scheme, xs, level))
 
 
-def test_direct_method_exact_map_uses_level_zero():
+def test_direct_method_exact_map_converges_immediately():
+    # eps = 0 certifies level 0: the approximant is f itself, with zero bound
     _, _, big_d = _generators(35)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=10)
     x = np.array([[[0.5, -1.0j], [1.0, 0.25]], [[2.0, 0.0], [0.0, -3.0j]]])
@@ -320,13 +321,27 @@ def test_direct_method_exact_map_uses_level_zero():
     assert max_entry_diff(res.value, big_d(x)) <= 1e-12
 
 
-def test_direct_method_rejects_non_stacks_and_other_controls():
+def test_direct_method_reports_exhaustion():
+    # a tight tol certifies a level far above l_max; the error names both
+    _, _, big_d = _generators(36)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=11)
+    with pytest.raises(ConvergenceError, match=r"L = 77 .* exceeds l_max = 2"):
+        direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), E11[None], tol=1e-12, l_max=2)
+
+
+def test_direct_limits_rejects_non_stacks():
+    # direct_method took over the (k, n, n) stack interface of direct_limits
+    _, _, big_d = _generators(53)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
+    for bad in (E11, np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError):
+            direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), bad)
+
+
+def test_direct_method_rejects_zero_tol_and_other_controls():
     _, _, big_d = _generators(53)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
     phi = PowerType(0.1, 0.5)
-    for bad in (E11, np.zeros((0, 2, 2))):
-        with pytest.raises(ValueError):
-            direct_method(f, Scheme.CAUCHY2, phi, bad)
     with pytest.raises(ValueError):
         direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=0.0)
     with pytest.raises(TypeError):
