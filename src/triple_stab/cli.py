@@ -133,6 +133,7 @@ def _report_failures(checks: list[dict]) -> None:
 
 
 _STAGES = (
+    "setup",
     "axioms",
     "recover",
     "hypotheses",

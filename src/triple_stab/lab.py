@@ -484,7 +484,14 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     phi = PowerType(config.eps, config.p)
     form = scheme.hypothesis_form
     timings: dict[str, float] = {}
-    started = time.perf_counter()
+    started = mark = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        # consecutive laps partition the run, so the stages sum to total_s
+        nonlocal mark
+        now = time.perf_counter()
+        timings[f"{stage}_s"] = now - mark
+        mark = now
 
     theta, _d, big_d = build_generators(config)
     f = make_perturbation(big_d, config.eps, config.p, form, child_seed(config.seed, ROLE_MAP_F))
@@ -498,14 +505,13 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     cert_triples = random_matrices(
         rng_for(config.seed, ROLE_CERT_TRIPLES), 3 * CERT_TRIPLE_COUNT, config.dim
     ).reshape(CERT_TRIPLE_COUNT, 3, config.dim, config.dim)
+    lap("setup")
 
     checks: list[dict] = []
-    t0 = time.perf_counter()
     axioms = run_axiom_suite(config, samples=min(config.probe_count, 50))
     checks.extend(_axiom_checks(axioms))
-    timings["axioms_s"] = time.perf_counter() - t0
+    lap("axioms")
 
-    t0 = time.perf_counter()
     recovery_error: str | None = None
     levels: dict[str, int] = {}
     try:
@@ -513,7 +519,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         theta_hat, levels["theta"] = recover_linear_map(h, scheme, phi, config.tol, config.l_max)
     except (ConvergenceError, LinearityCertificationError) as exc:
         recovery_error = str(exc)
-    timings["recover_s"] = time.perf_counter() - t0
+    lap("recover")
 
     recovery = {
         "converged": recovery_error is None,
@@ -527,7 +533,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     }
     checks.append(_check("recovery_converged", recovery["converged"]))
     if recovery_error is not None:
-        timings["total_s"] = time.perf_counter() - started
+        timings["total_s"] = mark - started
         return StabilityReport(
             config=config.to_dict(),
             axioms=axioms,
@@ -537,7 +543,6 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
             timings=timings,
         )
 
-    t0 = time.perf_counter()
     err_d = max_entry_diff(d_hat.coeffs, big_d.to_tabulated().coeffs)
     err_theta = max_entry_diff(theta_hat.coeffs, theta.to_tabulated().coeffs)
     recovery.update(
@@ -551,9 +556,8 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
     checks.append(_check("hypothesis_ratio_f", hyp.max_ratio_f <= 1.0, hyp.max_ratio_f, 1.0))
     checks.append(_check("hypothesis_ratio_h", hyp.max_ratio_h <= 1.0, hyp.max_ratio_h, 1.0))
-    timings["hypotheses_s"] = time.perf_counter() - t0
+    lap("hypotheses")
 
-    t0 = time.perf_counter()
     bound_f = verify_stability_bound(f, d_hat, phi, scheme, probes, slack=BOUND_SLACK)
     bound_h = verify_stability_bound(h, theta_hat, phi, scheme, probes, slack=BOUND_SLACK)
     bound = {
@@ -569,9 +573,8 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     }
     for name, result in (("bound_ratio", bound_f), ("bound_ratio_theta", bound_h)):
         checks.append(_check(name, result.passed, result.max_ratio, 1.0 + BOUND_SLACK))
-    timings["bound_s"] = time.perf_counter() - t0
+    lap("bound")
 
-    t0 = time.perf_counter()
     s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples, tol=HOMOGENEITY_TOL)
     s1_value = max(s1.max_residual, s1.zero_residual)
     checks.append(_check("s1_homogeneity", s1.passed, s1_value, HOMOGENEITY_TOL))
@@ -596,16 +599,14 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         "complex": complex_entries,
         "passed": s1.passed and all(e["passed"] for e in complex_entries),
     }
-    timings["homogeneity_s"] = time.perf_counter() - t0
+    lap("homogeneity")
 
-    t0 = time.perf_counter()
     cert = certify_theta_derivation(d_hat, theta_hat, cert_triples, tol=DERIVATION_TOL)
     checks.append(
         _check("derivation_certificate", cert.passed, cert.max_relative_residual, cert.threshold)
     )
-    timings["certificate_s"] = time.perf_counter() - t0
+    lap("certificate")
 
-    t0 = time.perf_counter()
     expected_rate = perturbation_decay_rate(scheme, config.p)
     try:
         levels = list(scheme.derivation_levels())
@@ -630,9 +631,8 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
                 RATE_WINDOW,
             )
         )
-    timings["sequence_s"] = time.perf_counter() - t0
+    lap("sequence")
 
-    t0 = time.perf_counter()
     rate_est = estimate_convergence_rate(f, scheme, rate_probes)
     rate_ok = rate_est.rate is None or abs(rate_est.rate - expected_rate) <= RATE_WINDOW
     rate = {
@@ -645,9 +645,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         "passed": rate_ok,
     }
     checks.append(_check("approximant_rate", rate_ok, rate_est.rate, RATE_WINDOW))
-    timings["rate_s"] = time.perf_counter() - t0
+    lap("rate")
 
-    timings["total_s"] = time.perf_counter() - started
+    timings["total_s"] = mark - started
     return StabilityReport(
         config=config.to_dict(),
         axioms=axioms,

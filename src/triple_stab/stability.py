@@ -21,7 +21,9 @@ A_L once, at the smallest L the bound certifies.  Convergence rates come
 from one pooled least-squares slope over a fixed window of levels.
 
 Maps, controls and certificates take (k, n, n) probe stacks: every stage
-makes one call per level or per check over all of its probes.
+makes one call per map and per check over all of its probes, and a level
+scan stacks its levels too, in groups of at most LEVEL_GROUP_ENTRIES
+complex entries per call.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ CUSTOM_SERIES_CAP = 10_000
 ROUNDOFF_FLOOR = 1e-13
 # the approximant-rate fit uses ||A_l - A_{l-1}|| at these levels
 RATE_LEVELS = range(3, 13)
+# complex entries of the argument stack one map call takes in a level scan;
+# a group holds at least one level, so at large dims each level is its own
+# call and the scan's temporaries stay near one level's
+LEVEL_GROUP_ENTRIES = 2**15
 
 
 class SummabilityError(ValueError):
@@ -480,12 +486,6 @@ class HypothesisReport:
     passed: bool
 
 
-def _pair_residual(f, form: str, mu: complex, x, y) -> float:
-    if form == "cauchy":
-        return spectral_norm(f(mu * x + y) - mu * f(x) - f(y))
-    return spectral_norm(2.0 * f((mu * x + y) / 2.0) - mu * f(x) - f(y))
-
-
 def verify_hypotheses(
     f,
     h,
@@ -517,12 +517,19 @@ def verify_hypotheses(
     mu = np.array([complex(mu_samples[i % len(mu_samples)]) for i in range(m)])
     mu = mu[:, None, None]
     denom_pair = phi.value(x, y, np.zeros_like(x))
-    rf = _pair_residual(f, form, mu, x, y)
-    rh = _pair_residual(h, form, mu, x, y)
-    zero = denom_pair <= 0.0
-    t = triple_product_cstar
+    # y and z permute the slices of x, so f(y) = f(x)[iy] and so on
     fx, hx = f(x), h(x)
     fy, fz, hy, hz = fx[iy], fx[iz], hx[iy], hx[iz]
+    # cauchy: g(mu x + y) - mu g(x) - g(y); jensen: 2 g((mu x + y) / 2) - mu g(x) - g(y)
+    mid = mu * x + y
+    if form == "cauchy":
+        fm, hm = f(mid), h(mid)
+    else:
+        fm, hm = 2.0 * f(mid / 2.0), 2.0 * h(mid / 2.0)
+    rf = spectral_norm(fm - mu * fx - fy)
+    rh = spectral_norm(hm - mu * hx - hy)
+    zero = denom_pair <= 0.0
+    t = triple_product_cstar
     triple_res = spectral_norm(
         f(t(x, y, z)) - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz)
     )
@@ -566,21 +573,46 @@ def _leaves_range(scheme: Scheme, l: int, largest: float) -> bool:
     return -log_s > log_limit or (largest > 0.0 and log_s + math.log(largest) > log_limit)
 
 
+def _level_groups(count: int, entries_per_level: int) -> list[slice]:
+    """Consecutive runs of ``count`` levels within LEVEL_GROUP_ENTRIES, at least one level each."""
+    size = max(1, LEVEL_GROUP_ENTRIES // entries_per_level)
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def _approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
+    """A_l(x) = f(s x) / s for each level, one f call per group of levels.
+
+    Every level is guarded first, and ScaleOverflowError names the first
+    one whose scaled argument s x (on a stack, any slice of it) or prefactor
+    1/s would leave the range.  Returns shape (len(levels), *x.shape).
+    """
+    scheme = Scheme.parse(scheme)
+    mx = as_matrix(x)
+    largest = max_abs(mx)
+    for l in levels:
+        if _leaves_range(scheme, l, largest):
+            raise ScaleOverflowError(
+                f"level l = {l} scales by {scheme.base}^{-l if scheme.contractive else l}, "
+                f"taking s * x or 1/s beyond {OVERFLOW_LIMIT:g}; reduce l_max or the input norm"
+            )
+    n = mx.shape[-1]
+    probes = mx.reshape(-1, n, n)
+    scales = np.array([scheme.scale(l) for l in levels])[:, None, None, None]
+    out = []
+    for group in _level_groups(len(scales), probes.size):
+        s = scales[group]
+        args = s * probes
+        out.append(as_matrix(f(args.reshape(-1, n, n))).reshape(args.shape) / s)
+    return np.concatenate(out).reshape(len(scales), *mx.shape)
+
+
 def scheme_approximant(f, scheme, x, l: int) -> ComplexMatrix:
     """A_l(x) = f(s x) / s with s = scheme.scale(l), guarded against overflow.
 
     The guard trips when the scaled argument s x (on a stack, any slice of
     it) or the prefactor 1/s would leave the range.
     """
-    scheme = Scheme.parse(scheme)
-    mx = as_matrix(x)
-    if _leaves_range(scheme, l, max_abs(mx)):
-        raise ScaleOverflowError(
-            f"level l = {l} scales by {scheme.base}^{-l if scheme.contractive else l}, "
-            f"taking s * x or 1/s beyond {OVERFLOW_LIMIT:g}; reduce l_max or the input norm"
-        )
-    s = scheme.scale(l)
-    return as_matrix(f(s * mx)) / s
+    return _approximants(f, scheme, x, [l])[0]
 
 
 def direct_method(
@@ -783,6 +815,52 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
     return CheckResult(residual, tol, residual <= tol)
 
 
+def _derivation_residuals(f, h, scheme, x, y, z, levels: Sequence[int], what: str) -> np.ndarray:
+    """Derivation-limit residuals at each level, one stacked call per map and group.
+
+    Every level is checked before f is called; the first that is negative
+    or scales an argument past OVERFLOW_LIMIT raises.  Returns shape
+    (len(levels), *x.shape[:-2]).
+    """
+    scheme = Scheme.parse(scheme)
+    scheme.derivation_levels()  # SchemeError where the residual is undefined
+    if len(levels) == 0:
+        raise ValueError(f"{what} needs at least one level")
+    mx, my, mz = as_matrix(x), as_matrix(y), as_matrix(z)
+    txyz = triple_product_cstar(mx, my, mz)
+    largest_t = max(max_abs(txyz), 1.0)
+    largest = max(max_abs(mx), max_abs(my), max_abs(mz))
+    for l in levels:
+        if l < 0:
+            raise ValueError("l must be nonnegative")
+        s, s3 = scheme.scale(l), scheme.scale(3 * l)
+        if (
+            s3 * OVERFLOW_LIMIT < 1.0
+            or s3 * largest_t > OVERFLOW_LIMIT
+            or s * largest > OVERFLOW_LIMIT
+        ):
+            raise ScaleOverflowError(f"scaled arguments at level l = {l} exceed {OVERFLOW_LIMIT:g}")
+    n = mx.shape[-1]
+    # (4, k, n, n): the product, then x, y, z; each map once over every
+    # scaled argument it is needed at
+    unscaled = np.stack([a.reshape(-1, n, n) for a in (txyz, mx, my, mz)])
+    # per level, the product scales by s3 = scale(3l) and x, y, z by s = scale(l)
+    factors = np.array([[scheme.scale(3 * l)] + 3 * [scheme.scale(l)] for l in levels])
+    t = triple_product_cstar
+    out = []
+    for group in _level_groups(len(factors), unscaled.size):
+        args = factors[group, :, None, None, None] * unscaled
+        fp, fx, fy, fz = np.moveaxis(
+            as_matrix(f(args.reshape(-1, n, n))).reshape(args.shape), 1, 0
+        )
+        hx, hy, hz = np.moveaxis(
+            as_matrix(h(args[:, 1:].reshape(-1, n, n))).reshape(args[:, 1:].shape), 1, 0
+        )
+        residual = spectral_norm(fp - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz))
+        out.append((1.0 / factors[group, :1]) * residual)
+    return np.concatenate(out).reshape(len(factors), *mx.shape[:-2])
+
+
 def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
     """Scaled three-slot residual at level l along the scheme's trajectory.
 
@@ -795,28 +873,8 @@ def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
     (cauchy2-contractive).  On stacks of triples it returns one residual per
     triple.
     """
-    scheme = Scheme.parse(scheme)
-    scheme.derivation_levels()  # SchemeError where the residual is undefined
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    mx, my, mz = as_matrix(x), as_matrix(y), as_matrix(z)
-    txyz = triple_product_cstar(mx, my, mz)
-    s, s3 = scheme.scale(l), scheme.scale(3 * l)
-    if (
-        s3 * OVERFLOW_LIMIT < 1.0
-        or s3 * max(max_abs(txyz), 1.0) > OVERFLOW_LIMIT
-        or s * max(max_abs(mx), max_abs(my), max_abs(mz)) > OVERFLOW_LIMIT
-    ):
-        raise ScaleOverflowError(f"scaled arguments at level l = {l} exceed {OVERFLOW_LIMIT:g}")
-    ax, ay, az, aprod = s * mx, s * my, s * mz, s3 * txyz
-    # each map once over every scaled argument it is needed at
-    n = mx.shape[-1]
-    args = np.stack([aprod, ax, ay, az])
-    fp, fx, fy, fz = as_matrix(f(args.reshape(-1, n, n))).reshape(args.shape)
-    hx, hy, hz = as_matrix(h(args[1:].reshape(-1, n, n))).reshape(args[1:].shape)
-    t = triple_product_cstar
-    residual = spectral_norm(fp - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz))
-    return (1.0 / s3) * residual
+    residual = _derivation_residuals(f, h, scheme, x, y, z, [l], "derivation_limit_residual")[0]
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def derivation_limit_sequence(
@@ -828,8 +886,9 @@ def derivation_limit_sequence(
 ) -> np.ndarray:
     """Derivation-limit residuals, one row per level and one column per triple."""
     t = _stack(triples, "derivation_limit_sequence", inner=3)
-    x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    return np.stack([derivation_limit_residual(f, h, scheme, x, y, z, l) for l in l_values])
+    return _derivation_residuals(
+        f, h, scheme, t[:, 0], t[:, 1], t[:, 2], l_values, "derivation_limit_sequence"
+    )
 
 
 @dataclass(frozen=True)
@@ -906,7 +965,6 @@ class RateEstimate:
 def estimate_convergence_rate(f, scheme, probes: Sequence) -> RateEstimate:
     """Rate of the approximant differences at the fixed RATE_LEVELS window."""
     x = _stack(probes, "estimate_convergence_rate")
-    levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
-    approximants = np.stack([scheme_approximant(f, scheme, x, l) for l in levels])
+    approximants = _approximants(f, scheme, x, range(RATE_LEVELS.start - 1, RATE_LEVELS.stop))
     rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(approximants, axis=0)))
     return RateEstimate(rate, RATE_LEVELS[0], RATE_LEVELS[-1], used)

@@ -390,11 +390,11 @@ def theta_derivation_residual(d_op: LinearOperator, theta: LinearOperator, x, y,
     where D = d_op and T = theta.
     """
     t = triple_product_cstar
-    dx, dy, dz = d_op(x), d_op(y), d_op(z)
-    tx, ty, tz = theta(x), theta(y), theta(z)
-    return spectral_norm(
-        d_op(t(x, y, z)) - t(dx, ty, tz) - t(tx, dy, tz) - t(tx, ty, dz)
-    )
+    args = np.stack(_same_dim(x, y, z))
+    # each operator once: D over ({x,y,z}, x, y, z), theta over (x, y, z)
+    dp, dx, dy, dz = d_op(np.concatenate([t(*args)[None], args]))
+    tx, ty, tz = theta(args)
+    return spectral_norm(dp - t(dx, ty, tz) - t(tx, dy, tz) - t(tx, ty, dz))
 
 
 def _verification_triples(dim: int) -> np.ndarray:

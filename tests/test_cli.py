@@ -132,6 +132,7 @@ def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):
     assert main(["recover", *TRIMMED, "--timings", "--out", str(timed_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     stages = (
+        "setup",
         "axioms",
         "recover",
         "hypotheses",
@@ -149,6 +150,9 @@ def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):
             table[name] = float(seconds)
     assert list(table) == list(stages)
     assert all(seconds >= 0.0 for seconds in table.values())
+    # the stage lines account for the whole run, up to their printed rounding
+    total = table.pop("total")
+    assert sum(table.values()) == pytest.approx(total, abs=1e-5)
     # wall times are shown on the console only; the report bytes are unchanged
     assert timed_path.read_bytes() == plain_path.read_bytes()
 

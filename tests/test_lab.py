@@ -426,3 +426,28 @@ def test_config_grid_fails_only_for_predicted_reasons():
         assert not failed & set(_GRID_ALWAYS_PASS), (where, failed)
         worst = max(recovery["d_entrywise_error"], recovery["theta_entrywise_error"])
         assert worst <= cfg.tol, where
+
+
+@pytest.mark.slow
+def test_config_space_sweep_fails_only_for_named_reasons():
+    """160 accepted configs: four schemes x two p x dims {1, 2, 3, 5, 8} x seeds {42, 1, 2, 3}.
+
+    No config raises.  A failed ``recovery_converged`` names its reason: the
+    certified level exceeds l_max (cauchy2 at p = 0.9 needs L = 305) or its
+    scale leaves the overflow limit.  ``derivation_sequence_decreasing``
+    fails only at jensen3 p = 0.9: the strict decrease of the mean residual
+    is a heuristic that the sinusoidal defect breaks there, although the
+    pooled tail rate of the same runs holds (a known defect, ROADMAP item 2).
+    No other check fails.  Run with ``python -m pytest -m slow``.
+    """
+    grid = [(scheme, p) for scheme, ps in _GRID_P.items() for p in ps]
+    for (scheme, p), dim, seed in itertools.product(grid, (1, 2, 3, 5, 8), (42, 1, 2, 3)):
+        report = run_recovery(ExperimentConfig(dim=dim, scheme=scheme, p=p, seed=seed))
+        where = f"{scheme} p={p} dim={dim} seed={seed}"
+        failed = {c["name"] for c in report.checks if not c["passed"]}
+        if "recovery_converged" in failed:
+            error = report.recovery["error"]
+            assert "exceeds l_max" in error or "beyond the overflow limit" in error, where
+        if "derivation_sequence_decreasing" in failed:
+            assert (scheme, p) == ("jensen3", 0.9), where
+        assert failed <= {"recovery_converged", "derivation_sequence_decreasing"}, (where, failed)

@@ -502,6 +502,55 @@ def test_derivation_limit_sequence_exact_pair_is_flat():
     assert (values <= 1e-9).all()
 
 
+def _counting(g, calls: list):
+    def counted(x):
+        calls.append(len(x))
+        return g(x)
+
+    return counted
+
+
+def test_derivation_limit_sequence_rejects_bad_levels_before_any_map_call():
+    theta, _, big_d = _generators(44)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=19)
+    triples = [tuple(np.eye(2) for _ in range(3))]
+    calls = []
+    counted = _counting(f, calls)
+    with pytest.raises(ValueError, match="derivation_limit_sequence needs at least one level"):
+        derivation_limit_sequence(counted, counted, Scheme.CAUCHY2, triples, [])
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        derivation_limit_sequence(counted, counted, Scheme.CAUCHY2, triples, [0, 1, -1])
+    # 3^300 {x,y,z} stays within the limit and 3^600 {x,y,z} does not: only
+    # the last level trips the guard
+    with pytest.raises(ScaleOverflowError, match="level l = 200 exceed"):
+        derivation_limit_sequence(counted, counted, Scheme.JENSEN3, triples, [0, 1, 100, 200])
+    assert calls == []
+
+
+def test_stages_call_each_map_once_per_scan():
+    # shipped cauchy2 at dim 2: one f and one h call over all 25 sequence
+    # levels, one f call over the 11 rate levels, and in the hypotheses f at
+    # x, at the pair argument and at the triple product, h at the first two
+    theta, _, big_d = _generators(50)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=26)
+    h = make_perturbation(theta, 0.1, 0.5, "cauchy", seed=27)
+    f_calls, h_calls = [], []
+    cf, ch = _counting(f, f_calls), _counting(h, h_calls)
+    rng = np.random.default_rng(28)
+    triples = rng.standard_normal((40, 3, 2, 2)) + 1j * rng.standard_normal((40, 3, 2, 2))
+    derivation_limit_sequence(cf, ch, Scheme.CAUCHY2, triples, range(25))
+    assert (f_calls, h_calls) == ([25 * 160], [25 * 120])
+    f_calls.clear()
+    estimate_convergence_rate(cf, Scheme.CAUCHY2, make_probes(2, 120, rng_for(29, 11)))
+    assert f_calls == [11 * 120]
+    f_calls.clear()
+    h_calls.clear()
+    probes = make_probes(2, 100, rng_for(30, 2))
+    mus = make_mu_samples(16, rng_for(30, 3))
+    verify_hypotheses(cf, ch, PowerType(0.1, 0.5), "cauchy", probes, mus)
+    assert (f_calls, h_calls) == ([100, 100, 100], [100, 100])
+
+
 def test_certify_theta_derivation_exact_pair():
     theta, _, big_d = _generators(45)
     rng = np.random.default_rng(21)
