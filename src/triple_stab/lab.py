@@ -41,7 +41,6 @@ from .sampling import (
     make_mu_samples,
     make_probes,
     random_matrices,
-    random_matrix,
     rng_for,
     skew_matrix,
 )
@@ -435,14 +434,16 @@ class StabilityReport:
 
 def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
     """(count, 3, n, n) probe triples with norms in [1, 2] for the residual trajectory."""
+    n = config.dim
     rng = rng_for(config.seed, ROLE_SEQUENCE_TRIPLES)
-    mats, targets = [], []
-    for _ in range(3 * SEQUENCE_TRIPLE_COUNT):
-        mats.append(random_matrix(rng, config.dim))
-        targets.append(1.0 + rng.uniform())
-    mats = np.stack(mats)
-    scaled = mats * (np.array(targets) / spectral_norm(mats))[:, None, None]
-    return scaled.reshape(SEQUENCE_TRIPLE_COUNT, 3, config.dim, config.dim)
+    # one row per matrix, in stream order: n^2 real parts and n^2 imaginary
+    # parts (uniform on [-1, 1]), then the uniform behind its target norm
+    u = rng.uniform(size=(3 * SEQUENCE_TRIPLE_COUNT, 2 * n * n + 1))
+    parts = -1.0 + 2.0 * u[:, :-1].reshape(-1, 2, n, n)
+    mats = parts[:, 0] + 1j * parts[:, 1]
+    targets = 1.0 + u[:, -1]
+    scaled = mats * (targets / spectral_norm(mats))[:, None, None]
+    return scaled.reshape(SEQUENCE_TRIPLE_COUNT, 3, n, n)
 
 
 def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: float) -> dict:

@@ -833,12 +833,8 @@ def _derivation_residuals(f, h, scheme, x, y, z, levels: Sequence[int], what: st
     for l in levels:
         if l < 0:
             raise ValueError("l must be nonnegative")
-        s, s3 = scheme.scale(l), scheme.scale(3 * l)
-        if (
-            s3 * OVERFLOW_LIMIT < 1.0
-            or s3 * largest_t > OVERFLOW_LIMIT
-            or s * largest > OVERFLOW_LIMIT
-        ):
+        # in log space: scale(3 l) need not be a float
+        if _leaves_range(scheme, 3 * l, largest_t) or _leaves_range(scheme, l, largest):
             raise ScaleOverflowError(f"scaled arguments at level l = {l} exceed {OVERFLOW_LIMIT:g}")
     n = mx.shape[-1]
     # (4, k, n, n): the product, then x, y, z; each map once over every

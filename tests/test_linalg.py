@@ -92,11 +92,44 @@ def test_spectral_norm_parameter_validation():
 
 @pytest.mark.parametrize("scale", [1e300, 1e154, 1e-300, 1e-310])
 def test_spectral_norm_extreme_scales(scale):
-    # no Gram matrix is formed, so neither squaring overflow nor subnormal
-    # underflow can creep into the result
+    # each slice is scaled by a power of two before anything is squared, so
+    # neither squaring overflow nor subnormal underflow can creep into the
+    # result
     m = np.array([[3.0, 4.0j], [0.0, 1.0]])
     want = scale * spectral_norm(m)
     assert spectral_norm(scale * m) == pytest.approx(want, rel=1e-13)
+
+
+def _closed_form_cases(n: int) -> np.ndarray:
+    """A stack of n x n inputs that stress the closed-form norm (n <= 2)."""
+    rng = np.random.default_rng(50 + n)
+    k = 400
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, (k, 1, 1))
+    cases = [scales * (rng.uniform(-1, 1, (k, n, n)) + 1j * rng.uniform(-1, 1, (k, n, n)))]
+    # unitary multiples: every singular value equal to the top one
+    q, _ = np.linalg.qr(rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n)))
+    cases.append(q * rng.uniform(0.1, 10.0, (40, 1, 1)))
+    # rank one: u v*, whose norm is |u| |v|
+    u, v = (rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n)) for _ in range(2))
+    cases.append(u[:, :, None] * v.conj()[:, None, :])
+    cases.append(np.zeros((1, n, n)))
+    # entries mixing 1e200 and 1e-200
+    mixed = np.full((2, n, n), 1e-200 - 1e-200j)
+    mixed[0, 0, 0], mixed[1, -1, 0] = 1e200 + 1e-200j, 3e199 + 1e200j
+    cases.append(mixed)
+    base = np.array([[3.0, 4.0j], [0.0, 1.0]])[:n, :n]
+    cases.extend(scale * base[None] for scale in (1e300, 1e154, 1e-300, 1e-310))
+    return np.concatenate(cases)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_norm_matches_lapack(n):
+    x = _closed_form_cases(n)
+    got = spectral_norm(x)
+    np.testing.assert_allclose(got, np.linalg.svd(x, compute_uv=False)[:, 0], rtol=1e-14, atol=0.0)
+    # a stack's norms are its slices' norms, bit for bit, whatever its shape
+    assert np.array_equal(got, [spectral_norm(s) for s in x])
+    assert np.array_equal(spectral_norm(np.stack([x, x[::-1]])), [got, got[::-1]])
 
 
 def test_entrywise_helpers():

@@ -396,6 +396,17 @@ def test_scheme_approximant_overflow_guard():
         scheme_approximant(f, Scheme.CAUCHY2, E11, 3375)
 
 
+@pytest.mark.parametrize("scheme,level", [("jensen3", 150), ("jensen3", 216), ("cauchy2", 342)])
+def test_derivation_residual_guard_names_the_level(scheme, level):
+    # from l = 216 (jensen3) and l = 342 (cauchy2) the scale of the triple
+    # product, base^(3 l), is not a float; the guard decides without it
+    _, _, big_d = _generators(37)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=12)
+    eye = np.eye(2)
+    with pytest.raises(ScaleOverflowError, match=f"level l = {level} exceed"):
+        derivation_limit_residual(f, f, scheme, eye, eye, eye, level)
+
+
 def test_contractive_guard_trips_on_the_prefactor():
     # s = b^-l shrinks the argument; past the limit 1/s would overflow
     _, _, big_d = _generators(37)

@@ -11,8 +11,10 @@ at a time.
 import numpy as np
 import pytest
 
+from triple_stab.lab import SEQUENCE_TRIPLE_COUNT, ExperimentConfig, _sequence_triples
 from triple_stab.linalg import as_matrix, hs_inner, spectral_norm
 from triple_stab.sampling import (
+    ROLE_SEQUENCE_TRIPLES,
     haar_unitary,
     random_matrices,
     random_matrix,
@@ -161,6 +163,21 @@ def test_random_matrices_draw_like_successive_single_draws(n):
     stacked = rng_for(7, 6)
     assert np.array_equal(random_matrices(stacked, 4, n), np.stack(want))
     assert stacked.uniform() == rng.uniform()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_sequence_triples_draw_like_interleaved_single_draws(n):
+    # the draw written out: each matrix, then the uniform behind its norm
+    config = ExperimentConfig(dim=n, seed=11)
+    rng = rng_for(config.seed, ROLE_SEQUENCE_TRIPLES)
+    mats, targets = [], []
+    for _ in range(3 * SEQUENCE_TRIPLE_COUNT):
+        mats.append(random_matrix(rng, n))
+        targets.append(1.0 + rng.uniform())
+    mats = np.stack(mats)
+    want = mats * (np.array(targets) / spectral_norm(mats))[:, None, None]
+    want = want.reshape(SEQUENCE_TRIPLE_COUNT, 3, n, n)
+    assert np.array_equal(_sequence_triples(config), want)
 
 
 @pytest.mark.parametrize(
