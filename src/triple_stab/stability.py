@@ -908,8 +908,11 @@ def certify_theta_derivation(
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
     values = theta_derivation_residual(d_hat, theta_hat, x, y, z) / scale
-    worst = int(np.argmax(values))
-    worst_value = float(values[worst])
+    worst_value = float(values.max())
+    # the first index within 4 eps (relative) of the maximum: a tie at
+    # round-off names the same triple under any numerically equivalent kernel
+    tie = worst_value * (1.0 - 4.0 * np.finfo(float).eps)
+    worst = int(np.argmax(values >= tie))
     return DerivationCertificate(
         max_relative_residual=worst_value,
         worst_index=worst,

@@ -14,6 +14,17 @@ theta-derivations.
 Products, operators, residuals and axiom checkers all accept stacks of
 shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
 probe set in one call.
+
+Operators built on one fixed n x n matrix (conjugation, commutator) apply
+it to a whole stack as one tall GEMM: the slices are laid on top of each
+other as a (k n, n) matrix and multiplied by the fixed matrix, instead of
+one small GEMM per slice, which numpy's stacked ``@`` does.  In the tall
+form only the row count k n varies with the stack, while the inner and
+column sizes stay n, so every output row is the same dot products in the
+same order whatever the stack: a slice's result is bit for bit its result
+alone.  The wide form (the fixed matrix times an (n, k n) matrix) varies
+the column count instead, and BLAS rounds a column differently depending
+on where it sits in the block, so it is not used.
 """
 
 from __future__ import annotations
@@ -107,6 +118,16 @@ def matrix_basis(dim: int) -> list[ComplexMatrix]:
     return out
 
 
+def _times_right(x, m) -> ComplexMatrix:
+    """x @ m for every slice of x, as one tall (k n, n) x (n, n) GEMM."""
+    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape)
+
+
+def _times_left(m, x) -> ComplexMatrix:
+    """m @ x for every slice of x, as the transpose of x^T m^T in tall form."""
+    return np.swapaxes(_times_right(np.swapaxes(x, -1, -2), m.T), -1, -2)
+
+
 def _frozen(arr) -> np.ndarray:
     copy = np.array(arr, dtype=np.complex128, copy=True)
     copy.setflags(write=False)
@@ -130,7 +151,11 @@ class LinearOperator:
 
 
 class Conjugation(LinearOperator):
-    """x -> u x u* for a unitary u; an exact triple homomorphism."""
+    """x -> u x u* for a unitary u; an exact triple homomorphism.
+
+    A stack is multiplied by u and by u* as one tall GEMM each (see the
+    module docstring), so each slice's image is bit for bit its image alone.
+    """
 
     def __init__(self, u):
         mu = as_matrix(u)
@@ -141,18 +166,23 @@ class Conjugation(LinearOperator):
                 f"conjugation needs a unitary matrix: ||u*u - I|| = {defect:.3e}"
             )
         self.matrix = _frozen(mu)
+        self.adjoint = _frozen(mu.conj().T)
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
         mx = _same_dim(self.matrix, x)[1]
-        return self.matrix @ mx @ self.matrix.conj().T
+        return _times_right(_times_left(self.matrix, mx), self.adjoint)
 
     def __repr__(self):
         return f"Conjugation(dim={self.dim})"
 
 
 class Commutator(LinearOperator):
-    """x -> a x - x a for a skew-adjoint a; an exact triple derivation."""
+    """x -> a x - x a for a skew-adjoint a; an exact triple derivation.
+
+    A stack is multiplied by a from each side as one tall GEMM (see the
+    module docstring), so each slice's image is bit for bit its image alone.
+    """
 
     def __init__(self, a):
         ma = as_matrix(a)
@@ -166,7 +196,7 @@ class Commutator(LinearOperator):
 
     def apply(self, x) -> ComplexMatrix:
         mx = _same_dim(self.matrix, x)[1]
-        return self.matrix @ mx - mx @ self.matrix
+        return _times_left(self.matrix, mx) - _times_right(mx, self.matrix)
 
     def __repr__(self):
         return f"Commutator(dim={self.dim})"

@@ -2,12 +2,16 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import triple_stab
 from triple_stab.lab import (
     ConfigError,
     ExperimentConfig,
@@ -354,6 +358,36 @@ def test_run_recovery_thread_counts_agree_byte_for_byte():
     one = run_recovery(cfg, threads=1)
     two = run_recovery(cfg, threads=2)
     assert render_json(one.to_dict()) == render_json(two.to_dict())
+
+
+# sha256 of the rendered reports of shipped cauchy2 and jensen3 at dims 2 and 8
+_REPORT_DIGESTS = """
+import hashlib, json, pathlib, sys
+from triple_stab.lab import ExperimentConfig, render_json, run_recovery
+for name in ("cauchy2", "jensen3"):
+    data = json.loads((pathlib.Path(sys.argv[1]) / f"{name}.json").read_text())
+    for dim in (2, 8):
+        report = run_recovery(ExperimentConfig.from_dict({**data, "dim": dim}))
+        print(name, dim, hashlib.sha256(render_json(report.to_dict()).encode()).hexdigest())
+"""
+
+
+def test_reports_are_byte_stable_across_blas_thread_counts():
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    package_root = str(Path(triple_stab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _REPORT_DIGESTS, str(config_dir)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests[threads] = run.stdout.splitlines()
+    assert len(digests["1"]) == 4
+    assert digests["1"] == digests["2"]
 
 
 def test_run_recovery_stops_after_failed_recovery(tmp_path):

@@ -22,6 +22,7 @@ from triple_stab.sampling import (
     rng_for,
     skew_matrix,
 )
+from triple_stab import stability
 from triple_stab.stability import (
     ROUNDOFF_FLOOR,
     ConvergenceError,
@@ -574,6 +575,20 @@ def test_certify_theta_derivation_exact_pair():
     assert cert.max_relative_residual <= 1e-10
     with pytest.raises(ValueError):
         certify_theta_derivation(big_d, theta, [])
+
+
+def test_certify_theta_derivation_names_the_first_of_a_round_off_tie(monkeypatch):
+    top = 1.8731251731724e-10
+    below = [top]
+    for _ in range(16):
+        below.append(np.nextafter(below[-1], 0.0))
+    # 16 ulps below the maximum is a different value; 2 ulps below is a tie
+    residuals = np.array([below[16], below[2], 0.0, top, below[1]])
+    monkeypatch.setattr(stability, "theta_derivation_residual", lambda *args: residuals)
+    _, _, big_d = _generators(45)
+    cert = certify_theta_derivation(big_d, big_d, np.zeros((5, 3, 2, 2)))
+    assert cert.worst_index == 1
+    assert cert.max_relative_residual == top
 
 
 def test_s1_homogeneity_of_linear_map():

@@ -114,6 +114,31 @@ def test_operator_apply_matches_slices(n, k, name):
     _assert_slicewise(op.apply(x), [op.apply(s) for s in x])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+@pytest.mark.parametrize("name", ["conjugation", "commutator", "compose"])
+def test_fixed_matrix_operators_are_bit_stable_in_any_stack(n, k, name):
+    ops = _operators(n)
+    op = ops[name]
+    u, a = ops["conjugation"].matrix, ops["commutator"].matrix
+    written_out = {
+        "conjugation": lambda x: u @ x @ u.conj().T,
+        "commutator": lambda x: a @ x - x @ a,
+        "compose": lambda x: u @ (a @ x - x @ a) @ u.conj().T,
+    }[name]
+    x = _stack(23, n, k)
+    got = op.apply(x)
+    # one tall GEMM per factor: a slice's image does not depend on its stack
+    assert np.array_equal(got, [op.apply(s) for s in x])
+    offset = k // 3
+    assert np.array_equal(op.apply(x[offset:]), got[offset:])
+    _assert_slicewise(got, written_out(x))
+    assert op.apply(x[0]).shape == (n, n)
+    nested = op.apply(np.stack([x, x[::-1]]))
+    assert nested.shape == (2, k, n, n)
+    assert np.array_equal(nested, [got, got[::-1]])
+
+
 @pytest.mark.parametrize("n,k", SHAPES)
 def test_perturbed_map_and_control_match_slices(n, k):
     f = make_perturbation(_operators(n)["compose"], 0.1, 0.5, "cauchy", seed=9)
