@@ -49,9 +49,9 @@ from .stability import (
     SchemeError,
     SummabilityError,
     UnimodularScalar,
+    approximants,
     certify_theta_derivation,
     complex_homogeneity_via_decomposition,
-    derivation_limit_residual,
     derivation_limit_sequence,
     direct_method,
     estimate_convergence_rate,
@@ -85,8 +85,6 @@ from .triple import (
     homomorphism_residual,
     jordan_product,
     make_theta_derivation,
-    make_triple_derivation,
-    make_triple_homomorphism,
     matrix_basis,
     theta_derivation_residual,
     triple_product_cstar,

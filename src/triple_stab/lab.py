@@ -45,6 +45,7 @@ from .sampling import (
     skew_matrix,
 )
 from .stability import (
+    HOMOGENEITY_TOL,
     ROUNDOFF_FLOOR,
     ConvergenceError,
     LinearityCertificationError,
@@ -64,13 +65,17 @@ from .stability import (
     verify_stability_bound,
 )
 from .triple import (
+    AXIOM_COMMUTATIVITY_TOL,
+    AXIOM_JORDAN_TOL,
+    AXIOM_L_POSITIVITY_TOL,
+    AXIOM_NORM_TOL,
+    Commutator,
+    Conjugation,
     check_commutativity,
     check_jordan_identity,
     check_L_positive,
     check_norm_identity,
     make_theta_derivation,
-    make_triple_derivation,
-    make_triple_homomorphism,
     triple_product_cstar,
     triple_product_jbstar,
 )
@@ -79,15 +84,8 @@ THREADS_ENV = "TRIPLE_STAB_THREADS"
 
 DIM_MAX = 16
 
-AXIOM_COMMUTATIVITY_TOL = 1e-13
-AXIOM_JORDAN_TOL = 1e-10
-AXIOM_L_POSITIVITY_TOL = 1e-10
-AXIOM_NORM_TOL = 1e-8
 PRODUCT_AGREEMENT_TOL = 1e-12
 RECOVERY_ERROR_TOL = 1e-6
-HOMOGENEITY_TOL = 1e-6
-DERIVATION_TOL = 1e-6
-BOUND_SLACK = 1e-9
 RATE_WINDOW = 0.05
 
 MU_SAMPLE_COUNT = 16
@@ -275,12 +273,12 @@ def build_generators(config: ExperimentConfig):
         u = haar_unitary(rng_for(config.seed, ROLE_UNITARY), n)
     else:
         u = np.eye(n, dtype=np.complex128)
-    theta = make_triple_homomorphism(u)
+    theta = Conjugation(u)
     if g["skew"] == "random":
         a = skew_matrix(rng_for(config.seed, ROLE_SKEW), n, g["skew_scale"])
     else:
         a = np.zeros((n, n), dtype=np.complex128)
-    d = make_triple_derivation(a)
+    d = Commutator(a)
     return theta, d, make_theta_derivation(theta, d)
 
 
@@ -324,12 +322,12 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     # per draw: a, b, x, y, z, the positivity generator and its four probes
     draws = random_matrices(rng, 10 * count, n).reshape(count, 10, n, n)
     a, b, x, y, z, a_pos = (draws[:, i] for i in range(6))
-    comm = check_commutativity(x, y, z, tol=AXIOM_COMMUTATIVITY_TOL)
-    jordan = check_jordan_identity(a, b, x, y, z, tol=AXIOM_JORDAN_TOL)
+    comm = check_commutativity(x, y, z)
+    jordan = check_jordan_identity(a, b, x, y, z)
     # thresholds scale with the input norms; renormalize for aggregation
     jordan_rel = jordan.residual * (AXIOM_JORDAN_TOL / jordan.threshold)
-    norm_id = check_norm_identity(x, tol=AXIOM_NORM_TOL)
-    lpos = check_L_positive(a_pos, draws[:, 6:], tol=AXIOM_L_POSITIVITY_TOL)
+    norm_id = check_norm_identity(x)
+    lpos = check_L_positive(a_pos, draws[:, 6:])
     scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
     agreement = spectral_norm(triple_product_cstar(x, y, z) - triple_product_jbstar(x, y, z))
     fragment = {
@@ -446,6 +444,11 @@ def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
     return scaled.reshape(SEQUENCE_TRIPLE_COUNT, 3, n, n)
 
 
+def _within_rate_window(rate: float | None, expected: float) -> bool:
+    """A measured rate passes within RATE_WINDOW of the expected one; no measurement passes."""
+    return rate is None or abs(rate - expected) <= RATE_WINDOW
+
+
 def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: float) -> dict:
     """Strict-decrease test of the mean residual trajectory and its tail rate.
 
@@ -461,7 +464,7 @@ def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: f
     decreasing = all(b < a for a, b in pairs)
     max_tail_ratio = max((b / a for a, b in pairs), default=None)
     tail_rate, _ = pooled_rate([levels[i] for i in tail], residuals[tail])
-    rate_ok = tail_rate is None or abs(tail_rate - expected_rate) <= RATE_WINDOW
+    rate_ok = _within_rate_window(tail_rate, expected_rate)
     return {
         "levels": levels,
         "values": values,
@@ -492,6 +495,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         nonlocal mark
         now = time.perf_counter()
         timings[f"{stage}_s"] = now - mark
+        timings["total_s"] = now - started
         mark = now
 
     theta, _d, big_d = build_generators(config)
@@ -533,16 +537,17 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         "passed": False,
     }
     checks.append(_check("recovery_converged", recovery["converged"]))
+    # the stages after recovery fill in their sections; a failed recovery leaves them empty
+    report = StabilityReport(
+        config=config.to_dict(),
+        axioms=axioms,
+        recovery=recovery,
+        checks=checks,
+        passed=False,
+        timings=timings,
+    )
     if recovery_error is not None:
-        timings["total_s"] = mark - started
-        return StabilityReport(
-            config=config.to_dict(),
-            axioms=axioms,
-            recovery=recovery,
-            checks=checks,
-            passed=False,
-            timings=timings,
-        )
+        return report
 
     err_d = max_entry_diff(d_hat.coeffs, big_d.to_tabulated().coeffs)
     err_theta = max_entry_diff(theta_hat.coeffs, theta.to_tabulated().coeffs)
@@ -555,34 +560,35 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         checks.append(_check(name, err <= RECOVERY_ERROR_TOL, err, RECOVERY_ERROR_TOL))
 
     hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
+    report.hypotheses = asdict(hyp)
     checks.append(_check("hypothesis_ratio_f", hyp.max_ratio_f <= 1.0, hyp.max_ratio_f, 1.0))
     checks.append(_check("hypothesis_ratio_h", hyp.max_ratio_h <= 1.0, hyp.max_ratio_h, 1.0))
     lap("hypotheses")
 
-    bound_f = verify_stability_bound(f, d_hat, phi, scheme, probes, slack=BOUND_SLACK)
-    bound_h = verify_stability_bound(h, theta_hat, phi, scheme, probes, slack=BOUND_SLACK)
-    bound = {
+    bound_f = verify_stability_bound(f, d_hat, phi, scheme, probes)
+    bound_h = verify_stability_bound(h, theta_hat, phi, scheme, probes)
+    report.bound = {
         "rows": [list(r) for r in bound_f.rows],
         "max_ratio": bound_f.max_ratio,
         "slack": bound_f.slack,
         "passed": bound_f.passed,
     }
-    bound_theta = {
+    report.bound_theta = {
         "max_ratio": bound_h.max_ratio,
         "slack": bound_h.slack,
         "passed": bound_h.passed,
     }
     for name, result in (("bound_ratio", bound_f), ("bound_ratio_theta", bound_h)):
-        checks.append(_check(name, result.passed, result.max_ratio, 1.0 + BOUND_SLACK))
+        checks.append(_check(name, result.passed, result.max_ratio, 1.0 + result.slack))
     lap("bound")
 
-    s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples, tol=HOMOGENEITY_TOL)
+    s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples)
     s1_value = max(s1.max_residual, s1.zero_residual)
-    checks.append(_check("s1_homogeneity", s1.passed, s1_value, HOMOGENEITY_TOL))
+    checks.append(_check("s1_homogeneity", s1.passed, s1_value, s1.threshold))
     complex_entries = []
     mid_probes = np.stack([probes[0], probes[len(probes) // 2], probes[-1]])
     for lam, label in COMPLEX_LAMBDAS:
-        res = complex_homogeneity_via_decomposition(d_hat, lam, mid_probes, tol=HOMOGENEITY_TOL)
+        res = complex_homogeneity_via_decomposition(d_hat, lam, mid_probes)
         residual = float(res.residual.max())
         passed = residual <= HOMOGENEITY_TOL
         complex_entries.append(
@@ -595,14 +601,15 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
             }
         )
         checks.append(_check(f"complex_homogeneity_{label}", passed, residual, HOMOGENEITY_TOL))
-    homogeneity = {
+    report.homogeneity = {
         "s1": asdict(s1),
         "complex": complex_entries,
         "passed": s1.passed and all(e["passed"] for e in complex_entries),
     }
     lap("homogeneity")
 
-    cert = certify_theta_derivation(d_hat, theta_hat, cert_triples, tol=DERIVATION_TOL)
+    cert = certify_theta_derivation(d_hat, theta_hat, cert_triples)
+    report.derivation_certificate = asdict(cert)
     checks.append(
         _check("derivation_certificate", cert.passed, cert.max_relative_residual, cert.threshold)
     )
@@ -612,31 +619,31 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     try:
         levels = list(scheme.derivation_levels())
     except SchemeError as exc:
-        derivation_sequence = {"skipped": str(exc)}
+        report.derivation_sequence = {"skipped": str(exc)}
     else:
         values = derivation_limit_sequence(f, h, scheme, _sequence_triples(config), levels)
-        derivation_sequence = _sequence_section(values, levels, expected_rate)
+        sequence = report.derivation_sequence = _sequence_section(values, levels, expected_rate)
         checks.append(
             _check(
                 "derivation_sequence_decreasing",
-                derivation_sequence["decreasing_passed"],
-                derivation_sequence["max_tail_ratio"],
+                sequence["decreasing_passed"],
+                sequence["max_tail_ratio"],
                 1.0,
             )
         )
         checks.append(
             _check(
                 "derivation_sequence_rate",
-                derivation_sequence["rate_passed"],
-                derivation_sequence["tail_rate"],
+                sequence["rate_passed"],
+                sequence["tail_rate"],
                 RATE_WINDOW,
             )
         )
     lap("sequence")
 
     rate_est = estimate_convergence_rate(f, scheme, rate_probes)
-    rate_ok = rate_est.rate is None or abs(rate_est.rate - expected_rate) <= RATE_WINDOW
-    rate = {
+    rate_ok = _within_rate_window(rate_est.rate, expected_rate)
+    report.rate = {
         "estimate": rate_est.rate,
         "expected": expected_rate,
         "window": RATE_WINDOW,
@@ -648,22 +655,8 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     checks.append(_check("approximant_rate", rate_ok, rate_est.rate, RATE_WINDOW))
     lap("rate")
 
-    timings["total_s"] = mark - started
-    return StabilityReport(
-        config=config.to_dict(),
-        axioms=axioms,
-        hypotheses=asdict(hyp),
-        bound=bound,
-        bound_theta=bound_theta,
-        recovery=recovery,
-        rate=rate,
-        derivation_certificate=asdict(cert),
-        derivation_sequence=derivation_sequence,
-        homogeneity=homogeneity,
-        checks=checks,
-        passed=all(c["passed"] for c in checks),
-        timings=timings,
-    )
+    report.passed = all(c["passed"] for c in checks)
+    return report
 
 
 # ---------------------------------------------------------------------------

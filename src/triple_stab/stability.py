@@ -55,6 +55,14 @@ from .triple import (
 # scaled arguments beyond this entry magnitude abort the iteration
 OVERFLOW_LIMIT = 1e150
 CUSTOM_SERIES_CAP = 10_000
+# a custom-control series stops once its next term is this small, relatively
+SERIES_TOL = 1e-15
+# random probes of the linearity certificate in recovery
+CERT_PROBE_COUNT = 24
+# thresholds of the certificates on a recovered map
+BOUND_SLACK = 1e-9
+HOMOGENEITY_TOL = 1e-6
+DERIVATION_TOL = 1e-6
 # differences and residuals this small sit on the floating-point floor of
 # their computation; rate fits and decrease checks leave them out
 ROUNDOFF_FLOOR = 1e-13
@@ -256,13 +264,13 @@ def phi_tilde(
     x,
     y,
     z,
-    tol: float = 1e-15,
 ) -> float:
     """Scheme-weighted series of the control function at (x, y, z).
 
     Power-type controls are summed in closed form after the summability gate
     is checked.  Custom controls are summed term by term until the next term
-    drops below tol * (partial sum + tol), with divergence detection.
+    drops below SERIES_TOL * (partial sum + SERIES_TOL), with divergence
+    detection.
     """
     scheme = Scheme.parse(scheme)
     if isinstance(phi, PowerType):
@@ -291,7 +299,7 @@ def phi_tilde(
             )
         term = weight * phi.value(arg_scale * mx, arg_scale * my, arg_scale * mz)
         total += term
-        if term <= tol * (total + tol):
+        if term <= SERIES_TOL * (total + SERIES_TOL):
             return total
         if term > prev_term:
             growth_streak += 1
@@ -309,7 +317,7 @@ def phi_tilde(
     )
 
 
-def hyers_bound(phi: ControlFunction, scheme, x, tol: float = 1e-15) -> float:
+def hyers_bound(phi: ControlFunction, scheme, x) -> float:
     """Stability bound at x for the scheme, assembled from phi_tilde.
 
     For power-type controls this reproduces the closed-form constants
@@ -321,14 +329,13 @@ def hyers_bound(phi: ControlFunction, scheme, x, tol: float = 1e-15) -> float:
     mx = as_matrix(x)
     zero = np.zeros_like(mx)
     if scheme.hypothesis_form == "cauchy":
-        return 0.5 * phi_tilde(phi, scheme, mx, mx, zero, tol=tol)
+        return 0.5 * phi_tilde(phi, scheme, mx, mx, zero)
     if not scheme.contractive:
         return (
-            phi_tilde(phi, scheme, mx, -mx, zero, tol=tol)
-            + phi_tilde(phi, scheme, -mx, 3.0 * mx, zero, tol=tol)
+            phi_tilde(phi, scheme, mx, -mx, zero) + phi_tilde(phi, scheme, -mx, 3.0 * mx, zero)
         ) / 3.0
-    return phi_tilde(phi, scheme, mx / 3.0, -mx / 3.0, zero, tol=tol) + phi_tilde(
-        phi, scheme, -mx / 3.0, mx, zero, tol=tol
+    return phi_tilde(phi, scheme, mx / 3.0, -mx / 3.0, zero) + phi_tilde(
+        phi, scheme, -mx / 3.0, mx, zero
     )
 
 
@@ -563,14 +570,29 @@ class DirectMethodResult:
     error_bound: np.ndarray = field(repr=False)
 
 
-def _leaves_range(scheme: Scheme, l: int, largest: float) -> bool:
-    """Whether s x (entries up to ``largest``) or 1/s passes OVERFLOW_LIMIT, s = scale(l).
+def _guard_levels(scheme: Scheme, levels: Sequence[int], largest: float, cube_largest=None):
+    """Raise before any map call if a level of a scan is negative or leaves the range.
 
-    Decided in log space: the scale itself may not be a float.
+    Level l scales arguments with entries up to ``largest`` by s = scale(l)
+    and the result by 1/s; with ``cube_largest`` set, it also scales a
+    triple product with entries up to that by scale(3 l).  ScaleOverflowError
+    names the first level at which a scaled argument or a prefactor passes
+    OVERFLOW_LIMIT.  Decided in log space: the scale itself may not be a float.
     """
-    log_s = (-l if scheme.contractive else l) * math.log(scheme.base)
     log_limit = math.log(OVERFLOW_LIMIT)
-    return -log_s > log_limit or (largest > 0.0 and log_s + math.log(largest) > log_limit)
+
+    def leaves(l: int, size: float) -> bool:
+        log_s = (-l if scheme.contractive else l) * math.log(scheme.base)
+        return -log_s > log_limit or (size > 0.0 and log_s + math.log(size) > log_limit)
+
+    for l in levels:
+        if l < 0:
+            raise ValueError("l must be nonnegative")
+        if leaves(l, largest) or (cube_largest is not None and leaves(3 * l, cube_largest)):
+            raise ScaleOverflowError(
+                f"level l = {l} exceeds the overflow limit {OVERFLOW_LIMIT:g}: "
+                "a scaled argument or its prefactor 1/s leaves the range"
+            )
 
 
 def _level_groups(count: int, entries_per_level: int) -> list[slice]:
@@ -579,22 +601,15 @@ def _level_groups(count: int, entries_per_level: int) -> list[slice]:
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
-def _approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
-    """A_l(x) = f(s x) / s for each level, one f call per group of levels.
+def approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
+    """A_l(x) = f(s x) / s with s = scheme.scale(l) for each level, one f call per group.
 
-    Every level is guarded first, and ScaleOverflowError names the first
-    one whose scaled argument s x (on a stack, any slice of it) or prefactor
-    1/s would leave the range.  Returns shape (len(levels), *x.shape).
+    Every level is guarded before f is called (``_guard_levels``).  Returns
+    shape (len(levels), *x.shape).
     """
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
-    largest = max_abs(mx)
-    for l in levels:
-        if _leaves_range(scheme, l, largest):
-            raise ScaleOverflowError(
-                f"level l = {l} scales by {scheme.base}^{-l if scheme.contractive else l}, "
-                f"taking s * x or 1/s beyond {OVERFLOW_LIMIT:g}; reduce l_max or the input norm"
-            )
+    _guard_levels(scheme, levels, max_abs(mx))
     n = mx.shape[-1]
     probes = mx.reshape(-1, n, n)
     scales = np.array([scheme.scale(l) for l in levels])[:, None, None, None]
@@ -604,15 +619,6 @@ def _approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
         args = s * probes
         out.append(as_matrix(f(args.reshape(-1, n, n))).reshape(args.shape) / s)
     return np.concatenate(out).reshape(len(scales), *mx.shape)
-
-
-def scheme_approximant(f, scheme, x, l: int) -> ComplexMatrix:
-    """A_l(x) = f(s x) / s with s = scheme.scale(l), guarded against overflow.
-
-    The guard trips when the scaled argument s x (on a stack, any slice of
-    it) or the prefactor 1/s would leave the range.
-    """
-    return _approximants(f, scheme, x, [l])[0]
 
 
 def direct_method(
@@ -652,12 +658,14 @@ def direct_method(
     where = f"certified level L = {level} at series ratio {r:.6g}"
     if level > l_max:
         raise ConvergenceError(f"{where} exceeds l_max = {l_max}")
-    if _leaves_range(scheme, level, max_abs(xs)):
+    try:
+        value = approximants(f, scheme, xs, [level])[0]
+    except ScaleOverflowError:
         raise ConvergenceError(
             f"{where} scales by {scheme.base}^{-level if scheme.contractive else level}, "
             f"beyond the overflow limit {OVERFLOW_LIMIT:g}"
-        )
-    return DirectMethodResult(scheme_approximant(f, scheme, xs, level), level, r**level * bound)
+        ) from None
+    return DirectMethodResult(value, level, r**level * bound)
 
 
 def recover_linear_map(
@@ -666,24 +674,23 @@ def recover_linear_map(
     phi: ControlFunction,
     tol: float = 1e-9,
     l_max: int = 200,
-    cert_probe_count: int = 24,
 ) -> tuple[Tabulated, int]:
     """Recover the exact linear map behind f, certified to tol, and the level used.
 
-    One ``direct_method`` call evaluates the matrix units and random
-    certificate probes at one certified level L; the units tabulate the
-    map.  If the limit is linear, the tabulated map and the direct value at
-    a probe x differ by at most sum_ij |x_ij| err(E_ij) + err(x), with err
-    the per-slice error bounds; the certificate allows that plus
-    tol * max(1, ||x||), the requested accuracy, which also covers round-off
-    when the bounds vanish (eps = 0).
+    One ``direct_method`` call evaluates the matrix units and
+    CERT_PROBE_COUNT random certificate probes at one certified level L;
+    the units tabulate the map.  If the limit is linear, the tabulated map
+    and the direct value at a probe x differ by at most
+    sum_ij |x_ij| err(E_ij) + err(x), with err the per-slice error bounds;
+    the certificate allows that plus tol * max(1, ||x||), the requested
+    accuracy, which also covers round-off when the bounds vanish (eps = 0).
     """
     scheme = Scheme.parse(scheme)
     dim = f.dim
     basis = np.stack(matrix_basis(dim))
     seed = getattr(f, "seed", 0)
     probes = np.stack(
-        make_probes(dim, cert_probe_count, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
+        make_probes(dim, CERT_PROBE_COUNT, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
     )
     run = direct_method(f, scheme, phi, np.concatenate([basis, probes]), tol=tol, l_max=l_max)
     units, directs = run.value[: len(basis)], run.value[len(basis) :]
@@ -727,9 +734,8 @@ def verify_stability_bound(
     phi: ControlFunction,
     scheme,
     probes: Sequence,
-    slack: float = 1e-9,
 ) -> BoundReport:
-    """Check ||f(x) - recovered(x)|| <= hyers_bound(phi, scheme, x) on probes.
+    """Check ||f(x) - recovered(x)|| <= (1 + BOUND_SLACK) hyers_bound(phi, scheme, x) on probes.
 
     Power-type bounds are evaluated on the whole stack; other controls sum
     their series term by term at each probe.
@@ -744,7 +750,7 @@ def verify_stability_bound(
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
     rows = tuple(zip(*(a.tolist() for a in (spectral_norm(x), bounds, errors, ratios))))
     max_ratio = float(ratios.max())
-    return BoundReport(rows, max_ratio, slack, max_ratio <= 1.0 + slack)
+    return BoundReport(rows, max_ratio, BOUND_SLACK, max_ratio <= 1.0 + BOUND_SLACK)
 
 
 @dataclass(frozen=True)
@@ -757,13 +763,8 @@ class HomogeneityReport:
     passed: bool
 
 
-def verify_s1_homogeneity(
-    op,
-    probes: Sequence,
-    mu_samples: Sequence[complex],
-    tol: float = 1e-6,
-) -> HomogeneityReport:
-    """Max of ||op(mu x) - mu op(x)|| / max(1, ||x||), plus the zero case."""
+def verify_s1_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> HomogeneityReport:
+    """Max of ||op(mu x) - mu op(x)|| / max(1, ||x||), plus the zero case, to HOMOGENEITY_TOL."""
     if not len(probes) or not mu_samples:
         raise ValueError("verify_s1_homogeneity needs probes and scalar samples")
     x = _stack(probes, "verify_s1_homogeneity")
@@ -772,8 +773,8 @@ def verify_s1_homogeneity(
     res = spectral_norm(op(mu * x) - mu * op(x)) / np.maximum(1.0, spectral_norm(x))
     worst = float(res.max())
     zero_residual = spectral_norm(op(np.zeros_like(x[0])))
-    passed = worst <= tol and zero_residual <= tol
-    return HomogeneityReport(worst, zero_residual, tol, passed)
+    passed = worst <= HOMOGENEITY_TOL and zero_residual <= HOMOGENEITY_TOL
+    return HomogeneityReport(worst, zero_residual, HOMOGENEITY_TOL, passed)
 
 
 def unimodular_average_decomposition(gamma: float) -> tuple[UnimodularScalar, UnimodularScalar]:
@@ -785,7 +786,7 @@ def unimodular_average_decomposition(gamma: float) -> tuple[UnimodularScalar, Un
     return UnimodularScalar(mu), UnimodularScalar(mu.conjugate())
 
 
-def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
+def complex_homogeneity_via_decomposition(op, lam, x):
     """Compare op(lam x) against the reassembly used in the linearity proof.
 
     lam = a1 + i a2 is split into integer and fractional parts; fractional
@@ -796,7 +797,7 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
               + i * (n2 op(x) + (op(m21 x) + op(m22 x)) / 2)
 
     Returns the residual against op(lam x), normalized by max(1, |lam| ||x||),
-    compared against tol; on a stack of x, one residual per slice.
+    compared against HOMOGENEITY_TOL; on a stack of x, one residual per slice.
     """
     mx = as_matrix(x)
     lam = complex(lam)
@@ -812,34 +813,34 @@ def complex_homogeneity_via_decomposition(op, lam, x, tol: float = 1e-6):
         route = route + factor * contribution
     scale = np.maximum(1.0, abs(lam) * spectral_norm(mx))
     residual = spectral_norm(op(lam * mx) - route) / scale
-    return CheckResult(residual, tol, residual <= tol)
+    return CheckResult(residual, HOMOGENEITY_TOL, residual <= HOMOGENEITY_TOL)
 
 
-def _derivation_residuals(f, h, scheme, x, y, z, levels: Sequence[int], what: str) -> np.ndarray:
-    """Derivation-limit residuals at each level, one stacked call per map and group.
+def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[int]) -> np.ndarray:
+    """Derivation-limit residuals, one row per level and one column per triple.
 
-    Every level is checked before f is called; the first that is negative
-    or scales an argument past OVERFLOW_LIMIT raises.  Returns shape
-    (len(levels), *x.shape[:-2]).
+    With s = scheme.scale(l) and s3 = scheme.scale(3l) the residual of the
+    triple (x, y, z) at level l is
+
+      || f(s3 {x,y,z}) - {f(s x) h(s y) h(s z)}
+         - {h(s x) f(s y) h(s z)} - {h(s x) h(s y) f(s z)} || / s3.
+
+    Each map is called once per group of levels, over every scaled argument
+    it is needed at.  Raises SchemeError for a scheme without
+    derivation-sequence levels (cauchy2-contractive); every level is guarded
+    before f is called (``_guard_levels``).
     """
+    xyz = _stack(triples, "derivation_limit_sequence", inner=3)
     scheme = Scheme.parse(scheme)
     scheme.derivation_levels()  # SchemeError where the residual is undefined
     if len(levels) == 0:
-        raise ValueError(f"{what} needs at least one level")
-    mx, my, mz = as_matrix(x), as_matrix(y), as_matrix(z)
+        raise ValueError("derivation_limit_sequence needs at least one level")
+    mx, my, mz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     txyz = triple_product_cstar(mx, my, mz)
-    largest_t = max(max_abs(txyz), 1.0)
-    largest = max(max_abs(mx), max_abs(my), max_abs(mz))
-    for l in levels:
-        if l < 0:
-            raise ValueError("l must be nonnegative")
-        # in log space: scale(3 l) need not be a float
-        if _leaves_range(scheme, 3 * l, largest_t) or _leaves_range(scheme, l, largest):
-            raise ScaleOverflowError(f"scaled arguments at level l = {l} exceed {OVERFLOW_LIMIT:g}")
+    _guard_levels(scheme, levels, max_abs(xyz), cube_largest=max(max_abs(txyz), 1.0))
     n = mx.shape[-1]
-    # (4, k, n, n): the product, then x, y, z; each map once over every
-    # scaled argument it is needed at
-    unscaled = np.stack([a.reshape(-1, n, n) for a in (txyz, mx, my, mz)])
+    # (4, k, n, n): the product, then x, y, z
+    unscaled = np.stack([txyz, mx, my, mz])
     # per level, the product scales by s3 = scale(3l) and x, y, z by s = scale(l)
     factors = np.array([[scheme.scale(3 * l)] + 3 * [scheme.scale(l)] for l in levels])
     t = triple_product_cstar
@@ -854,37 +855,7 @@ def _derivation_residuals(f, h, scheme, x, y, z, levels: Sequence[int], what: st
         )
         residual = spectral_norm(fp - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz))
         out.append((1.0 / factors[group, :1]) * residual)
-    return np.concatenate(out).reshape(len(factors), *mx.shape[:-2])
-
-
-def derivation_limit_residual(f, h, scheme, x, y, z, l: int) -> float:
-    """Scaled three-slot residual at level l along the scheme's trajectory.
-
-    With s = scheme.scale(l) and s3 = scheme.scale(3l) this is
-
-      || f(s3 {x,y,z}) - {f(s x) h(s y) h(s z)}
-         - {h(s x) f(s y) h(s z)} - {h(s x) h(s y) f(s z)} || / s3.
-
-    Raises SchemeError for a scheme without derivation-sequence levels
-    (cauchy2-contractive).  On stacks of triples it returns one residual per
-    triple.
-    """
-    residual = _derivation_residuals(f, h, scheme, x, y, z, [l], "derivation_limit_residual")[0]
-    return float(residual) if residual.ndim == 0 else residual
-
-
-def derivation_limit_sequence(
-    f,
-    h,
-    scheme,
-    triples: Sequence,
-    l_values: Sequence[int],
-) -> np.ndarray:
-    """Derivation-limit residuals, one row per level and one column per triple."""
-    t = _stack(triples, "derivation_limit_sequence", inner=3)
-    return _derivation_residuals(
-        f, h, scheme, t[:, 0], t[:, 1], t[:, 2], l_values, "derivation_limit_sequence"
-    )
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -897,13 +868,8 @@ class DerivationCertificate:
     passed: bool
 
 
-def certify_theta_derivation(
-    d_hat,
-    theta_hat,
-    triples: Sequence,
-    tol: float = 1e-6,
-) -> DerivationCertificate:
-    """Check the derivation identity of (d_hat, theta_hat) on probe triples."""
+def certify_theta_derivation(d_hat, theta_hat, triples: Sequence) -> DerivationCertificate:
+    """Check the derivation identity of (d_hat, theta_hat) on probe triples, to DERIVATION_TOL."""
     t = _stack(triples, "certify_theta_derivation", inner=3)
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
@@ -916,8 +882,8 @@ def certify_theta_derivation(
     return DerivationCertificate(
         max_relative_residual=worst_value,
         worst_index=worst,
-        threshold=tol,
-        passed=worst_value <= tol,
+        threshold=DERIVATION_TOL,
+        passed=worst_value <= DERIVATION_TOL,
     )
 
 
@@ -964,6 +930,6 @@ class RateEstimate:
 def estimate_convergence_rate(f, scheme, probes: Sequence) -> RateEstimate:
     """Rate of the approximant differences at the fixed RATE_LEVELS window."""
     x = _stack(probes, "estimate_convergence_rate")
-    approximants = _approximants(f, scheme, x, range(RATE_LEVELS.start - 1, RATE_LEVELS.stop))
-    rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(approximants, axis=0)))
+    values = approximants(f, scheme, x, range(RATE_LEVELS.start - 1, RATE_LEVELS.stop))
+    rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(values, axis=0)))
     return RateEstimate(rate, RATE_LEVELS[0], RATE_LEVELS[-1], used)

@@ -8,8 +8,8 @@ Two realizations of the triple product are provided and kept in agreement:
 
 plus numeric checkers for the triple axioms, a small immutable operator
 algebra (conjugations, commutators, sums, compositions, tabulated forms),
-and constructors for exact triple homomorphisms, triple derivations, and
-theta-derivations.
+and the constructor of exact theta-derivations from a conjugation (an
+exact triple homomorphism) and a commutator (an exact triple derivation).
 
 Products, operators, residuals and axiom checkers all accept stacks of
 shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
@@ -45,6 +45,11 @@ UNITARY_TOL = 1e-10
 SKEW_TOL = 1e-10
 # relative residual allowed when a constructor verifies its structural input
 GENERATOR_VERIFY_TOL = 1e-8
+# thresholds of the axiom checkers; the jordan one scales with the input norms
+AXIOM_COMMUTATIVITY_TOL = 1e-13
+AXIOM_JORDAN_TOL = 1e-10
+AXIOM_NORM_TOL = 1e-8
+AXIOM_L_POSITIVITY_TOL = 1e-10
 
 
 class OperatorValidationError(ValueError):
@@ -325,20 +330,21 @@ class LPositivityReport:
     passed: bool
 
 
-def check_commutativity(x, y, z, tol: float = 1e-13) -> CheckResult:
+def check_commutativity(x, y, z) -> CheckResult:
     """Outer-variable symmetry: || {x,y,z} - {z,y,x} ||."""
     r = spectral_norm(
         triple_product_cstar(x, y, z) - triple_product_cstar(z, y, x)
     )
-    return CheckResult(r, tol, r <= tol)
+    return CheckResult(r, AXIOM_COMMUTATIVITY_TOL, r <= AXIOM_COMMUTATIVITY_TOL)
 
 
-def check_jordan_identity(a, b, x, y, z, tol: float = 1e-10) -> CheckResult:
+def check_jordan_identity(a, b, x, y, z) -> CheckResult:
     """Jordan triple identity residual, relative to the input norm product.
 
     Compares L(a,b){x,y,z} against
     {L(a,b)x, y, z} - {x, L(b,a)y, z} + {x, y, L(a,b)z}
-    with both sides evaluated directly as matrices.
+    with both sides evaluated directly as matrices, against
+    AXIOM_JORDAN_TOL * max(1, ||a|| ||b|| ||x|| ||y|| ||z||).
     """
     ma, mb, mx, my, mz = _same_dim(a, b, x, y, z)
     t = triple_product_cstar
@@ -351,26 +357,27 @@ def check_jordan_identity(a, b, x, y, z, tol: float = 1e-10) -> CheckResult:
     scale = 1.0
     for m in (ma, mb, mx, my, mz):
         scale = scale * spectral_norm(m)
-    threshold = tol * np.maximum(1.0, scale)
+    threshold = AXIOM_JORDAN_TOL * np.maximum(1.0, scale)
     r = spectral_norm(lhs - rhs)
     return CheckResult(r, threshold, r <= threshold)
 
 
-def check_norm_identity(x, tol: float = 1e-8) -> CheckResult:
+def check_norm_identity(x) -> CheckResult:
     """Cube identity: || {x,x,x} || should equal ||x||^3 (relative error)."""
     mx = as_matrix(x)
     nx = spectral_norm(mx)
     cube = spectral_norm(triple_product_cstar(mx, mx, mx))
     denom = np.maximum(1.0, nx**3)
     r = np.abs(cube - nx**3) / denom
-    return CheckResult(r, tol, r <= tol)
+    return CheckResult(r, AXIOM_NORM_TOL, r <= AXIOM_NORM_TOL)
 
 
-def check_L_positive(a, probes, tol: float = 1e-10) -> LPositivityReport:
+def check_L_positive(a, probes) -> LPositivityReport:
     """Hermiticity and positivity of L(a, a) in the Hilbert-Schmidt pairing.
 
     Checks |<Lx, y> - <x, Ly>| over all probe pairs and
-    Re <Lx, x> >= -tol over all probes, reporting the worst violations.
+    Re <Lx, x> >= -AXIOM_L_POSITIVITY_TOL over all probes, reporting the
+    worst violations.
     ``probes`` has shape (m, n, n) for one generator a, or (k, m, n, n)
     for a stack of k generators, each with its own m probes.
     """
@@ -388,8 +395,8 @@ def check_L_positive(a, probes, tol: float = 1e-10) -> LPositivityReport:
     )
     max_asym = gaps.max(axis=(-2, -1))
     max_neg = np.maximum(0.0, -hs_inner(images, probes).real.min(axis=-1))
-    passed = (max_asym <= tol) & (max_neg <= tol)
-    return LPositivityReport(max_asym, max_neg, tol, passed)
+    passed = (max_asym <= AXIOM_L_POSITIVITY_TOL) & (max_neg <= AXIOM_L_POSITIVITY_TOL)
+    return LPositivityReport(max_asym, max_neg, AXIOM_L_POSITIVITY_TOL, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +449,6 @@ def _verification_triples(dim: int) -> np.ndarray:
         ]
         triples.append(mats)
     return np.array(triples)
-
-
-def make_triple_homomorphism(u) -> Conjugation:
-    """Exact triple homomorphism x -> u x u* from a unitary u."""
-    return Conjugation(u)
-
-
-def make_triple_derivation(a) -> Commutator:
-    """Exact triple derivation x -> a x - x a from a skew-adjoint a."""
-    return Commutator(a)
 
 
 def make_theta_derivation(theta: LinearOperator, d: LinearOperator) -> Compose:

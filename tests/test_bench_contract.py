@@ -1,20 +1,28 @@
-"""The benchmark tracer wraps package names; every one of them must exist.
+"""The benchmark uses package names and call signatures; every one of them must hold.
 
 ``perfbench/tracer.py`` patches functions and methods of ``triple_stab`` by
-name.  The benchmark's own tests are not part of this suite, so a rename or
-deletion here would otherwise break ``--trace 1`` without a failing test.
-The tracer file is loaded by path; it is installed only around one
-shipped run, and every binding is restored after it.
+name, and the benchmark's worker and set-up probe import names and call
+them with fixed arguments.  The benchmark's own tests are not part of this
+suite, so a rename, a deletion or a changed signature here would otherwise
+break the benchmark without a failing test.  The tracer file is loaded by
+path; it is installed only around one shipped run, and every binding is
+restored after it.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
+import numpy as np
+
+from triple_stab import lab, sampling, stability
 from triple_stab.lab import ExperimentConfig, run_recovery
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer():
@@ -51,3 +59,26 @@ def test_tracer_records_direct_method_levels():
         tracer.uninstall()
     assert tracer.summary()["stability.direct_method"]["calls"] == 2
     assert sorted(tracer.levels.values()) == [57, 57]
+
+
+def test_setup_probe_imports_exist():
+    tree = ast.parse((PERFBENCH / "setup_probe.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("triple_stab")
+        for alias in node.names
+    ]
+    assert ("triple_stab.sampling", "make_probes") in imported
+    for module_name, name in imported:
+        assert hasattr(importlib.import_module(module_name), name), f"{module_name}.{name}"
+
+
+def test_benchmark_call_signatures_bind():
+    # the calls perfbench/worker.py and perfbench/setup_probe.py make
+    cfg = ExperimentConfig()
+    inspect.signature(lab.run_recovery).bind(cfg, threads=1)
+    inspect.signature(lab.build_generators).bind(cfg)
+    inspect.signature(sampling.random_matrix).bind(np.random.default_rng(0), 2)
+    _theta, _d, big_d = lab.build_generators(cfg)
+    inspect.signature(stability.make_perturbation).bind(big_d, 0.1, 0.5, "cauchy", 2006)

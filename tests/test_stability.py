@@ -35,9 +35,9 @@ from triple_stab.stability import (
     SchemeError,
     SummabilityError,
     UnimodularScalar,
+    approximants,
     certify_theta_derivation,
     complex_homogeneity_via_decomposition,
-    derivation_limit_residual,
     derivation_limit_sequence,
     direct_method,
     estimate_convergence_rate,
@@ -49,7 +49,6 @@ from triple_stab.stability import (
     phi_tilde,
     pooled_rate,
     recover_linear_map,
-    scheme_approximant,
     unimodular_average_decomposition,
     verify_hypotheses,
     verify_s1_homogeneity,
@@ -59,8 +58,6 @@ from triple_stab.triple import (
     Commutator,
     Conjugation,
     make_theta_derivation,
-    make_triple_derivation,
-    make_triple_homomorphism,
     matrix_basis,
 )
 
@@ -68,9 +65,17 @@ E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
 
 
 def _generators(seed: int, dim: int = 2):
-    theta = make_triple_homomorphism(haar_unitary(rng_for(seed, 4), dim))
-    d = make_triple_derivation(skew_matrix(rng_for(seed, 5), dim))
+    theta = Conjugation(haar_unitary(rng_for(seed, 4), dim))
+    d = Commutator(skew_matrix(rng_for(seed, 5), dim))
     return theta, d, make_theta_derivation(theta, d)
+
+
+def _counting(g, calls: list):
+    def counted(x):
+        calls.append(len(x))
+        return g(x)
+
+    return counted
 
 
 def _series_oracle(scheme: Scheme, eps: float, p: float, norms) -> float:
@@ -308,7 +313,7 @@ def test_direct_method_level_is_certified_and_minimal(scheme, form, p):
     # far below tol (the contractive thirding bounds reach 1e-19 on small x)
     roundoff = 1e-14 * np.maximum(1.0, spectral_norm(xs))
     assert (spectral_norm(res.value - big_d(xs)) <= res.error_bound + roundoff).all()
-    assert np.array_equal(res.value, scheme_approximant(f, scheme, xs, level))
+    assert np.array_equal(res.value, approximants(f, scheme, xs, [level])[0])
 
 
 def test_direct_method_exact_map_converges_immediately():
@@ -362,8 +367,12 @@ def test_direct_method_rejects_zero_tol_and_other_controls():
 def test_direct_method_names_an_uncertifiable_level(scheme, p, l_max, fragment):
     _, _, big_d = _generators(54)
     f = make_perturbation(big_d, 0.1, p, "cauchy", seed=32)
+    calls = []
+    counted = _counting(f, calls)
     with pytest.raises(ConvergenceError) as exc:
-        direct_method(f, scheme, PowerType(0.1, p), E11[None], tol=1e-9, l_max=l_max)
+        direct_method(counted, scheme, PowerType(0.1, p), E11[None], tol=1e-9, l_max=l_max)
+    # the level is settled, and an out-of-range one refused, before any map call
+    assert calls == []
     message = str(exc.value)
     assert fragment in message
     assert "certified level L = " in message
@@ -388,13 +397,30 @@ def test_pooled_rate_recovers_a_common_ratio():
 
 
 def test_scheme_approximant_overflow_guard():
+    # the one-level scan of approximants, which replaced scheme_approximant
     _, _, big_d = _generators(37)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=12)
     with pytest.raises(ScaleOverflowError):
-        scheme_approximant(f, Scheme.CAUCHY2, E11, 600)
+        approximants(f, Scheme.CAUCHY2, E11, [600])
     # 2.0 ** 3375 itself is not a float; the guard decides before computing it
     with pytest.raises(ScaleOverflowError):
-        scheme_approximant(f, Scheme.CAUCHY2, E11, 3375)
+        approximants(f, Scheme.CAUCHY2, E11, [3375])
+
+
+def test_approximants_guard_every_level_before_any_map_call():
+    # 2^400 E11 stays within the limit and 2^600 E11 does not: one level
+    # past it stops the whole scan, and f is never called
+    _, _, big_d = _generators(37)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=12)
+    calls = []
+    counted = _counting(f, calls)
+    with pytest.raises(ScaleOverflowError, match="level l = 600 exceed"):
+        approximants(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400, 600, 700])
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        approximants(counted, Scheme.CAUCHY2, E11[None], [0, -1])
+    assert calls == []
+    assert approximants(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400]).shape == (3, 1, 2, 2)
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("scheme,level", [("jensen3", 150), ("jensen3", 216), ("cauchy2", 342)])
@@ -405,7 +431,7 @@ def test_derivation_residual_guard_names_the_level(scheme, level):
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=12)
     eye = np.eye(2)
     with pytest.raises(ScaleOverflowError, match=f"level l = {level} exceed"):
-        derivation_limit_residual(f, f, scheme, eye, eye, eye, level)
+        derivation_limit_sequence(f, f, scheme, [(eye, eye, eye)], [level])
 
 
 def test_contractive_guard_trips_on_the_prefactor():
@@ -414,10 +440,10 @@ def test_contractive_guard_trips_on_the_prefactor():
     f = make_perturbation(big_d, 0.1, 4.0, "jensen", seed=12)
     for scheme, level in ((Scheme.CAUCHY2_CONTRACTIVE, 500), (Scheme.JENSEN3_CONTRACTIVE, 700)):
         with pytest.raises(ScaleOverflowError):
-            scheme_approximant(f, scheme, E11, level)
-    assert np.isfinite(scheme_approximant(f, Scheme.JENSEN3_CONTRACTIVE, E11, 300)).all()
+            approximants(f, scheme, E11, [level])
+    assert np.isfinite(approximants(f, Scheme.JENSEN3_CONTRACTIVE, E11, [300])).all()
     with pytest.raises(ScaleOverflowError):
-        derivation_limit_residual(f, f, Scheme.JENSEN3_CONTRACTIVE, E11, E11, E11, 110)
+        derivation_limit_sequence(f, f, Scheme.JENSEN3_CONTRACTIVE, [(E11, E11, E11)], [110])
 
 
 def test_recover_exact_map_to_machine_precision():
@@ -490,6 +516,7 @@ def test_recover_certifies_linearity():
 
 
 def test_derivation_limit_residual_exact_pair():
+    # the one-triple sequence, which replaced derivation_limit_residual
     theta, _, big_d = _generators(43)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=17)
     h = make_perturbation(theta, 0.0, 0.5, "cauchy", seed=18)
@@ -497,11 +524,11 @@ def test_derivation_limit_residual_exact_pair():
     y = np.array([[1.0, 0.0], [0.5, -0.5]])
     z = np.array([[0.0, 1.0j], [0.2, 0.1]])
     for scheme in (Scheme.CAUCHY2, Scheme.JENSEN3, Scheme.JENSEN3_CONTRACTIVE):
-        for level in (0, 2, 4):
-            r = derivation_limit_residual(f, h, scheme, x, y, z, level)
-            assert r <= 1e-9
+        r = derivation_limit_sequence(f, h, scheme, [(x, y, z)], [0, 2, 4])
+        assert r.shape == (3, 1)
+        assert (r <= 1e-9).all()
     with pytest.raises(SchemeError):
-        derivation_limit_residual(f, h, Scheme.CAUCHY2_CONTRACTIVE, x, y, z, 0)
+        derivation_limit_sequence(f, h, Scheme.CAUCHY2_CONTRACTIVE, [(x, y, z)], [0])
 
 
 def test_derivation_limit_sequence_exact_pair_is_flat():
@@ -512,14 +539,6 @@ def test_derivation_limit_sequence_exact_pair_is_flat():
     values = derivation_limit_sequence(f, h, Scheme.CAUCHY2, triples, [0, 1, 2])
     assert values.shape == (3, 3)
     assert (values <= 1e-9).all()
-
-
-def _counting(g, calls: list):
-    def counted(x):
-        calls.append(len(x))
-        return g(x)
-
-    return counted
 
 
 def test_derivation_limit_sequence_rejects_bad_levels_before_any_map_call():
@@ -613,7 +632,7 @@ def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
     # conjugation is additive and fixes real scalars, but maps i x to -i conj(x);
     # at lam = i, x = 100 E11 the route gives 100i E11 against -100i E11, a gap
     # of 200 on |lam| ||x|| = 100
-    res = complex_homogeneity_via_decomposition(lambda x: x.conj(), 1j, 100.0 * E11, tol=1e-6)
+    res = complex_homogeneity_via_decomposition(lambda x: x.conj(), 1j, 100.0 * E11)
     assert res.residual == 2.0
     assert res.threshold == 1e-6
     assert not res.passed

@@ -27,11 +27,11 @@ from triple_stab.stability import (
     Custom,
     PowerType,
     Scheme,
+    approximants,
     derivation_limit_sequence,
     estimate_convergence_rate,
     make_perturbation,
     pooled_rate,
-    scheme_approximant,
     verify_hypotheses,
 )
 from triple_stab.triple import (
@@ -296,10 +296,10 @@ def test_rate_scan_matches_level_by_level(n, scheme):
     f, _ = _perturbed_pair(n, SHIPPED_P[scheme], scheme.hypothesis_form)
     probes = _stack(60, n, 5)
     levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
-    approximants = np.stack([scheme_approximant(f, scheme, probes, l) for l in levels])
+    by_level = np.stack([approximants(f, scheme, probes, [l])[0] for l in levels])
     written_out = np.stack([f(scheme.scale(l) * probes) / scheme.scale(l) for l in levels])
-    assert np.array_equal(approximants, written_out)
-    rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(approximants, axis=0)))
+    assert np.array_equal(by_level, written_out)
+    rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(by_level, axis=0)))
     est = estimate_convergence_rate(f, scheme, probes)
     assert (est.rate, est.probes_used) == (rate, used)
     assert (est.first_level, est.last_level) == (RATE_LEVELS[0], RATE_LEVELS[-1])

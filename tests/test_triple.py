@@ -30,8 +30,6 @@ from triple_stab.triple import (
     homomorphism_residual,
     jordan_product,
     make_theta_derivation,
-    make_triple_derivation,
-    make_triple_homomorphism,
     matrix_basis,
     theta_derivation_residual,
     triple_product_cstar,
@@ -173,8 +171,8 @@ def test_l_positivity_report():
 def test_exact_generator_residuals_vanish():
     u = haar_unitary(rng_for(19, 4), 3)
     a = skew_matrix(rng_for(19, 5), 3)
-    theta = make_triple_homomorphism(u)
-    d = make_triple_derivation(a)
+    theta = Conjugation(u)
+    d = Commutator(a)
     big_d = make_theta_derivation(theta, d)
     for seed in range(4):
         x, y, z = (_random_matrix(400 + seed + k, 3) for k in range(3))
