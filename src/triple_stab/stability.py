@@ -608,6 +608,8 @@ def approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
     shape (len(levels), *x.shape).
     """
     scheme = Scheme.parse(scheme)
+    if len(levels) == 0:
+        raise ValueError("approximants needs at least one level")
     mx = as_matrix(x)
     _guard_levels(scheme, levels, max_abs(mx))
     n = mx.shape[-1]

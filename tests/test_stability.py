@@ -418,6 +418,8 @@ def test_approximants_guard_every_level_before_any_map_call():
         approximants(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400, 600, 700])
     with pytest.raises(ValueError, match="l must be nonnegative"):
         approximants(counted, Scheme.CAUCHY2, E11[None], [0, -1])
+    with pytest.raises(ValueError, match="approximants needs at least one level"):
+        approximants(counted, Scheme.CAUCHY2, E11[None], [])
     assert calls == []
     assert approximants(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400]).shape == (3, 1, 2, 2)
     assert calls == [3]

@@ -40,10 +40,12 @@ from triple_stab.triple import (
     Conjugation,
     OperatorSum,
     Scaled,
+    _stack_product,
     check_commutativity,
     check_jordan_identity,
     check_L_positive,
     check_norm_identity,
+    jordan_product,
     theta_derivation_residual,
     triple_product_cstar,
     triple_product_jbstar,
@@ -137,6 +139,59 @@ def test_fixed_matrix_operators_are_bit_stable_in_any_stack(n, k, name):
     nested = op.apply(np.stack([x, x[::-1]]))
     assert nested.shape == (2, k, n, n)
     assert np.array_equal(nested, [got, got[::-1]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+@pytest.mark.parametrize(
+    "product", [triple_product_cstar, triple_product_jbstar, jordan_product]
+)
+def test_stacked_products_are_bit_stable_in_any_stack(n, k, product):
+    arity = 2 if product is jordan_product else 3
+    # (k, 3, n, n): the slots are strided views, as derivation_limit_sequence's xyz[:, 0]
+    xyz = np.stack([_stack(seed, n, k) for seed in (24, 25, 26)], axis=1)
+    views = [xyz[:, i] for i in range(arity)]
+    got = product(*views)
+    assert np.array_equal(got, product(*(np.ascontiguousarray(v) for v in views)))
+    # n <= 2 multiplies elementwise, n >= 3 runs one GEMM per slice: either
+    # way a slice's product does not depend on its stack
+    assert np.array_equal(got, [product(*s) for s in zip(*views)])
+    offset = k // 3
+    assert np.array_equal(product(*(v[offset:] for v in views)), got[offset:])
+    # (slot, level, k, n, n) views, as np.moveaxis gives derivation_limit_sequence
+    slots = np.array(views)
+    moved = np.moveaxis(np.stack([slots, 2.0 * slots]), 1, 0)
+    assert np.array_equal(product(*moved)[0], got)
+    assert np.array_equal(product(*moved), [product(*(m[l] for m in moved)) for l in range(2)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_elementwise_product_is_within_the_inner_product_bound(n):
+    """The n <= 2 product lies within 2 gamma_{n+2} |a||b| of numpy's ``@``, entry by entry.
+
+    Here gamma_m = m u / (1 - m u) with u = 2^-53, and |a||b| is the product
+    of the entrywise moduli.  A complex inner product of length n computed
+    in floating point lies within gamma_{n+2} |a||b| of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.6);
+    counted once for each of the two computations, they differ by at most
+    twice that.  The bound assumes no underflow, so every entry's modulus is
+    drawn from [1/2, 2) before its slice is scaled by 2^-500, 1 or 2^500:
+    every product of two moduli then stays in the normal range.
+    """
+    rng = np.random.default_rng(61)
+    k = 2000
+    gamma = (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
+
+    def draw():
+        moduli = rng.uniform(0.5, 2.0, (k, n, n))
+        phases = np.exp(2j * np.pi * rng.uniform(size=(k, n, n)))
+        return moduli * phases * 2.0 ** rng.choice([-500, 0, 500], (k, 1, 1))
+
+    a, b = draw(), draw()
+    got = _stack_product(a, b)
+    bound = 2 * gamma * (np.abs(a) @ np.abs(b))
+    assert (np.abs(got - a @ b) <= bound).all()
+    assert np.array_equal(_stack_product(a[0], b[0]), got[0])
 
 
 @pytest.mark.parametrize("n,k", SHAPES)
