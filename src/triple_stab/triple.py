@@ -32,9 +32,15 @@ product) have no fixed factor to lay a stack against, and numpy's stacked
 are computed instead as n broadcast products over the whole stack, summed
 over the inner index in order.  Elementwise arithmetic touches one slice at
 a time, so a slice's product is again bit for bit its product alone, in any
-stack and through any strided view.  At n >= 3 they stay numpy's ``@``: the
-broadcast form was about 2x slower on small stacks there (k = 4, n = 3).
-The cut is the one ``linalg.spectral_norm`` makes for its closed form.
+stack and through any strided view.  At n >= 3 they stay numpy's ``@``.
+The broadcast form does the same n^3 multiply-adds per slice as the GEMM,
+in 2n - 1 array passes with temporaries.  Timed inside ``run_recovery`` on
+the four shipped configs (stacks of 4-880 slices, one BLAS thread on a
+2-core Xeon VM), it took about 0.7x the time of ``@`` at n = 3, 1.1x at
+n = 4, 1.4-2.2x at n = 5, 3.5x at n = 8 and 10x at n = 16.  The n = 3
+saving is about 3% of a dim-3 run, too little to change the bytes of every
+dim-3 report, so the cut is the one ``linalg.spectral_norm`` makes for its
+closed form.
 """
 
 from __future__ import annotations

@@ -165,6 +165,17 @@ def test_stacked_products_are_bit_stable_in_any_stack(n, k, product):
     assert np.array_equal(product(*moved), [product(*(m[l] for m in moved)) for l in range(2)])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_stack_product_is_elementwise_up_to_n_2_and_matmul_above(n):
+    # the cut keeps reports at dims >= 3 byte-identical to numpy's ``@``
+    a, b = _stack(27, n, 7), _stack(28, n, 7)
+    if n <= 2:
+        want = sum(a[..., :, j, None] * b[..., None, j, :] for j in range(n))
+    else:
+        want = a @ b
+    assert np.array_equal(_stack_product(a, b), want)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_elementwise_product_is_within_the_inner_product_bound(n):
     """The n <= 2 product lies within 2 gamma_{n+2} |a||b| of numpy's ``@``, entry by entry.
