@@ -328,7 +328,8 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     jordan_rel = jordan.residual * (AXIOM_JORDAN_TOL / jordan.threshold)
     norm_id = check_norm_identity(x)
     lpos = check_L_positive(a_pos, draws[:, 6:])
-    scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
+    nx, ny, nz = spectral_norm(draws[:, 2:5]).T
+    scale = np.maximum(1.0, nx * ny * nz)
     agreement = spectral_norm(triple_product_cstar(x, y, z) - triple_product_jbstar(x, y, z))
     fragment = {
         "samples": count,
@@ -502,7 +503,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     f = make_perturbation(big_d, config.eps, config.p, form, child_seed(config.seed, ROLE_MAP_F))
     h = make_perturbation(theta, config.eps, config.p, form, child_seed(config.seed, ROLE_MAP_H))
 
-    probes = make_probes(config.dim, config.probe_count, rng_for(config.seed, ROLE_PROBES))
+    probes = np.stack(
+        make_probes(config.dim, config.probe_count, rng_for(config.seed, ROLE_PROBES))
+    )
     mu_samples = make_mu_samples(MU_SAMPLE_COUNT, rng_for(config.seed, ROLE_MU))
     rate_probes = make_probes(
         config.dim, RATE_PROBE_COUNT, rng_for(config.seed, ROLE_RATE_PROBES), 0.5, 2.0
@@ -518,12 +521,24 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     lap("axioms")
 
     recovery_error: str | None = None
+    linearity_failure: dict | None = None
     levels: dict[str, int] = {}
     try:
         d_hat, levels["d"] = recover_linear_map(f, scheme, phi, config.tol, config.l_max)
         theta_hat, levels["theta"] = recover_linear_map(h, scheme, phi, config.tol, config.l_max)
-    except (ConvergenceError, LinearityCertificationError) as exc:
+    except ConvergenceError as exc:
         recovery_error = str(exc)
+    except LinearityCertificationError as exc:
+        recovery_error = str(exc)
+        linearity_failure = {
+            # levels names the maps recovered before the one that failed
+            "map": "theta" if levels else "d",
+            "probe_index": exc.index,
+            "probe_norm": exc.norm,
+            "gap": exc.residual,
+            "allowance": exc.allowance,
+            "level": exc.level,
+        }
     lap("recover")
 
     recovery = {
@@ -536,6 +551,8 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         "tolerance": RECOVERY_ERROR_TOL,
         "passed": False,
     }
+    if linearity_failure is not None:
+        recovery["linearity_failure"] = linearity_failure
     checks.append(_check("recovery_converged", recovery["converged"]))
     # the stages after recovery fill in their sections; a failed recovery leaves them empty
     report = StabilityReport(
@@ -586,7 +603,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     s1_value = max(s1.max_residual, s1.zero_residual)
     checks.append(_check("s1_homogeneity", s1.passed, s1_value, s1.threshold))
     complex_entries = []
-    mid_probes = np.stack([probes[0], probes[len(probes) // 2], probes[-1]])
+    mid_probes = probes[[0, len(probes) // 2, -1]]
     for lam, label in COMPLEX_LAMBDAS:
         res = complex_homogeneity_via_decomposition(d_hat, lam, mid_probes)
         residual = float(res.residual.max())

@@ -23,7 +23,10 @@ from one pooled least-squares slope over a fixed window of levels.
 Maps, controls and certificates take (k, n, n) probe stacks: every stage
 makes one call per map and per check over all of its probes, and a level
 scan stacks its levels too, in groups of at most LEVEL_GROUP_ENTRIES
-complex entries per call.
+complex entries per call.  A stage takes the norms of its stacks in one
+``spectral_norm`` call, and the probe norms behind a power-type bound are
+reused by the direct method's target, the linearity certificate and the
+bound table.
 """
 
 from __future__ import annotations
@@ -93,13 +96,24 @@ class ConvergenceError(RuntimeError):
 class LinearityCertificationError(RuntimeError):
     """A recovered map failed its linearity certificate.
 
-    Carries the worst probe, its gap, the allowance it exceeded and the
-    level L for diagnosis.
+    Carries the worst probe, its index among the certificate probes, its
+    norm, its gap, the allowance it exceeded and the level L for diagnosis.
     """
 
-    def __init__(self, message: str, worst_probe, residual: float, allowance: float, level: int):
+    def __init__(
+        self,
+        message: str,
+        worst_probe,
+        index: int,
+        norm: float,
+        residual: float,
+        allowance: float,
+        level: int,
+    ):
         super().__init__(message)
         self.worst_probe = worst_probe
+        self.index = index
+        self.norm = norm
         self.residual = residual
         self.allowance = allowance
         self.level = level
@@ -217,10 +231,12 @@ class PowerType(ControlFunction):
             raise ValueError(f"p must be finite and nonnegative, got {self.p!r}")
 
     def value(self, x, y, z) -> float:
+        return self.from_norms(spectral_norm(x), spectral_norm(y), spectral_norm(z))
+
+    def from_norms(self, nx, ny, nz):
+        """phi at arguments of norms nx, ny and nz."""
         return self.eps * (
-            norm_power(spectral_norm(x), self.p)
-            + norm_power(spectral_norm(y), self.p)
-            + norm_power(spectral_norm(z), self.p)
+            norm_power(nx, self.p) + norm_power(ny, self.p) + norm_power(nz, self.p)
         )
 
 
@@ -274,11 +290,7 @@ def phi_tilde(
     """
     scheme = Scheme.parse(scheme)
     if isinstance(phi, PowerType):
-        if not scheme.power_gate_ok(phi.p):
-            raise SummabilityError(scheme.gate_message(phi.p))
-        base_value = phi.value(x, y, z)
-        r = scheme.series_ratio(phi.p)
-        return base_value * r**scheme.series_start / (1.0 - r)
+        return _power_tilde(phi, scheme, spectral_norm(x), spectral_norm(y), spectral_norm(z))
 
     mx, my, mz = as_matrix(x), as_matrix(y), as_matrix(z)
     largest = max(max_abs(mx), max_abs(my), max_abs(mz))
@@ -317,6 +329,34 @@ def phi_tilde(
     )
 
 
+def _power_tilde(phi: PowerType, scheme: Scheme, nx, ny, nz=0.0):
+    """phi_tilde of a power-type control, from the norms of its three arguments."""
+    if not scheme.power_gate_ok(phi.p):
+        raise SummabilityError(scheme.gate_message(phi.p))
+    r = scheme.series_ratio(phi.p)
+    return phi.from_norms(nx, ny, nz) * r**scheme.series_start / (1.0 - r)
+
+
+def _power_bound(phi: PowerType, scheme: Scheme, x):
+    """hyers_bound of a power-type control at x, and ||x||, from one norm call.
+
+    The call takes the norms of the distinct arguments of the phi_tilde
+    terms: x (doubling), x and 3x (tripling), x/3 and x (contractive
+    tripling).  ||-x|| = ||x|| and ||0|| = 0 hold bit for bit, and the
+    terms are combined in phi_tilde's order, so the bound equals the
+    phi_tilde composition bit for bit.
+    """
+    mx = as_matrix(x)
+    if scheme.hypothesis_form == "cauchy":
+        nx = spectral_norm(mx)
+        return 0.5 * _power_tilde(phi, scheme, nx, nx), nx
+    if not scheme.contractive:
+        nx, n3x = spectral_norm(np.stack([mx, 3.0 * mx]))
+        return (_power_tilde(phi, scheme, nx, nx) + _power_tilde(phi, scheme, nx, n3x)) / 3.0, nx
+    nx3, nx = spectral_norm(np.stack([mx / 3.0, mx]))
+    return _power_tilde(phi, scheme, nx3, nx3) + _power_tilde(phi, scheme, nx3, nx), nx
+
+
 def hyers_bound(phi: ControlFunction, scheme, x) -> float:
     """Stability bound at x for the scheme, assembled from phi_tilde.
 
@@ -324,8 +364,14 @@ def hyers_bound(phi: ControlFunction, scheme, x) -> float:
       2 eps / |2 - 2^p| * ||x||^p            (doubling schemes)
       (3 + 3^p) / (3 - 3^p) eps ||x||^p      (tripling, p < 1)
       (3^p + 3) / (3^p - 3) eps ||x||^p      (contractive tripling, p > 3).
+    A power-type bound is evaluated from one norm call over the distinct
+    phi_tilde arguments, x alone or with 3x or x/3 (``_power_bound``), and
+    equals the phi_tilde composition below bit for bit; other controls sum
+    each phi_tilde term by term.
     """
     scheme = Scheme.parse(scheme)
+    if isinstance(phi, PowerType):
+        return _power_bound(phi, scheme, x)[0]
     mx = as_matrix(x)
     zero = np.zeros_like(mx)
     if scheme.hypothesis_form == "cauchy":
@@ -523,8 +569,13 @@ def verify_hypotheses(
     y, z = x[iy], x[iz]
     mu = np.array([complex(mu_samples[i % len(mu_samples)]) for i in range(m)])
     mu = mu[:, None, None]
-    denom_pair = phi.value(x, y, np.zeros_like(x))
-    # y and z permute the slices of x, so f(y) = f(x)[iy] and so on
+    # y and z permute the slices of x, so ||y|| = ||x||[iy], f(y) = f(x)[iy] and so on
+    if isinstance(phi, PowerType):
+        nx = spectral_norm(x)
+        denom_pair = phi.from_norms(nx, nx[iy], 0.0)
+        denom_triple = phi.from_norms(nx, nx[iy], nx[iz])
+    else:
+        denom_pair, denom_triple = phi.value(x, y, np.zeros_like(x)), phi.value(x, y, z)
     fx, hx = f(x), h(x)
     fy, fz, hy, hz = fx[iy], fx[iz], hx[iy], hx[iz]
     # cauchy: g(mu x + y) - mu g(x) - g(y); jensen: 2 g((mu x + y) / 2) - mu g(x) - g(y)
@@ -533,16 +584,20 @@ def verify_hypotheses(
         fm, hm = f(mid), h(mid)
     else:
         fm, hm = 2.0 * f(mid / 2.0), 2.0 * h(mid / 2.0)
-    rf = spectral_norm(fm - mu * fx - fy)
-    rh = spectral_norm(hm - mu * hx - hy)
-    zero = denom_pair <= 0.0
     t = triple_product_cstar
-    triple_res = spectral_norm(
-        f(t(x, y, z)) - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz)
+    rf, rh, triple_res = spectral_norm(
+        np.stack(
+            [
+                fm - mu * fx - fy,
+                hm - mu * hx - hy,
+                f(t(x, y, z)) - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz),
+            ]
+        )
     )
+    zero = denom_pair <= 0.0
     max_f = float(_ratio(rf, denom_pair, 0.0).max())
     max_h = float(_ratio(rh, denom_pair, 0.0).max())
-    max_t = float(_ratio(triple_res, phi.value(x, y, z), 0.0).max())
+    max_t = float(_ratio(triple_res, denom_triple, 0.0).max())
     zero_samples = int(zero.sum())
     zero_abs = float(np.where(zero, np.maximum(rf, rh), 0.0).max())
     return HypothesisReport(
@@ -563,11 +618,12 @@ def verify_hypotheses(
 
 @dataclass(frozen=True)
 class DirectMethodResult:
-    """A_L on a (k, n, n) stack and the per-slice bound on ||A_L(x) - D(x)||."""
+    """A_L on a (k, n, n) stack, the per-slice bound on ||A_L(x) - D(x)|| and ||x||."""
 
     value: ComplexMatrix
     l_used: int
     error_bound: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
 
 
 def _guard_levels(scheme: Scheme, levels: Sequence[int], largest: float, cube_largest=None):
@@ -636,8 +692,9 @@ def direct_method(
     For f controlled by the power-type phi, ||A_L(x) - D(x)|| <= r^L
     hyers_bound(phi, scheme, x) with r = scheme.series_ratio(p) and D the
     exact limit.  L is the smallest level at which this is at most
-    tol * max(1, ||x||) on every slice; A_L is evaluated once there, and
-    ``error_bound`` holds r^L hyers_bound(x) per slice.  Raises
+    tol * max(1, ||x||) on every slice; A_L is evaluated once there,
+    ``error_bound`` holds r^L hyers_bound(x) per slice and ``norms`` holds
+    ||x||, the norms the bound was taken from.  Raises
     ConvergenceError, naming L, r and the limit, when L exceeds l_max or its
     scale would leave OVERFLOW_LIMIT.
     """
@@ -647,8 +704,8 @@ def direct_method(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     xs = _stack(xs, "direct_method")
-    bound = hyers_bound(phi, scheme, xs)
-    target = tol * np.maximum(1.0, spectral_norm(xs))
+    bound, norms = _power_bound(phi, scheme, xs)
+    target = tol * np.maximum(1.0, norms)
     r = scheme.series_ratio(phi.p)
     need = float((bound / target).max())
     # r^L need <= 1 from L = log(need) / log(1 / r) on; the float test settles rounding
@@ -667,7 +724,7 @@ def direct_method(
             f"{where} scales by {scheme.base}^{-level if scheme.contractive else level}, "
             f"beyond the overflow limit {OVERFLOW_LIMIT:g}"
         ) from None
-    return DirectMethodResult(value, level, r**level * bound)
+    return DirectMethodResult(value, level, r**level * bound, norms)
 
 
 def recover_linear_map(
@@ -699,7 +756,7 @@ def recover_linear_map(
     err_units, err_probes = run.error_bound[: len(basis)], run.error_bound[len(basis) :]
     recovered = Tabulated(vec(units).T)
     gaps = spectral_norm(recovered(probes) - directs)
-    norms = spectral_norm(probes)
+    norms = run.norms[len(basis) :]
     # basis order is vec's column-stacking order
     allowance = np.abs(vec(probes)) @ err_units + err_probes + tol * np.maximum(1.0, norms)
     worst = int(np.argmax(gaps - allowance))
@@ -709,6 +766,8 @@ def recover_linear_map(
             f"probe {worst} (norm {norms[worst]:.3e}) disagrees with its direct value "
             f"by {gaps[worst]:.3e}, beyond the allowance {allowance[worst]:.3e}",
             worst_probe=probes[worst],
+            index=worst,
+            norm=float(norms[worst]),
             residual=float(gaps[worst]),
             allowance=float(allowance[worst]),
             level=run.l_used,
@@ -739,18 +798,20 @@ def verify_stability_bound(
 ) -> BoundReport:
     """Check ||f(x) - recovered(x)|| <= (1 + BOUND_SLACK) hyers_bound(phi, scheme, x) on probes.
 
-    Power-type bounds are evaluated on the whole stack; other controls sum
-    their series term by term at each probe.
+    Power-type bounds are evaluated on the whole stack, and the rows reuse
+    the norms they were taken from; other controls sum their series term by
+    term at each probe.
     """
     scheme = Scheme.parse(scheme)
     x = _stack(probes, "verify_stability_bound")
     if isinstance(phi, PowerType):
-        bounds = hyers_bound(phi, scheme, x)
+        bounds, norms = _power_bound(phi, scheme, x)
     else:
         bounds = np.array([hyers_bound(phi, scheme, p) for p in x])
+        norms = spectral_norm(x)
     errors = spectral_norm(f(x) - recovered(x))
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
-    rows = tuple(zip(*(a.tolist() for a in (spectral_norm(x), bounds, errors, ratios))))
+    rows = tuple(zip(*(a.tolist() for a in (norms, bounds, errors, ratios))))
     max_ratio = float(ratios.max())
     return BoundReport(rows, max_ratio, BOUND_SLACK, max_ratio <= 1.0 + BOUND_SLACK)
 
@@ -813,8 +874,8 @@ def complex_homogeneity_via_decomposition(op, lam, x):
             mu1, mu2 = unimodular_average_decomposition(frac)
             contribution = contribution + (op(mu1.value * mx) + op(mu2.value * mx)) / 2.0
         route = route + factor * contribution
-    scale = np.maximum(1.0, abs(lam) * spectral_norm(mx))
-    residual = spectral_norm(op(lam * mx) - route) / scale
+    norm, gap = spectral_norm(np.stack([mx, op(lam * mx) - route]))
+    residual = gap / np.maximum(1.0, abs(lam) * norm)
     return CheckResult(residual, HOMOGENEITY_TOL, residual <= HOMOGENEITY_TOL)
 
 
@@ -874,7 +935,8 @@ def certify_theta_derivation(d_hat, theta_hat, triples: Sequence) -> DerivationC
     """Check the derivation identity of (d_hat, theta_hat) on probe triples, to DERIVATION_TOL."""
     t = _stack(triples, "certify_theta_derivation", inner=3)
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
+    nx, ny, nz = spectral_norm(t).T
+    scale = np.maximum(1.0, nx * ny * nz)
     values = theta_derivation_residual(d_hat, theta_hat, x, y, z) / scale
     worst_value = float(values.max())
     # the first index within 4 eps (relative) of the maximum: a tie at

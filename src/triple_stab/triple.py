@@ -184,6 +184,13 @@ class LinearOperator:
     def __call__(self, x) -> ComplexMatrix:
         return self.apply(x)
 
+    def _operand(self, x) -> ComplexMatrix:
+        """x validated as a matrix or stack of this operator's dimension."""
+        mx = as_matrix(x)
+        if mx.shape[-1] != self.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {mx.shape[-1]}")
+        return mx
+
     def to_tabulated(self) -> "Tabulated":
         """Lower to the dense n^2 x n^2 matrix acting on vec(x)."""
         return Tabulated(vec(self.apply(np.stack(matrix_basis(self.dim)))).T)
@@ -209,7 +216,7 @@ class Conjugation(LinearOperator):
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
-        mx = _same_dim(self.matrix, x)[1]
+        mx = self._operand(x)
         return _times_right(_times_left(self.matrix, mx), self.adjoint)
 
     def __repr__(self):
@@ -234,7 +241,7 @@ class Commutator(LinearOperator):
         self.dim = ma.shape[0]
 
     def apply(self, x) -> ComplexMatrix:
-        mx = _same_dim(self.matrix, x)[1]
+        mx = self._operand(x)
         return _times_left(self.matrix, mx) - _times_right(mx, self.matrix)
 
     def __repr__(self):
@@ -320,12 +327,7 @@ class Tabulated(LinearOperator):
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
-        mx = as_matrix(x)
-        if mx.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {mx.shape[-1]}"
-            )
-        return unvec(vec(mx) @ self.coeffs.T, self.dim)
+        return unvec(vec(self._operand(x)) @ self.coeffs.T, self.dim)
 
     def to_tabulated(self) -> "Tabulated":
         return self
@@ -378,7 +380,8 @@ def check_jordan_identity(a, b, x, y, z) -> CheckResult:
     Compares L(a,b){x,y,z} against
     {L(a,b)x, y, z} - {x, L(b,a)y, z} + {x, y, L(a,b)z}
     with both sides evaluated directly as matrices, against
-    AXIOM_JORDAN_TOL * max(1, ||a|| ||b|| ||x|| ||y|| ||z||).
+    AXIOM_JORDAN_TOL * max(1, ||a|| ||b|| ||x|| ||y|| ||z||), whose five
+    norms come from one call.
     """
     ma, mb, mx, my, mz = _same_dim(a, b, x, y, z)
     t = triple_product_cstar
@@ -389,8 +392,8 @@ def check_jordan_identity(a, b, x, y, z) -> CheckResult:
         + t(mx, my, t(ma, mb, mz))
     )
     scale = 1.0
-    for m in (ma, mb, mx, my, mz):
-        scale = scale * spectral_norm(m)
+    for norm in spectral_norm(np.stack(np.broadcast_arrays(ma, mb, mx, my, mz))):
+        scale = scale * norm
     threshold = AXIOM_JORDAN_TOL * np.maximum(1.0, scale)
     r = spectral_norm(lhs - rhs)
     return CheckResult(r, threshold, r <= threshold)
@@ -437,21 +440,25 @@ def check_L_positive(a, probes) -> LPositivityReport:
 # structure-preserving generators and their residuals
 # ---------------------------------------------------------------------------
 
+def _with_product(x, y, z) -> np.ndarray:
+    """(4, ..., n, n): {x,y,z}, x, y, z stacked, for one operator call over all four."""
+    args = np.stack(_same_dim(x, y, z))
+    return np.concatenate([triple_product_cstar(*args)[None], args])
+
+
 def homomorphism_residual(op: LinearOperator, x, y, z) -> float:
-    """|| op({x,y,z}) - {op x, op y, op z} ||."""
-    t = triple_product_cstar
-    return spectral_norm(op(t(x, y, z)) - t(op(x), op(y), op(z)))
+    """|| op({x,y,z}) - {op x, op y, op z} ||, with op called once."""
+    op_p, op_x, op_y, op_z = op(_with_product(x, y, z))
+    return spectral_norm(op_p - triple_product_cstar(op_x, op_y, op_z))
 
 
 def derivation_residual(op: LinearOperator, x, y, z) -> float:
-    """|| op({x,y,z}) - {op x,y,z} - {x,op y,z} - {x,y,op z} ||."""
+    """|| op({x,y,z}) - {op x,y,z} - {x,op y,z} - {x,y,op z} ||, with op called once."""
     t = triple_product_cstar
-    return spectral_norm(
-        op(t(x, y, z))
-        - t(op(x), y, z)
-        - t(x, op(y), z)
-        - t(x, y, op(z))
-    )
+    args = _with_product(x, y, z)
+    _, x, y, z = args
+    op_p, op_x, op_y, op_z = op(args)
+    return spectral_norm(op_p - t(op_x, y, z) - t(x, op_y, z) - t(x, y, op_z))
 
 
 def theta_derivation_residual(d_op: LinearOperator, theta: LinearOperator, x, y, z) -> float:
@@ -461,10 +468,10 @@ def theta_derivation_residual(d_op: LinearOperator, theta: LinearOperator, x, y,
     where D = d_op and T = theta.
     """
     t = triple_product_cstar
-    args = np.stack(_same_dim(x, y, z))
+    args = _with_product(x, y, z)
     # each operator once: D over ({x,y,z}, x, y, z), theta over (x, y, z)
-    dp, dx, dy, dz = d_op(np.concatenate([t(*args)[None], args]))
-    tx, ty, tz = theta(args)
+    dp, dx, dy, dz = d_op(args)
+    tx, ty, tz = theta(args[1:])
     return spectral_norm(dp - t(dx, ty, tz) - t(tx, dy, tz) - t(tx, ty, dz))
 
 
@@ -498,7 +505,8 @@ def make_theta_derivation(theta: LinearOperator, d: LinearOperator) -> Compose:
         )
     triples = _verification_triples(theta.dim)
     x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
-    scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
+    nx, ny, nz = spectral_norm(triples).T
+    scale = np.maximum(1.0, nx * ny * nz)
     r_theta = (homomorphism_residual(theta, x, y, z) / scale).max()
     if r_theta > GENERATOR_VERIFY_TOL:
         raise OperatorValidationError(

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import triple_stab
+from triple_stab import lab, linalg
 from triple_stab.lab import (
     ConfigError,
     ExperimentConfig,
@@ -27,6 +29,8 @@ from triple_stab.lab import (
     run_axiom_suite,
     run_recovery,
 )
+from triple_stab.stability import LinearityCertificationError
+from triple_stab.triple import Conjugation
 
 CHECK_NAMES = [
     "axiom_commutativity",
@@ -409,6 +413,69 @@ def test_run_recovery_stops_after_failed_recovery(tmp_path):
     path = tmp_path / "failed.json"
     emit_report(report, "json", str(path))
     assert load_report(str(path)).to_dict() == report.to_dict()
+
+
+@pytest.mark.parametrize("failing", ["d", "theta"])
+def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, failing):
+    recover = lab.recover_linear_map
+
+    def fail_one_map(g, *args):
+        # h perturbs theta, a conjugation; f perturbs the composite D
+        if isinstance(g.base, Conjugation) == (failing == "theta"):
+            raise LinearityCertificationError(
+                "linearity failed", np.eye(2), index=5, norm=1.25, residual=3e-7,
+                allowance=2e-7, level=57,
+            )
+        return recover(g, *args)
+
+    monkeypatch.setattr(lab, "recover_linear_map", fail_one_map)
+    report = run_recovery(_shipped_config("cauchy2"))
+    assert not report.passed
+    assert report.recovery["error"] == "linearity failed"
+    assert report.recovery["levels"] == ({"d": 57} if failing == "theta" else {})
+    assert report.recovery["linearity_failure"] == {
+        "map": failing,
+        "probe_index": 5,
+        "probe_norm": 1.25,
+        "gap": 3e-7,
+        "allowance": 2e-7,
+        "level": 57,
+    }
+    rendered = json.loads(render_json(report.to_dict()))
+    assert rendered["recovery"]["linearity_failure"] == report.recovery["linearity_failure"]
+    # a recovery that passes, or fails for another reason, adds no key
+    monkeypatch.setattr(lab, "recover_linear_map", recover)
+    assert "linearity_failure" not in run_recovery(_shipped_config("cauchy2")).recovery
+    assert "linearity_failure" not in run_recovery(_shipped_config("cauchy2", l_max=1)).recovery
+
+
+def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
+    """spectral_norm calls per run_recovery of each shipped config at dim 2.
+
+    Each stage takes the norms of a probe stack in one call; a change that
+    brings back one call per argument or per factor raises these counts.
+    """
+    calls = []
+    norm = linalg.spectral_norm
+
+    def counted(x):
+        calls.append(1)
+        return norm(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "triple_stab" and module.__dict__.get("spectral_norm") is norm:
+            monkeypatch.setattr(module, "spectral_norm", counted)
+    counts = {}
+    for name in ("cauchy2", "cauchy2_contractive", "jensen3", "jensen3_contractive"):
+        calls.clear()
+        run_recovery(_shipped_config(name))
+        counts[name] = len(calls)
+    assert counts == {
+        "cauchy2": 51,
+        "cauchy2_contractive": 47,
+        "jensen3": 51,
+        "jensen3_contractive": 51,
+    }
 
 
 def test_run_recovery_skips_sequence_rows_where_undefined():

@@ -512,6 +512,7 @@ def test_recover_certifies_linearity():
     run = direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), np.stack(units + probes))
     k = next(k for k, x in enumerate(probes) if np.array_equal(x, err.worst_probe))
     x = probes[k]
+    assert (err.index, err.norm) == (k, spectral_norm(x))
     allowance = sum(abs(x[e == 1.0][0]) * run.error_bound[j] for j, e in enumerate(units))
     allowance += run.error_bound[len(units) + k] + 1e-9 * max(1.0, spectral_norm(x))
     assert err.allowance == pytest.approx(allowance, rel=1e-12)

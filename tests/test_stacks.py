@@ -27,10 +27,13 @@ from triple_stab.stability import (
     Custom,
     PowerType,
     Scheme,
+    SummabilityError,
     approximants,
     derivation_limit_sequence,
     estimate_convergence_rate,
+    hyers_bound,
     make_perturbation,
+    phi_tilde,
     pooled_rate,
     verify_hypotheses,
 )
@@ -45,6 +48,8 @@ from triple_stab.triple import (
     check_jordan_identity,
     check_L_positive,
     check_norm_identity,
+    derivation_residual,
+    homomorphism_residual,
     jordan_product,
     theta_derivation_residual,
     triple_product_cstar,
@@ -430,3 +435,58 @@ def test_theta_derivation_residual_matches_separate_calls(n, k, name):
     dx, dy, dz, tx, ty, tz = d_op(x), d_op(y), d_op(z), theta(x), theta(y), theta(z)
     want = spectral_norm(d_op(t(x, y, z)) - t(dx, ty, tz) - t(tx, dy, tz) - t(tx, ty, dz))
     assert np.array_equal(theta_derivation_residual(d_op, theta, x, y, z), want)
+
+
+@pytest.mark.parametrize("n,k", SHAPES)
+def test_homomorphism_and_derivation_residuals_match_separate_calls(n, k):
+    theta, d = _operators(n)["conjugation"], _operators(n)["commutator"]
+    x, y, z = (_stack(seed, n, k) for seed in (83, 84, 85))
+    t = triple_product_cstar
+    for hom in (theta, theta.to_tabulated()):
+        want = spectral_norm(hom(t(x, y, z)) - t(hom(x), hom(y), hom(z)))
+        assert np.array_equal(homomorphism_residual(hom, x, y, z), want)
+    for der in (d, d.to_tabulated()):
+        want = spectral_norm(der(t(x, y, z)) - t(der(x), y, z) - t(x, der(y), z) - t(x, y, der(z)))
+        assert np.array_equal(derivation_residual(der, x, y, z), want)
+
+
+# each scheme at p = 0 (expanding) or near its gate (contractive), and at its shipped p
+_BOUND_P = {
+    Scheme.CAUCHY2: (0.0, 0.5),
+    Scheme.CAUCHY2_CONTRACTIVE: (1.2, 2.0),
+    Scheme.JENSEN3: (0.0, 0.9),
+    Scheme.JENSEN3_CONTRACTIVE: (3.3, 4.0),
+}
+
+
+def _hyers_by_phi_tilde(phi, scheme, x):
+    """hyers_bound written out as its phi_tilde composition, one norm per argument."""
+    zero = np.zeros_like(x)
+    if scheme.hypothesis_form == "cauchy":
+        return 0.5 * phi_tilde(phi, scheme, x, x, zero)
+    if not scheme.contractive:
+        return (
+            phi_tilde(phi, scheme, x, -x, zero) + phi_tilde(phi, scheme, -x, 3.0 * x, zero)
+        ) / 3.0
+    return phi_tilde(phi, scheme, x / 3.0, -x / 3.0, zero) + phi_tilde(
+        phi, scheme, -x / 3.0, x, zero
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_power_hyers_bound_equals_its_phi_tilde_composition(n, scheme):
+    # the closed form takes one norm call over x (and 3x or x/3), relying on
+    # ||-x|| = ||x|| and ||0|| = 0 bit for bit
+    x = _stack(86, n, 9) * np.geomspace(1e-3, 1e3, 9)[:, None, None]
+    x[4] = 0.0
+    for p in _BOUND_P[scheme]:
+        phi = PowerType(0.3, p)
+        got = hyers_bound(phi, scheme, x)
+        assert np.array_equal(got, _hyers_by_phi_tilde(phi, scheme, x))
+        assert got[4] == 0.0
+        singles = [hyers_bound(phi, scheme, s) for s in x]
+        assert all(isinstance(b, float) for b in singles)
+        assert np.array_equal(got, singles)
+    with pytest.raises(SummabilityError, match=f"requires p . {scheme.gate}"):
+        hyers_bound(PowerType(0.3, float(scheme.gate)), scheme, x)
