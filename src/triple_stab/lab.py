@@ -582,19 +582,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     checks.append(_check("hypothesis_ratio_h", hyp.max_ratio_h <= 1.0, hyp.max_ratio_h, 1.0))
     lap("hypotheses")
 
-    bound_f = verify_stability_bound(f, d_hat, phi, scheme, probes)
-    bound_h = verify_stability_bound(h, theta_hat, phi, scheme, probes)
-    report.bound = {
-        "rows": [list(r) for r in bound_f.rows],
-        "max_ratio": bound_f.max_ratio,
-        "slack": bound_f.slack,
-        "passed": bound_f.passed,
-    }
-    report.bound_theta = {
-        "max_ratio": bound_h.max_ratio,
-        "slack": bound_h.slack,
-        "passed": bound_h.passed,
-    }
+    bound_f, bound_h = verify_stability_bound(((f, d_hat), (h, theta_hat)), phi, scheme, probes)
+    report.bound = {**asdict(bound_f), "rows": [list(r) for r in bound_f.rows]}
+    report.bound_theta = {k: v for k, v in asdict(bound_h).items() if k != "rows"}
     for name, result in (("bound_ratio", bound_f), ("bound_ratio_theta", bound_h)):
         checks.append(_check(name, result.passed, result.max_ratio, 1.0 + result.slack))
     lap("bound")
@@ -604,20 +594,13 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     checks.append(_check("s1_homogeneity", s1.passed, s1_value, s1.threshold))
     complex_entries = []
     mid_probes = probes[[0, len(probes) // 2, -1]]
-    for lam, label in COMPLEX_LAMBDAS:
-        res = complex_homogeneity_via_decomposition(d_hat, lam, mid_probes)
-        residual = float(res.residual.max())
-        passed = residual <= HOMOGENEITY_TOL
-        complex_entries.append(
-            {
-                "label": label,
-                "lambda": [lam.real, lam.imag],
-                "residual": residual,
-                "threshold": HOMOGENEITY_TOL,
-                "passed": passed,
-            }
-        )
-        checks.append(_check(f"complex_homogeneity_{label}", passed, residual, HOMOGENEITY_TOL))
+    lams = [lam for lam, _ in COMPLEX_LAMBDAS]
+    by_lam = complex_homogeneity_via_decomposition(d_hat, lams, mid_probes).residual
+    for (lam, label), row in zip(COMPLEX_LAMBDAS, by_lam):
+        entry = _within(HOMOGENEITY_TOL, residual=float(row.max()))
+        complex_entries.append({"label": label, "lambda": [lam.real, lam.imag], **entry})
+        name = f"complex_homogeneity_{label}"
+        checks.append(_check(name, entry["passed"], entry["residual"], HOMOGENEITY_TOL))
     report.homogeneity = {
         "s1": asdict(s1),
         "complex": complex_entries,

@@ -26,7 +26,8 @@ scan stacks its levels too, in groups of at most LEVEL_GROUP_ENTRIES
 complex entries per call.  A stage takes the norms of its stacks in one
 ``spectral_norm`` call, and the probe norms behind a power-type bound are
 reused by the direct method's target, the linearity certificate and the
-bound table.
+bound table.  The bound stage takes one bound for all its maps, and a
+homogeneity check applies its map once, to every scaled argument.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .triple import (
     CheckResult,
     LinearOperator,
     Tabulated,
+    derivation_defect,
     matrix_basis,
     theta_derivation_residual,
     triple_product_cstar,
@@ -584,13 +586,12 @@ def verify_hypotheses(
         fm, hm = f(mid), h(mid)
     else:
         fm, hm = 2.0 * f(mid / 2.0), 2.0 * h(mid / 2.0)
-    t = triple_product_cstar
     rf, rh, triple_res = spectral_norm(
         np.stack(
             [
                 fm - mu * fx - fy,
                 hm - mu * hx - hy,
-                f(t(x, y, z)) - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz),
+                derivation_defect(f(triple_product_cstar(x, y, z)), fx, fy, fz, hx, hy, hz),
             ]
         )
     )
@@ -790,17 +791,17 @@ class BoundReport:
 
 
 def verify_stability_bound(
-    f,
-    recovered: LinearOperator,
+    pairs: Sequence[tuple],
     phi: ControlFunction,
     scheme,
     probes: Sequence,
-) -> BoundReport:
+) -> tuple[BoundReport, ...]:
     """Check ||f(x) - recovered(x)|| <= (1 + BOUND_SLACK) hyers_bound(phi, scheme, x) on probes.
 
-    Power-type bounds are evaluated on the whole stack, and the rows reuse
-    the norms they were taken from; other controls sum their series term by
-    term at each probe.
+    One report per (f, recovered) pair in ``pairs``, against one bound: a
+    power-type bound on the whole stack, whose norms the rows reuse, or for
+    other controls a series summed term by term at each probe.  The errors
+    of every pair are normed in one call.
     """
     scheme = Scheme.parse(scheme)
     x = _stack(probes, "verify_stability_bound")
@@ -809,11 +810,14 @@ def verify_stability_bound(
     else:
         bounds = np.array([hyers_bound(phi, scheme, p) for p in x])
         norms = spectral_norm(x)
-    errors = spectral_norm(f(x) - recovered(x))
+    errors = spectral_norm(np.stack([f(x) - recovered(x) for f, recovered in pairs]))
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
-    rows = tuple(zip(*(a.tolist() for a in (norms, bounds, errors, ratios))))
-    max_ratio = float(ratios.max())
-    return BoundReport(rows, max_ratio, BOUND_SLACK, max_ratio <= 1.0 + BOUND_SLACK)
+    reports = []
+    for error, ratio in zip(errors, ratios):
+        rows = tuple(zip(*(a.tolist() for a in (norms, bounds, error, ratio))))
+        max_ratio = float(ratio.max())
+        reports.append(BoundReport(rows, max_ratio, BOUND_SLACK, max_ratio <= 1.0 + BOUND_SLACK))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -827,15 +831,21 @@ class HomogeneityReport:
 
 
 def verify_s1_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> HomogeneityReport:
-    """Max of ||op(mu x) - mu op(x)|| / max(1, ||x||), plus the zero case, to HOMOGENEITY_TOL."""
+    """Max of ||op(mu x) - mu op(x)|| / max(1, ||x||), plus the zero case, to HOMOGENEITY_TOL.
+
+    One op call over (mu x for every scalar and probe, x, 0), one norm call.
+    """
     if not len(probes) or not mu_samples:
         raise ValueError("verify_s1_homogeneity needs probes and scalar samples")
     x = _stack(probes, "verify_s1_homogeneity")
-    # (scalar, probe, n, n): every scalar against every probe in one call
+    k, n = len(x), x.shape[-1]
     mu = np.array([complex(m) for m in mu_samples])[:, None, None, None]
-    res = spectral_norm(op(mu * x) - mu * op(x)) / np.maximum(1.0, spectral_norm(x))
+    images = op(np.concatenate([(mu * x).reshape(-1, n, n), x, np.zeros_like(x[:1])]))
+    op_mu_x, op_x = images[: -k - 1].reshape(len(mu), k, n, n), images[-k - 1 : -1]
+    norms = spectral_norm(np.concatenate([(op_mu_x - mu * op_x).reshape(-1, n, n), x, images[-1:]]))
+    res = norms[: -k - 1].reshape(len(mu), k) / np.maximum(1.0, norms[-k - 1 : -1])
     worst = float(res.max())
-    zero_residual = spectral_norm(op(np.zeros_like(x[0])))
+    zero_residual = float(norms[-1])
     passed = worst <= HOMOGENEITY_TOL and zero_residual <= HOMOGENEITY_TOL
     return HomogeneityReport(worst, zero_residual, HOMOGENEITY_TOL, passed)
 
@@ -849,8 +859,15 @@ def unimodular_average_decomposition(gamma: float) -> tuple[UnimodularScalar, Un
     return UnimodularScalar(mu), UnimodularScalar(mu.conjugate())
 
 
-def complex_homogeneity_via_decomposition(op, lam, x):
-    """Compare op(lam x) against the reassembly used in the linearity proof.
+def _integer_and_pair(part: float):
+    """floor(part) and the unimodular pair averaging to its fraction (none for 0)."""
+    n = math.floor(part)
+    frac = part - n
+    return n, (tuple(mu.value for mu in unimodular_average_decomposition(frac)) if frac > 0.0 else ())
+
+
+def complex_homogeneity_via_decomposition(op, lams: Sequence[complex], x) -> CheckResult:
+    """Compare op(lam x) against the reassembly used in the linearity proof, for each lam.
 
     lam = a1 + i a2 is split into integer and fractional parts; fractional
     parts become averages of two unimodular scalars, so the route value
@@ -859,23 +876,32 @@ def complex_homogeneity_via_decomposition(op, lam, x):
         route = n1 op(x) + (op(m11 x) + op(m12 x)) / 2
               + i * (n2 op(x) + (op(m21 x) + op(m22 x)) / 2)
 
-    Returns the residual against op(lam x), normalized by max(1, |lam| ||x||),
-    compared against HOMOGENEITY_TOL; on a stack of x, one residual per slice.
+    One op call over x and every scaled copy the lams need, one norm call.
+    Returns, one row per lam, the residual against op(lam x), normalized by
+    max(1, |lam| ||x||), against HOMOGENEITY_TOL; on a stack of x, one
+    residual per slice.
     """
     mx = as_matrix(x)
-    lam = complex(lam)
-    route = np.zeros_like(mx)
-    image = op(mx)
-    for part, factor in ((lam.real, 1.0 + 0.0j), (lam.imag, 1.0j)):
-        n = math.floor(part)
-        frac = part - n
-        contribution = n * image
-        if frac > 0.0:
-            mu1, mu2 = unimodular_average_decomposition(frac)
-            contribution = contribution + (op(mu1.value * mx) + op(mu2.value * mx)) / 2.0
-        route = route + factor * contribution
-    norm, gap = spectral_norm(np.stack([mx, op(lam * mx) - route]))
-    residual = gap / np.maximum(1.0, abs(lam) * norm)
+    lams = [complex(lam) for lam in lams]
+    # per lam, its real and imaginary parts as (integer part, unimodular pair or ())
+    splits = [(_integer_and_pair(lam.real), _integer_and_pair(lam.imag)) for lam in lams]
+    # op's arguments after x, in the order the loop below reads their images
+    scalars = []
+    for lam, parts in zip(lams, splits):
+        scalars += [lam, *(mu for _, pair in parts for mu in pair)]
+    images = iter(op(np.stack([mx, *(s * mx for s in scalars)])))
+    image, gaps = next(images), []
+    for parts in splits:
+        direct, route = next(images), np.zeros_like(mx)
+        for factor, (n, pair) in zip((1.0 + 0.0j, 1.0j), parts):
+            contribution = n * image
+            if pair:
+                contribution = contribution + (next(images) + next(images)) / 2.0
+            route = route + factor * contribution
+        gaps.append(direct - route)
+    norms = spectral_norm(np.stack([mx, *gaps]))
+    size = np.array([abs(lam) for lam in lams]).reshape((-1,) + (1,) * (norms.ndim - 1))
+    residual = norms[1:] / np.maximum(1.0, size * norms[0])
     return CheckResult(residual, HOMOGENEITY_TOL, residual <= HOMOGENEITY_TOL)
 
 
@@ -906,7 +932,6 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
     unscaled = np.stack([txyz, mx, my, mz])
     # per level, the product scales by s3 = scale(3l) and x, y, z by s = scale(l)
     factors = np.array([[scheme.scale(3 * l)] + 3 * [scheme.scale(l)] for l in levels])
-    t = triple_product_cstar
     out = []
     for group in _level_groups(len(factors), unscaled.size):
         args = factors[group, :, None, None, None] * unscaled
@@ -916,7 +941,7 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
         hx, hy, hz = np.moveaxis(
             as_matrix(h(args[:, 1:].reshape(-1, n, n))).reshape(args[:, 1:].shape), 1, 0
         )
-        residual = spectral_norm(fp - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz))
+        residual = spectral_norm(derivation_defect(fp, fx, fy, fz, hx, hy, hz))
         out.append((1.0 / factors[group, :1]) * residual)
     return np.concatenate(out)
 

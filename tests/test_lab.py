@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import triple_stab
-from triple_stab import lab, linalg
+from triple_stab import lab, linalg, stability
 from triple_stab.lab import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +21,7 @@ from triple_stab.lab import (
     StabilityReport,
     THREADS_ENV,
     axioms_report,
+    build_generators,
     emit_report,
     load_report,
     render_csv,
@@ -454,6 +455,8 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
 
     Each stage takes the norms of a probe stack in one call; a change that
     brings back one call per argument or per factor raises these counts.
+    The set-up stage takes none for the generators, the bound stage two (one
+    bound and the errors of both maps) and the homogeneity stage two.
     """
     calls = []
     norm = linalg.spectral_norm
@@ -471,11 +474,55 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
         run_recovery(_shipped_config(name))
         counts[name] = len(calls)
     assert counts == {
-        "cauchy2": 51,
-        "cauchy2_contractive": 47,
-        "jensen3": 51,
-        "jensen3_contractive": 51,
+        "cauchy2": 42,
+        "cauchy2_contractive": 38,
+        "jensen3": 42,
+        "jensen3_contractive": 42,
     }
+
+
+def test_homogeneity_stage_applies_the_recovered_map_twice(monkeypatch):
+    # one call for the unimodular check and one for every complex lambda;
+    # one power-type bound per recovered map (the direct method) and one
+    # for the bound stage, shared by both maps
+    applied, bounds = [], []
+
+    def counting(check):
+        def counted(op, *args):
+            return check(lambda x: applied.append(len(x)) or op(x), *args)
+
+        return counted
+
+    for name in ("verify_s1_homogeneity", "complex_homogeneity_via_decomposition"):
+        monkeypatch.setattr(lab, name, counting(getattr(lab, name)))
+    power_bound = stability._power_bound
+    monkeypatch.setattr(
+        stability, "_power_bound", lambda *args: bounds.append(1) or power_bound(*args)
+    )
+    report = run_recovery(_shipped_config("cauchy2"))
+    assert report.passed
+    assert applied == [16 * 8 + 8 + 1, 8]
+    assert len(bounds) == 3
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+@pytest.mark.parametrize("skew_scale", [1e8, 1e12])
+def test_build_generators_accepts_every_large_skew_scale(dim, skew_scale):
+    # a fixed absolute check of the generators' residuals rejected these as
+    # "not a triple derivation"; the residual is round-off of order u ||a||
+    generator = {"unitary": "haar", "skew": "random", "skew_scale": skew_scale}
+    config = ExperimentConfig(dim=dim, generator=generator)
+    config.validate()
+    theta, d, big_d = build_generators(config)
+    assert (theta.dim, d.dim, big_d.dim) == (dim, dim, dim)
+
+
+def test_run_recovery_reports_a_large_skew_scale():
+    # which checks pass is not pinned here: the linearity certificate's
+    # allowance does not yet scale with ||D||
+    config = _shipped_config("cauchy2", generator={"skew_scale": 1e8})
+    rendered = json.loads(render_json(run_recovery(config).to_dict()))
+    assert rendered["config"]["generator"]["skew_scale"] == 1e8
 
 
 def test_run_recovery_skips_sequence_rows_where_undefined():

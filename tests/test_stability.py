@@ -585,6 +585,41 @@ def test_stages_call_each_map_once_per_scan():
     assert (f_calls, h_calls) == ([100, 100, 100], [100, 100])
 
 
+def test_checks_on_a_recovered_map_apply_it_once(monkeypatch):
+    # each homogeneity check applies the map once and takes one norm call; the
+    # bound stage applies each map once and takes one bound and one error norm
+    # for all its pairs
+    theta, _, big_d = _generators(50)
+    probes = make_probes(2, 8, rng_for(30, 2))
+    mus = make_mu_samples(16, rng_for(30, 3))
+    norms, bounds, op_calls = [], [], []
+    norm, power_bound = stability.spectral_norm, stability._power_bound
+    monkeypatch.setattr(stability, "spectral_norm", _counting(norm, norms))
+    monkeypatch.setattr(
+        stability, "_power_bound", lambda *args: bounds.append(1) or power_bound(*args)
+    )
+    op = _counting(big_d, op_calls)
+    verify_s1_homogeneity(op, probes, mus)
+    assert (op_calls, norms) == ([16 * 8 + 8 + 1], [16 * 8 + 8 + 1])
+    op_calls.clear()
+    norms.clear()
+    complex_homogeneity_via_decomposition(op, [2.0, 1j, 0.9 + 2.3j], probes[:3])
+    # one stack of the three probes scaled by 1, 2, i, 0.9 + 2.3i and the
+    # unimodular pairs of 0.9 and 0.3; norms of x and of the three gaps
+    assert (op_calls, norms) == ([8], [4])
+    norms.clear()
+    f_calls, h_calls = [], []
+    # the exact maps take no norms of their own: one norm call for the bound,
+    # one over the (pair, probe) stack of errors
+    verify_stability_bound(
+        [(_counting(big_d, f_calls), big_d.to_tabulated()), (_counting(theta, h_calls), theta)],
+        PowerType(0.1, 0.5),
+        Scheme.CAUCHY2,
+        probes,
+    )
+    assert (f_calls, h_calls, bounds, norms) == ([8], [8], [1], [8, 2])
+
+
 def test_certify_theta_derivation_exact_pair():
     theta, _, big_d = _generators(45)
     rng = np.random.default_rng(21)
@@ -626,19 +661,19 @@ def test_complex_homogeneity_via_decomposition():
     _, _, big_d = _generators(47)
     x = np.array([[0.4, -0.3j], [0.2, 0.9]])
     for lam in (2.0 + 0.0j, 1.0j, 0.9 + 2.3j):
-        res = complex_homogeneity_via_decomposition(big_d, lam, x)
-        assert res.passed
-        assert res.residual <= 1e-12
+        res = complex_homogeneity_via_decomposition(big_d, [lam], x)
+        assert res.passed[0]
+        assert res.residual[0] <= 1e-12
 
 
 def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
     # conjugation is additive and fixes real scalars, but maps i x to -i conj(x);
     # at lam = i, x = 100 E11 the route gives 100i E11 against -100i E11, a gap
     # of 200 on |lam| ||x|| = 100
-    res = complex_homogeneity_via_decomposition(lambda x: x.conj(), 1j, 100.0 * E11)
-    assert res.residual == 2.0
+    res = complex_homogeneity_via_decomposition(lambda x: x.conj(), [1j], 100.0 * E11)
+    assert res.residual[0] == 2.0
     assert res.threshold == 1e-6
-    assert not res.passed
+    assert not res.passed[0]
 
 
 def test_estimate_rate_trivial_on_exact_map():
@@ -673,7 +708,7 @@ def test_verify_stability_bound_perturbed_pair():
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=26)
     recovered, _ = recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), tol=1e-9)
     probes = make_probes(2, 20, rng_for(27, 2))
-    rep = verify_stability_bound(f, recovered, PowerType(0.1, 0.5), Scheme.CAUCHY2, probes)
+    (rep,) = verify_stability_bound([(f, recovered)], PowerType(0.1, 0.5), Scheme.CAUCHY2, probes)
     assert rep.passed
     assert rep.max_ratio <= 1.0 + 1e-9
     assert len(rep.rows) == 20

@@ -8,6 +8,8 @@ bit for bit, the same formula written out one level or one operator call
 at a time.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,14 +30,20 @@ from triple_stab.stability import (
     PowerType,
     Scheme,
     SummabilityError,
+    HOMOGENEITY_TOL,
     approximants,
+    complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
     estimate_convergence_rate,
     hyers_bound,
     make_perturbation,
     phi_tilde,
     pooled_rate,
+    recover_linear_map,
+    unimodular_average_decomposition,
     verify_hypotheses,
+    verify_s1_homogeneity,
+    verify_stability_bound,
 )
 from triple_stab.triple import (
     Commutator,
@@ -144,6 +152,20 @@ def test_fixed_matrix_operators_are_bit_stable_in_any_stack(n, k, name):
     nested = op.apply(np.stack([x, x[::-1]]))
     assert nested.shape == (2, k, n, n)
     assert np.array_equal(nested, [got, got[::-1]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_tabulated_is_bit_stable_in_any_stack_of_two_or_more(n):
+    # a stack of k >= 2 slices is one GEMM whose rows do not depend on k, so
+    # a check may gather its arguments into one call; a single matrix goes
+    # through GEMV and may differ, so the checks never apply op to one slice
+    op = _operators(n)["tabulated"]
+    x = _stack(24, n, 64)
+    got = op.apply(x)
+    for start, stop in ((0, 2), (5, 8), (10, 17), (1, 64)):
+        assert np.array_equal(op.apply(x[start:stop]), got[start:stop])
+    assert np.array_equal(op.apply(x.reshape(8, 8, n, n)), got.reshape(8, 8, n, n))
+    assert np.array_equal(op.apply(np.concatenate([x[40:], x[:40]])), np.concatenate([got[40:], got[:40]]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -490,3 +512,55 @@ def test_power_hyers_bound_equals_its_phi_tilde_composition(n, scheme):
         assert np.array_equal(got, singles)
     with pytest.raises(SummabilityError, match=f"requires p . {scheme.gate}"):
         hyers_bound(PowerType(0.3, float(scheme.gate)), scheme, x)
+
+
+def _s1_by_calls(op, x, mus):
+    """verify_s1_homogeneity written out: op at mu x, at x and at 0, one norm per term."""
+    mu = np.array(mus)[:, None, None, None]
+    res = spectral_norm(op(mu * x) - mu * op(x)) / np.maximum(1.0, spectral_norm(x))
+    return float(res.max()), spectral_norm(op(np.zeros_like(x[0])))
+
+
+def _complex_by_calls(op, lam, x):
+    """The complex-homogeneity residual at one lam, one op call per scaled argument."""
+    route, image = np.zeros_like(x), op(x)
+    for part, factor in ((lam.real, 1.0 + 0.0j), (lam.imag, 1.0j)):
+        whole = math.floor(part)
+        contribution = whole * image
+        if part - whole > 0.0:
+            mu1, mu2 = unimodular_average_decomposition(part - whole)
+            contribution = contribution + (op(mu1.value * x) + op(mu2.value * x)) / 2.0
+        route = route + factor * contribution
+    gap = spectral_norm(op(lam * x) - route)
+    return gap / np.maximum(1.0, abs(lam) * spectral_norm(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", ["compose", "tabulated"])
+def test_homogeneity_checks_match_one_call_per_argument(n, name):
+    # each check applies op once over all its arguments; with every written-out
+    # call on a stack of at least two slices, the values agree bit for bit
+    op = _operators(n)[name]
+    x = _stack(87, n, 8)
+    mus = [np.exp(1j * a) for a in (0.3, 1.1, 2.9, 4.0)]
+    report = verify_s1_homogeneity(op, x, mus)
+    assert (report.max_residual, report.zero_residual) == _s1_by_calls(op, x, mus)
+    assert report.threshold == HOMOGENEITY_TOL
+    lams = [2.0, 1j, 0.9 + 2.3j, -1.25 + 0.5j]
+    got = complex_homogeneity_via_decomposition(op, lams, x[:3])
+    assert got.residual.shape == (4, 3)
+    assert np.array_equal(got.residual, [_complex_by_calls(op, complex(lam), x[:3]) for lam in lams])
+    assert np.array_equal(got.passed, got.residual <= HOMOGENEITY_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("phi", [PowerType(0.1, 0.5), Custom(lambda x, y, z: 0.1)], ids=["power", "custom"])
+def test_stability_bound_of_two_pairs_matches_one_pair_calls(n, phi):
+    f, h = _perturbed_pair(n, 0.5, "cauchy")
+    f_hat, _ = recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.1, 0.5))
+    h_hat, _ = recover_linear_map(h, Scheme.CAUCHY2, PowerType(0.1, 0.5))
+    x = _stack(88, n, 6)
+    both = verify_stability_bound([(f, f_hat), (h, h_hat)], phi, Scheme.CAUCHY2, x)
+    (alone_f,) = verify_stability_bound([(f, f_hat)], phi, Scheme.CAUCHY2, x)
+    (alone_h,) = verify_stability_bound([(h, h_hat)], phi, Scheme.CAUCHY2, x)
+    assert both == (alone_f, alone_h)
