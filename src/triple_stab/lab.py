@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
@@ -481,6 +481,26 @@ def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: f
     }
 
 
+def _section(result) -> dict:
+    """A result's fields as a report section, shallow: they are scalars or lists of floats."""
+    return {f.name: getattr(result, f.name) for f in dataclass_fields(result)}
+
+
+def _bound_section(result) -> dict:
+    """A stability-bound result as a report section.
+
+    Where the bound is 0 (eps = 0) and the error is not, the ratio is
+    infinite; JSON has no number for it, so the section names it "inf".
+    """
+    section = _section(result)
+    if not math.isfinite(result.max_ratio):
+        section["max_ratio"] = str(result.max_ratio)
+        section["rows"] = [
+            [*row[:3], row[3] if math.isfinite(row[3]) else str(row[3])] for row in result.rows
+        ]
+    return section
+
+
 def run_recovery(config: ExperimentConfig, threads: int | None = None) -> StabilityReport:
     """End-to-end scenario: build, perturb, recover, certify, report."""
     config.validate()
@@ -577,16 +597,16 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         checks.append(_check(name, err <= RECOVERY_ERROR_TOL, err, RECOVERY_ERROR_TOL))
 
     hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
-    report.hypotheses = asdict(hyp)
+    report.hypotheses = _section(hyp)
     checks.append(_check("hypothesis_ratio_f", hyp.max_ratio_f <= 1.0, hyp.max_ratio_f, 1.0))
     checks.append(_check("hypothesis_ratio_h", hyp.max_ratio_h <= 1.0, hyp.max_ratio_h, 1.0))
     lap("hypotheses")
 
     bound_f, bound_h = verify_stability_bound(((f, d_hat), (h, theta_hat)), phi, scheme, probes)
-    report.bound = {**asdict(bound_f), "rows": [list(r) for r in bound_f.rows]}
-    report.bound_theta = {k: v for k, v in asdict(bound_h).items() if k != "rows"}
-    for name, result in (("bound_ratio", bound_f), ("bound_ratio_theta", bound_h)):
-        checks.append(_check(name, result.passed, result.max_ratio, 1.0 + result.slack))
+    report.bound, report.bound_theta = _bound_section(bound_f), _bound_section(bound_h)
+    del report.bound_theta["rows"]
+    for name, part in (("bound_ratio", report.bound), ("bound_ratio_theta", report.bound_theta)):
+        checks.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))
     lap("bound")
 
     s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples)
@@ -602,14 +622,14 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         name = f"complex_homogeneity_{label}"
         checks.append(_check(name, entry["passed"], entry["residual"], HOMOGENEITY_TOL))
     report.homogeneity = {
-        "s1": asdict(s1),
+        "s1": _section(s1),
         "complex": complex_entries,
         "passed": s1.passed and all(e["passed"] for e in complex_entries),
     }
     lap("homogeneity")
 
     cert = certify_theta_derivation(d_hat, theta_hat, cert_triples)
-    report.derivation_certificate = asdict(cert)
+    report.derivation_certificate = _section(cert)
     checks.append(
         _check("derivation_certificate", cert.passed, cert.max_relative_residual, cert.threshold)
     )
@@ -703,7 +723,8 @@ def render_csv(report_data: dict) -> str:
         raise ReportFormatError("report has no per-probe bound table for CSV output")
     lines = ["norm_x,bound,error,ratio"]
     for row in bound["rows"]:
-        lines.append(",".join(_render_float(float(v)) for v in row))
+        # a ratio JSON has no number for is written by name, as in the report
+        lines.append(",".join(v if isinstance(v, str) else _render_float(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 

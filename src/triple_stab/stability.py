@@ -784,7 +784,7 @@ def recover_linear_map(
 class BoundReport:
     """Per-probe comparison of the actual defect against the bound."""
 
-    rows: tuple[tuple[float, float, float, float], ...]  # (norm_x, bound, error, ratio)
+    rows: list[list[float]]  # [norm_x, bound, error, ratio] per probe
     max_ratio: float
     slack: float
     passed: bool
@@ -814,7 +814,7 @@ def verify_stability_bound(
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
     reports = []
     for error, ratio in zip(errors, ratios):
-        rows = tuple(zip(*(a.tolist() for a in (norms, bounds, error, ratio))))
+        rows = np.array([norms, bounds, error, ratio]).T.tolist()
         max_ratio = float(ratio.max())
         reports.append(BoundReport(rows, max_ratio, BOUND_SLACK, max_ratio <= 1.0 + BOUND_SLACK))
     return tuple(reports)

@@ -124,6 +124,23 @@ def test_report_of_failed_recovery_has_no_bound_table(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_recover_writes_a_failed_zero_eps_report(tmp_path, capsys):
+    # a bound of 0 gives the bound ratio the value inf, which JSON has no number for
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    out_path = tmp_path / "eps0.json"
+    code = main(["recover", "--config", str(config), "--eps", "0", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"wrote json report to {out_path}" in captured.out
+    assert "FAILED bound_ratio: value=inf" in captured.err
+    report = load_report(str(out_path))
+    assert not report.passed
+    assert report.bound["max_ratio"] == "inf"
+    again = tmp_path / "again.json"
+    assert main(["report", "--in", str(out_path), "--format", "json", "--out", str(again)]) == 0
+    assert again.read_bytes() == out_path.read_bytes()
+
+
 def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):
     plain_path = tmp_path / "plain.json"
     timed_path = tmp_path / "timed.json"

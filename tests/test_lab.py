@@ -1,5 +1,8 @@
 """Tests for experiment configs, the lab pipelines, and report serialization."""
 
+import copy
+import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -503,6 +506,87 @@ def test_homogeneity_stage_applies_the_recovered_map_twice(monkeypatch):
     assert report.passed
     assert applied == [16 * 8 + 8 + 1, 8]
     assert len(bounds) == 3
+
+
+def test_report_sections_hold_every_field_of_their_results(monkeypatch):
+    # the sections are shallow copies; each must equal the deep copy of its result
+    results = {}
+
+    def keep(name):
+        check = getattr(lab, name)
+
+        def kept(*args):
+            results[name] = check(*args)
+            return results[name]
+
+        return kept
+
+    for name in (
+        "verify_hypotheses",
+        "verify_stability_bound",
+        "verify_s1_homogeneity",
+        "certify_theta_derivation",
+    ):
+        monkeypatch.setattr(lab, name, keep(name))
+    report = run_recovery(_shipped_config("cauchy2"))
+    bound_f, bound_h = results["verify_stability_bound"]
+    assert all(type(row) is list for row in report.bound["rows"])
+    assert report.bound == dataclasses.asdict(bound_f)
+    assert report.bound_theta == {
+        k: v for k, v in dataclasses.asdict(bound_h).items() if k != "rows"
+    }
+    assert report.hypotheses == dataclasses.asdict(results["verify_hypotheses"])
+    assert report.homogeneity["s1"] == dataclasses.asdict(results["verify_s1_homogeneity"])
+    assert report.derivation_certificate == dataclasses.asdict(
+        results["certify_theta_derivation"]
+    )
+
+
+def test_run_recovery_makes_no_deep_copy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("copy.deepcopy called")
+
+    monkeypatch.setattr(copy, "deepcopy", refuse)
+    assert run_recovery(_shipped_config("cauchy2")).passed
+
+
+# sha256 of render_json of each shipped config as shipped (dim 2, seed 42);
+# a numpy or BLAS build that rounds differently would change them
+_SHIPPED_DIGESTS = {
+    "cauchy2": "f2019c9c9b618d8ec382cee59d59787ad2249ed3838fc802f4fca8e62efeb956",
+    "cauchy2_contractive": "b2b5560c6b5a21504f45bac531c4b32ecf555df6e70a1bfdc2354fbcf2d4c0b6",
+    "jensen3": "208b83c97d742f955d4fcea1bc6ca5f62e5c2d24111bd60410bf7e69774d9041",
+    "jensen3_contractive": "fbe189a17b8e8d6c570de0cf439f6efc62a730e56aaa1eca0a72168cf3e26739",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_DIGESTS))
+def test_shipped_reports_keep_their_bytes(name):
+    report = run_recovery(_shipped_config(name))
+    digest = hashlib.sha256(render_json(report.to_dict()).encode()).hexdigest()
+    assert digest == _SHIPPED_DIGESTS[name]
+
+
+def test_zero_eps_report_renders_and_names_its_infinite_ratio(tmp_path):
+    # at eps = 0 the bound is 0, so the recovered map's round-off has an
+    # infinite ratio; the check fails and the report says "inf"
+    report = run_recovery(_shipped_config("cauchy2", eps=0.0))
+    assert not report.passed
+    failed = [c for c in report.checks if not c["passed"]]
+    assert failed == [
+        {"name": "bound_ratio", "passed": False, "value": "inf", "tolerance": 1.0 + 1e-9}
+    ]
+    assert report.bound["max_ratio"] == "inf"
+    ratios = [row[3] for row in report.bound["rows"]]
+    assert "inf" in ratios and all(r == "inf" or r == 0.0 for r in ratios)
+    assert all(isinstance(v, float) for row in report.bound["rows"] for v in row[:3])
+    path = tmp_path / "eps0.json"
+    emit_report(report, "json", str(path))
+    assert load_report(str(path)).to_dict() == report.to_dict()
+    assert render_json(load_report(str(path)).to_dict()) + "\n" == path.read_text()
+    csv_path = tmp_path / "eps0.csv"
+    emit_report(report, "csv", str(csv_path))
+    assert csv_path.read_text().splitlines()[1].endswith(",inf")
 
 
 @pytest.mark.parametrize("dim", [2, 3, 16])
