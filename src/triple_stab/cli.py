@@ -3,8 +3,7 @@
 Configs come from a JSON file via --config; every config field can also be
 set or overridden by a same-named long flag.  Exit code 0 means every
 enabled check passed; failed checks are enumerated on standard error.
-TRIPLE_STAB_THREADS is accepted and validated; the pipeline evaluates probe
-stacks in one thread, and reports are byte-identical for any value of it.
+Reports are byte-identical on every run of the same config.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import sys
 import numpy as np
 
 from .lab import (
-    DIM_MAX,
     ConfigError,
     ExperimentConfig,
     ReportFormatError,
@@ -198,11 +196,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     eps = args.eps if args.eps is not None else 1.0
-    if eps < 0.0:
-        raise ConfigError(f"eps must be nonnegative, got {eps}")
     dim = args.dim if args.dim is not None else 2
-    if not 1 <= dim <= DIM_MAX:
-        raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {dim}")
+    # the config's own checks: dim in [1, DIM_MAX], eps finite and nonnegative
+    ExperimentConfig(dim=dim, eps=eps).validate()
     schemes = list(Scheme)
     if args.scheme is not None:
         schemes = [Scheme.parse(args.scheme)]

@@ -4,8 +4,7 @@ A single 64-bit experiment seed determines everything a scenario touches:
 the structure maps, the perturbation defects, every probe set, and every
 unimodular sample.  Reports therefore serialize to identical bytes on
 every run with the same config.  The pipeline evaluates each stage's probes
-as one stack in a single thread; TRIPLE_STAB_THREADS is still accepted and
-validated, and reports are byte-identical for any value of it.
+as one stack in a single thread.
 
 The runner builds an exact pair (D, theta) from a unitary conjugation and
 a skew-adjoint commutator, perturbs both maps, recovers them back through
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 
@@ -79,8 +77,6 @@ from .triple import (
     triple_product_cstar,
     triple_product_jbstar,
 )
-
-THREADS_ENV = "TRIPLE_STAB_THREADS"
 
 DIM_MAX = 16
 
@@ -240,27 +236,6 @@ class ExperimentConfig:
         }
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Validated thread count, falling back to the environment variable.
-
-    The pipeline runs in one thread whatever the count; a bad value still
-    raises ConfigError.
-    """
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV)
-        if raw is None:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV} must be a positive integer, got {raw!r}"
-            ) from None
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"thread count must be a positive integer, got {threads!r}")
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # scenario construction
 # ---------------------------------------------------------------------------
@@ -361,12 +336,9 @@ def _axiom_checks(fragment: dict) -> list[dict]:
     return rows
 
 
-def axioms_report(
-    config: ExperimentConfig, samples: int | None = None, threads: int | None = None
-) -> tuple[dict, dict]:
+def axioms_report(config: ExperimentConfig, samples: int | None = None) -> tuple[dict, dict]:
     """Standalone axiom-suite report for the CLI, with wall-clock timings."""
     started = time.perf_counter()
-    resolve_threads(threads)
     fragment = run_axiom_suite(config, samples=samples)
     checks = _axiom_checks(fragment)
     report = {
@@ -502,9 +474,12 @@ def _bound_section(result) -> dict:
 
 
 def run_recovery(config: ExperimentConfig, threads: int | None = None) -> StabilityReport:
-    """End-to-end scenario: build, perturb, recover, certify, report."""
+    """End-to-end scenario: build, perturb, recover, certify, report.
+
+    ``threads`` is ignored: the pipeline runs in one thread.  It stays only
+    because ``perfbench/worker.py`` passes it (ROADMAP item 4).
+    """
     config.validate()
-    resolve_threads(threads)
     scheme = config.scheme_enum()
     phi = PowerType(config.eps, config.p)
     form = scheme.hypothesis_form

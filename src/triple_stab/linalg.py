@@ -3,8 +3,9 @@
 Matrices are square numpy arrays of complex128, either one n x n matrix or
 a stack of shape (..., n, n).  ``as_matrix`` is the single entry point that
 enforces squareness and finiteness; every public operation routes its
-inputs through it.  ``spectral_norm`` and ``hs_inner`` act slice by slice
-on stacks.
+inputs through it.  ``same_dim`` is the one check that several operands
+share their dimension n, here and in ``triple``.  ``spectral_norm`` and
+``hs_inner`` act slice by slice on stacks.
 
 ``spectral_norm`` takes the top singular value in closed form for n <= 2
 and from LAPACK's SVD for n >= 3; its docstring gives the closed form's
@@ -38,18 +39,19 @@ def as_matrix(x) -> ComplexMatrix:
     return m
 
 
-def _same_dim_pair(x, y) -> tuple[ComplexMatrix, ComplexMatrix]:
-    mx, my = as_matrix(x), as_matrix(y)
-    if mx.shape[-1] != my.shape[-1]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {mx.shape[-1]} vs {my.shape[-1]}"
-        )
-    return mx, my
+def same_dim(*mats) -> list[ComplexMatrix]:
+    """Each operand through ``as_matrix``; DimensionMismatchError unless all share n."""
+    out = [as_matrix(m) for m in mats]
+    n = out[0].shape[-1]
+    for m in out[1:]:
+        if m.shape[-1] != n:
+            raise DimensionMismatchError(f"dimension mismatch: {n} vs {m.shape[-1]}")
+    return out
 
 
 def hs_inner(x, y):
     """Hilbert-Schmidt inner product trace(x y*); an array over stack slices."""
-    mx, my = _same_dim_pair(x, y)
+    mx, my = same_dim(x, y)
     inner = np.einsum("...ij,...ij->...", mx, my.conj())
     return complex(inner) if inner.ndim == 0 else inner
 
@@ -61,7 +63,7 @@ def max_abs(x) -> float:
 
 def max_entry_diff(x, y) -> float:
     """Largest entrywise absolute difference between two matrices."""
-    mx, my = _same_dim_pair(x, y)
+    mx, my = same_dim(x, y)
     return float(np.max(np.abs(mx - my)))
 
 

@@ -20,10 +20,13 @@ alternative of Diaz-Margolis and Cadariu-Radu): ``direct_method`` evaluates
 A_L once, at the smallest L the bound certifies.  Convergence rates come
 from one pooled least-squares slope over a fixed window of levels.
 
-Maps, controls and certificates take (k, n, n) probe stacks: every stage
-makes one call per map and per check over all of its probes, and a level
-scan stacks its levels too, in groups of at most LEVEL_GROUP_ENTRIES
-complex entries per call.  A stage takes the norms of its stacks in one
+The stages price with a power-type control only, the one the paper's
+theorems use; a ``Custom`` control is the term-by-term reference series of
+``phi_tilde`` and ``hyers_bound``.  Maps, power-type controls and
+certificates take (k, n, n) probe stacks: every stage makes one call per
+map and per check over all of its probes, and a level scan stacks its
+levels too, in groups of at most LEVEL_GROUP_ENTRIES complex entries per
+call.  A stage takes the norms of its stacks in one
 ``spectral_norm`` call, and the probe norms behind a power-type bound are
 reused by the direct method's target, the linearity certificate and the
 bound table.  The bound stage takes one bound for all its maps, and a
@@ -64,6 +67,8 @@ CUSTOM_SERIES_CAP = 10_000
 SERIES_TOL = 1e-15
 # random probes of the linearity certificate in recovery
 CERT_PROBE_COUNT = 24
+# residual allowed at hypothesis samples where the control vanishes
+ZERO_CONTROL_TOL = 1e-10
 # thresholds of the certificates on a recovered map
 BOUND_SLACK = 1e-9
 HOMOGENEITY_TOL = 1e-6
@@ -207,21 +212,18 @@ def norm_power(norm, p: float):
 
 
 class ControlFunction:
-    """Nonnegative control phi(x, y, z) pricing a perturbation residual.
-
-    On (k, n, n) stacks ``value`` returns one value per slice.
-    """
+    """Nonnegative control phi(x, y, z) pricing a perturbation residual."""
 
     def value(self, x, y, z):
         raise NotImplementedError
 
-    def __call__(self, x, y, z):
-        return self.value(x, y, z)
-
 
 @dataclass(frozen=True)
 class PowerType(ControlFunction):
-    """phi(x, y, z) = eps * (||x||^p + ||y||^p + ||z||^p)."""
+    """phi(x, y, z) = eps * (||x||^p + ||y||^p + ||z||^p).
+
+    On (k, n, n) stacks ``value`` returns one value per slice.
+    """
 
     eps: float
     p: float
@@ -244,17 +246,11 @@ class PowerType(ControlFunction):
 
 @dataclass(frozen=True)
 class Custom(ControlFunction):
-    """User-supplied control; values are checked to be nonnegative.
-
-    ``fn`` takes single matrices; on stacks it is called once per slice.
-    """
+    """User-supplied control on single matrices; values are checked to be nonnegative."""
 
     fn: Callable
 
-    def value(self, x, y, z):
-        mx, my, mz = np.broadcast_arrays(as_matrix(x), as_matrix(y), as_matrix(z))
-        if mx.ndim > 2:
-            return np.array([self.value(a, b, c) for a, b, c in zip(mx, my, mz)])
+    def value(self, x, y, z) -> float:
         v = float(self.fn(x, y, z))
         if v < 0.0 or not math.isfinite(v):
             raise ValueError(f"control function returned {v!r}; needs finite >= 0")
@@ -337,6 +333,12 @@ def _power_tilde(phi: PowerType, scheme: Scheme, nx, ny, nz=0.0):
         raise SummabilityError(scheme.gate_message(phi.p))
     r = scheme.series_ratio(phi.p)
     return phi.from_norms(nx, ny, nz) * r**scheme.series_start / (1.0 - r)
+
+
+def _require_power(phi: ControlFunction, caller: str) -> None:
+    """TypeError unless phi is the power-type control the stages price with."""
+    if not isinstance(phi, PowerType):
+        raise TypeError(f"{caller} needs a PowerType control, got {type(phi).__name__}")
 
 
 def _power_bound(phi: PowerType, scheme: Scheme, x):
@@ -544,7 +546,7 @@ class HypothesisReport:
 def verify_hypotheses(
     f,
     h,
-    phi: ControlFunction,
+    phi: PowerType,
     form: str,
     probes: Sequence,
     mu_samples: Sequence[complex],
@@ -560,9 +562,10 @@ def verify_hypotheses(
     is divided by phi(x, y, z) and reported without a pass threshold; the
     perturbation construction does not promise it stays below 1.
     """
+    _require_power(phi, "verify_hypotheses")
     form = _parse_form(form)
     x = _stack(probes, "verify_hypotheses")
-    if not mu_samples:
+    if len(mu_samples) == 0:
         raise ValueError("verify_hypotheses needs at least one unimodular sample")
     m = len(x)
     k = np.arange(m)
@@ -572,12 +575,9 @@ def verify_hypotheses(
     mu = np.array([complex(mu_samples[i % len(mu_samples)]) for i in range(m)])
     mu = mu[:, None, None]
     # y and z permute the slices of x, so ||y|| = ||x||[iy], f(y) = f(x)[iy] and so on
-    if isinstance(phi, PowerType):
-        nx = spectral_norm(x)
-        denom_pair = phi.from_norms(nx, nx[iy], 0.0)
-        denom_triple = phi.from_norms(nx, nx[iy], nx[iz])
-    else:
-        denom_pair, denom_triple = phi.value(x, y, np.zeros_like(x)), phi.value(x, y, z)
+    nx = spectral_norm(x)
+    denom_pair = phi.from_norms(nx, nx[iy], 0.0)
+    denom_triple = phi.from_norms(nx, nx[iy], nx[iz])
     fx, hx = f(x), h(x)
     fy, fz, hy, hz = fx[iy], fx[iz], hx[iy], hx[iz]
     # cauchy: g(mu x + y) - mu g(x) - g(y); jensen: 2 g((mu x + y) / 2) - mu g(x) - g(y)
@@ -609,7 +609,7 @@ def verify_hypotheses(
         max_triple_ratio=max_t,
         zero_control_samples=zero_samples,
         max_zero_control_residual=zero_abs,
-        passed=max_f <= 1.0 and max_h <= 1.0 and zero_abs <= 1e-10,
+        passed=max_f <= 1.0 and max_h <= 1.0 and zero_abs <= ZERO_CONTROL_TOL,
     )
 
 
@@ -683,7 +683,7 @@ def approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
 def direct_method(
     f,
     scheme,
-    phi: ControlFunction,
+    phi: PowerType,
     xs,
     tol: float = 1e-9,
     l_max: int = 200,
@@ -699,9 +699,8 @@ def direct_method(
     ConvergenceError, naming L, r and the limit, when L exceeds l_max or its
     scale would leave OVERFLOW_LIMIT.
     """
+    _require_power(phi, "direct_method")
     scheme = Scheme.parse(scheme)
-    if not isinstance(phi, PowerType):
-        raise TypeError(f"direct_method needs a PowerType control, got {type(phi).__name__}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     xs = _stack(xs, "direct_method")
@@ -731,7 +730,7 @@ def direct_method(
 def recover_linear_map(
     f,
     scheme,
-    phi: ControlFunction,
+    phi: PowerType,
     tol: float = 1e-9,
     l_max: int = 200,
 ) -> tuple[Tabulated, int]:
@@ -792,24 +791,20 @@ class BoundReport:
 
 def verify_stability_bound(
     pairs: Sequence[tuple],
-    phi: ControlFunction,
+    phi: PowerType,
     scheme,
     probes: Sequence,
 ) -> tuple[BoundReport, ...]:
     """Check ||f(x) - recovered(x)|| <= (1 + BOUND_SLACK) hyers_bound(phi, scheme, x) on probes.
 
-    One report per (f, recovered) pair in ``pairs``, against one bound: a
-    power-type bound on the whole stack, whose norms the rows reuse, or for
-    other controls a series summed term by term at each probe.  The errors
-    of every pair are normed in one call.
+    One report per (f, recovered) pair in ``pairs``, against one power-type
+    bound on the whole stack, whose norms the rows reuse.  The errors of
+    every pair are normed in one call.
     """
+    _require_power(phi, "verify_stability_bound")
     scheme = Scheme.parse(scheme)
     x = _stack(probes, "verify_stability_bound")
-    if isinstance(phi, PowerType):
-        bounds, norms = _power_bound(phi, scheme, x)
-    else:
-        bounds = np.array([hyers_bound(phi, scheme, p) for p in x])
-        norms = spectral_norm(x)
+    bounds, norms = _power_bound(phi, scheme, x)
     errors = spectral_norm(np.stack([f(x) - recovered(x) for f, recovered in pairs]))
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
     reports = []
@@ -835,7 +830,7 @@ def verify_s1_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -
 
     One op call over (mu x for every scalar and probe, x, 0), one norm call.
     """
-    if not len(probes) or not mu_samples:
+    if len(probes) == 0 or len(mu_samples) == 0:
         raise ValueError("verify_s1_homogeneity needs probes and scalar samples")
     x = _stack(probes, "verify_s1_homogeneity")
     k, n = len(x), x.shape[-1]

@@ -55,6 +55,7 @@ from .linalg import (
     DimensionMismatchError,
     as_matrix,
     hs_inner,
+    same_dim,
     spectral_norm,
 )
 
@@ -69,17 +70,6 @@ AXIOM_L_POSITIVITY_TOL = 1e-10
 
 class OperatorValidationError(ValueError):
     """An operator constructor received a matrix violating its contract."""
-
-
-def _same_dim(*mats) -> list[ComplexMatrix]:
-    out = [as_matrix(m) for m in mats]
-    n = out[0].shape[-1]
-    for m in out[1:]:
-        if m.shape[-1] != n:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {n} vs {m.shape[-1]}"
-            )
-    return out
 
 
 def _stack_product(a, b) -> ComplexMatrix:
@@ -100,13 +90,13 @@ def _stack_product(a, b) -> ComplexMatrix:
 
 def jordan_product(x, y) -> ComplexMatrix:
     """Symmetrized product (x y + y x) / 2."""
-    mx, my = _same_dim(x, y)
+    mx, my = same_dim(x, y)
     return (_stack_product(mx, my) + _stack_product(my, mx)) / 2.0
 
 
 def triple_product_cstar(x, y, z) -> ComplexMatrix:
     """Canonical triple product (x y* z + z y* x) / 2."""
-    mx, my, mz = _same_dim(x, y, z)
+    mx, my, mz = same_dim(x, y, z)
     ys = np.swapaxes(my.conj(), -1, -2)
     return (
         _stack_product(_stack_product(mx, ys), mz) + _stack_product(_stack_product(mz, ys), mx)
@@ -115,7 +105,7 @@ def triple_product_cstar(x, y, z) -> ComplexMatrix:
 
 def triple_product_jbstar(x, y, z) -> ComplexMatrix:
     """Jordan-form triple product; agrees with the C*-form on matrices."""
-    mx, my, mz = _same_dim(x, y, z)
+    mx, my, mz = same_dim(x, y, z)
     ys = np.swapaxes(my.conj(), -1, -2)
     return (
         jordan_product(jordan_product(mx, ys), mz)
@@ -315,17 +305,10 @@ class Tabulated(LinearOperator):
     """
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"coefficients must be square, got shape {arr.shape}")
+        arr = as_matrix(coeffs)
         n = int(round(arr.shape[0] ** 0.5))
-        if n * n != arr.shape[0]:
-            raise ValueError(
-                f"coefficient side {arr.shape[0]} is not a perfect square"
-            )
-        # a complex entry is finite only when both of its parts are
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite")
+        if arr.ndim != 2 or n * n != arr.shape[0]:
+            raise ValueError(f"coefficients must be one n^2 x n^2 matrix, got shape {arr.shape}")
         self.coeffs = _frozen(arr)
         self.dim = n
 
@@ -386,7 +369,7 @@ def check_jordan_identity(a, b, x, y, z) -> CheckResult:
     AXIOM_JORDAN_TOL * max(1, ||a|| ||b|| ||x|| ||y|| ||z||), whose five
     norms come from one call.
     """
-    ma, mb, mx, my, mz = _same_dim(a, b, x, y, z)
+    ma, mb, mx, my, mz = same_dim(a, b, x, y, z)
     t = triple_product_cstar
     lhs = t(ma, mb, t(mx, my, mz))
     rhs = (
@@ -445,7 +428,7 @@ def check_L_positive(a, probes) -> LPositivityReport:
 
 def _with_product(x, y, z) -> np.ndarray:
     """(4, ..., n, n): {x,y,z}, x, y, z stacked, for one operator call over all four."""
-    args = np.stack(_same_dim(x, y, z))
+    args = np.stack(same_dim(x, y, z))
     return np.concatenate([triple_product_cstar(*args)[None], args])
 
 

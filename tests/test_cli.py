@@ -201,6 +201,21 @@ def test_bounds_explicit_gate_violation_fails_before_output(capsys):
     assert "closed_form" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["bounds", "--eps", "-1"], "eps must be nonnegative, got -1.0"),
+        (["bounds", "--eps", "inf"], "eps must be finite"),
+    ],
+)
+def test_bounds_checks_eps_as_a_config_does(argv, fragment, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert fragment in captured.err
+    assert "closed_form" not in captured.out
+
+
 def test_recover_rejects_gate_violation(capsys):
     code = main(["recover", "--scheme", "cauchy2", "--p", "1.0"])
     err = capsys.readouterr().err

@@ -22,14 +22,12 @@ from triple_stab.lab import (
     ExperimentConfig,
     ReportFormatError,
     StabilityReport,
-    THREADS_ENV,
     axioms_report,
     build_generators,
     emit_report,
     load_report,
     render_csv,
     render_json,
-    resolve_threads,
     run_axiom_suite,
     run_recovery,
 )
@@ -194,33 +192,6 @@ def test_config_round_trip_normalizes_scheme_tag():
     }
     again = ExperimentConfig.from_dict(data)
     assert again.to_dict() == data
-
-
-# ---------------------------------------------------------------------------
-# thread resolution
-# ---------------------------------------------------------------------------
-
-def test_resolve_threads_explicit():
-    assert resolve_threads(1) == 1
-    assert resolve_threads(8) == 8
-    for bad in (0, -2, True, 2.0):
-        with pytest.raises(ConfigError, match="thread count must be a positive integer"):
-            resolve_threads(bad)
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert resolve_threads() == 1
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert resolve_threads() == 4
-    # an explicit argument wins over the environment
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv(THREADS_ENV, "many")
-    with pytest.raises(ConfigError, match="must be a positive integer"):
-        resolve_threads()
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(ConfigError, match="positive integer"):
-        resolve_threads()
 
 
 # ---------------------------------------------------------------------------

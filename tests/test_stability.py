@@ -278,6 +278,27 @@ def test_verify_hypotheses_ratios_stay_below_one():
     assert rep.samples == 20
 
 
+def test_hypotheses_and_s1_homogeneity_take_scalar_samples_as_an_array():
+    # an ndarray of scalars has no truth value; a length test accepts it
+    _, _, big_d = _generators(34)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=7)
+    h = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=8)
+    probes = make_probes(2, 20, rng_for(9, 2))
+    mus = make_mu_samples(8, rng_for(9, 3))
+    phi = PowerType(0.1, 0.5)
+    assert verify_hypotheses(f, h, phi, "cauchy", probes, np.array(mus)) == verify_hypotheses(
+        f, h, phi, "cauchy", probes, mus
+    )
+    assert verify_s1_homogeneity(big_d, probes, np.array(mus)) == verify_s1_homogeneity(
+        big_d, probes, mus
+    )
+    for empty in ([], np.array([], dtype=complex)):
+        with pytest.raises(ValueError, match="unimodular sample"):
+            verify_hypotheses(f, h, phi, "cauchy", probes, empty)
+        with pytest.raises(ValueError, match="scalar samples"):
+            verify_s1_homogeneity(big_d, probes, empty)
+
+
 # (scheme, form, p): each scheme at its shipped p and near its gate
 _LEVEL_CASES = [
     (Scheme.CAUCHY2, "cauchy", 0.5),
@@ -352,6 +373,11 @@ def test_direct_method_rejects_zero_tol_and_other_controls():
         direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=0.0)
     with pytest.raises(TypeError):
         direct_method(f, Scheme.CAUCHY2, Custom(phi.value), E11[None])
+    # the other stages price with the power-type control only, too
+    with pytest.raises(TypeError):
+        verify_hypotheses(f, f, Custom(phi.value), "cauchy", E11[None], [1.0])
+    with pytest.raises(TypeError):
+        verify_stability_bound([(f, f)], Custom(phi.value), Scheme.CAUCHY2, E11[None])
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from triple_stab.sampling import (
 from triple_stab import stability
 from triple_stab.stability import (
     RATE_LEVELS,
-    Custom,
     PowerType,
     Scheme,
     SummabilityError,
@@ -432,11 +431,7 @@ def _hypotheses_by_sample(f, h, phi, form, x, mus):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("form", ["cauchy", "jensen"])
-@pytest.mark.parametrize(
-    "phi",
-    [PowerType(0.1, 0.5), Custom(lambda x, y, z: 0.1 * (np.abs(x).sum() + np.abs(y).sum()))],
-    ids=["power", "custom"],
-)
+@pytest.mark.parametrize("phi", [PowerType(0.1, 0.5)], ids=["power"])
 def test_verify_hypotheses_matches_sample_by_sample(n, form, phi):
     f, h = _perturbed_pair(n, 0.5, form)
     x = _stack(70, n, 7)
@@ -554,7 +549,7 @@ def test_homogeneity_checks_match_one_call_per_argument(n, name):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("phi", [PowerType(0.1, 0.5), Custom(lambda x, y, z: 0.1)], ids=["power", "custom"])
+@pytest.mark.parametrize("phi", [PowerType(0.1, 0.5)], ids=["power"])
 def test_stability_bound_of_two_pairs_matches_one_pair_calls(n, phi):
     f, h = _perturbed_pair(n, 0.5, "cauchy")
     f_hat, _ = recover_linear_map(f, Scheme.CAUCHY2, PowerType(0.1, 0.5))

@@ -154,6 +154,13 @@ def test_tabulated_rejects_any_non_finite_part(bad):
         Tabulated(coeffs)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 3), (4, 5), (16,), (2, 4, 4)])
+def test_tabulated_rejects_coefficients_of_no_n_squared_side(shape):
+    # empty, a side that is no square number, non-square, a vector, a stack
+    with pytest.raises(ValueError):
+        Tabulated(np.zeros(shape))
+
+
 @given(st.integers(0, 10**6), st.integers(2, 4))
 def test_axiom_checkers_pass_on_random_input(seed, n):
     x, y, z = (_random_matrix(seed + k, n) for k in range(3))
