@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
-from .linalg import max_entry_diff, spectral_norm
+from .linalg import _norm, spectral_norm
 from .sampling import (
     ROLE_AXIOMS,
     ROLE_CERT_TRIPLES,
@@ -69,13 +69,13 @@ from .triple import (
     AXIOM_NORM_TOL,
     Commutator,
     Conjugation,
+    _cstar,
+    _jbstar,
     check_commutativity,
     check_jordan_identity,
     check_L_positive,
     check_norm_identity,
     make_theta_derivation,
-    triple_product_cstar,
-    triple_product_jbstar,
 )
 
 DIM_MAX = 16
@@ -303,9 +303,9 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     jordan_rel = jordan.residual * (AXIOM_JORDAN_TOL / jordan.threshold)
     norm_id = check_norm_identity(x)
     lpos = check_L_positive(a_pos, draws[:, 6:])
-    nx, ny, nz = spectral_norm(draws[:, 2:5]).T
+    nx, ny, nz = _norm(draws[:, 2:5]).T
     scale = np.maximum(1.0, nx * ny * nz)
-    agreement = spectral_norm(triple_product_cstar(x, y, z) - triple_product_jbstar(x, y, z))
+    agreement = _norm(_cstar(x, y, z) - _jbstar(x, y, z))
     fragment = {
         "samples": count,
         "commutativity": _within(AXIOM_COMMUTATIVITY_TOL, max_residual=float(comm.residual.max())),
@@ -561,8 +561,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     if recovery_error is not None:
         return report
 
-    err_d = max_entry_diff(d_hat.coeffs, big_d.to_tabulated().coeffs)
-    err_theta = max_entry_diff(theta_hat.coeffs, theta.to_tabulated().coeffs)
+    # both sides were checked by their constructors
+    err_d = float(np.abs(d_hat.coeffs - big_d.to_tabulated().coeffs).max())
+    err_theta = float(np.abs(theta_hat.coeffs - theta.to_tabulated().coeffs).max())
     recovery.update(
         d_entrywise_error=err_d,
         theta_entrywise_error=err_theta,

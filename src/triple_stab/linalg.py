@@ -1,10 +1,11 @@
 """Dense complex matrix kernel: validation, spectral norm, HS pairing.
 
 Matrices are square numpy arrays of complex128, either one n x n matrix or
-a stack of shape (..., n, n).  ``as_matrix`` is the single entry point that
-enforces squareness and finiteness; every public operation routes its
-inputs through it.  ``same_dim`` is the one check that several operands
-share their dimension n, here and in ``triple``.  ``spectral_norm`` and
+a stack of shape (..., n, n).  ``as_matrix`` checks squareness and
+finiteness, and ``same_dim`` that operands share n.  Each array is checked
+once, at the public boundary: an exported function, an operator call or a
+map's output.  What is computed from checked arrays goes through private
+kernels on trusted stacks (``_norm``, ``_hs``).  ``spectral_norm`` and
 ``hs_inner`` act slice by slice on stacks.
 
 ``spectral_norm`` takes the top singular value in closed form for n <= 2
@@ -28,7 +29,8 @@ class DimensionMismatchError(ValueError):
 def as_matrix(x) -> ComplexMatrix:
     """Coerce to a complex128 matrix, or stack of matrices, with finite entries.
 
-    The trailing two dimensions must be equal and nonzero.
+    The trailing two dimensions must be equal and nonzero.  Called once per
+    array, where it enters the package (see the module docstring).
     """
     m = np.asarray(x, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
@@ -49,10 +51,14 @@ def same_dim(*mats) -> list[ComplexMatrix]:
     return out
 
 
+def _hs(mx: ComplexMatrix, my: ComplexMatrix) -> np.ndarray:
+    """Kernel of ``hs_inner`` on trusted operands: an array, 0-d for one pair."""
+    return np.einsum("...ij,...ij->...", mx, my.conj())
+
+
 def hs_inner(x, y):
     """Hilbert-Schmidt inner product trace(x y*); an array over stack slices."""
-    mx, my = same_dim(x, y)
-    inner = np.einsum("...ij,...ij->...", mx, my.conj())
+    inner = _hs(*same_dim(x, y))
     return complex(inner) if inner.ndim == 0 else inner
 
 
@@ -110,7 +116,11 @@ def spectral_norm(x):
     that slice alone, so a stack's norms equal its slices' norms bit for
     bit.  A norm beyond the float range is inf.
     """
-    m = as_matrix(x)
+    return _norm(as_matrix(x))
+
+
+def _norm(m: ComplexMatrix):
+    """Kernel of ``spectral_norm`` on a trusted complex128 matrix or stack."""
     n = m.shape[-1]
     if n > 2:
         top = np.linalg.svd(m, compute_uv=False)[..., 0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ComplexMatrix, spectral_norm
+from .linalg import ComplexMatrix, _norm
 
 MAX_SEED = 2**64 - 1
 
@@ -95,7 +95,7 @@ def make_probes(
         [10.0 ** (lo if count == 1 else lo + (hi - lo) * k / (count - 1)) for k in range(count)]
     )
     directions = random_matrices(rng, count, dim)
-    return list(directions * (targets / spectral_norm(directions))[:, None, None])
+    return list(directions * (targets / _norm(directions))[:, None, None])
 
 
 def make_mu_samples(count: int, rng: np.random.Generator) -> list[complex]:

@@ -26,8 +26,8 @@ theorems use; a ``Custom`` control is the term-by-term reference series of
 certificates take (k, n, n) probe stacks: every stage makes one call per
 map and per check over all of its probes, and a level scan stacks its
 levels too, in groups of at most LEVEL_GROUP_ENTRIES complex entries per
-call.  A stage takes the norms of its stacks in one
-``spectral_norm`` call, and the probe norms behind a power-type bound are
+call.  A stage takes the norms of its stacks in one norm call (the
+``linalg._norm`` kernel), and the probe norms behind a power-type bound are
 reused by the direct method's target, the linearity certificate and the
 bound table.  The bound stage takes one bound for all its maps, and a
 homogeneity check applies its map once, to every scaled argument.
@@ -44,8 +44,8 @@ import numpy as np
 
 from .linalg import (
     ComplexMatrix,
+    _norm,
     as_matrix,
-    max_abs,
     spectral_norm,
 )
 from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, rng_for
@@ -53,11 +53,11 @@ from .triple import (
     CheckResult,
     LinearOperator,
     Tabulated,
+    _cstar,
+    _vec,
     derivation_defect,
     matrix_basis,
     theta_derivation_residual,
-    triple_product_cstar,
-    vec,
 )
 
 # scaled arguments beyond this entry magnitude abort the iteration
@@ -291,7 +291,7 @@ def phi_tilde(
         return _power_tilde(phi, scheme, spectral_norm(x), spectral_norm(y), spectral_norm(z))
 
     mx, my, mz = as_matrix(x), as_matrix(y), as_matrix(z)
-    largest = max(max_abs(mx), max_abs(my), max_abs(mz))
+    largest = max(np.abs(m).max() for m in (mx, my, mz))
     total = 0.0
     prev_term = math.inf
     growth_streak = 0
@@ -341,8 +341,8 @@ def _require_power(phi: ControlFunction, caller: str) -> None:
         raise TypeError(f"{caller} needs a PowerType control, got {type(phi).__name__}")
 
 
-def _power_bound(phi: PowerType, scheme: Scheme, x):
-    """hyers_bound of a power-type control at x, and ||x||, from one norm call.
+def _power_bound(phi: PowerType, scheme: Scheme, mx: ComplexMatrix):
+    """hyers_bound of a power-type control at a checked mx, and ||mx||, from one norm call.
 
     The call takes the norms of the distinct arguments of the phi_tilde
     terms: x (doubling), x and 3x (tripling), x/3 and x (contractive
@@ -350,14 +350,13 @@ def _power_bound(phi: PowerType, scheme: Scheme, x):
     terms are combined in phi_tilde's order, so the bound equals the
     phi_tilde composition bit for bit.
     """
-    mx = as_matrix(x)
     if scheme.hypothesis_form == "cauchy":
-        nx = spectral_norm(mx)
+        nx = _norm(mx)
         return 0.5 * _power_tilde(phi, scheme, nx, nx), nx
     if not scheme.contractive:
-        nx, n3x = spectral_norm(np.stack([mx, 3.0 * mx]))
+        nx, n3x = _norm(np.stack([mx, 3.0 * mx]))
         return (_power_tilde(phi, scheme, nx, nx) + _power_tilde(phi, scheme, nx, n3x)) / 3.0, nx
-    nx3, nx = spectral_norm(np.stack([mx / 3.0, mx]))
+    nx3, nx = _norm(np.stack([mx / 3.0, mx]))
     return _power_tilde(phi, scheme, nx3, nx3) + _power_tilde(phi, scheme, nx3, nx), nx
 
 
@@ -374,9 +373,9 @@ def hyers_bound(phi: ControlFunction, scheme, x) -> float:
     each phi_tilde term by term.
     """
     scheme = Scheme.parse(scheme)
-    if isinstance(phi, PowerType):
-        return _power_bound(phi, scheme, x)[0]
     mx = as_matrix(x)
+    if isinstance(phi, PowerType):
+        return _power_bound(phi, scheme, mx)[0]
     zero = np.zeros_like(mx)
     if scheme.hypothesis_form == "cauchy":
         return 0.5 * phi_tilde(phi, scheme, mx, mx, zero)
@@ -409,7 +408,8 @@ class PerturbedMap:
 
     f(x) = base(x) + amplitude * ||x||^p * sin(alpha ||x|| + beta Re tr x) * W
     with ||W|| = 1.  The defect vanishes at x = 0 and obeys
-    ||f(x) - base(x)|| <= amplitude * ||x||^p everywhere.
+    ||f(x) - base(x)|| <= amplitude * ||x||^p everywhere.  A call f(x)
+    checks x once; ``defect`` takes a checked stack.
     """
 
     base: LinearOperator
@@ -426,17 +426,17 @@ class PerturbedMap:
     def dim(self) -> int:
         return self.base.dim
 
-    def defect(self, x) -> ComplexMatrix:
-        mx = as_matrix(x)
+    def defect(self, mx: ComplexMatrix) -> ComplexMatrix:
         if self.amplitude == 0.0:
             return np.zeros_like(mx)
-        nx = spectral_norm(mx)
+        nx = _norm(mx)
         envelope = self.amplitude * norm_power(nx, self.exponent)
         phase = np.sin(self.alpha * nx + self.beta * np.trace(mx, axis1=-2, axis2=-1).real)
         return np.multiply.outer(envelope * phase, self.direction)
 
     def __call__(self, x) -> ComplexMatrix:
-        return self.base(x) + self.defect(x)
+        mx = self.base._operand(x)
+        return self.base.apply(mx) + self.defect(mx)
 
 
 def perturbation_amplitude(eps: float, p: float, form: str) -> float:
@@ -483,7 +483,7 @@ def make_perturbation(
     raw = rng.uniform(-1.0, 1.0, (base.dim, base.dim)) + 1j * rng.uniform(
         -1.0, 1.0, (base.dim, base.dim)
     )
-    direction = raw / spectral_norm(raw)
+    direction = raw / _norm(raw)
     direction.setflags(write=False)
     alpha, beta = (float(v) for v in rng.uniform(1.0, 2.0, 2))
     amplitude = perturbation_amplitude(eps, p, form) if eps > 0.0 else 0.0
@@ -575,7 +575,7 @@ def verify_hypotheses(
     mu = np.array([complex(mu_samples[i % len(mu_samples)]) for i in range(m)])
     mu = mu[:, None, None]
     # y and z permute the slices of x, so ||y|| = ||x||[iy], f(y) = f(x)[iy] and so on
-    nx = spectral_norm(x)
+    nx = _norm(x)
     denom_pair = phi.from_norms(nx, nx[iy], 0.0)
     denom_triple = phi.from_norms(nx, nx[iy], nx[iz])
     fx, hx = f(x), h(x)
@@ -586,12 +586,13 @@ def verify_hypotheses(
         fm, hm = f(mid), h(mid)
     else:
         fm, hm = 2.0 * f(mid / 2.0), 2.0 * h(mid / 2.0)
+    # the maps' outputs are checked once, in the residual stack
     rf, rh, triple_res = spectral_norm(
         np.stack(
             [
                 fm - mu * fx - fy,
                 hm - mu * hx - hy,
-                derivation_defect(f(triple_product_cstar(x, y, z)), fx, fy, fz, hx, hy, hz),
+                derivation_defect(f(_cstar(x, y, z)), fx, fy, fz, hx, hy, hz),
             ]
         )
     )
@@ -667,8 +668,12 @@ def approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
     scheme = Scheme.parse(scheme)
     if len(levels) == 0:
         raise ValueError("approximants needs at least one level")
-    mx = as_matrix(x)
-    _guard_levels(scheme, levels, max_abs(mx))
+    return _approximants(f, scheme, as_matrix(x), levels)
+
+
+def _approximants(f, scheme: Scheme, mx: ComplexMatrix, levels: Sequence[int]) -> np.ndarray:
+    """``approximants`` on a checked stack and a nonempty level list; f's outputs are checked."""
+    _guard_levels(scheme, levels, np.abs(mx).max())
     n = mx.shape[-1]
     probes = mx.reshape(-1, n, n)
     scales = np.array([scheme.scale(l) for l in levels])[:, None, None, None]
@@ -718,7 +723,7 @@ def direct_method(
     if level > l_max:
         raise ConvergenceError(f"{where} exceeds l_max = {l_max}")
     try:
-        value = approximants(f, scheme, xs, [level])[0]
+        value = _approximants(f, scheme, xs, [level])[0]
     except ScaleOverflowError:
         raise ConvergenceError(
             f"{where} scales by {scheme.base}^{-level if scheme.contractive else level}, "
@@ -754,11 +759,11 @@ def recover_linear_map(
     run = direct_method(f, scheme, phi, np.concatenate([basis, probes]), tol=tol, l_max=l_max)
     units, directs = run.value[: len(basis)], run.value[len(basis) :]
     err_units, err_probes = run.error_bound[: len(basis)], run.error_bound[len(basis) :]
-    recovered = Tabulated(vec(units).T)
-    gaps = spectral_norm(recovered(probes) - directs)
+    recovered = Tabulated(_vec(units).T)
+    gaps = _norm(recovered.apply(probes) - directs)
     norms = run.norms[len(basis) :]
     # basis order is vec's column-stacking order
-    allowance = np.abs(vec(probes)) @ err_units + err_probes + tol * np.maximum(1.0, norms)
+    allowance = np.abs(_vec(probes)) @ err_units + err_probes + tol * np.maximum(1.0, norms)
     worst = int(np.argmax(gaps - allowance))
     if gaps[worst] > allowance[worst]:
         raise LinearityCertificationError(
@@ -799,7 +804,7 @@ def verify_stability_bound(
 
     One report per (f, recovered) pair in ``pairs``, against one power-type
     bound on the whole stack, whose norms the rows reuse.  The errors of
-    every pair are normed in one call.
+    every pair are normed in one call, which checks the maps' outputs.
     """
     _require_power(phi, "verify_stability_bound")
     scheme = Scheme.parse(scheme)
@@ -920,8 +925,8 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
     if len(levels) == 0:
         raise ValueError("derivation_limit_sequence needs at least one level")
     mx, my, mz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    txyz = triple_product_cstar(mx, my, mz)
-    _guard_levels(scheme, levels, max_abs(xyz), cube_largest=max(max_abs(txyz), 1.0))
+    txyz = _cstar(mx, my, mz)
+    _guard_levels(scheme, levels, np.abs(xyz).max(), cube_largest=max(np.abs(txyz).max(), 1.0))
     n = mx.shape[-1]
     # (4, k, n, n): the product, then x, y, z
     unscaled = np.stack([txyz, mx, my, mz])
@@ -936,7 +941,7 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
         hx, hy, hz = np.moveaxis(
             as_matrix(h(args[:, 1:].reshape(-1, n, n))).reshape(args[:, 1:].shape), 1, 0
         )
-        residual = spectral_norm(derivation_defect(fp, fx, fy, fz, hx, hy, hz))
+        residual = _norm(derivation_defect(fp, fx, fy, fz, hx, hy, hz))
         out.append((1.0 / factors[group, :1]) * residual)
     return np.concatenate(out)
 
@@ -955,7 +960,7 @@ def certify_theta_derivation(d_hat, theta_hat, triples: Sequence) -> DerivationC
     """Check the derivation identity of (d_hat, theta_hat) on probe triples, to DERIVATION_TOL."""
     t = _stack(triples, "certify_theta_derivation", inner=3)
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    nx, ny, nz = spectral_norm(t).T
+    nx, ny, nz = _norm(t).T
     scale = np.maximum(1.0, nx * ny * nz)
     values = theta_derivation_residual(d_hat, theta_hat, x, y, z) / scale
     worst_value = float(values.max())
@@ -1014,6 +1019,7 @@ class RateEstimate:
 def estimate_convergence_rate(f, scheme, probes: Sequence) -> RateEstimate:
     """Rate of the approximant differences at the fixed RATE_LEVELS window."""
     x = _stack(probes, "estimate_convergence_rate")
-    values = approximants(f, scheme, x, range(RATE_LEVELS.start - 1, RATE_LEVELS.stop))
-    rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(values, axis=0)))
+    levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
+    values = _approximants(f, Scheme.parse(scheme), x, levels)
+    rate, used = pooled_rate(RATE_LEVELS, _norm(np.diff(values, axis=0)))
     return RateEstimate(rate, RATE_LEVELS[0], RATE_LEVELS[-1], used)

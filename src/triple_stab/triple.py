@@ -16,6 +16,11 @@ Products, operators, residuals and axiom checkers all accept stacks of
 shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
 probe set in one call: one call per operator and per check.
 
+Each operand is checked once, at the public boundary (see ``linalg``): the
+public products check theirs and run kernels on trusted stacks (``_cstar``,
+``_jbstar``, ``_jordan``), which the checkers use on what they checked.
+``op(x)`` checks x, and ``op.apply`` takes a checked stack.
+
 Operators built on one fixed n x n matrix (conjugation, commutator) apply
 it to a whole stack as one tall GEMM: the slices are laid on top of each
 other as a (k n, n) matrix and multiplied by the fixed matrix, instead of
@@ -53,8 +58,9 @@ import numpy as np
 from .linalg import (
     ComplexMatrix,
     DimensionMismatchError,
+    _hs,
+    _norm,
     as_matrix,
-    hs_inner,
     same_dim,
     spectral_norm,
 )
@@ -88,62 +94,73 @@ def _stack_product(a, b) -> ComplexMatrix:
     return out
 
 
+def _jordan(x, y) -> ComplexMatrix:
+    """Kernel of ``jordan_product`` on trusted stacks."""
+    return (_stack_product(x, y) + _stack_product(y, x)) / 2.0
+
+
 def jordan_product(x, y) -> ComplexMatrix:
     """Symmetrized product (x y + y x) / 2."""
-    mx, my = same_dim(x, y)
-    return (_stack_product(mx, my) + _stack_product(my, mx)) / 2.0
+    return _jordan(*same_dim(x, y))
+
+
+def _cstar(x, y, z) -> ComplexMatrix:
+    """Kernel of ``triple_product_cstar`` on trusted stacks."""
+    ys = np.swapaxes(y.conj(), -1, -2)
+    xyz = _stack_product(_stack_product(x, ys), z)
+    return (xyz + _stack_product(_stack_product(z, ys), x)) / 2.0
 
 
 def triple_product_cstar(x, y, z) -> ComplexMatrix:
     """Canonical triple product (x y* z + z y* x) / 2."""
-    mx, my, mz = same_dim(x, y, z)
-    ys = np.swapaxes(my.conj(), -1, -2)
-    return (
-        _stack_product(_stack_product(mx, ys), mz) + _stack_product(_stack_product(mz, ys), mx)
-    ) / 2.0
+    return _cstar(*same_dim(x, y, z))
+
+
+def _jbstar(x, y, z) -> ComplexMatrix:
+    """Kernel of ``triple_product_jbstar`` on trusted stacks."""
+    ys = np.swapaxes(y.conj(), -1, -2)
+    return _jordan(_jordan(x, ys), z) + _jordan(_jordan(ys, z), x) - _jordan(_jordan(x, z), ys)
 
 
 def triple_product_jbstar(x, y, z) -> ComplexMatrix:
     """Jordan-form triple product; agrees with the C*-form on matrices."""
-    mx, my, mz = same_dim(x, y, z)
-    ys = np.swapaxes(my.conj(), -1, -2)
-    return (
-        jordan_product(jordan_product(mx, ys), mz)
-        + jordan_product(jordan_product(ys, mz), mx)
-        - jordan_product(jordan_product(mx, mz), ys)
-    )
+    return _jbstar(*same_dim(x, y, z))
 
 
 # ---------------------------------------------------------------------------
 # linear operators on M_n(C)
 # ---------------------------------------------------------------------------
 
+def _vec(m: ComplexMatrix) -> np.ndarray:
+    """Kernel of ``vec`` on a trusted stack."""
+    # the column-stacked matrix is its transpose read row by row
+    return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], m.shape[-1] ** 2)
+
+
 def vec(x) -> np.ndarray:
     """Column-stack a matrix: basis order E11, E21, ..., En1, E12, ..., Enn.
 
     A (..., n, n) stack gives (..., n^2), one vector per slice.
     """
-    m = as_matrix(x)
-    # the column-stacked matrix is its transpose read row by row
-    return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], m.shape[-1] ** 2)
+    return _vec(as_matrix(x))
+
+
+def _unvec(arr: np.ndarray, dim: int) -> ComplexMatrix:
+    """Kernel of ``unvec`` on trusted complex128 vectors of length dim^2."""
+    return np.swapaxes(arr.reshape(*arr.shape[:-1], dim, dim), -1, -2)
 
 
 def unvec(u, dim: int) -> ComplexMatrix:
-    """Inverse of ``vec`` for a given dimension; (..., n^2) gives (..., n, n)."""
+    """Inverse of ``vec`` for a given dimension; (..., n^2) gives (..., n, n), checked."""
     arr = np.asarray(u, dtype=np.complex128)
     if arr.ndim < 1 or arr.shape[-1] != dim * dim:
         raise ValueError(f"expected vectors of length {dim * dim}, got {arr.shape}")
-    return np.swapaxes(arr.reshape(*arr.shape[:-1], dim, dim), -1, -2)
+    return as_matrix(_unvec(arr, dim))
 
 
 def matrix_basis(dim: int) -> list[ComplexMatrix]:
     """Matrix units in column-stacking order."""
-    out = []
-    for j in range(dim * dim):
-        e = np.zeros(dim * dim, dtype=np.complex128)
-        e[j] = 1.0
-        out.append(unvec(e, dim))
-    return out
+    return list(_unvec(np.eye(dim * dim, dtype=np.complex128), dim))
 
 
 def _times_right(x, m) -> ComplexMatrix:
@@ -163,15 +180,15 @@ def _frozen(arr) -> np.ndarray:
 
 
 class LinearOperator:
-    """Immutable linear map on M_n(C); subclasses fix the structural form."""
+    """Immutable linear map on M_n(C); ``op(x)`` checks x, ``apply`` takes it checked."""
 
     dim: int
 
-    def apply(self, x) -> ComplexMatrix:
+    def apply(self, x: ComplexMatrix) -> ComplexMatrix:
         raise NotImplementedError
 
     def __call__(self, x) -> ComplexMatrix:
-        return self.apply(x)
+        return self.apply(self._operand(x))
 
     def _operand(self, x) -> ComplexMatrix:
         """x validated as a matrix or stack of this operator's dimension."""
@@ -182,7 +199,7 @@ class LinearOperator:
 
     def to_tabulated(self) -> "Tabulated":
         """Lower to the dense n^2 x n^2 matrix acting on vec(x)."""
-        return Tabulated(vec(self.apply(np.stack(matrix_basis(self.dim)))).T)
+        return Tabulated(_vec(self.apply(np.stack(matrix_basis(self.dim)))).T)
 
 
 class Conjugation(LinearOperator):
@@ -195,7 +212,7 @@ class Conjugation(LinearOperator):
     def __init__(self, u):
         mu = as_matrix(u)
         n = mu.shape[0]
-        defect = spectral_norm(mu.conj().T @ mu - np.eye(n))
+        defect = _norm(mu.conj().T @ mu - np.eye(n))
         if defect > UNITARY_TOL:
             raise OperatorValidationError(
                 f"conjugation needs a unitary matrix: ||u*u - I|| = {defect:.3e}"
@@ -205,8 +222,7 @@ class Conjugation(LinearOperator):
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
-        mx = self._operand(x)
-        return _times_right(_times_left(self.matrix, mx), self.adjoint)
+        return _times_right(_times_left(self.matrix, x), self.adjoint)
 
     def __repr__(self):
         return f"Conjugation(dim={self.dim})"
@@ -221,7 +237,7 @@ class Commutator(LinearOperator):
 
     def __init__(self, a):
         ma = as_matrix(a)
-        defect = spectral_norm(ma.conj().T + ma)
+        defect = _norm(ma.conj().T + ma)
         if defect > SKEW_TOL:
             raise OperatorValidationError(
                 f"commutator needs a skew-adjoint matrix: ||a* + a|| = {defect:.3e}"
@@ -230,8 +246,7 @@ class Commutator(LinearOperator):
         self.dim = ma.shape[0]
 
     def apply(self, x) -> ComplexMatrix:
-        mx = self._operand(x)
-        return _times_left(self.matrix, mx) - _times_right(mx, self.matrix)
+        return _times_left(self.matrix, x) - _times_right(x, self.matrix)
 
     def __repr__(self):
         return f"Commutator(dim={self.dim})"
@@ -313,7 +328,7 @@ class Tabulated(LinearOperator):
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
-        return unvec(vec(self._operand(x)) @ self.coeffs.T, self.dim)
+        return _unvec(_vec(x) @ self.coeffs.T, self.dim)
 
     def to_tabulated(self) -> "Tabulated":
         return self
@@ -354,9 +369,8 @@ class LPositivityReport:
 
 def check_commutativity(x, y, z) -> CheckResult:
     """Outer-variable symmetry: || {x,y,z} - {z,y,x} ||."""
-    r = spectral_norm(
-        triple_product_cstar(x, y, z) - triple_product_cstar(z, y, x)
-    )
+    mx, my, mz = same_dim(x, y, z)
+    r = _norm(_cstar(mx, my, mz) - _cstar(mz, my, mx))
     return CheckResult(r, AXIOM_COMMUTATIVITY_TOL, r <= AXIOM_COMMUTATIVITY_TOL)
 
 
@@ -370,7 +384,7 @@ def check_jordan_identity(a, b, x, y, z) -> CheckResult:
     norms come from one call.
     """
     ma, mb, mx, my, mz = same_dim(a, b, x, y, z)
-    t = triple_product_cstar
+    t = _cstar
     lhs = t(ma, mb, t(mx, my, mz))
     rhs = (
         t(t(ma, mb, mx), my, mz)
@@ -378,18 +392,18 @@ def check_jordan_identity(a, b, x, y, z) -> CheckResult:
         + t(mx, my, t(ma, mb, mz))
     )
     scale = 1.0
-    for norm in spectral_norm(np.stack(np.broadcast_arrays(ma, mb, mx, my, mz))):
+    for norm in _norm(np.stack(np.broadcast_arrays(ma, mb, mx, my, mz))):
         scale = scale * norm
     threshold = AXIOM_JORDAN_TOL * np.maximum(1.0, scale)
-    r = spectral_norm(lhs - rhs)
+    r = _norm(lhs - rhs)
     return CheckResult(r, threshold, r <= threshold)
 
 
 def check_norm_identity(x) -> CheckResult:
     """Cube identity: || {x,x,x} || should equal ||x||^3 (relative error)."""
     mx = as_matrix(x)
-    nx = spectral_norm(mx)
-    cube = spectral_norm(triple_product_cstar(mx, mx, mx))
+    nx = _norm(mx)
+    cube = _norm(_cstar(mx, mx, mx))
     denom = np.maximum(1.0, nx**3)
     r = np.abs(cube - nx**3) / denom
     return CheckResult(r, AXIOM_NORM_TOL, r <= AXIOM_NORM_TOL)
@@ -404,20 +418,19 @@ def check_L_positive(a, probes) -> LPositivityReport:
     ``probes`` has shape (m, n, n) for one generator a, or (k, m, n, n)
     for a stack of k generators, each with its own m probes.
     """
-    ma = as_matrix(a)
-    probes = as_matrix(probes)
+    ma, probes = same_dim(a, probes)
     if probes.ndim != ma.ndim + 1 or probes.shape[-3] == 0:
         raise ValueError("check_L_positive needs at least one probe per generator")
     gen = ma[..., None, :, :]
-    images = triple_product_cstar(gen, gen, probes)
+    images = _cstar(gen, gen, probes)
     # pairings over every ordered (i, j); swapping i and j conjugates the
     # gap, so the maximum over all pairs is the one over i <= j
     gaps = np.abs(
-        hs_inner(images[..., :, None, :, :], probes[..., None, :, :, :])
-        - hs_inner(probes[..., :, None, :, :], images[..., None, :, :, :])
+        _hs(images[..., :, None, :, :], probes[..., None, :, :, :])
+        - _hs(probes[..., :, None, :, :], images[..., None, :, :, :])
     )
     max_asym = gaps.max(axis=(-2, -1))
-    max_neg = np.maximum(0.0, -hs_inner(images, probes).real.min(axis=-1))
+    max_neg = np.maximum(0.0, -_hs(images, probes).real.min(axis=-1))
     passed = (max_asym <= AXIOM_L_POSITIVITY_TOL) & (max_neg <= AXIOM_L_POSITIVITY_TOL)
     return LPositivityReport(max_asym, max_neg, AXIOM_L_POSITIVITY_TOL, passed)
 
@@ -427,29 +440,29 @@ def check_L_positive(a, probes) -> LPositivityReport:
 # ---------------------------------------------------------------------------
 
 def _with_product(x, y, z) -> np.ndarray:
-    """(4, ..., n, n): {x,y,z}, x, y, z stacked, for one operator call over all four."""
-    args = np.stack(same_dim(x, y, z))
-    return np.concatenate([triple_product_cstar(*args)[None], args])
+    """(4, ..., n, n): {x,y,z}, x, y, z stacked from trusted stacks, for one operator call."""
+    return np.stack([_cstar(x, y, z), x, y, z])
 
 
 def derivation_defect(p, gx, gy, gz, hx, hy, hz) -> ComplexMatrix:
     """p - {gx, hy, hz} - {hx, gy, hz} - {hx, hy, gz}: the (theta-)derivation defect.
 
     p and g are the derivation at {x,y,z} and at x, y, z; h is theta (or the identity).
+    The operands are trusted: a caller checks the defect before its norm.
     """
-    t = triple_product_cstar
+    t = _cstar
     return p - t(gx, hy, hz) - t(hx, gy, hz) - t(hx, hy, gz)
 
 
 def homomorphism_residual(op: LinearOperator, x, y, z) -> float:
     """|| op({x,y,z}) - {op x, op y, op z} ||, with op called once."""
-    op_p, op_x, op_y, op_z = op(_with_product(x, y, z))
-    return spectral_norm(op_p - triple_product_cstar(op_x, op_y, op_z))
+    op_p, op_x, op_y, op_z = op(_with_product(*same_dim(x, y, z)))
+    return spectral_norm(op_p - _cstar(op_x, op_y, op_z))
 
 
 def derivation_residual(op: LinearOperator, x, y, z) -> float:
     """|| op({x,y,z}) - {op x,y,z} - {x,op y,z} - {x,y,op z} ||, with op called once."""
-    args = _with_product(x, y, z)
+    args = _with_product(*same_dim(x, y, z))
     return spectral_norm(derivation_defect(*op(args), *args[1:]))
 
 
@@ -459,7 +472,7 @@ def theta_derivation_residual(d_op: LinearOperator, theta: LinearOperator, x, y,
     || D({x,y,z}) - {Dx, Ty, Tz} - {Tx, Dy, Tz} - {Tx, Ty, Dz} ||
     where D = d_op and T = theta.
     """
-    args = _with_product(x, y, z)
+    args = _with_product(*same_dim(x, y, z))
     # each operator once: D over ({x,y,z}, x, y, z), theta over (x, y, z)
     return spectral_norm(derivation_defect(*d_op(args), *theta(args[1:])))
 

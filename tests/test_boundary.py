@@ -35,8 +35,10 @@ from triple_stab.triple import (
     check_L_positive,
     jordan_product,
     make_theta_derivation,
+    matrix_basis,
     triple_product_cstar,
     triple_product_jbstar,
+    unvec,
     vec,
 )
 
@@ -192,6 +194,18 @@ def test_public_entries_refuse_a_non_square_shape(entry):
 def test_public_entries_refuse_a_mismatched_dimension(entry):
     with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
         _entries()[entry](np.eye(3))
+
+
+def test_unvec_refuses_what_as_matrix_refuses():
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        unvec([np.nan, 1.0, 2.0, 3.0], 2)
+    with pytest.raises(ValueError, match=r"expected a nonempty square matrix, got shape \(0, 0\)"):
+        unvec(np.zeros(0), 0)
+
+
+def test_matrix_basis_is_the_units_in_vec_order():
+    for dim in (1, 2, 3):
+        assert np.array_equal(vec(np.stack(matrix_basis(dim))), np.eye(dim * dim))
 
 
 def test_l_positivity_refuses_probes_of_another_dimension():

@@ -425,23 +425,25 @@ def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, fai
 
 
 def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
-    """spectral_norm calls per run_recovery of each shipped config at dim 2.
+    """Norm-kernel calls per run_recovery of each shipped config at dim 2.
 
-    Each stage takes the norms of a probe stack in one call; a change that
-    brings back one call per argument or per factor raises these counts.
-    The set-up stage takes none for the generators, the bound stage two (one
-    bound and the errors of both maps) and the homogeneity stage two.
+    Every norm goes through ``linalg._norm`` once, whether through the public
+    ``spectral_norm`` or straight from the package's internals.  Each stage
+    takes the norms of a probe stack in one call; a change that brings back
+    one call per argument or per factor raises these counts.  The set-up
+    stage takes none for the generators, the bound stage two (one bound and
+    the errors of both maps) and the homogeneity stage two.
     """
     calls = []
-    norm = linalg.spectral_norm
+    norm = linalg._norm
 
     def counted(x):
         calls.append(1)
         return norm(x)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "triple_stab" and module.__dict__.get("spectral_norm") is norm:
-            monkeypatch.setattr(module, "spectral_norm", counted)
+        if name.split(".")[0] == "triple_stab" and module.__dict__.get("_norm") is norm:
+            monkeypatch.setattr(module, "_norm", counted)
     counts = {}
     for name in ("cauchy2", "cauchy2_contractive", "jensen3", "jensen3_contractive"):
         calls.clear()
@@ -452,6 +454,39 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
         "cauchy2_contractive": 38,
         "jensen3": 42,
         "jensen3_contractive": 42,
+    }
+
+
+def test_shipped_runs_take_pinned_as_matrix_counts(monkeypatch):
+    """linalg.as_matrix calls per run_recovery of each shipped config at dim 2.
+
+    An array is checked where it enters the package: at a stage's entry, an
+    operator or perturbed-map call, a map's output or residual, a public
+    checker or product, and an operator's constructor.  What the package
+    computes from checked arrays goes through the kernels unchecked, so a
+    change that checks an array twice raises these counts (240/214/240/240
+    when every internal call re-checked its operands).
+    """
+    calls = []
+    check = linalg.as_matrix
+
+    def counted(x):
+        calls.append(1)
+        return check(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "triple_stab" and module.__dict__.get("as_matrix") is check:
+            monkeypatch.setattr(module, "as_matrix", counted)
+    counts = {}
+    for name in ("cauchy2", "cauchy2_contractive", "jensen3", "jensen3_contractive"):
+        calls.clear()
+        run_recovery(_shipped_config(name))
+        counts[name] = len(calls)
+    assert counts == {
+        "cauchy2": 58,
+        "cauchy2_contractive": 52,
+        "jensen3": 58,
+        "jensen3_contractive": 58,
     }
 
 
