@@ -448,7 +448,7 @@ def derivation_defect(p, gx, gy, gz, hx, hy, hz) -> ComplexMatrix:
     """p - {gx, hy, hz} - {hx, gy, hz} - {hx, hy, gz}: the (theta-)derivation defect.
 
     p and g are the derivation at {x,y,z} and at x, y, z; h is theta (or the identity).
-    The operands are trusted: a caller checks the defect before its norm.
+    The operands are trusted: a caller checks them, or the defect before its norm.
     """
     t = _cstar
     return p - t(gx, hy, hz) - t(hx, gy, hz) - t(hx, hy, gz)
