@@ -81,8 +81,6 @@ from .triple import (
     check_jordan_identity,
     check_L_positive,
     check_norm_identity,
-    derivation_residual,
-    homomorphism_residual,
     jordan_product,
     make_theta_derivation,
     matrix_basis,

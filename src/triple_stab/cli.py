@@ -1,9 +1,12 @@
 """Command-line front end: axioms, recover, bounds, and report commands.
 
 Configs come from a JSON file via --config; every config field can also be
-set or overridden by a same-named long flag.  Exit code 0 means every
-enabled check passed; failed checks are enumerated on standard error.
-Reports are byte-identical on every run of the same config.
+set or overridden by a same-named long flag, and the fields to override are
+read from ``ExperimentConfig`` itself.  ``recover --timings`` prints the
+stage timings of ``run_recovery`` in the order the run took them.  Exit
+code 0 means every enabled check passed; failed checks are enumerated on
+standard error.  Reports are byte-identical on every run of the same
+config.
 """
 
 from __future__ import annotations
@@ -11,13 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .lab import (
     ConfigError,
     ExperimentConfig,
-    ReportFormatError,
     axioms_report,
     emit_report,
     load_report,
@@ -33,19 +36,6 @@ _GRID = {
     Scheme.JENSEN3: (0.0, 0.25, 0.5, 0.75),
     Scheme.JENSEN3_CONTRACTIVE: (3.5, 4.0, 5.0, 6.0),
 }
-
-_OVERRIDE_FIELDS = (
-    "dim",
-    "scheme",
-    "eps",
-    "p",
-    "seed",
-    "probe_count",
-    "tol",
-    "l_max",
-    "generator",
-)
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
@@ -95,8 +85,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
+    for name in (f.name for f in fields(ExperimentConfig)):
+        value = getattr(args, name)
         if value is not None:
             data[name] = _parse_generator(value) if name == "generator" else value
     return ExperimentConfig.from_dict(data)
@@ -130,26 +120,10 @@ def _report_failures(checks: list[dict]) -> None:
             )
 
 
-_STAGES = (
-    "setup",
-    "axioms",
-    "recover",
-    "hypotheses",
-    "bound",
-    "homogeneity",
-    "certificate",
-    "sequence",
-    "rate",
-    "total",
-)
-
-
 def _print_timings(timings: dict[str, float]) -> None:
-    # a run that stops after recovery has no later stages to show
-    for stage in _STAGES:
-        seconds = timings.get(f"{stage}_s")
-        if seconds is not None:
-            print(f"{stage} {seconds:.6f}")
+    # run order, total last; a run that stops after recovery has no later stages
+    for key, seconds in timings.items():
+        print(f"{key.removesuffix('_s')} {seconds:.6f}")
 
 
 def _emit_if_requested(report, args: argparse.Namespace) -> None:
@@ -229,10 +203,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report = load_report(getattr(args, "in"))
-    if args.out:
-        emit_report(report, args.format, args.out)
-        print(f"wrote {args.format} report to {args.out}")
-    else:
+    _emit_if_requested(report, args)
+    if not args.out:
         data = report.to_dict()
         if args.format == "json":
             print(render_json(data))
@@ -298,10 +270,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, SummabilityError, ReportFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError, SummabilityError and ReportFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -487,9 +487,11 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     started = mark = time.perf_counter()
 
     def lap(stage: str) -> None:
-        # consecutive laps partition the run, so the stages sum to total_s
+        # consecutive laps partition the run, so the stages sum to total_s;
+        # the stages stay in run order, with total_s last
         nonlocal mark
         now = time.perf_counter()
+        timings.pop("total_s", None)
         timings[f"{stage}_s"] = now - mark
         timings["total_s"] = now - started
         mark = now

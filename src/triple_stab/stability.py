@@ -211,15 +211,8 @@ def norm_power(norm, p: float):
     return float(out) if out.ndim == 0 else out
 
 
-class ControlFunction:
-    """Nonnegative control phi(x, y, z) pricing a perturbation residual."""
-
-    def value(self, x, y, z):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerType(ControlFunction):
+class PowerType:
     """phi(x, y, z) = eps * (||x||^p + ||y||^p + ||z||^p).
 
     On (k, n, n) stacks ``value`` returns one value per slice.
@@ -245,7 +238,7 @@ class PowerType(ControlFunction):
 
 
 @dataclass(frozen=True)
-class Custom(ControlFunction):
+class Custom:
     """User-supplied control on single matrices; values are checked to be nonnegative."""
 
     fn: Callable
@@ -273,7 +266,7 @@ class UnimodularScalar:
 # ---------------------------------------------------------------------------
 
 def phi_tilde(
-    phi: ControlFunction,
+    phi: PowerType | Custom,
     scheme,
     x,
     y,
@@ -335,7 +328,7 @@ def _power_tilde(phi: PowerType, scheme: Scheme, nx, ny, nz=0.0):
     return phi.from_norms(nx, ny, nz) * r**scheme.series_start / (1.0 - r)
 
 
-def _require_power(phi: ControlFunction, caller: str) -> None:
+def _require_power(phi: PowerType | Custom, caller: str) -> None:
     """TypeError unless phi is the power-type control the stages price with."""
     if not isinstance(phi, PowerType):
         raise TypeError(f"{caller} needs a PowerType control, got {type(phi).__name__}")
@@ -360,7 +353,7 @@ def _power_bound(phi: PowerType, scheme: Scheme, mx: ComplexMatrix):
     return _power_tilde(phi, scheme, nx3, nx3) + _power_tilde(phi, scheme, nx3, nx), nx
 
 
-def hyers_bound(phi: ControlFunction, scheme, x) -> float:
+def hyers_bound(phi: PowerType | Custom, scheme, x) -> float:
     """Stability bound at x for the scheme, assembled from phi_tilde.
 
     For power-type controls this reproduces the closed-form constants
@@ -418,8 +411,6 @@ class PerturbedMap:
     direction: np.ndarray
     alpha: float
     beta: float
-    eps: float
-    form: str
     seed: int
 
     @property
@@ -494,8 +485,6 @@ def make_perturbation(
         direction=direction,
         alpha=alpha,
         beta=beta,
-        eps=eps,
-        form=form,
         seed=int(seed),
     )
 

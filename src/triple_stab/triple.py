@@ -11,8 +11,10 @@ algebra (conjugations, commutators, sums, compositions, tabulated forms),
 and the constructor of exact theta-derivations from a conjugation (an
 exact triple homomorphism) and a commutator (an exact triple derivation),
 which checks its generators by type: their constructors check the rest.
+One residual, ``theta_derivation_residual``, measures the paper's identity;
+a plain derivation is its case theta = identity.
 
-Products, operators, residuals and axiom checkers all accept stacks of
+Products, operators, the residual and axiom checkers all accept stacks of
 shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
 probe set in one call: one call per operator and per check.
 
@@ -439,11 +441,6 @@ def check_L_positive(a, probes) -> LPositivityReport:
 # structure-preserving generators and their residuals
 # ---------------------------------------------------------------------------
 
-def _with_product(x, y, z) -> np.ndarray:
-    """(4, ..., n, n): {x,y,z}, x, y, z stacked from trusted stacks, for one operator call."""
-    return np.stack([_cstar(x, y, z), x, y, z])
-
-
 def derivation_defect(p, gx, gy, gz, hx, hy, hz) -> ComplexMatrix:
     """p - {gx, hy, hz} - {hx, gy, hz} - {hx, hy, gz}: the (theta-)derivation defect.
 
@@ -454,26 +451,15 @@ def derivation_defect(p, gx, gy, gz, hx, hy, hz) -> ComplexMatrix:
     return p - t(gx, hy, hz) - t(hx, gy, hz) - t(hx, hy, gz)
 
 
-def homomorphism_residual(op: LinearOperator, x, y, z) -> float:
-    """|| op({x,y,z}) - {op x, op y, op z} ||, with op called once."""
-    op_p, op_x, op_y, op_z = op(_with_product(*same_dim(x, y, z)))
-    return spectral_norm(op_p - _cstar(op_x, op_y, op_z))
-
-
-def derivation_residual(op: LinearOperator, x, y, z) -> float:
-    """|| op({x,y,z}) - {op x,y,z} - {x,op y,z} - {x,y,op z} ||, with op called once."""
-    args = _with_product(*same_dim(x, y, z))
-    return spectral_norm(derivation_defect(*op(args), *args[1:]))
-
-
 def theta_derivation_residual(d_op: LinearOperator, theta: LinearOperator, x, y, z) -> float:
     """Defect of the theta-derivation identity at (x, y, z).
 
     || D({x,y,z}) - {Dx, Ty, Tz} - {Tx, Dy, Tz} - {Tx, Ty, Dz} ||
-    where D = d_op and T = theta.
+    where D = d_op and T = theta; a plain derivation is the case T = identity.
     """
-    args = _with_product(*same_dim(x, y, z))
+    mx, my, mz = same_dim(x, y, z)
     # each operator once: D over ({x,y,z}, x, y, z), theta over (x, y, z)
+    args = np.stack([_cstar(mx, my, mz), mx, my, mz])
     return spectral_norm(derivation_defect(*d_op(args), *theta(args[1:])))
 
 

@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from triple_stab.cli import main
-from triple_stab.lab import load_report
+from triple_stab.lab import ExperimentConfig, load_report
 
 TRIMMED = [
     "--scheme",
@@ -55,6 +56,41 @@ def test_axioms_config_file_with_override(tmp_path, capsys):
     assert data["config"]["p"] == 0.5
     assert data["config"]["dim"] == 3
     assert data["passed"] is True
+
+
+# a value for each config field that differs from the file's
+_FLAG_VALUES = {
+    "dim": ("3", 3),
+    "scheme": ("jensen3", "jensen3"),
+    "eps": ("0.2", 0.2),
+    "p": ("0.25", 0.25),
+    "seed": ("5", 5),
+    "probe_count": ("4", 4),
+    "tol": ("1e-8", 1e-8),
+    "l_max": ("1", 1),
+    "generator": (
+        '{"unitary": "haar", "skew": "zero"}',
+        {"unitary": "haar", "skew": "zero", "skew_scale": 1.0},
+    ),
+}
+_FILE_CONFIG = dataclasses.asdict(ExperimentConfig(probe_count=6))
+
+
+@pytest.mark.parametrize("command", ["axioms", "recover"])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_config_field_has_a_flag_that_overrides_the_file(tmp_path, capsys, command, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_FILE_CONFIG), encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    text, want = _FLAG_VALUES[field]
+    flag = "--" + field.replace("_", "-")
+    main([command, "--config", str(cfg_path), flag, text, "--out", str(out_path)])
+    capsys.readouterr()
+    echoed = json.loads(out_path.read_text(encoding="utf-8"))["config"]
+    assert echoed[field] == want
+    # every other field keeps its value from the file
+    expected = ExperimentConfig.from_dict({**_FILE_CONFIG, field: want}).to_dict()
+    assert echoed == expected
 
 
 def test_recover_command_writes_report(tmp_path, capsys):

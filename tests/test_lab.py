@@ -390,6 +390,27 @@ def test_run_recovery_stops_after_failed_recovery(tmp_path):
     assert load_report(str(path)).to_dict() == report.to_dict()
 
 
+_RUN_STAGES = (
+    "setup",
+    "axioms",
+    "recover",
+    "hypotheses",
+    "bound",
+    "homogeneity",
+    "certificate",
+    "sequence",
+    "rate",
+)
+
+
+def test_run_recovery_keeps_timings_in_run_order():
+    # the CLI prints the timings as they come, so their order is the run's
+    failed = run_recovery(_shipped_config("cauchy2", l_max=1))
+    assert list(failed.timings) == ["setup_s", "axioms_s", "recover_s", "total_s"]
+    passed = run_recovery(_trimmed_config())
+    assert list(passed.timings) == [f"{stage}_s" for stage in (*_RUN_STAGES, "total")]
+
+
 @pytest.mark.parametrize("failing", ["d", "theta"])
 def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, failing):
     recover = lab.recover_linear_map

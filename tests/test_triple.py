@@ -32,8 +32,6 @@ from triple_stab.triple import (
     check_jordan_identity,
     check_L_positive,
     check_norm_identity,
-    derivation_residual,
-    homomorphism_residual,
     jordan_product,
     make_theta_derivation,
     matrix_basis,
@@ -198,8 +196,10 @@ def test_exact_generator_residuals_vanish():
     delta a relative derivation residual of at most 2 delta; the two
     constructors accept only delta <= UNITARY_TOL and delta <= SKEW_TOL.  The
     theta-derivation residual adds the homomorphism defect at D x, of norm up
-    to 2 ||a|| ||x||, in each of its three terms.
+    to 2 ||a|| ||x||, in each of its three terms.  The derivation residual
+    of d is the theta-derivation residual with theta the identity.
     """
+    t = triple_product_cstar
     for n, skew_scale in itertools.product((1, 2, 3, 8, 16), (1e-9, 1.0, 1e6)):
         u = haar_unitary(rng_for(19, 4), n)
         a = skew_matrix(rng_for(19, 5), n, skew_scale)
@@ -215,9 +215,9 @@ def test_exact_generator_residuals_vanish():
         x, y, z = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
         scale = np.maximum(1.0, spectral_norm(x) * spectral_norm(y) * spectral_norm(z))
         where = f"n={n} skew_scale={skew_scale:g}"
-        hom = homomorphism_residual(theta, x, y, z) / scale
+        hom = spectral_norm(theta(t(x, y, z)) - t(theta(x), theta(y), theta(z))) / scale
         assert np.all(hom <= 2 * u_defect + roundoff), where
-        der = derivation_residual(d, x, y, z) / scale
+        der = theta_derivation_residual(d, Conjugation(np.eye(n)), x, y, z) / scale
         assert np.all(der <= 2 * a_defect + roundoff), where
         theta_der = theta_derivation_residual(big_d, theta, x, y, z) / scale
         assert np.all(theta_der <= 2 * a_defect + 12 * u_defect * size + roundoff), where
