@@ -29,8 +29,14 @@ levels too, in groups of at most LEVEL_GROUP_ENTRIES complex entries per
 call.  A stage takes the norms of its stacks in one norm call (the
 ``linalg._norm`` kernel), and the probe norms behind a power-type bound are
 reused by the direct method's target, the linearity certificate and the
-bound table.  The bound stage takes one bound for all its maps, and a
-homogeneity check applies its map once, to every scaled argument.
+bound table.  Where a stage hands one argument stack to both perturbed
+maps, it norms the stack once and both maps run their known-norm kernel on
+those norms (``_image``): the hypothesis stage maps x, the pair argument
+and {x,y,z} with one f call and x and the pair argument with one h call,
+the bound stage's maps reuse the probe norms, and h takes the norms of f's
+x, y and z in each group of the derivation sequence.  The bound stage
+takes one bound for all its maps, and a homogeneity check applies its map
+once, to every scaled argument.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import numpy as np
 
 from .linalg import (
     ComplexMatrix,
+    DimensionMismatchError,
     _norm,
     as_matrix,
     spectral_norm,
@@ -402,7 +409,10 @@ class PerturbedMap:
     f(x) = base(x) + amplitude * ||x||^p * sin(alpha ||x|| + beta Re tr x) * W
     with ||W|| = 1.  The defect vanishes at x = 0 and obeys
     ||f(x) - base(x)|| <= amplitude * ||x||^p everywhere.  A call f(x)
-    checks x once; ``defect`` takes a checked stack.
+    checks x once and takes its norms; ``_at`` is the kernel under it, on a
+    checked stack whose norms are known, so a stage that hands one argument
+    stack to f and h norms it once (``_image``).  Each slice's image depends
+    on that slice and its norm alone, so it is the same in any stack.
     """
 
     base: LinearOperator
@@ -417,17 +427,34 @@ class PerturbedMap:
     def dim(self) -> int:
         return self.base.dim
 
-    def defect(self, mx: ComplexMatrix) -> ComplexMatrix:
+    def _at(self, mx: ComplexMatrix, nx) -> ComplexMatrix:
+        """f at a checked stack mx of this dimension whose slice norms nx are known."""
+        # the base first: its temporaries are freed before the defect's are
+        # made, which keeps the peak memory of a large stack down
+        image = self.base.apply(mx)
         if self.amplitude == 0.0:
-            return np.zeros_like(mx)
-        nx = _norm(mx)
+            # base(x) + 0, not base(x): the sum turns a -0.0 entry into 0.0
+            return image + np.zeros_like(mx)
         envelope = self.amplitude * norm_power(nx, self.exponent)
         phase = np.sin(self.alpha * nx + self.beta * np.trace(mx, axis1=-2, axis2=-1).real)
-        return np.multiply.outer(envelope * phase, self.direction)
+        return image + np.multiply.outer(envelope * phase, self.direction)
 
     def __call__(self, x) -> ComplexMatrix:
         mx = self.base._operand(x)
-        return self.base.apply(mx) + self.defect(mx)
+        return self._at(mx, _norm(mx))
+
+
+def _image(g, mx: ComplexMatrix, norms) -> ComplexMatrix:
+    """A map g at a checked stack mx whose slice norms are known.
+
+    A ``PerturbedMap`` runs its kernel on those norms, after the dimension
+    check its call makes; any other map is called as g(mx).
+    """
+    if not isinstance(g, PerturbedMap):
+        return g(mx)
+    if mx.shape[-1] != g.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {mx.shape[-1]}")
+    return g._at(mx, norms)
 
 
 def perturbation_amplitude(eps: float, p: float, form: str) -> float:
@@ -549,7 +576,10 @@ def verify_hypotheses(
         || f({x,y,z}) - {f(x) h(y) h(z)} - {h(x) f(y) h(z)} - {h(x) h(y) f(z)} ||
 
     is divided by phi(x, y, z) and reported without a pass threshold; the
-    perturbation construction does not promise it stays below 1.
+    perturbation construction does not promise it stays below 1.  One norm
+    call covers x, the pair argument (mu x + y, or half of it for jensen)
+    and {x,y,z}; f is called once over all three and h once over the first
+    two, on those norms.
     """
     _require_power(phi, "verify_hypotheses")
     form = _parse_form(form)
@@ -563,25 +593,30 @@ def verify_hypotheses(
     y, z = x[iy], x[iz]
     mu = np.array([complex(mu_samples[i % len(mu_samples)]) for i in range(m)])
     mu = mu[:, None, None]
-    # y and z permute the slices of x, so ||y|| = ||x||[iy], f(y) = f(x)[iy] and so on
-    nx = _norm(x)
-    denom_pair = phi.from_norms(nx, nx[iy], 0.0)
-    denom_triple = phi.from_norms(nx, nx[iy], nx[iz])
-    fx, hx = f(x), h(x)
-    fy, fz, hy, hz = fx[iy], fx[iz], hx[iy], hx[iz]
     # cauchy: g(mu x + y) - mu g(x) - g(y); jensen: 2 g((mu x + y) / 2) - mu g(x) - g(y)
     mid = mu * x + y
-    if form == "cauchy":
-        fm, hm = f(mid), h(mid)
-    else:
-        fm, hm = 2.0 * f(mid / 2.0), 2.0 * h(mid / 2.0)
+    pair = mid if form == "cauchy" else mid / 2.0
+    # one norm call over (x, pair argument, {x,y,z}); f maps all three blocks
+    # in one call and h the first two, both on these norms
+    args = np.concatenate([x, pair, _cstar(x, y, z)])
+    norms = _norm(args)
+    images_f, images_h = _image(f, args, norms), _image(h, args[: 2 * m], norms[: 2 * m])
+    # y and z permute the slices of x, so ||y|| = ||x||[iy], f(y) = f(x)[iy] and so on
+    nx = norms[:m]
+    denom_pair = phi.from_norms(nx, nx[iy], 0.0)
+    denom_triple = phi.from_norms(nx, nx[iy], nx[iz])
+    fx, fm, fp = images_f[:m], images_f[m : 2 * m], images_f[2 * m :]
+    hx, hm = images_h[:m], images_h[m:]
+    if form == "jensen":
+        fm, hm = 2.0 * fm, 2.0 * hm
+    fy, fz, hy, hz = fx[iy], fx[iz], hx[iy], hx[iz]
     # the maps' outputs are checked once, in the residual stack
     rf, rh, triple_res = spectral_norm(
         np.stack(
             [
                 fm - mu * fx - fy,
                 hm - mu * hx - hy,
-                derivation_defect(f(_cstar(x, y, z)), fx, fy, fz, hx, hy, hz),
+                derivation_defect(fp, fx, fy, fz, hx, hy, hz),
             ]
         )
     )
@@ -792,14 +827,17 @@ def verify_stability_bound(
     """Check ||f(x) - recovered(x)|| <= (1 + BOUND_SLACK) hyers_bound(phi, scheme, x) on probes.
 
     One report per (f, recovered) pair in ``pairs``, against one power-type
-    bound on the whole stack, whose norms the rows reuse.  The errors of
-    every pair are normed in one call, which checks the maps' outputs.
+    bound on the whole stack, whose norms the rows and the perturbed maps
+    reuse.  The errors of every pair are normed in one call, which checks
+    the maps' outputs.
     """
     _require_power(phi, "verify_stability_bound")
     scheme = Scheme.parse(scheme)
     x = _stack(probes, "verify_stability_bound")
     bounds, norms = _power_bound(phi, scheme, x)
-    errors = spectral_norm(np.stack([f(x) - recovered(x) for f, recovered in pairs]))
+    errors = spectral_norm(
+        np.stack([_image(f, x, norms) - recovered(x) for f, recovered in pairs])
+    )
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
     reports = []
     for error, ratio in zip(errors, ratios):
@@ -870,6 +908,8 @@ def complex_homogeneity_via_decomposition(op, lams: Sequence[complex], x) -> Che
     max(1, |lam| ||x||), against HOMOGENEITY_TOL; on a stack of x, one
     residual per slice.
     """
+    if len(lams) == 0:
+        raise ValueError("complex_homogeneity_via_decomposition needs at least one lambda")
     mx = as_matrix(x)
     lams = [complex(lam) for lam in lams]
     # per lam, its real and imaginary parts as (integer part, unimodular pair or ())
@@ -904,7 +944,8 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
          - {h(s x) f(s y) h(s z)} - {h(s x) h(s y) f(s z)} || / s3.
 
     Each map is called once per group of levels, over every scaled argument
-    it is needed at.  Raises SchemeError for a scheme without
+    it is needed at, and the group's arguments are normed once: h takes the
+    norms of f's x, y and z.  Raises SchemeError for a scheme without
     derivation-sequence levels (cauchy2-contractive); every level is guarded
     before f is called (``_guard_levels``).
     """
@@ -923,13 +964,13 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
     factors = np.array([[scheme.scale(3 * l)] + 3 * [scheme.scale(l)] for l in levels])
     out = []
     for group in _level_groups(len(factors), unscaled.size):
-        args = factors[group, :, None, None, None] * unscaled
-        fp, fx, fy, fz = np.moveaxis(
-            as_matrix(f(args.reshape(-1, n, n))).reshape(args.shape), 1, 0
-        )
-        hx, hy, hz = np.moveaxis(
-            as_matrix(h(args[:, 1:].reshape(-1, n, n))).reshape(args[:, 1:].shape), 1, 0
-        )
+        # (4, levels, k, n, n), slot by slot, so x, y and z are the tail h maps
+        args = factors[group].T[:, :, None, None, None] * unscaled[:, None]
+        flat = args.reshape(-1, n, n)
+        norms = _norm(flat)
+        tail = len(flat) // 4
+        fp, fx, fy, fz = as_matrix(_image(f, flat, norms)).reshape(args.shape)
+        hx, hy, hz = as_matrix(_image(h, flat[tail:], norms[tail:])).reshape(args[1:].shape)
         residual = _norm(derivation_defect(fp, fx, fy, fz, hx, hy, hz))
         out.append((1.0 / factors[group, :1]) * residual)
     return np.concatenate(out)

@@ -589,8 +589,10 @@ def test_derivation_limit_sequence_rejects_bad_levels_before_any_map_call():
 
 def test_stages_call_each_map_once_per_scan():
     # shipped cauchy2 at dim 2: one f and one h call over all 25 sequence
-    # levels, one f call over the 11 rate levels, and in the hypotheses f at
-    # x, at the pair argument and at the triple product, h at the first two
+    # levels, one f call over the 11 rate levels, and in the hypotheses one
+    # f call over x, the pair argument and the triple product and one h call
+    # over the first two (five calls, one per argument stack, before the
+    # stage stacked them)
     theta, _, big_d = _generators(50)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=26)
     h = make_perturbation(theta, 0.1, 0.5, "cauchy", seed=27)
@@ -608,7 +610,29 @@ def test_stages_call_each_map_once_per_scan():
     probes = make_probes(2, 100, rng_for(30, 2))
     mus = make_mu_samples(16, rng_for(30, 3))
     verify_hypotheses(cf, ch, PowerType(0.1, 0.5), "cauchy", probes, mus)
-    assert (f_calls, h_calls) == ([100, 100, 100], [100, 100])
+    assert (f_calls, h_calls) == ([300], [200])
+
+
+@pytest.mark.parametrize("form", ["cauchy", "jensen"])
+def test_hypotheses_evaluate_each_perturbed_map_once_on_one_norm_call(monkeypatch, form):
+    # the stage norms (x, pair argument, {x,y,z}) in one call and hands the
+    # norms to both maps' kernels: f over all three blocks, h over the first
+    # two; the residuals take the second norm call
+    theta, _, big_d = _generators(50)
+    f = make_perturbation(big_d, 0.1, 0.5, form, seed=26)
+    h = make_perturbation(theta, 0.1, 0.5, form, seed=27)
+    evaluations, norms = [], []
+    kernel = PerturbedMap._at
+    monkeypatch.setattr(
+        PerturbedMap,
+        "_at",
+        lambda g, mx, nx: evaluations.append((g.seed, len(mx))) or kernel(g, mx, nx),
+    )
+    monkeypatch.setattr(linalg, "_norm", _counting(linalg._norm, norms))
+    monkeypatch.setattr(stability, "_norm", _counting(stability._norm, norms))
+    probes = make_probes(2, 12, rng_for(30, 2))
+    verify_hypotheses(f, h, PowerType(0.1, 0.5), form, probes, make_mu_samples(4, rng_for(30, 3)))
+    assert (evaluations, norms) == ([(26, 36), (27, 24)], [36, 3])
 
 
 def test_checks_on_a_recovered_map_apply_it_once(monkeypatch):
@@ -692,6 +716,16 @@ def test_complex_homogeneity_via_decomposition():
         res = complex_homogeneity_via_decomposition(big_d, [lam], x)
         assert res.passed[0]
         assert res.residual[0] <= 1e-12
+
+
+def test_complex_homogeneity_refuses_an_empty_lambda_list():
+    # an empty list would return an empty CheckResult, which passes vacuously;
+    # verify_s1_homogeneity refuses empty samples the same way
+    _, _, big_d = _generators(47)
+    calls = []
+    with pytest.raises(ValueError, match="needs at least one lambda"):
+        complex_homogeneity_via_decomposition(_counting(big_d, calls), [], E11)
+    assert calls == []
 
 
 def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():

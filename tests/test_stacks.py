@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from triple_stab.lab import SEQUENCE_TRIPLE_COUNT, ExperimentConfig, _sequence_triples
-from triple_stab.linalg import as_matrix, hs_inner, spectral_norm
+from triple_stab.linalg import _norm, as_matrix, hs_inner, spectral_norm
 from triple_stab.sampling import (
     ROLE_SEQUENCE_TRIPLES,
     haar_unitary,
@@ -252,6 +252,25 @@ def test_perturbed_map_stack_equals_its_slices_bit_for_bit(n, base):
     assert np.array_equal(f(x[:7]), f(x)[:7])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("base", ["compose", "conjugation"])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_known_norm_kernel_equals_the_call_bit_for_bit(n, base, eps):
+    # a stage norms an argument stack once and hands the norms to both maps'
+    # kernels, which must give what each map's own call gives, also when a
+    # slice's norm came from a larger stack the slice was concatenated into
+    f = make_perturbation(_operators(n)[base], eps, 0.5, "cauchy", seed=9)
+    x = _stack(12, n, 60) * np.geomspace(1e-3, 1e3, 60)[:, None, None]
+    x[5] = 0.0
+    assert np.array_equal(f._at(x, _norm(x)), f(x))
+    assert np.array_equal(f._at(x[3], _norm(x[3])), f(x[3]))
+    larger = np.concatenate([_stack(13, n, 25), x, 3.0 * x[::-1]])
+    norms = _norm(larger)
+    assert np.array_equal(norms[25:85], _norm(x))
+    assert np.array_equal(f._at(larger[25:85], norms[25:85]), f(x))
+    assert np.array_equal(f._at(larger, norms)[25:85], f(x))
+
+
 @pytest.mark.parametrize("n,k", SHAPES)
 def test_axiom_checkers_match_slices(n, k):
     a, b, x, y, z = (_stack(seed, n, k) for seed in (13, 14, 15, 16, 17))
@@ -370,6 +389,31 @@ def test_derivation_sequence_matches_level_by_level(n, scheme):
     assert np.array_equal(stacked, _sequence_by_level(f, h, scheme, triples, levels))
 
 
+def _sequence_own_norms(f, h, scheme, triples, levels):
+    # every level in one call of each map, each call norming its own
+    # arguments: h does not share f's norms
+    t = triple_product_cstar
+    x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
+    s = np.array([scheme.scale(l) for l in levels])[:, None, None, None]
+    s3 = np.array([scheme.scale(3 * l) for l in levels])[:, None, None, None]
+    n, shape = x.shape[-1], (len(levels), *x.shape)
+    images_f = f(np.stack([s3 * t(x, y, z), s * x, s * y, s * z]).reshape(-1, n, n))
+    fp, fx, fy, fz = images_f.reshape(4, *shape)
+    hx, hy, hz = h(np.stack([s * x, s * y, s * z]).reshape(-1, n, n)).reshape(3, *shape)
+    residual = spectral_norm(fp - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz))
+    return (1.0 / s3[:, :, 0, 0]) * residual
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("scheme", SEQUENCE_SCHEMES)
+def test_derivation_sequence_equals_h_taking_its_own_norms(n, scheme):
+    f, h = _perturbed_pair(n, SHIPPED_P[scheme], scheme.hypothesis_form)
+    triples = _triples(45, n, 5)
+    levels = list(scheme.derivation_levels())
+    want = _sequence_own_norms(f, h, scheme, triples, levels)
+    assert np.array_equal(derivation_limit_sequence(f, h, scheme, triples, levels), want)
+
+
 def test_level_scan_groups_split_without_changing_values(monkeypatch):
     f, h = _perturbed_pair(2, 0.5, "cauchy")
     triples = _triples(50, 2, 4)
@@ -451,6 +495,76 @@ def test_verify_hypotheses_matches_sample_by_sample(n, form, phi):
     report = verify_hypotheses(f, h, phi, form, x, mus)
     want = _hypotheses_by_sample(f, h, phi, form, x, mus)
     assert {key: getattr(report, key) for key in want} == want
+
+
+def _hypotheses_five_calls(f, h, phi, form, probes, mus):
+    """verify_hypotheses with one map call per argument stack, each norming its own.
+
+    f maps x, the pair argument and {x,y,z} in three calls, h maps x and the
+    pair argument in two, and x is normed on its own.
+    """
+    x = np.asarray(probes, dtype=np.complex128)
+    m = len(x)
+    k = np.arange(m)
+    iy = (k + max(1, m // 2) % m) % m
+    iz = (k + max(1, m // 3) % m) % m
+    y, z = x[iy], x[iz]
+    mu = np.array([complex(mus[i % len(mus)]) for i in range(m)])[:, None, None]
+    nx = spectral_norm(x)
+    denom_pair = phi.from_norms(nx, nx[iy], 0.0)
+    denom_triple = phi.from_norms(nx, nx[iy], nx[iz])
+    fx, hx = f(x), h(x)
+    fy, fz, hy, hz = fx[iy], fx[iz], hx[iy], hx[iz]
+    mid = mu * x + y
+    if form == "cauchy":
+        fm, hm = f(mid), h(mid)
+    else:
+        fm, hm = 2.0 * f(mid / 2.0), 2.0 * h(mid / 2.0)
+    t = triple_product_cstar
+    rf, rh, rt = spectral_norm(
+        np.stack(
+            [
+                fm - mu * fx - fy,
+                hm - mu * hx - hy,
+                f(t(x, y, z)) - t(fx, hy, hz) - t(hx, fy, hz) - t(hx, hy, fz),
+            ]
+        )
+    )
+
+    def ratio(num, den):
+        return float(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0).max())
+
+    zero = denom_pair <= 0.0
+    max_f, max_h = ratio(rf, denom_pair), ratio(rh, denom_pair)
+    zero_abs = float(np.where(zero, np.maximum(rf, rh), 0.0).max())
+    return stability.HypothesisReport(
+        form=form,
+        samples=m,
+        max_ratio_f=max_f,
+        max_ratio_h=max_h,
+        max_triple_ratio=ratio(rt, denom_triple),
+        zero_control_samples=int(zero.sum()),
+        max_zero_control_residual=zero_abs,
+        passed=max_f <= 1.0 and max_h <= 1.0 and zero_abs <= stability.ZERO_CONTROL_TOL,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("form", ["cauchy", "jensen"])
+@pytest.mark.parametrize("plain", [False, True], ids=["perturbed", "plain"])
+def test_verify_hypotheses_equals_its_five_call_form(n, form, plain):
+    # two map calls on one norm call report what five calls did; a plain
+    # callable is called on the stacked arguments without the known norms
+    f, h = _perturbed_pair(n, 0.5, form)
+    if plain:
+        f, h = (lambda x, g=f: g(x)), (lambda x, g=h: g(x))
+    x = _stack(71, n, 9) * np.geomspace(1e-2, 1e2, 9)[:, None, None]
+    x[2] = x[2 + 4] = 0.0
+    mus = [np.exp(1j * a) for a in (0.7, 2.1)]
+    phi = PowerType(0.1, 0.5)
+    report = verify_hypotheses(f, h, phi, form, x, mus)
+    assert report.zero_control_samples == 1
+    assert report == _hypotheses_five_calls(f, h, phi, form, x, mus)
 
 
 @pytest.mark.parametrize("n,k", SHAPES)
