@@ -100,7 +100,15 @@ def _value_text(value) -> str:
     return str(value)
 
 
-def _print_checks(checks: list[dict]) -> None:
+def _emit_if_requested(report, args: argparse.Namespace) -> None:
+    if args.out:
+        emit_report(report, args.format, args.out)
+        print(f"wrote {args.format} report to {args.out}")
+
+
+def _finish(args: argparse.Namespace, report: dict, timings: dict[str, float]) -> int:
+    """Show a check command's report, write it if asked, and return its exit code."""
+    checks = report["checks"]
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
         print(
@@ -108,9 +116,15 @@ def _print_checks(checks: list[dict]) -> None:
             f"value={_value_text(check['value'])} "
             f"tol={_value_text(check['tolerance'])}"
         )
-
-
-def _report_failures(checks: list[dict]) -> None:
+    passed = sum(1 for c in checks if c["passed"])
+    print(f"{args.command}: {passed}/{len(checks)} checks passed in {timings['total_s']:.2f} s")
+    if getattr(args, "timings", False):
+        # run order, total last; a run that stops after recovery has no later stages
+        for key, seconds in timings.items():
+            print(f"{key.removesuffix('_s')} {seconds:.6f}")
+    _emit_if_requested(report, args)
+    if report["passed"]:
+        return 0
     for check in checks:
         if not check["passed"]:
             print(
@@ -118,54 +132,19 @@ def _report_failures(checks: list[dict]) -> None:
                 f"tolerance={_value_text(check['tolerance'])}",
                 file=sys.stderr,
             )
-
-
-def _print_timings(timings: dict[str, float]) -> None:
-    # run order, total last; a run that stops after recovery has no later stages
-    for key, seconds in timings.items():
-        print(f"{key.removesuffix('_s')} {seconds:.6f}")
-
-
-def _emit_if_requested(report, args: argparse.Namespace) -> None:
-    if args.out:
-        emit_report(report, args.format, args.out)
-        print(f"wrote {args.format} report to {args.out}")
+    error = report.get("recovery", {}).get("error")
+    if error is not None:
+        print(f"recovery error: {error}", file=sys.stderr)
+    return 1
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    report, timings = axioms_report(config)
-    _print_checks(report["checks"])
-    passed = sum(1 for c in report["checks"] if c["passed"])
-    print(
-        f"axioms: {passed}/{len(report['checks'])} checks passed "
-        f"in {timings['total_s']:.2f} s"
-    )
-    _emit_if_requested(report, args)
-    if not report["passed"]:
-        _report_failures(report["checks"])
-        return 1
-    return 0
+    return _finish(args, *axioms_report(_load_config(args)))
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    report = run_recovery(config)
-    _print_checks(report.checks)
-    passed = sum(1 for c in report.checks if c["passed"])
-    print(
-        f"recover: {passed}/{len(report.checks)} checks passed "
-        f"in {report.timings.get('total_s', 0.0):.2f} s"
-    )
-    if args.timings:
-        _print_timings(report.timings)
-    _emit_if_requested(report, args)
-    if not report.passed:
-        _report_failures(report.checks)
-        if report.recovery["error"] is not None:
-            print(f"recovery error: {report.recovery['error']}", file=sys.stderr)
-        return 1
-    return 0
+    report = run_recovery(_load_config(args))
+    return _finish(args, report.to_dict(), report.timings)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

@@ -222,18 +222,20 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        """Canonical echo: normalized scheme tag, expanded generator."""
+        """Canonical echo: normalized scheme tag, float eps/p/tol, expanded generator."""
         return {
-            "dim": self.dim,
+            **_section(self),
             "scheme": self.scheme_enum().value,
             "eps": float(self.eps),
             "p": float(self.p),
-            "seed": self.seed,
-            "probe_count": self.probe_count,
             "tol": float(self.tol),
-            "l_max": self.l_max,
             "generator": self.generator_dict(),
         }
+
+
+def _section(result) -> dict:
+    """A dataclass's fields as a dict, shallow: report sections hold scalars or lists of floats."""
+    return {f.name: getattr(result, f.name) for f in dataclass_fields(result)}
 
 
 # ---------------------------------------------------------------------------
@@ -377,30 +379,22 @@ class StabilityReport:
     homogeneity: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict, compare=False)
 
-    _SERIALIZED = (
-        "config",
-        "axioms",
-        "hypotheses",
-        "bound",
-        "bound_theta",
-        "recovery",
-        "rate",
-        "derivation_certificate",
-        "derivation_sequence",
-        "homogeneity",
-        "checks",
-        "passed",
-    )
+    @classmethod
+    def _serialized(cls) -> list[str]:
+        """Every field but the wall-clock timings."""
+        return [f.name for f in dataclass_fields(cls) if f.name != "timings"]
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._SERIALIZED}
+        return {name: getattr(self, name) for name in self._serialized()}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "StabilityReport":
-        missing = [name for name in cls._SERIALIZED if name not in data]
+    def from_dict(cls, data) -> "StabilityReport":
+        if not isinstance(data, dict):
+            raise ValueError(f"report must be an object, got {type(data).__name__}")
+        missing = [name for name in cls._serialized() if name not in data]
         if missing:
             raise ValueError(f"report is missing fields: {', '.join(missing)}")
-        return cls(**{name: data[name] for name in cls._SERIALIZED})
+        return cls(**{name: data[name] for name in cls._serialized()})
 
 
 def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
@@ -453,11 +447,6 @@ def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: f
     }
 
 
-def _section(result) -> dict:
-    """A result's fields as a report section, shallow: they are scalars or lists of floats."""
-    return {f.name: getattr(result, f.name) for f in dataclass_fields(result)}
-
-
 def _bound_section(result) -> dict:
     """A stability-bound result as a report section.
 
@@ -477,7 +466,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     """End-to-end scenario: build, perturb, recover, certify, report.
 
     ``threads`` is ignored: the pipeline runs in one thread.  It stays only
-    because ``perfbench/worker.py`` passes it (ROADMAP item 4).
+    because ``perfbench/worker.py`` passes it (ROADMAP item 1).
     """
     config.validate()
     scheme = config.scheme_enum()
@@ -517,30 +506,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     checks.extend(_axiom_checks(axioms))
     lap("axioms")
 
-    recovery_error: str | None = None
-    linearity_failure: dict | None = None
     levels: dict[str, int] = {}
-    try:
-        d_hat, levels["d"] = recover_linear_map(f, scheme, phi, config.tol, config.l_max)
-        theta_hat, levels["theta"] = recover_linear_map(h, scheme, phi, config.tol, config.l_max)
-    except ConvergenceError as exc:
-        recovery_error = str(exc)
-    except LinearityCertificationError as exc:
-        recovery_error = str(exc)
-        linearity_failure = {
-            # levels names the maps recovered before the one that failed
-            "map": "theta" if levels else "d",
-            "probe_index": exc.index,
-            "probe_norm": exc.norm,
-            "gap": exc.residual,
-            "allowance": exc.allowance,
-            "level": exc.level,
-        }
-    lap("recover")
-
     recovery = {
-        "converged": recovery_error is None,
-        "error": recovery_error,
+        "error": None,
         "levels": levels,
         "series_ratio": scheme.series_ratio(config.p),
         "d_entrywise_error": None,
@@ -548,8 +516,24 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         "tolerance": RECOVERY_ERROR_TOL,
         "passed": False,
     }
-    if linearity_failure is not None:
-        recovery["linearity_failure"] = linearity_failure
+    try:
+        d_hat, levels["d"] = recover_linear_map(f, scheme, phi, config.tol, config.l_max)
+        theta_hat, levels["theta"] = recover_linear_map(h, scheme, phi, config.tol, config.l_max)
+    except (ConvergenceError, LinearityCertificationError) as exc:
+        recovery["error"] = str(exc)
+        if isinstance(exc, LinearityCertificationError):
+            recovery["linearity_failure"] = {
+                # levels names the maps recovered before the one that failed
+                "map": "theta" if levels else "d",
+                "probe_index": exc.index,
+                "probe_norm": exc.norm,
+                "gap": exc.residual,
+                "allowance": exc.allowance,
+                "level": exc.level,
+            }
+    recovery["converged"] = recovery["error"] is None
+    lap("recover")
+
     checks.append(_check("recovery_converged", recovery["converged"]))
     # the stages after recovery fill in their sections; a failed recovery leaves them empty
     report = StabilityReport(
@@ -560,19 +544,17 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         passed=False,
         timings=timings,
     )
-    if recovery_error is not None:
+    if not recovery["converged"]:
         return report
 
     # both sides were checked by their constructors
-    err_d = float(np.abs(d_hat.coeffs - big_d.to_tabulated().coeffs).max())
-    err_theta = float(np.abs(theta_hat.coeffs - theta.to_tabulated().coeffs).max())
-    recovery.update(
-        d_entrywise_error=err_d,
-        theta_entrywise_error=err_theta,
-        passed=max(err_d, err_theta) <= RECOVERY_ERROR_TOL,
-    )
-    for name, err in (("recovery_error_d", err_d), ("recovery_error_theta", err_theta)):
-        checks.append(_check(name, err <= RECOVERY_ERROR_TOL, err, RECOVERY_ERROR_TOL))
+    for name, recovered, exact in (("d", d_hat, big_d), ("theta", theta_hat, theta)):
+        err = float(np.abs(recovered.coeffs - exact.to_tabulated().coeffs).max())
+        recovery[f"{name}_entrywise_error"] = err
+        checks.append(
+            _check(f"recovery_error_{name}", err <= RECOVERY_ERROR_TOL, err, RECOVERY_ERROR_TOL)
+        )
+    recovery["passed"] = checks[-2]["passed"] and checks[-1]["passed"]
 
     hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
     report.hypotheses = _section(hyp)

@@ -104,7 +104,7 @@ class ScaleOverflowError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """The certified level exceeds l_max or its scale leaves the representable range."""
+    """No certified level: it exceeds l_max, its scale or the bound leaves float range."""
 
 
 class LinearityCertificationError(RuntimeError):
@@ -726,19 +726,27 @@ def direct_method(
     ``error_bound`` holds r^L hyers_bound(x) per slice and ``norms`` holds
     ||x||, the norms the bound was taken from.  Raises
     ConvergenceError, naming L, r and the limit, when L exceeds l_max or its
-    scale would leave OVERFLOW_LIMIT.
+    scale would leave OVERFLOW_LIMIT, and naming r when the bound overflows.
     """
     _require_power(phi, "direct_method")
     scheme = Scheme.parse(scheme)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     xs = _stack(xs, "direct_method")
-    bound, norms = _power_bound(phi, scheme, xs)
-    target = tol * np.maximum(1.0, norms)
+    # r^L need <= 1 from L = log(need) / log(1 / r) on, need = max(bound / target);
+    # log(need) is a difference of logarithms, as need overflows at a huge eps
+    # before the bound does, and a zero bound has log -inf; the float test
+    # settles rounding
+    with np.errstate(over="ignore", divide="ignore"):
+        bound, norms = _power_bound(phi, scheme, xs)
+        target = tol * np.maximum(1.0, norms)
+        log_need = float((np.log(bound) - np.log(target)).max())
     r = scheme.series_ratio(phi.p)
-    need = float((bound / target).max())
-    # r^L need <= 1 from L = log(need) / log(1 / r) on; the float test settles rounding
-    level = math.ceil(math.log(need) / -math.log(r)) if need > 1.0 else 0
+    if log_need == math.inf:
+        raise ConvergenceError(
+            f"the stability bound at series ratio {r:.6g} overflows: no level certifies tol"
+        )
+    level = math.ceil(log_need / -math.log(r)) if log_need > 0.0 else 0
     while level > 0 and (r ** (level - 1) * bound <= target).all():
         level -= 1
     while not (r**level * bound <= target).all():

@@ -82,3 +82,30 @@ def test_benchmark_call_signatures_bind():
     inspect.signature(sampling.random_matrix).bind(np.random.default_rng(0), 2)
     _theta, _d, big_d = lab.build_generators(cfg)
     inspect.signature(stability.make_perturbation).bind(big_d, 0.1, 0.5, "cauchy", 2006)
+
+
+def _worker_stages() -> tuple[str, ...]:
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "STAGES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/worker.py defines no STAGES")
+
+
+def test_worker_reads_every_stage_timing_and_check():
+    # the worker sums report.timings[f"{stage}_s"] with a default of 0, so a
+    # renamed stage would read 0 in its lab.<stage>_s metric without failing
+    stages = _worker_stages()
+    assert "recover" in stages
+    config = json.loads((PERFBENCH.parent / "configs" / "cauchy2.json").read_text())
+    report = run_recovery(ExperimentConfig.from_dict(config), threads=1)
+    for stage in stages:
+        assert f"{stage}_s" in report.timings, stage
+    assert lab.render_json(report.to_dict())
+    assert report.passed is True
+    assert report.checks
+    for check in report.checks:
+        assert isinstance(check["name"], str)
+        assert isinstance(check["passed"], bool)

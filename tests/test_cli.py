@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,16 @@ def test_recover_names_an_uncertifiable_level(argv, reason, capsys):
     assert reason in line
 
 
+@pytest.mark.parametrize("eps", ["1e300", "1e306", "1e308"])
+def test_recover_refuses_a_huge_eps_without_a_traceback(eps, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    code = main(["recover", "--config", str(config), "--eps", eps])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert any(line.startswith("recovery error: ") for line in err.splitlines())
+
+
 def test_report_of_failed_recovery_has_no_bound_table(tmp_path, capsys):
     config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
     out_path = tmp_path / "failed.json"
@@ -280,6 +291,17 @@ def test_errors_exit_two_with_message(argv, fragment, capsys):
     assert fragment in err
 
 
+@pytest.mark.parametrize("text", ["5", "true", "null", '["config"]'])
+def test_report_of_a_non_object_file_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["report", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: report must be an object")
+    assert captured.out == ""
+
+
 def test_config_file_with_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops", encoding="utf-8")
@@ -293,3 +315,101 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def _masked(text: str) -> str:
+    # wall times are the only figures that differ between runs
+    text = re.sub(r" in \d+\.\d\d s$", " in <s> s", text, flags=re.M)
+    return re.sub(r"^(\w+) \d+\.\d{6}$", r"\1 <s>", text, flags=re.M)
+
+
+_PINNED_AXIOMS_OUT = """\
+  PASS axiom_commutativity                value=0 tol=1e-13
+  PASS axiom_jordan_identity              value=1.38418e-16 tol=1e-10
+  PASS axiom_l_positivity                 value=1.33227e-15 tol=1e-10
+  PASS axiom_norm_identity                value=4.69893e-16 tol=1e-08
+  PASS product_agreement                  value=1.71422e-16 tol=1e-12
+axioms: 5/5 checks passed in <s> s
+wrote json report to axioms.json
+"""
+
+_PINNED_RECOVER_OUT = """\
+  PASS axiom_commutativity                value=0 tol=1e-13
+  PASS axiom_jordan_identity              value=1.11537e-16 tol=1e-10
+  PASS axiom_l_positivity                 value=9.93014e-16 tol=1e-10
+  PASS axiom_norm_identity                value=6.85097e-16 tol=1e-08
+  PASS product_agreement                  value=2.30345e-16 tol=1e-12
+  PASS recovery_converged                 value=- tol=-
+  PASS recovery_error_d                   value=5.00371e-17 tol=1e-06
+  PASS recovery_error_theta               value=5.45046e-17 tol=1e-06
+  PASS hypothesis_ratio_f                 value=0.505418 tol=1
+  PASS hypothesis_ratio_h                 value=0.476338 tol=1
+  PASS bound_ratio                        value=0.436216 tol=1
+  PASS bound_ratio_theta                  value=0.412148 tol=1
+  PASS s1_homogeneity                     value=1.12167e-16 tol=1e-06
+  PASS complex_homogeneity_2              value=0 tol=1e-06
+  PASS complex_homogeneity_i              value=0 tol=1e-06
+  PASS complex_homogeneity_0.9+2.3i       value=2.90103e-16 tol=1e-06
+  PASS derivation_certificate             value=2.46509e-16 tol=1e-06
+  PASS derivation_sequence_decreasing     value=0.0123461 tol=1
+  PASS derivation_sequence_rate           value=0.0123459 tol=0.05
+  PASS approximant_rate                   value=0.0123693 tol=0.05
+recover: 20/20 checks passed in <s> s
+setup <s>
+axioms <s>
+recover <s>
+hypotheses <s>
+bound <s>
+homogeneity <s>
+certificate <s>
+sequence <s>
+rate <s>
+total <s>
+wrote json report to recover.json
+"""
+
+_PINNED_FAILED_OUT = """\
+  PASS axiom_commutativity                value=0 tol=1e-13
+  PASS axiom_jordan_identity              value=1.45217e-16 tol=1e-10
+  PASS axiom_l_positivity                 value=1.44329e-15 tol=1e-10
+  PASS axiom_norm_identity                value=4.13776e-16 tol=1e-08
+  PASS product_agreement                  value=1.8678e-16 tol=1e-12
+  FAIL recovery_converged                 value=- tol=-
+recover: 5/6 checks passed in <s> s
+wrote json report to failed.json
+"""
+
+_PINNED_FAILED_ERR = """\
+FAILED recovery_converged: value=-, tolerance=-
+recovery error: certified level L = 57 at series ratio 0.707107 exceeds l_max = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (
+            ["axioms", "--dim", "2", "--probe-count", "20", "--seed", "11", "--out", "axioms.json"],
+            0,
+            _PINNED_AXIOMS_OUT,
+            "",
+        ),
+        (["recover", *TRIMMED, "--timings", "--out", "recover.json"], 0, _PINNED_RECOVER_OUT, ""),
+        (
+            ["recover", "--config", "cauchy2.json", "--l-max", "1", "--out", "failed.json"],
+            1,
+            _PINNED_FAILED_OUT,
+            _PINNED_FAILED_ERR,
+        ),
+    ],
+    ids=["axioms", "recover-timings", "recovery-error"],
+)
+def test_console_output_is_pinned(argv, code, out, err, tmp_path, monkeypatch, capsys):
+    # check lines, summary, timings, the written report, then failures on stderr
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    (tmp_path / "cauchy2.json").write_bytes(config.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert _masked(captured.out) == out
+    assert captured.err == err

@@ -249,7 +249,8 @@ def test_render_csv_oracle():
 # ---------------------------------------------------------------------------
 
 def _tiny_report():
-    fields = dict.fromkeys(StabilityReport._SERIALIZED)
+    names = [f.name for f in dataclasses.fields(StabilityReport) if f.name != "timings"]
+    fields = dict.fromkeys(names)
     fields.update(
         config={"dim": 2},
         axioms={},
@@ -290,6 +291,16 @@ def test_load_report_missing_fields(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"config": {}}', encoding="utf-8")
     with pytest.raises(ValueError, match="missing fields"):
+        load_report(str(path))
+
+
+@pytest.mark.parametrize(
+    "text,kind", [("5", "int"), ("true", "bool"), ("null", "NoneType"), ('["config"]', "list")]
+)
+def test_load_report_refuses_a_non_object(tmp_path, text, kind):
+    path = tmp_path / "scalar.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"report must be an object, got {kind}"):
         load_report(str(path))
 
 

@@ -405,6 +405,37 @@ def test_direct_method_names_an_uncertifiable_level(scheme, p, l_max, fragment):
     assert f"series ratio {scheme.series_ratio(p):.6g}" in message
 
 
+@pytest.mark.parametrize(
+    "eps,fragment",
+    [
+        # bound / target overflows; the level, from logarithms, does not
+        (1e300, "certified level L = "),
+        (1e306, "certified level L = "),
+        # the bound itself overflows, so no level certifies tol
+        (1e308, "the stability bound at series ratio 0.707107 overflows"),
+        (1.7e308, "the stability bound at series ratio 0.707107 overflows"),
+    ],
+)
+def test_direct_method_refuses_a_huge_eps(eps, fragment):
+    _, _, big_d = _generators(55)
+    f = make_perturbation(big_d, eps, 0.5, "cauchy", seed=33)
+    xs = np.stack([E11, 3.0 * E11])
+    calls = []
+    with pytest.raises(ConvergenceError) as exc:
+        direct_method(_counting(f, calls), Scheme.CAUCHY2, PowerType(eps, 0.5), xs, l_max=200)
+    assert calls == []
+    assert fragment in str(exc.value)
+    if eps < 1e308:
+        # the refused level is the minimal certified one, as at eps = 1e298
+        r = Scheme.CAUCHY2.series_ratio(0.5)
+        bound = np.array([hyers_bound(PowerType(eps, 0.5), Scheme.CAUCHY2, x) for x in xs])
+        level = int(str(exc.value).split("L = ")[1].split()[0])
+        target = 1e-9 * np.array([1.0, 3.0])
+        assert level > 200
+        assert (r**level * bound <= target).all()
+        assert not (r ** (level - 1) * bound <= target).all()
+
+
 def test_pooled_rate_recovers_a_common_ratio():
     levels = np.arange(3, 13)
     rho = 0.7
