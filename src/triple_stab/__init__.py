@@ -77,10 +77,7 @@ from .triple import (
     OperatorValidationError,
     Scaled,
     Tabulated,
-    check_commutativity,
-    check_jordan_identity,
-    check_L_positive,
-    check_norm_identity,
+    check_axioms,
     jordan_product,
     make_theta_derivation,
     matrix_basis,

@@ -84,8 +84,8 @@ def make_probes(
     rng: np.random.Generator,
     norm_min: float = 1e-2,
     norm_max: float = 1e1,
-) -> list[ComplexMatrix]:
-    """Random directions rescaled to a log-spaced spectral-norm grid."""
+) -> ComplexMatrix:
+    """C-contiguous complex128 (count, dim, dim) stack: random directions at log-spaced norms."""
     if count < 1:
         raise ValueError("probe count must be at least 1")
     if not 0.0 < norm_min <= norm_max:
@@ -95,7 +95,7 @@ def make_probes(
         [10.0 ** (lo if count == 1 else lo + (hi - lo) * k / (count - 1)) for k in range(count)]
     )
     directions = random_matrices(rng, count, dim)
-    return list(directions * (targets / _norm(directions))[:, None, None])
+    return directions * (targets / _norm(directions))[:, None, None]
 
 
 def make_mu_samples(count: int, rng: np.random.Generator) -> list[complex]:

@@ -785,9 +785,7 @@ def recover_linear_map(
     dim = f.dim
     basis = np.stack(matrix_basis(dim))
     seed = getattr(f, "seed", 0)
-    probes = np.stack(
-        make_probes(dim, CERT_PROBE_COUNT, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
-    )
+    probes = make_probes(dim, CERT_PROBE_COUNT, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
     run = direct_method(f, scheme, phi, np.concatenate([basis, probes]), tol=tol, l_max=l_max)
     units, directs = run.value[: len(basis)], run.value[len(basis) :]
     err_units, err_probes = run.error_bound[: len(basis)], run.error_bound[len(basis) :]

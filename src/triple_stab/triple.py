@@ -6,7 +6,7 @@ Two realizations of the triple product are provided and kept in agreement:
 * Jordan form  {x, y, z} = (x o y*) o z + (y* o z) o x - (x o z) o y*
   with x o y = (x y + y x) / 2
 
-plus numeric checkers for the triple axioms, a small immutable operator
+plus one batched checker of the triple axioms, a small immutable operator
 algebra (conjugations, commutators, sums, compositions, tabulated forms),
 and the constructor of exact theta-derivations from a conjugation (an
 exact triple homomorphism) and a commutator (an exact triple derivation),
@@ -14,13 +14,17 @@ which checks its generators by type: their constructors check the rest.
 One residual, ``theta_derivation_residual``, measures the paper's identity;
 a plain derivation is its case theta = identity.
 
-Products, operators, the residual and axiom checkers all accept stacks of
-shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
-probe set in one call: one call per operator and per check.
+Products, operators, the residual and the axiom checker all accept stacks
+of shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
+probe set in one call per operator.  A slice's product does not depend on
+the rest of the stack, so products of different operands at one level go
+through one kernel call, concatenated: the axiom checker takes one
+``_cstar`` call per level of triple products, and the Jordan form one
+``_jordan`` call per level, bit for bit what each product gives alone.
 
 Each operand is checked once, at the public boundary (see ``linalg``): the
 public products check theirs and run kernels on trusted stacks (``_cstar``,
-``_jbstar``, ``_jordan``), which the checkers use on what they checked.
+``_jbstar``, ``_jordan``), which the axiom checker uses on what it checked.
 ``op(x)`` checks x, and ``op.apply`` takes a checked stack.
 
 Operators built on one fixed n x n matrix (conjugation, commutator) apply
@@ -54,6 +58,7 @@ closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +79,7 @@ AXIOM_COMMUTATIVITY_TOL = 1e-13
 AXIOM_JORDAN_TOL = 1e-10
 AXIOM_NORM_TOL = 1e-8
 AXIOM_L_POSITIVITY_TOL = 1e-10
+PRODUCT_AGREEMENT_TOL = 1e-12
 
 
 class OperatorValidationError(ValueError):
@@ -120,8 +126,10 @@ def triple_product_cstar(x, y, z) -> ComplexMatrix:
 
 def _jbstar(x, y, z) -> ComplexMatrix:
     """Kernel of ``triple_product_jbstar`` on trusted stacks."""
-    ys = np.swapaxes(y.conj(), -1, -2)
-    return _jordan(_jordan(x, ys), z) + _jordan(_jordan(ys, z), x) - _jordan(_jordan(x, z), ys)
+    x, ys, z = np.broadcast_arrays(x, np.swapaxes(y.conj(), -1, -2), z)
+    # one Jordan product per level: (x o y*, y* o z, x o z), then with (z, x, y*)
+    outer = _jordan(_jordan(np.stack([x, ys, x]), np.stack([ys, z, z])), np.stack([z, x, ys]))
+    return outer[0] + outer[1] - outer[2]
 
 
 def triple_product_jbstar(x, y, z) -> ComplexMatrix:
@@ -369,62 +377,65 @@ class LPositivityReport:
     passed: bool
 
 
-def check_commutativity(x, y, z) -> CheckResult:
-    """Outer-variable symmetry: || {x,y,z} - {z,y,x} ||."""
-    mx, my, mz = same_dim(x, y, z)
-    r = _norm(_cstar(mx, my, mz) - _cstar(mz, my, mx))
-    return CheckResult(r, AXIOM_COMMUTATIVITY_TOL, r <= AXIOM_COMMUTATIVITY_TOL)
+class AxiomReport(NamedTuple):
+    """Every check of ``check_axioms``, each with one entry per draw."""
+
+    commutativity: CheckResult
+    jordan_identity: CheckResult
+    l_positivity: LPositivityReport
+    norm_identity: CheckResult
+    product_agreement: CheckResult
 
 
-def check_jordan_identity(a, b, x, y, z) -> CheckResult:
-    """Jordan triple identity residual, relative to the input norm product.
+def _checked(residual, threshold) -> CheckResult:
+    return CheckResult(residual, threshold, residual <= threshold)
 
-    Compares L(a,b){x,y,z} against
-    {L(a,b)x, y, z} - {x, L(b,a)y, z} + {x, y, L(a,b)z}
-    with both sides evaluated directly as matrices, against
-    AXIOM_JORDAN_TOL * max(1, ||a|| ||b|| ||x|| ||y|| ||z||), whose five
-    norms come from one call.
+
+def check_axioms(a, b, x, y, z, gen, probes) -> AxiomReport:
+    """The four triple axioms and the agreement of the two product forms.
+
+    Commutativity || {x,y,z} - {z,y,x} ||; the Jordan identity, with both
+    sides evaluated directly as matrices,
+    || L(a,b){x,y,z} - ({L(a,b)x, y, z} - {x, L(b,a)y, z} + {x, y, L(a,b)z}) ||
+    against AXIOM_JORDAN_TOL * max(1, ||a|| ||b|| ||x|| ||y|| ||z||); the cube
+    identity | ||{x,x,x}|| - ||x||^3 | / max(1, ||x||^3); hermiticity and
+    positivity of L(gen, gen) in the Hilbert-Schmidt pairing, as the worst
+    |<Lp, q> - <p, Lq>| over probe pairs and the worst -Re <Lp, p> over
+    probes; and || C*-form - Jordan form || at (x, y, z) over
+    max(1, ||x|| ||y|| ||z||).
+
+    a, b, x, y, z and gen are matrices or stacks of one shape, a slice per
+    draw, and ``probes`` has one more axis: each draw's m >= 1 probes.  Each
+    product level takes one kernel call, and the norms two: the inputs, then
+    the residuals (see the module docstring).
     """
-    ma, mb, mx, my, mz = same_dim(a, b, x, y, z)
-    t = _cstar
-    lhs = t(ma, mb, t(mx, my, mz))
-    rhs = (
-        t(t(ma, mb, mx), my, mz)
-        - t(mx, t(mb, ma, my), mz)
-        + t(mx, my, t(ma, mb, mz))
+    *ops, probes = same_dim(a, b, x, y, z, gen, probes)
+    ops = np.broadcast_arrays(*ops)
+    draws, n = ops[0].shape[:-2], ops[0].shape[-1]
+    if probes.ndim != len(draws) + 3 or probes.shape[-3] == 0:
+        raise ValueError("check_axioms needs at least one probe per generator")
+    probes = np.broadcast_to(probes, (*draws, *probes.shape[-3:]))
+    a, b, x, y, z, gen = (op.reshape(-1, n, n) for op in ops)
+    k = len(x)
+    g = np.repeat(gen, probes.shape[-3], axis=0)
+    # first level: {x,y,z}, {z,y,x}, {a,b,x}, {b,a,y}, {a,b,z}, {x,x,x}, then
+    # L(gen, gen) p = {gen, gen, p} for each probe p of each draw
+    first = _cstar(
+        np.concatenate([x, z, a, b, a, x, g]),
+        np.concatenate([y, y, b, a, b, x, g]),
+        np.concatenate([z, x, x, y, z, x, probes.reshape(-1, n, n)]),
     )
-    scale = 1.0
-    for norm in _norm(np.stack(np.broadcast_arrays(ma, mb, mx, my, mz))):
-        scale = scale * norm
-    threshold = AXIOM_JORDAN_TOL * np.maximum(1.0, scale)
-    r = _norm(lhs - rhs)
-    return CheckResult(r, threshold, r <= threshold)
-
-
-def check_norm_identity(x) -> CheckResult:
-    """Cube identity: || {x,x,x} || should equal ||x||^3 (relative error)."""
-    mx = as_matrix(x)
-    nx = _norm(mx)
-    cube = _norm(_cstar(mx, mx, mx))
-    denom = np.maximum(1.0, nx**3)
-    r = np.abs(cube - nx**3) / denom
-    return CheckResult(r, AXIOM_NORM_TOL, r <= AXIOM_NORM_TOL)
-
-
-def check_L_positive(a, probes) -> LPositivityReport:
-    """Hermiticity and positivity of L(a, a) in the Hilbert-Schmidt pairing.
-
-    Checks |<Lx, y> - <x, Ly>| over all probe pairs and
-    Re <Lx, x> >= -AXIOM_L_POSITIVITY_TOL over all probes, reporting the
-    worst violations.
-    ``probes`` has shape (m, n, n) for one generator a, or (k, m, n, n)
-    for a stack of k generators, each with its own m probes.
-    """
-    ma, probes = same_dim(a, probes)
-    if probes.ndim != ma.ndim + 1 or probes.shape[-3] == 0:
-        raise ValueError("check_L_positive needs at least one probe per generator")
-    gen = ma[..., None, :, :]
-    images = _cstar(gen, gen, probes)
+    xyz, zyx, abx, bay, abz, xxx = first[: 6 * k].reshape(6, k, n, n)
+    images = first[6 * k :].reshape(probes.shape)
+    # second level: L(a,b){x,y,z}, {L(a,b)x, y, z}, {x, L(b,a)y, z}, {x, y, L(a,b)z}
+    lhs, at_x, at_y, at_z = _cstar(
+        np.concatenate([a, abx, x, x]),
+        np.concatenate([b, y, bay, y]),
+        np.concatenate([xyz, z, z, abz]),
+    ).reshape(4, k, n, n)
+    na, nb, nx, ny, nz = _norm(np.stack([a, b, x, y, z])).reshape(5, *draws)
+    residuals = np.stack([xyz - zyx, lhs - (at_x - at_y + at_z), xxx, xyz - _jbstar(x, y, z)])
+    comm, jordan, cube, agreement = _norm(residuals).reshape(4, *draws)
     # pairings over every ordered (i, j); swapping i and j conjugates the
     # gap, so the maximum over all pairs is the one over i <= j
     gaps = np.abs(
@@ -434,7 +445,13 @@ def check_L_positive(a, probes) -> LPositivityReport:
     max_asym = gaps.max(axis=(-2, -1))
     max_neg = np.maximum(0.0, -_hs(images, probes).real.min(axis=-1))
     passed = (max_asym <= AXIOM_L_POSITIVITY_TOL) & (max_neg <= AXIOM_L_POSITIVITY_TOL)
-    return LPositivityReport(max_asym, max_neg, AXIOM_L_POSITIVITY_TOL, passed)
+    return AxiomReport(
+        _checked(comm, AXIOM_COMMUTATIVITY_TOL),
+        _checked(jordan, AXIOM_JORDAN_TOL * np.maximum(1.0, na * nb * nx * ny * nz)),
+        LPositivityReport(max_asym, max_neg, AXIOM_L_POSITIVITY_TOL, passed),
+        _checked(np.abs(cube - nx**3) / np.maximum(1.0, nx**3), AXIOM_NORM_TOL),
+        _checked(agreement / np.maximum(1.0, nx * ny * nz), PRODUCT_AGREEMENT_TOL),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from triple_stab.triple import (
     Conjugation,
     OperatorSum,
     Scaled,
-    check_L_positive,
+    check_axioms,
     jordan_product,
     make_theta_derivation,
     matrix_basis,
@@ -209,5 +209,10 @@ def test_matrix_basis_is_the_units_in_vec_order():
 
 
 def test_l_positivity_refuses_probes_of_another_dimension():
+    ops = [np.eye(2)] * 6
     with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
-        check_L_positive(np.eye(2), np.stack([np.eye(3), 2 * np.eye(3)]))
+        check_axioms(*ops, np.stack([np.eye(3), 2 * np.eye(3)]))
+    # no probe axis, and a probe axis of length 0
+    for probes in (np.eye(2), np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError, match="at least one probe per generator"):
+            check_axioms(*ops, probes)

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import triple_stab
-from triple_stab import lab, linalg, stability
+from triple_stab import lab, linalg, stability, triple
 from triple_stab.lab import (
     ConfigError,
     ExperimentConfig,
@@ -468,7 +468,9 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
     maps f and h take no norms of their own inside a stage: the hypothesis
     stage takes two (its arguments, then its residuals), the bound stage's
     maps reuse the probe norms and h reuses f's in the derivation sequence
-    (42/38/42/42 when each map call took its own).
+    (42/38/42/42 when each map call took its own).  The axiom suite takes
+    two, its inputs and then its residuals (34/31/34/34 when each of its
+    checks took its own, seven in all).
     """
     calls = []
     norm = linalg._norm
@@ -486,10 +488,10 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
         run_recovery(_shipped_config(name))
         counts[name] = len(calls)
     assert counts == {
-        "cauchy2": 34,
-        "cauchy2_contractive": 31,
-        "jensen3": 34,
-        "jensen3_contractive": 34,
+        "cauchy2": 29,
+        "cauchy2_contractive": 26,
+        "jensen3": 29,
+        "jensen3_contractive": 29,
     }
 
 
@@ -505,7 +507,10 @@ def test_shipped_runs_take_pinned_as_matrix_counts(monkeypatch):
     perturbed map a stack it has checked itself, so the map runs its kernel
     without re-checking it: the hypothesis stage's two calls, the bound
     stage's two and the derivation sequence's two (58/52/58/58 when each
-    went through the map's checking call).
+    went through the map's checking call).  The axiom suite checks its
+    seven operands once, in one checker (49/45/49/49 when each of four
+    checkers checked its own).  Drawing probe sets as stacks instead of
+    lists changes no count here: a stage checks its probes once either way.
     """
     calls = []
     check = linalg.as_matrix
@@ -523,11 +528,40 @@ def test_shipped_runs_take_pinned_as_matrix_counts(monkeypatch):
         run_recovery(_shipped_config(name))
         counts[name] = len(calls)
     assert counts == {
-        "cauchy2": 49,
-        "cauchy2_contractive": 45,
-        "jensen3": 49,
-        "jensen3_contractive": 49,
+        "cauchy2": 45,
+        "cauchy2_contractive": 41,
+        "jensen3": 45,
+        "jensen3_contractive": 45,
     }
+
+
+@pytest.mark.parametrize("dim,samples", [(1, 1), (2, 50), (3, 7)])
+def test_axiom_suite_takes_two_calls_of_each_kernel(monkeypatch, dim, samples):
+    """One triple-product, Jordan-product and norm call per product level.
+
+    The first ``_cstar`` call takes every first-level triple product, the
+    second the Jordan identity's second level; the Jordan form takes one
+    ``_jordan`` call per level; one ``_norm`` call takes the inputs and one
+    the residuals (13, 6 and 7 calls when each check took its own).
+    """
+    calls = {"_cstar": 0, "_jordan": 0, "_norm": 0}
+
+    def counting(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    kernels = {name: getattr(triple, name) for name in calls}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "triple_stab":
+            continue
+        for name, kernel in kernels.items():
+            if module.__dict__.get(name) is kernel:
+                monkeypatch.setattr(module, name, counting(name, kernel))
+    run_axiom_suite(ExperimentConfig(dim=dim), samples=samples)
+    assert calls == {"_cstar": 2, "_jordan": 2, "_norm": 2}
 
 
 def test_homogeneity_stage_applies_the_recovered_map_twice(monkeypatch):

@@ -317,7 +317,7 @@ def test_direct_method_level_is_certified_and_minimal(scheme, form, p):
     _, _, big_d = _generators(51)
     phi = PowerType(0.1, p)
     f = make_perturbation(big_d, phi.eps, p, form, seed=28)
-    xs = np.stack(make_probes(2, 12, rng_for(29, 2), 1e-2, 1e1) + [np.zeros((2, 2))])
+    xs = np.concatenate([make_probes(2, 12, rng_for(29, 2), 1e-2, 1e1), np.zeros((1, 2, 2))])
     tol = 1e-9
     res = direct_method(f, scheme, phi, xs, tol=tol, l_max=400)
     # the level oracle, written out: r^L hyers_bound(x) <= tol * max(1, ||x||)
@@ -566,7 +566,7 @@ def test_recover_certifies_linearity():
     f = _NonLinearMap(big_d)
     units = matrix_basis(2)
     probes = make_probes(2, 24, rng_for(0, ROLE_RECOVERY), 1e-2, 1e1)
-    run = direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), np.stack(units + probes))
+    run = direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), np.concatenate([units, probes]))
     k = next(k for k, x in enumerate(probes) if np.array_equal(x, err.worst_probe))
     x = probes[k]
     assert (err.index, err.norm) == (k, spectral_norm(x))

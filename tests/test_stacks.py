@@ -8,16 +8,20 @@ bit for bit, the same formula written out one level or one operator call
 at a time.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from triple_stab.lab import SEQUENCE_TRIPLE_COUNT, ExperimentConfig, _sequence_triples
+from triple_stab import lab
+from triple_stab.lab import SEQUENCE_TRIPLE_COUNT, ExperimentConfig, _sequence_triples, render_json
 from triple_stab.linalg import _norm, as_matrix, hs_inner, spectral_norm
 from triple_stab.sampling import (
+    ROLE_AXIOMS,
     ROLE_SEQUENCE_TRIPLES,
     haar_unitary,
+    make_probes,
     random_matrices,
     random_matrix,
     rng_for,
@@ -50,11 +54,13 @@ from triple_stab.triple import (
     Conjugation,
     OperatorSum,
     Scaled,
+    AXIOM_COMMUTATIVITY_TOL,
+    AXIOM_JORDAN_TOL,
+    AXIOM_L_POSITIVITY_TOL,
+    AXIOM_NORM_TOL,
+    PRODUCT_AGREEMENT_TOL,
     _stack_product,
-    check_commutativity,
-    check_jordan_identity,
-    check_L_positive,
-    check_norm_identity,
+    check_axioms,
     jordan_product,
     theta_derivation_residual,
     triple_product_cstar,
@@ -273,29 +279,89 @@ def test_known_norm_kernel_equals_the_call_bit_for_bit(n, base, eps):
 
 @pytest.mark.parametrize("n,k", SHAPES)
 def test_axiom_checkers_match_slices(n, k):
-    a, b, x, y, z = (_stack(seed, n, k) for seed in (13, 14, 15, 16, 17))
-    cases = [
-        (check_commutativity(x, y, z), [check_commutativity(*s) for s in zip(x, y, z)]),
-        (
-            check_jordan_identity(a, b, x, y, z),
-            [check_jordan_identity(*s) for s in zip(a, b, x, y, z)],
-        ),
-        (check_norm_identity(x), [check_norm_identity(s) for s in x]),
-    ]
-    for stacked, per_slice in cases:
-        _assert_slicewise(stacked.residual, [r.residual for r in per_slice])
-        # a fixed tolerance stays a scalar; a norm-scaled one has one entry per slice
-        threshold = np.broadcast_to(stacked.threshold, (k,))
-        _assert_slicewise(threshold, [r.threshold for r in per_slice])
-        assert list(stacked.passed) == [r.passed for r in per_slice]
+    # every check of a stack equals its per-slice checks bit for bit
+    ops = [_stack(seed, n, k) for seed in (13, 14, 15, 16, 17, 19)]
     probes = np.stack([_stack(18 + i, n, 4) for i in range(k)])
-    lpos = check_L_positive(a, probes)
-    singles = [check_L_positive(g, p) for g, p in zip(a, probes)]
-    _assert_slicewise(
-        lpos.max_selfadjoint_violation, [r.max_selfadjoint_violation for r in singles]
-    )
-    _assert_slicewise(lpos.max_negativity, [r.max_negativity for r in singles])
-    assert list(lpos.passed) == [r.passed for r in singles]
+    stacked = check_axioms(*ops, probes)
+    singles = [check_axioms(*s) for s in zip(*ops, probes)]
+    for i, check in enumerate(stacked):
+        parts = [dataclasses.asdict(single[i]) for single in singles]
+        for key, value in dataclasses.asdict(check).items():
+            # a fixed tolerance stays a scalar; a norm-scaled one has one entry per slice
+            assert np.array_equal(np.broadcast_to(value, (k,)), [p[key] for p in parts])
+
+
+def _reference_axiom_fragment(config: ExperimentConfig, count: int) -> dict:
+    """``run_axiom_suite``'s fragment, written out one check and one product at a time.
+
+    Each check takes its own products and norms, as before the suite went
+    through ``check_axioms``; the Jordan-form product is written out too.
+    """
+    n = config.dim
+    rng = rng_for(config.seed, ROLE_AXIOMS)
+    draws = random_matrices(rng, 10 * count, n).reshape(count, 10, n, n)
+    a, b, x, y, z, gen = (draws[:, i] for i in range(6))
+    t = triple_product_cstar
+    comm = spectral_norm(t(x, y, z) - t(z, y, x))
+    lhs = t(a, b, t(x, y, z))
+    rhs = t(t(a, b, x), y, z) - t(x, t(b, a, y), z) + t(x, y, t(a, b, z))
+    scale = 1.0
+    for norm in spectral_norm(np.stack([a, b, x, y, z])):
+        scale = scale * norm
+    threshold = AXIOM_JORDAN_TOL * np.maximum(1.0, scale)
+    jordan_rel = spectral_norm(lhs - rhs) * (AXIOM_JORDAN_TOL / threshold)
+    nx = spectral_norm(x)
+    cube = np.abs(spectral_norm(t(x, x, x)) - nx**3) / np.maximum(1.0, nx**3)
+    probes, g = draws[:, 6:], gen[:, None]
+    images = t(g, g, probes)
+    pairs = hs_inner(images[:, :, None], probes[:, None])
+    asym = np.abs(pairs - hs_inner(probes[:, :, None], images[:, None])).max(axis=(-2, -1))
+    neg = np.maximum(0.0, -hs_inner(images, probes).real.min(axis=-1))
+    ys = np.swapaxes(y.conj(), -1, -2)
+    j = jordan_product
+    jb = j(j(x, ys), z) + j(j(ys, z), x) - j(j(x, z), ys)
+    nx, ny, nz = spectral_norm(draws[:, 2:5]).T
+    agreement = spectral_norm(t(x, y, z) - jb) / np.maximum(1.0, nx * ny * nz)
+    fragment = {
+        "samples": count,
+        "commutativity": lab._within(AXIOM_COMMUTATIVITY_TOL, max_residual=float(comm.max())),
+        "jordan_identity": lab._within(
+            AXIOM_JORDAN_TOL, max_relative_residual=float(jordan_rel.max())
+        ),
+        "l_positivity": lab._within(
+            AXIOM_L_POSITIVITY_TOL,
+            max_selfadjoint_violation=float(asym.max()),
+            max_negativity=float(neg.max()),
+        ),
+        "norm_identity": lab._within(AXIOM_NORM_TOL, max_relative_error=float(cube.max())),
+        "product_agreement": lab._within(
+            PRODUCT_AGREEMENT_TOL, max_relative_residual=float(agreement.max())
+        ),
+    }
+    fragment["passed"] = all(part["passed"] for part in list(fragment.values())[1:])
+    return fragment
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("samples", [1, 50, 200])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_axiom_suite_equals_the_checks_written_out(n, samples, seed):
+    config = ExperimentConfig(dim=n, seed=seed)
+    fragment = lab.run_axiom_suite(config, samples=samples)
+    assert render_json(fragment) == render_json(_reference_axiom_fragment(config, samples))
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 7), (5, 3)])
+def test_make_probes_returns_one_stack(n, k):
+    probes = make_probes(n, k, rng_for(3, 2), 0.5, 2.0)
+    assert type(probes) is np.ndarray and probes.dtype == np.complex128
+    assert probes.shape == (k, n, n) and probes.flags.c_contiguous
+    # the former list of k matrices, written out: each draw rescaled on its own
+    lo, hi = np.log10(0.5), np.log10(2.0)
+    targets = [10.0 ** (lo if k == 1 else lo + (hi - lo) * i / (k - 1)) for i in range(k)]
+    directions = random_matrices(rng_for(3, 2), k, n)
+    former = [d * (t / spectral_norm(d)) for d, t in zip(directions, targets)]
+    assert np.array_equal(probes, np.stack(former))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

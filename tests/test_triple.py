@@ -28,10 +28,7 @@ from triple_stab.triple import (
     SKEW_TOL,
     Tabulated,
     UNITARY_TOL,
-    check_commutativity,
-    check_jordan_identity,
-    check_L_positive,
-    check_norm_identity,
+    check_axioms,
     jordan_product,
     make_theta_derivation,
     matrix_basis,
@@ -161,19 +158,24 @@ def test_tabulated_rejects_coefficients_of_no_n_squared_side(shape):
 
 @given(st.integers(0, 10**6), st.integers(2, 4))
 def test_axiom_checkers_pass_on_random_input(seed, n):
-    x, y, z = (_random_matrix(seed + k, n) for k in range(3))
-    res = check_commutativity(x, y, z)
-    assert isinstance(res, CheckResult)
-    assert res.passed and res.residual <= res.threshold
-    a, b = _random_matrix(seed + 3, n), _random_matrix(seed + 4, n)
-    assert check_jordan_identity(a, b, x, y, z).passed
-    assert check_norm_identity(x).passed
+    a, b, x, y, z, gen = (_random_matrix(seed + k, n) for k in range(6))
+    probes = [_random_matrix(seed + 6 + k, n) for k in range(4)]
+    report = check_axioms(a, b, x, y, z, gen, probes)
+    for res in (
+        report.commutativity,
+        report.jordan_identity,
+        report.norm_identity,
+        report.product_agreement,
+    ):
+        assert isinstance(res, CheckResult)
+        assert res.passed and res.residual <= res.threshold
+    assert report.l_positivity.passed
 
 
 def test_l_positivity_report():
-    a = _random_matrix(18, 3)
+    a, b, x, y, z = (_random_matrix(13 + k, 3) for k in range(5))
     probes = [_random_matrix(300 + k, 3) for k in range(6)]
-    rep = check_L_positive(a, probes)
+    rep = check_axioms(a, b, x, y, z, _random_matrix(18, 3), probes).l_positivity
     assert rep.passed
     assert rep.max_negativity <= 1e-10
     assert rep.max_selfadjoint_violation <= 1e-10
