@@ -400,8 +400,8 @@ def check_axioms(a, b, x, y, z, gen, probes) -> AxiomReport:
     against AXIOM_JORDAN_TOL * max(1, ||a|| ||b|| ||x|| ||y|| ||z||); the cube
     identity | ||{x,x,x}|| - ||x||^3 | / max(1, ||x||^3); hermiticity and
     positivity of L(gen, gen) in the Hilbert-Schmidt pairing, as the worst
-    |<Lp, q> - <p, Lq>| over probe pairs and the worst -Re <Lp, p> over
-    probes; and || C*-form - Jordan form || at (x, y, z) over
+    |<Lp, q> - <p, Lq>| over probe pairs and how far Re <Lp, p> falls
+    below 0 at worst; and || C*-form - Jordan form || at (x, y, z) over
     max(1, ||x|| ||y|| ||z||).
 
     a, b, x, y, z and gen are matrices or stacks of one shape, a slice per
