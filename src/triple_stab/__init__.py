@@ -17,6 +17,7 @@ from .lab import (
     load_report,
     render_csv,
     render_json,
+    render_report,
     run_axiom_suite,
     run_recovery,
 )
@@ -25,8 +26,6 @@ from .linalg import (
     DimensionMismatchError,
     as_matrix,
     hs_inner,
-    max_abs,
-    max_entry_diff,
     spectral_norm,
 )
 from .sampling import (
@@ -42,6 +41,7 @@ from .stability import (
     ConvergenceError,
     Custom,
     LinearityCertificationError,
+    LinearityFailure,
     PerturbedMap,
     PowerType,
     ScaleOverflowError,

@@ -1,12 +1,13 @@
 """Command-line front end: axioms, recover, bounds, and report commands.
 
 Configs come from a JSON file via --config; every config field can also be
-set or overridden by a same-named long flag, and the fields to override are
-read from ``ExperimentConfig`` itself.  ``recover --timings`` prints the
-stage timings of ``run_recovery`` in the order the run took them.  Exit
-code 0 means every enabled check passed; failed checks are enumerated on
-standard error.  Reports are byte-identical on every run of the same
-config.
+set or overridden by a same-named long flag.  The flags, their types and
+their help are read from the fields of ``ExperimentConfig`` itself.
+``recover --timings`` prints the stage timings of ``run_recovery`` in the
+order the run took them.  Exit code 0 means every enabled check passed;
+failed checks are enumerated on standard error.  Reports are
+byte-identical on every run of the same config, and ``report`` renders a
+saved report through the same ``render_report`` that writes it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .lab import (
     axioms_report,
     emit_report,
     load_report,
-    render_csv,
-    render_json,
+    render_report,
     run_recovery,
 )
 from .stability import Custom, PowerType, Scheme, SummabilityError, hyers_bound
@@ -39,18 +39,9 @@ _GRID = {
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--dim", type=int, help="matrix dimension n")
-    parser.add_argument("--scheme", help="iteration scheme tag")
-    parser.add_argument("--eps", type=float, help="control amplitude")
-    parser.add_argument("--p", type=float, help="control exponent")
-    parser.add_argument("--seed", type=int, help="64-bit experiment seed")
-    parser.add_argument("--probe-count", type=int, dest="probe_count", help="probes per table")
-    parser.add_argument("--tol", type=float, help="certified accuracy of the recovered map")
-    parser.add_argument("--l-max", type=int, dest="l_max", help="cap on the recovery level")
-    parser.add_argument(
-        "--generator",
-        help='generator spec: "identity" or a JSON object',
-    )
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, type=type(f.default), help=f.metadata["help"])
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -184,11 +175,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = load_report(getattr(args, "in"))
     _emit_if_requested(report, args)
     if not args.out:
-        data = report.to_dict()
-        if args.format == "json":
-            print(render_json(data))
-        else:
-            sys.stdout.write(render_csv(data))
+        sys.stdout.write(render_report(report, args.format))
     return 0
 
 

@@ -124,15 +124,18 @@ def _require_float(name: str, value) -> float:
 class ExperimentConfig:
     """Everything one scenario needs, reproducible from the seed alone."""
 
-    dim: int = 2
-    scheme: str = "cauchy2"
-    eps: float = 0.1
-    p: float = 0.5
-    seed: int = 42
-    probe_count: int = 100
-    tol: float = 1e-9
-    l_max: int = 200
-    generator: object = "identity"
+    # each field's help is its CLI flag's: --probe-count sets probe_count
+    dim: int = field(default=2, metadata={"help": "matrix dimension n"})
+    scheme: str = field(default="cauchy2", metadata={"help": "iteration scheme tag"})
+    eps: float = field(default=0.1, metadata={"help": "control amplitude"})
+    p: float = field(default=0.5, metadata={"help": "control exponent"})
+    seed: int = field(default=42, metadata={"help": "64-bit experiment seed"})
+    probe_count: int = field(default=100, metadata={"help": "probes per table"})
+    tol: float = field(default=1e-9, metadata={"help": "certified accuracy of the recovered map"})
+    l_max: int = field(default=200, metadata={"help": "cap on the recovery level"})
+    generator: object = field(
+        default="identity", metadata={"help": 'generator spec: "identity" or a JSON object'}
+    )
 
     def scheme_enum(self) -> Scheme:
         return Scheme.parse(self.scheme)
@@ -510,15 +513,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     except (ConvergenceError, LinearityCertificationError) as exc:
         recovery["error"] = str(exc)
         if isinstance(exc, LinearityCertificationError):
-            recovery["linearity_failure"] = {
-                # levels names the maps recovered before the one that failed
-                "map": "theta" if levels else "d",
-                "probe_index": exc.index,
-                "probe_norm": exc.norm,
-                "gap": exc.residual,
-                "allowance": exc.allowance,
-                "level": exc.level,
-            }
+            # levels names the maps recovered before the one that failed
+            failed = "theta" if levels else "d"
+            recovery["linearity_failure"] = {"map": failed, **_section(exc.failure)}
     recovery["converged"] = recovery["error"] is None
     lap("recover")
 
@@ -676,15 +673,19 @@ def render_csv(report_data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report, fmt: str, path: str) -> None:
-    """Persist a report as deterministic JSON or CSV."""
-    data = report.to_dict() if hasattr(report, "to_dict") else report
+def render_report(report, fmt: str) -> str:
+    """A report, or its dict, as the text of a report file: JSON with a final newline, or CSV."""
+    data = report.to_dict() if isinstance(report, StabilityReport) else report
     if fmt == "json":
-        text = render_json(data) + "\n"
-    elif fmt == "csv":
-        text = render_csv(data)
-    else:
-        raise ReportFormatError(f"unknown report format {fmt!r}; expected json or csv")
+        return render_json(data) + "\n"
+    if fmt == "csv":
+        return render_csv(data)
+    raise ReportFormatError(f"unknown report format {fmt!r}; expected json or csv")
+
+
+def emit_report(report, fmt: str, path: str) -> None:
+    """Persist a report, or its dict, as deterministic JSON or CSV."""
+    text = render_report(report, fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -692,11 +693,17 @@ def emit_report(report, fmt: str, path: str) -> None:
         raise OSError(f"could not write report to {path}: {exc}") from exc
 
 
-def load_report(path: str) -> StabilityReport:
-    """Read back a JSON report written by emit_report."""
+def load_report(path: str) -> StabilityReport | dict:
+    """Read back a JSON report written by emit_report.
+
+    A recovery report comes back as a StabilityReport; an axioms report,
+    which holds exactly the fields ``axioms_report`` writes, as its dict.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise OSError(f"could not read report from {path}: {exc}") from exc
+    if isinstance(data, dict) and data.keys() == {"config", "axioms", "checks", "passed"}:
+        return data
     return StabilityReport.from_dict(data)

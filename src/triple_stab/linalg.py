@@ -62,17 +62,6 @@ def hs_inner(x, y):
     return complex(inner) if inner.ndim == 0 else inner
 
 
-def max_abs(x) -> float:
-    """Largest entry magnitude; 0.0 for the zero matrix."""
-    return float(np.max(np.abs(as_matrix(x))))
-
-
-def max_entry_diff(x, y) -> float:
-    """Largest entrywise absolute difference between two matrices."""
-    mx, my = same_dim(x, y)
-    return float(np.max(np.abs(mx - my)))
-
-
 def _top_singular_value_2x2(m: ComplexMatrix) -> np.ndarray:
     """Largest singular value of each 2 x 2 slice, from its Gram matrix."""
     flat = m.reshape(-1, 4)

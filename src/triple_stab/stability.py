@@ -107,30 +107,23 @@ class ConvergenceError(RuntimeError):
     """No certified level: it exceeds l_max, its scale or the bound leaves float range."""
 
 
+@dataclass(frozen=True)
+class LinearityFailure:
+    """Worst certificate probe of a failed linearity check, under its report key names."""
+
+    probe_index: int
+    probe_norm: float
+    gap: float
+    allowance: float
+    level: int
+
+
 class LinearityCertificationError(RuntimeError):
-    """A recovered map failed its linearity certificate.
+    """A recovered map failed its linearity certificate; ``failure`` says where."""
 
-    Carries the worst probe, its index among the certificate probes, its
-    norm, its gap, the allowance it exceeded and the level L for diagnosis.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        worst_probe,
-        index: int,
-        norm: float,
-        residual: float,
-        allowance: float,
-        level: int,
-    ):
+    def __init__(self, message: str, failure: LinearityFailure):
         super().__init__(message)
-        self.worst_probe = worst_probe
-        self.index = index
-        self.norm = norm
-        self.residual = residual
-        self.allowance = allowance
-        self.level = level
+        self.failure = failure
 
 
 class Scheme(enum.Enum):
@@ -492,10 +485,7 @@ def make_perturbation(
     seed: int,
 ) -> PerturbedMap:
     """Seeded perturbation of an exact map, certified against PowerType(eps, p)."""
-    if not (eps >= 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
-    if not (p >= 0.0 and math.isfinite(p)):
-        raise ValueError(f"p must be finite and nonnegative, got {p!r}")
+    PowerType(eps, p)  # the control's own checks on eps and p
     form = _parse_form(form)
     rng = rng_for(seed, ROLE_PERTURBATION)
     raw = rng.uniform(-1.0, 1.0, (base.dim, base.dim)) + 1j * rng.uniform(
@@ -796,16 +786,14 @@ def recover_linear_map(
     allowance = np.abs(_vec(probes)) @ err_units + err_probes + tol * np.maximum(1.0, norms)
     worst = int(np.argmax(gaps - allowance))
     if gaps[worst] > allowance[worst]:
+        failure = LinearityFailure(
+            worst, float(norms[worst]), float(gaps[worst]), float(allowance[worst]), run.l_used
+        )
         raise LinearityCertificationError(
-            f"recovered map failed linearity certification at level L = {run.l_used}: "
-            f"probe {worst} (norm {norms[worst]:.3e}) disagrees with its direct value "
-            f"by {gaps[worst]:.3e}, beyond the allowance {allowance[worst]:.3e}",
-            worst_probe=probes[worst],
-            index=worst,
-            norm=float(norms[worst]),
-            residual=float(gaps[worst]),
-            allowance=float(allowance[worst]),
-            level=run.l_used,
+            f"recovered map failed linearity certification at level L = {failure.level}: "
+            f"probe {worst} (norm {failure.probe_norm:.3e}) disagrees with its direct value "
+            f"by {failure.gap:.3e}, beyond the allowance {failure.allowance:.3e}",
+            failure,
         )
     return recovered, run.l_used
 

@@ -40,19 +40,16 @@ on where it sits in the block, so it is not used.
 
 Products of two stacks that both vary (the triple product and the Jordan
 product) have no fixed factor to lay a stack against, and numpy's stacked
-``@`` runs one small GEMM per slice, at about 0.4 us each.  At n <= 2 they
-are computed instead as n broadcast products over the whole stack, summed
-over the inner index in order.  Elementwise arithmetic touches one slice at
-a time, so a slice's product is again bit for bit its product alone, in any
-stack and through any strided view.  At n >= 3 they stay numpy's ``@``.
-The broadcast form does the same n^3 multiply-adds per slice as the GEMM,
-in 2n - 1 array passes with temporaries.  Timed inside ``run_recovery`` on
-the four shipped configs (stacks of 4-880 slices, one BLAS thread on a
-2-core Xeon VM), it took about 0.7x the time of ``@`` at n = 3, 1.1x at
-n = 4, 1.4-2.2x at n = 5, 3.5x at n = 8 and 10x at n = 16.  The n = 3
-saving is about 3% of a dim-3 run, too little to change the bytes of every
-dim-3 report, so the cut is the one ``linalg.spectral_norm`` makes for its
-closed form.
+``@`` runs one small GEMM per slice.  At n <= 2 they are computed instead
+as n broadcast products over the whole stack, summed over the inner index
+in order.  Elementwise arithmetic touches one slice at a time, so a slice's
+product is again bit for bit its product alone, in any stack and through
+any strided view.  At n >= 3 they stay numpy's ``@``.  The broadcast form
+does the same n^3 multiply-adds per slice as the GEMM, in 2n - 1 array
+passes with temporaries, so it pays only at small n: from n = 4 on it is
+slower than ``@``, and at n = 3 its gain is too small to be worth changing
+the bytes of every dim-3 report.  So the cut is the one
+``linalg.spectral_norm`` makes for its closed form.
 """
 
 from __future__ import annotations

@@ -1,5 +1,11 @@
-"""Shared test configuration: a bounded hypothesis profile for the suite."""
+"""Shared test configuration: a bounded hypothesis profile, the BLAS core of the byte pins."""
 
+import ctypes
+import glob
+import os
+
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -9,3 +15,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# the OpenBLAS kernel the report digests and the console pins were taken on
+PIN_CORE = "SkylakeX"
+
+
+def _openblas_core() -> str:
+    """The core numpy's bundled OpenBLAS selected at load time, or "unknown"."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+@pytest.fixture(scope="session")
+def pin_core_note() -> str:
+    """Failure message of a byte pin: the core that ran, next to the one the pins hold."""
+    return f"OpenBLAS core {_openblas_core()} ran; pins taken on {PIN_CORE}"

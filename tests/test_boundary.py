@@ -9,7 +9,7 @@ and every stage refuses a caller-supplied map whose output is not finite.
 import numpy as np
 import pytest
 
-from triple_stab.linalg import DimensionMismatchError, hs_inner, max_entry_diff
+from triple_stab.linalg import DimensionMismatchError, hs_inner
 from triple_stab.sampling import haar_unitary, make_mu_samples, make_probes, rng_for, skew_matrix
 from triple_stab.stability import (
     PowerType,
@@ -157,7 +157,6 @@ def _entries():
         "triple_product_jbstar": lambda x: triple_product_jbstar(a, b, x),
         "jordan_product": lambda x: jordan_product(a, x),
         "hs_inner": lambda x: hs_inner(a, x),
-        "max_entry_diff": lambda x: max_entry_diff(a, x),
         "PerturbedMap": f,
     }
     operators = {

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from triple_stab.cli import main
+from triple_stab.cli import build_parser, main
 from triple_stab.lab import ExperimentConfig, load_report
 
 TRIMMED = [
@@ -94,6 +95,17 @@ def test_every_config_field_has_a_flag_that_overrides_the_file(tmp_path, capsys,
     assert echoed == expected
 
 
+@pytest.mark.parametrize("command", ["axioms", "recover"])
+def test_every_config_field_has_a_flag_whose_help_is_its_metadata(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[command]._actions}
+    for f in dataclasses.fields(ExperimentConfig):
+        action = actions[f.name]
+        assert action.option_strings == ["--" + f.name.replace("_", "-")]
+        assert action.type is type(f.default)
+        assert action.help == f.metadata["help"]
+
+
 def test_recover_command_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["recover", *TRIMMED, "--out", str(out_path)])
@@ -168,6 +180,46 @@ def test_report_of_failed_recovery_has_no_bound_table(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "report has no per-probe bound table" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_prints_the_bytes_it_writes(tmp_path, capsys, fmt):
+    saved = tmp_path / "saved.json"
+    assert main(["recover", *TRIMMED, "--out", str(saved)]) == 0
+    written = tmp_path / f"again.{fmt}"
+    assert main(["report", "--in", str(saved), "--format", fmt, "--out", str(written)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", str(saved), "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode() == written.read_bytes()
+    if fmt == "json":
+        assert written.read_bytes() == saved.read_bytes()
+
+
+def test_report_renders_an_axioms_report(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    saved = tmp_path / "axioms.json"
+    assert main(["axioms", "--config", str(config), "--out", str(saved)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", str(saved), "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == saved.read_bytes()
+    # an axioms report has no bound table to write as CSV
+    assert main(["report", "--in", str(saved)]) == 2
+    captured = capsys.readouterr()
+    assert "report has no per-probe bound table" in captured.err
+    assert captured.out == ""
+
+
+def test_report_refuses_a_recover_report_with_a_missing_field(tmp_path, capsys):
+    saved = tmp_path / "saved.json"
+    assert main(["recover", *TRIMMED, "--out", str(saved)]) == 0
+    data = json.loads(saved.read_text(encoding="utf-8"))
+    del data["bound"]
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--in", str(saved), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "error: report is missing fields: bound" in captured.err
     assert captured.out == ""
 
 
@@ -404,12 +456,14 @@ recovery error: certified level L = 57 at series ratio 0.707107 exceeds l_max = 
     ],
     ids=["axioms", "recover-timings", "recovery-error"],
 )
-def test_console_output_is_pinned(argv, code, out, err, tmp_path, monkeypatch, capsys):
+def test_console_output_is_pinned(
+    argv, code, out, err, tmp_path, monkeypatch, capsys, pin_core_note
+):
     # check lines, summary, timings, the written report, then failures on stderr
     config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
     (tmp_path / "cauchy2.json").write_bytes(config.read_bytes())
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == code
+    assert main(argv) == code, pin_core_note
     captured = capsys.readouterr()
-    assert _masked(captured.out) == out
-    assert captured.err == err
+    assert _masked(captured.out) == out, pin_core_note
+    assert captured.err == err, pin_core_note

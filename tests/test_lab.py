@@ -31,7 +31,7 @@ from triple_stab.lab import (
     run_axiom_suite,
     run_recovery,
 )
-from triple_stab.stability import LinearityCertificationError
+from triple_stab.stability import LinearityCertificationError, LinearityFailure
 from triple_stab.triple import Conjugation
 
 CHECK_NAMES = [
@@ -430,8 +430,7 @@ def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, fai
         # h perturbs theta, a conjugation; f perturbs the composite D
         if isinstance(g.base, Conjugation) == (failing == "theta"):
             raise LinearityCertificationError(
-                "linearity failed", np.eye(2), index=5, norm=1.25, residual=3e-7,
-                allowance=2e-7, level=57,
+                "linearity failed", LinearityFailure(5, 1.25, 3e-7, 2e-7, 57)
             )
         return recover(g, *args)
 
@@ -641,10 +640,10 @@ _SHIPPED_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SHIPPED_DIGESTS))
-def test_shipped_reports_keep_their_bytes(name):
+def test_shipped_reports_keep_their_bytes(name, pin_core_note):
     report = run_recovery(_shipped_config(name))
     digest = hashlib.sha256(render_json(report.to_dict()).encode()).hexdigest()
-    assert digest == _SHIPPED_DIGESTS[name]
+    assert digest == _SHIPPED_DIGESTS[name], pin_core_note
 
 
 # sha256 of the 48-report set, rendered and concatenated in the order below
@@ -652,7 +651,7 @@ _REPORT_SET_DIGEST = "3a37c89d07f496c37effbc97cfd707b3e9f10590d121e376a08a949038
 
 
 @pytest.mark.slow
-def test_report_set_keeps_its_bytes():
+def test_report_set_keeps_its_bytes(pin_core_note):
     """The four shipped configs x dims 1-5 and 8 x seeds 42 and 3: 48 reports.
 
     Each report's ``render_json`` is hashed in one sha256, config by config,
@@ -666,7 +665,7 @@ def test_report_set_keeps_its_bytes():
         for dim, seed in itertools.product((1, 2, 3, 4, 5, 8), (42, 3)):
             report = run_recovery(_shipped_config(name, dim=dim, seed=seed))
             digest.update(render_json(report.to_dict()).encode())
-    assert digest.hexdigest() == _REPORT_SET_DIGEST
+    assert digest.hexdigest() == _REPORT_SET_DIGEST, pin_core_note
 
 
 def test_zero_eps_report_renders_and_names_its_infinite_ratio(tmp_path):
