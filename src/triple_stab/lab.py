@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -384,10 +385,14 @@ class StabilityReport:
     def from_dict(cls, data) -> "StabilityReport":
         if not isinstance(data, dict):
             raise ValueError(f"report must be an object, got {type(data).__name__}")
-        missing = [name for name in cls._serialized() if name not in data]
+        names = cls._serialized()
+        missing = [name for name in names if name not in data]
         if missing:
             raise ValueError(f"report is missing fields: {', '.join(missing)}")
-        return cls(**{name: data[name] for name in cls._serialized()})
+        unknown = [str(key) for key in data if key not in names]
+        if unknown:
+            raise ValueError(f"report has unknown fields: {', '.join(unknown)}")
+        return cls(**{name: data[name] for name in names})
 
 
 def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
@@ -638,26 +643,31 @@ def _render_float(value: float) -> str:
 
 
 def render_json(value) -> str:
-    """Deterministic JSON: sorted keys, 17 significant digits for floats."""
+    """Deterministic JSON: sorted keys, 17 significant digits for floats.
+
+    Floats, most of a report's values, are tested first.  Keys and strings
+    are escaped by ``encode_basestring_ascii``, as ``json.dumps`` escapes
+    them with its default arguments.
+    """
+    if isinstance(value, float):
+        return _render_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return _render_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, dict):
         items = []
         for key in sorted(value):
             if not isinstance(key, str):
                 raise ValueError(f"report keys must be strings, got {key!r}")
-            items.append(f"{json.dumps(key)}: {render_json(value[key])}")
+            items.append(f"{encode_basestring_ascii(key)}: {render_json(value[key])}")
         return "{" + ", ".join(items) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(render_json(v) for v in value) + "]"
+        return "[" + ", ".join([render_json(v) for v in value]) + "]"
     raise ValueError(f"cannot serialize {type(value).__name__} into a report")
 
 

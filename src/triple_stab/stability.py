@@ -33,10 +33,16 @@ bound table.  Where a stage hands one argument stack to both perturbed
 maps, it norms the stack once and both maps run their known-norm kernel on
 those norms (``_image``): the hypothesis stage maps x, the pair argument
 and {x,y,z} with one f call and x and the pair argument with one h call,
-the bound stage's maps reuse the probe norms, and h takes the norms of f's
-x, y and z in each group of the derivation sequence.  The bound stage
-takes one bound for all its maps, and a homogeneity check applies its map
-once, to every scaled argument.
+and the bound stage's maps reuse the probe norms.  A level scan hands a
+perturbed map its unscaled stack, the stack's norms and one scale per
+level: the kernel applies the base, and takes the traces, once for all the
+levels of a group and scales them by s, so the derivation sequence norms
+its (x, y, z, {x,y,z}) stack once for both maps and every level, the rate
+fit norms its probes once, and the direct method reuses the norms of its
+bound.  At base 2 the scaled images are f(s x) bit for bit; at base 3 they
+differ from it at round-off (``PerturbedMap``).  The bound stage takes one
+bound for all its maps, and a homogeneity check applies its map once, to
+every scaled argument.
 """
 
 from __future__ import annotations
@@ -404,8 +410,19 @@ class PerturbedMap:
     ||f(x) - base(x)|| <= amplitude * ||x||^p everywhere.  A call f(x)
     checks x once and takes its norms; ``_at`` is the kernel under it, on a
     checked stack whose norms are known, so a stage that hands one argument
-    stack to f and h norms it once (``_image``).  Each slice's image depends
-    on that slice and its norm alone, so it is the same in any stack.
+    stack to f and h norms it once (``_image``).
+
+    The kernel also takes a scale s and gives f(s x) from the unscaled
+    stack: s base(x) plus the defect at norm s ||x|| and trace s Re tr x.
+    So a level scan applies the base and takes the norms and traces once,
+    not once per level.  At s = 1 this is f(x) bit for bit.  At s = 2^l it
+    is f(s x) bit for bit too: a power of two scales the base's GEMMs, the
+    norm and the trace without rounding.  At s = 3^l the call rounds s x
+    before the map and the kernel rounds s base(x), s ||x|| and s Re tr x
+    after it, so the two differ at round-off, most in the sine, whose
+    argument of size alpha s ||x|| multiplies its rounding.  Each slice's
+    image depends on that slice, its norm and its scale alone, so it is
+    the same in any stack.
     """
 
     base: LinearOperator
@@ -420,34 +437,47 @@ class PerturbedMap:
     def dim(self) -> int:
         return self.base.dim
 
-    def _at(self, mx: ComplexMatrix, nx) -> ComplexMatrix:
-        """f at a checked stack mx of this dimension whose slice norms nx are known."""
+    def _at(self, mx: ComplexMatrix, nx, s=1.0) -> ComplexMatrix:
+        """f(s mx) at a checked stack mx of this dimension whose slice norms nx are known.
+
+        s broadcasts against nx, so the result has one slice per entry of
+        s * nx; it is computed from mx, nx and Re tr mx (see the class
+        docstring).
+        """
+        s = np.asarray(s)
         # the base first: its temporaries are freed before the defect's are
         # made, which keeps the peak memory of a large stack down
-        image = self.base.apply(mx)
+        image = s[..., None, None] * self.base.apply(mx)
         if self.amplitude == 0.0:
-            # base(x) + 0, not base(x): the sum turns a -0.0 entry into 0.0
-            return image + np.zeros_like(mx)
-        envelope = self.amplitude * norm_power(nx, self.exponent)
-        phase = np.sin(self.alpha * nx + self.beta * np.trace(mx, axis1=-2, axis2=-1).real)
-        return image + np.multiply.outer(envelope * phase, self.direction)
+            # s base(x) + 0, not s base(x): the sum turns a -0.0 entry into 0.0
+            return image + np.zeros_like(image)
+        norms = s * nx
+        envelope = self.amplitude * norm_power(norms, self.exponent)
+        trace = s * np.trace(mx, axis1=-2, axis2=-1).real
+        phase = np.sin(self.alpha * norms + self.beta * trace)
+        image += np.multiply.outer(envelope * phase, self.direction)
+        return image
 
     def __call__(self, x) -> ComplexMatrix:
         mx = self.base._operand(x)
         return self._at(mx, _norm(mx))
 
 
-def _image(g, mx: ComplexMatrix, norms) -> ComplexMatrix:
-    """A map g at a checked stack mx whose slice norms are known.
+def _image(g, mx: ComplexMatrix, norms, s=1.0) -> ComplexMatrix:
+    """A map g at s mx, for a checked stack mx whose slice norms are known.
 
-    A ``PerturbedMap`` runs its kernel on those norms, after the dimension
-    check its call makes; any other map is called as g(mx).
+    The scale s broadcasts against the norms.  A ``PerturbedMap`` runs its
+    kernel on the unscaled mx, its norms and s, after the dimension check
+    its call makes.  Any other map is called once on the scaled stack
+    s mx, flattened to (k, n, n), and its output is given that stack's
+    shape; the caller checks the output, whichever the map.
     """
     if not isinstance(g, PerturbedMap):
-        return g(mx)
+        args = np.asarray(s)[..., None, None] * mx
+        return np.reshape(g(args.reshape(-1, *mx.shape[-2:])), args.shape)
     if mx.shape[-1] != g.dim:
         raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {mx.shape[-1]}")
-    return g._at(mx, norms)
+    return g._at(mx, norms, s)
 
 
 def perturbation_amplitude(eps: float, p: float, form: str) -> float:
@@ -676,26 +706,33 @@ def _level_groups(count: int, entries_per_level: int) -> list[slice]:
 def approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
     """A_l(x) = f(s x) / s with s = scheme.scale(l) for each level, one f call per group.
 
-    Every level is guarded before f is called (``_guard_levels``).  Returns
-    shape (len(levels), *x.shape).
+    A ``PerturbedMap`` is evaluated from the unscaled x and its norms
+    (``_image``).  Every level is guarded before f is called
+    (``_guard_levels``).  Returns shape (len(levels), *x.shape).
     """
     scheme = Scheme.parse(scheme)
     if len(levels) == 0:
         raise ValueError("approximants needs at least one level")
-    return _approximants(f, scheme, as_matrix(x), levels)
+    mx = as_matrix(x)
+    return _approximants(f, scheme, mx, levels, _norm(mx))
 
 
-def _approximants(f, scheme: Scheme, mx: ComplexMatrix, levels: Sequence[int]) -> np.ndarray:
-    """``approximants`` on a checked stack and a nonempty level list; f's outputs are checked."""
+def _approximants(
+    f, scheme: Scheme, mx: ComplexMatrix, levels: Sequence[int], norms
+) -> np.ndarray:
+    """``approximants`` on a checked stack of known slice norms and a nonempty level list.
+
+    f's outputs are checked.  Each group of levels is one ``_image`` call on
+    the unscaled probes, their norms and the group's scales.
+    """
     _guard_levels(scheme, levels, np.abs(mx).max())
     n = mx.shape[-1]
-    probes = mx.reshape(-1, n, n)
-    scales = np.array([scheme.scale(l) for l in levels])[:, None, None, None]
+    probes, norms = mx.reshape(-1, n, n), np.reshape(norms, -1)
+    scales = np.array([scheme.scale(l) for l in levels])[:, None]
     out = []
     for group in _level_groups(len(scales), probes.size):
         s = scales[group]
-        args = s * probes
-        out.append(as_matrix(f(args.reshape(-1, n, n))).reshape(args.shape) / s)
+        out.append(as_matrix(_image(f, probes, norms, s)) / s[..., None, None])
     return np.concatenate(out).reshape(len(scales), *mx.shape)
 
 
@@ -745,7 +782,7 @@ def direct_method(
     if level > l_max:
         raise ConvergenceError(f"{where} exceeds l_max = {l_max}")
     try:
-        value = _approximants(f, scheme, xs, [level])[0]
+        value = _approximants(f, scheme, xs, [level], norms)[0]
     except ScaleOverflowError:
         raise ConvergenceError(
             f"{where} scales by {scheme.base}^{-level if scheme.contractive else level}, "
@@ -937,9 +974,10 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
       || f(s3 {x,y,z}) - {f(s x) h(s y) h(s z)}
          - {h(s x) f(s y) h(s z)} - {h(s x) h(s y) f(s z)} || / s3.
 
-    Each map is called once per group of levels, over every scaled argument
-    it is needed at, and the group's arguments are normed once: h takes the
-    norms of f's x, y and z.  Raises SchemeError for a scheme without
+    The unscaled arguments are normed once, and each map is evaluated once
+    per group of levels, from those arguments, their norms and the group's
+    scales (``_image``): h takes the norms of f's x, y and z.  Raises
+    SchemeError for a scheme without
     derivation-sequence levels (cauchy2-contractive); every level is guarded
     before f is called (``_guard_levels``).
     """
@@ -951,20 +989,18 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
     mx, my, mz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     txyz = _cstar(mx, my, mz)
     _guard_levels(scheme, levels, np.abs(xyz).max(), cube_largest=max(np.abs(txyz).max(), 1.0))
-    n = mx.shape[-1]
-    # (4, k, n, n): the product, then x, y, z
-    unscaled = np.stack([txyz, mx, my, mz])
+    # (4, 1, k, n, n): the product, then x, y, z, each with a level axis;
+    # normed once for every level
+    unscaled = np.stack([txyz, mx, my, mz])[:, None]
+    norms = _norm(unscaled)
     # per level, the product scales by s3 = scale(3l) and x, y, z by s = scale(l)
     factors = np.array([[scheme.scale(3 * l)] + 3 * [scheme.scale(l)] for l in levels])
     out = []
     for group in _level_groups(len(factors), unscaled.size):
-        # (4, levels, k, n, n), slot by slot, so x, y and z are the tail h maps
-        args = factors[group].T[:, :, None, None, None] * unscaled[:, None]
-        flat = args.reshape(-1, n, n)
-        norms = _norm(flat)
-        tail = len(flat) // 4
-        fp, fx, fy, fz = as_matrix(_image(f, flat, norms)).reshape(args.shape)
-        hx, hy, hz = as_matrix(_image(h, flat[tail:], norms[tail:])).reshape(args[1:].shape)
+        # (4, levels, 1): slot by slot, so x, y and z are the tail h maps
+        s = factors[group].T[:, :, None]
+        fp, fx, fy, fz = as_matrix(_image(f, unscaled, norms, s))
+        hx, hy, hz = as_matrix(_image(h, unscaled[1:], norms[1:], s[1:]))
         residual = _norm(derivation_defect(fp, fx, fy, fz, hx, hy, hz))
         out.append((1.0 / factors[group, :1]) * residual)
     return np.concatenate(out)
@@ -1044,6 +1080,6 @@ def estimate_convergence_rate(f, scheme, probes: Sequence) -> RateEstimate:
     """Rate of the approximant differences at the fixed RATE_LEVELS window."""
     x = _stack(probes, "estimate_convergence_rate")
     levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
-    values = _approximants(f, Scheme.parse(scheme), x, levels)
+    values = _approximants(f, Scheme.parse(scheme), x, levels, _norm(x))
     rate, used = pooled_rate(RATE_LEVELS, _norm(np.diff(values, axis=0)))
     return RateEstimate(rate, RATE_LEVELS[0], RATE_LEVELS[-1], used)

@@ -223,6 +223,19 @@ def test_report_refuses_a_recover_report_with_a_missing_field(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_report_refuses_a_recover_report_with_an_unknown_field(tmp_path, capsys):
+    saved = tmp_path / "saved.json"
+    assert main(["recover", *TRIMMED, "--out", str(saved)]) == 0
+    data = json.loads(saved.read_text(encoding="utf-8"))
+    data["note"] = "x"
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--in", str(saved), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "error: report has unknown fields: note" in captured.err
+    assert captured.out == ""
+
+
 def test_recover_writes_a_failed_zero_eps_report(tmp_path, capsys):
     # a bound of 0 gives the bound ratio the value inf, which JSON has no number for
     config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
@@ -405,7 +418,7 @@ _PINNED_RECOVER_OUT = """\
   PASS derivation_certificate             value=2.46509e-16 tol=1e-06
   PASS derivation_sequence_decreasing     value=0.0123461 tol=1
   PASS derivation_sequence_rate           value=0.0123459 tol=0.05
-  PASS approximant_rate                   value=0.0123693 tol=0.05
+  PASS approximant_rate                   value=0.0123694 tol=0.05
 recover: 20/20 checks passed in <s> s
 setup <s>
 axioms <s>

@@ -564,6 +564,21 @@ class _NonLinearMap:
         return self.base(x) + bump
 
 
+def test_a_map_without_the_kernel_is_called_on_the_scaled_arguments():
+    # the level scans hand a map other than a PerturbedMap s x itself, one
+    # call per group of levels, and divide its images by s
+    _, _, big_d = _generators(44)
+    g, calls = _NonLinearMap(big_d), []
+    recorded = lambda x: calls.append(np.array(x)) or g(x)
+    probes = make_probes(2, 3, rng_for(44, 2))
+    levels = [0, 1, 4]
+    scaled = np.stack([Scheme.JENSEN3.scale(l) * probes for l in levels])
+    got = approximants(recorded, Scheme.JENSEN3, probes, levels)
+    assert len(calls) == 1 and np.array_equal(calls[0], scaled.reshape(-1, 2, 2))
+    want = np.stack([g(a) / Scheme.JENSEN3.scale(l) for a, l in zip(scaled, levels)])
+    assert np.array_equal(got, want)
+
+
 def test_recover_certifies_linearity():
     _, _, big_d = _generators(42)
     with pytest.raises(LinearityCertificationError) as exc:
@@ -669,7 +684,7 @@ def test_hypotheses_evaluate_each_perturbed_map_once_on_one_norm_call(monkeypatc
     monkeypatch.setattr(
         PerturbedMap,
         "_at",
-        lambda g, mx, nx: evaluations.append((g.seed, len(mx))) or kernel(g, mx, nx),
+        lambda g, mx, nx, s: evaluations.append((g.seed, len(mx))) or kernel(g, mx, nx, s),
     )
     monkeypatch.setattr(linalg, "_norm", _counting(linalg._norm, norms))
     monkeypatch.setattr(stability, "_norm", _counting(stability._norm, norms))
