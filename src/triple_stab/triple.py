@@ -27,29 +27,20 @@ public products check theirs and run kernels on trusted stacks (``_cstar``,
 ``_jbstar``, ``_jordan``), which the axiom checker uses on what it checked.
 ``op(x)`` checks x, and ``op.apply`` takes a checked stack.
 
-Operators built on one fixed n x n matrix (conjugation, commutator) apply
-it to a whole stack as one tall GEMM: the slices are laid on top of each
-other as a (k n, n) matrix and multiplied by the fixed matrix, instead of
-one small GEMM per slice, which numpy's stacked ``@`` does.  In the tall
-form only the row count k n varies with the stack, while the inner and
-column sizes stay n, so every output row is the same dot products in the
-same order whatever the stack: a slice's result is bit for bit its result
-alone.  The wide form (the fixed matrix times an (n, k n) matrix) varies
-the column count instead, and BLAS rounds a column differently depending
-on where it sits in the block, so it is not used.
-
-Products of two stacks that both vary (the triple product and the Jordan
-product) have no fixed factor to lay a stack against, and numpy's stacked
-``@`` runs one small GEMM per slice.  At n <= 2 they are computed instead
-as n broadcast products over the whole stack, summed over the inner index
-in order.  Elementwise arithmetic touches one slice at a time, so a slice's
-product is again bit for bit its product alone, in any stack and through
-any strided view.  At n >= 3 they stay numpy's ``@``.  The broadcast form
-does the same n^3 multiply-adds per slice as the GEMM, in 2n - 1 array
-passes with temporaries, so it pays only at small n: from n = 4 on it is
-slower than ``@``, and at n = 3 its gain is too small to be worth changing
-the bytes of every dim-3 report.  So the cut is the one
-``linalg.spectral_norm`` makes for its closed form.
+Every product of two n x n stacks, in the triple and Jordan products and in
+every operator, goes through one kernel, ``_stack_product``, which computes
+each slice's product on its own: at n <= 2 as n broadcast products over the
+whole stack, summed over the inner index in order, and at n >= 3 as numpy's
+stacked ``@``, one fixed-shape n x n GEMM per slice.  ``Tabulated`` likewise
+takes one fixed-shape (n^2, n^2) x (n^2, 1) product per slice.  Neither the
+shape nor the order of any slice's arithmetic depends on the stack, so a
+slice's image is bit for bit its image alone, in any stack of any size k
+(k = 1 included), through any strided view and on any BLAS kernel.  One
+tall (k n, n) GEMM over the whole stack would be cheaper at large n, but
+how BLAS rounds a row of it depends on the row count and on the kernel.
+The broadcast form does the same n^3 multiply-adds per slice as the GEMM,
+in 2n - 1 array passes with temporaries, so it pays only at small n; the
+cut is the one ``linalg.spectral_norm`` makes for its closed form.
 """
 
 from __future__ import annotations
@@ -84,11 +75,11 @@ class OperatorValidationError(ValueError):
 
 
 def _stack_product(a, b) -> ComplexMatrix:
-    """a @ b slice by slice, for two stacks that both vary (see the module docstring).
+    """a @ b slice by slice, the one product path (see the module docstring).
 
-    At n <= 2 each entry is the sum over j, in order, of a[i, j] b[j, l],
-    taken as broadcast products over the whole stack; at n >= 3 it is
-    numpy's ``@``.
+    Either operand may be one fixed matrix or a stack.  At n <= 2 each entry
+    is the sum over j, in order, of a[i, j] b[j, l], taken as broadcast
+    products over the whole stack; at n >= 3 it is numpy's ``@``.
     """
     n = a.shape[-1]
     if n > 2:
@@ -170,16 +161,6 @@ def matrix_basis(dim: int) -> list[ComplexMatrix]:
     return list(_unvec(np.eye(dim * dim, dtype=np.complex128), dim))
 
 
-def _times_right(x, m) -> ComplexMatrix:
-    """x @ m for every slice of x, as one tall (k n, n) x (n, n) GEMM."""
-    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape)
-
-
-def _times_left(m, x) -> ComplexMatrix:
-    """m @ x for every slice of x, as the transpose of x^T m^T in tall form."""
-    return np.swapaxes(_times_right(np.swapaxes(x, -1, -2), m.T), -1, -2)
-
-
 def _frozen(arr) -> np.ndarray:
     copy = np.array(arr, dtype=np.complex128, copy=True)
     copy.setflags(write=False)
@@ -212,8 +193,8 @@ class LinearOperator:
 class Conjugation(LinearOperator):
     """x -> u x u* for a unitary u; an exact triple homomorphism.
 
-    A stack is multiplied by u and by u* as one tall GEMM each (see the
-    module docstring), so each slice's image is bit for bit its image alone.
+    Each slice is multiplied by u and by u* through ``_stack_product``, so
+    its image is bit for bit its image alone (see the module docstring).
     """
 
     def __init__(self, u):
@@ -229,7 +210,7 @@ class Conjugation(LinearOperator):
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
-        return _times_right(_times_left(self.matrix, x), self.adjoint)
+        return _stack_product(_stack_product(self.matrix, x), self.adjoint)
 
     def __repr__(self):
         return f"Conjugation(dim={self.dim})"
@@ -238,8 +219,8 @@ class Conjugation(LinearOperator):
 class Commutator(LinearOperator):
     """x -> a x - x a for a skew-adjoint a; an exact triple derivation.
 
-    A stack is multiplied by a from each side as one tall GEMM (see the
-    module docstring), so each slice's image is bit for bit its image alone.
+    Each slice is multiplied by a from each side through ``_stack_product``,
+    so its image is bit for bit its image alone (see the module docstring).
     """
 
     def __init__(self, a):
@@ -253,7 +234,7 @@ class Commutator(LinearOperator):
         self.dim = ma.shape[0]
 
     def apply(self, x) -> ComplexMatrix:
-        return _times_left(self.matrix, x) - _times_right(x, self.matrix)
+        return _stack_product(self.matrix, x) - _stack_product(x, self.matrix)
 
     def __repr__(self):
         return f"Commutator(dim={self.dim})"
@@ -322,8 +303,8 @@ class Compose(LinearOperator):
 class Tabulated(LinearOperator):
     """Dense n^2 x n^2 coefficient matrix acting on column-stacked input.
 
-    A slice's image is bit for bit the same in any stack of k >= 2 slices
-    (one GEMM); a one-slice call goes through GEMV and may differ at n >= 2.
+    Each slice's vec is one fixed-shape (n^2, n^2) x (n^2, 1) product, so
+    its image is bit for bit its image alone (see the module docstring).
     """
 
     def __init__(self, coeffs):
@@ -335,7 +316,7 @@ class Tabulated(LinearOperator):
         self.dim = n
 
     def apply(self, x) -> ComplexMatrix:
-        return _unvec(_vec(x) @ self.coeffs.T, self.dim)
+        return _unvec(np.matmul(self.coeffs, _vec(x)[..., None])[..., 0], self.dim)
 
     def to_tabulated(self) -> "Tabulated":
         return self

@@ -636,14 +636,15 @@ def test_run_recovery_makes_no_deep_copy(monkeypatch):
 
 
 # sha256 of render_json of each shipped config as shipped (dim 2, seed 42);
-# a numpy or BLAS build that rounds differently would change them.  The two
-# base-3 digests moved when the level scans began to evaluate f(s x) from
-# the unscaled stack, which rounds differently at s = 3^l
+# a numpy or BLAS build that rounds differently would change them.  All four
+# moved when the operators began to multiply each slice on its own (at
+# dim 2, elementwise) instead of laying the stack out as one tall GEMM,
+# which sums each entry's products in another order
 _SHIPPED_DIGESTS = {
-    "cauchy2": "f2019c9c9b618d8ec382cee59d59787ad2249ed3838fc802f4fca8e62efeb956",
-    "cauchy2_contractive": "b2b5560c6b5a21504f45bac531c4b32ecf555df6e70a1bfdc2354fbcf2d4c0b6",
-    "jensen3": "a54e149a1b2e013aee38b1ac1ff53939c8f5a00e3efb63577af2ddbc38fb3cdf",
-    "jensen3_contractive": "87c8bf72dfd56ec757af4ed082c351faf22502f8c41241d56be5357e469506e7",
+    "cauchy2": "54e96796bfdeb6c081bb950661553755d9fbab4451408206431ae7a78958b13c",
+    "cauchy2_contractive": "720e24e31e30dce9dcfd9fe128d21e0a897498e56b8882432f14e583c6dcfcfd",
+    "jensen3": "2cee2e19c0145b724439eabf0f44c5c8143cc39342c9f1bda855cf0016cb6377",
+    "jensen3_contractive": "c88a6363fe5c93d37c4913f01f13b9a760ee616d667160084f1b91e41ad2da2e",
 }
 
 
@@ -655,11 +656,11 @@ def test_shipped_reports_keep_their_bytes(name, pin_core_note):
 
 
 # sha256 of the 48-report set, rendered and concatenated in the order below.
-# The level scans evaluate f(s x) from the unscaled stack; at base 3 that
-# rounds s x, the norm and the trace differently, so the 24 jensen3 and
-# jensen3-contractive reports moved at round-off and the 24 base-2 reports
-# kept their bytes
-_REPORT_SET_DIGEST = "5af703f0be7cfc2cf1dec0a8835be1a50e40b143a630d28d7eee153eb4d149d4"
+# The operators multiply each slice on its own instead of as one tall GEMM
+# over the stack, which sums each entry's products in another order: the 40
+# reports at dims >= 2 moved at round-off and the 8 dim-1 reports kept
+# their bytes
+_REPORT_SET_DIGEST = "6b3c2ef9f1ac80babca48a83ba3c702db819191c3a9eae83e12ffc2a943434af"
 
 
 @pytest.mark.slow

@@ -146,7 +146,8 @@ def test_fixed_matrix_operators_are_bit_stable_in_any_stack(n, k, name):
     }[name]
     x = _stack(23, n, k)
     got = op.apply(x)
-    # one tall GEMM per factor: a slice's image does not depend on its stack
+    # one fixed-shape product per slice and factor: a slice's image does not
+    # depend on its stack
     assert np.array_equal(got, [op.apply(s) for s in x])
     offset = k // 3
     assert np.array_equal(op.apply(x[offset:]), got[offset:])
@@ -158,15 +159,15 @@ def test_fixed_matrix_operators_are_bit_stable_in_any_stack(n, k, name):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
-def test_tabulated_is_bit_stable_in_any_stack_of_two_or_more(n):
-    # a stack of k >= 2 slices is one GEMM whose rows do not depend on k, so
-    # a check may gather its arguments into one call; a single matrix goes
-    # through GEMV and may differ, so the checks never apply op to one slice
+def test_tabulated_is_bit_stable_in_any_stack(n):
+    # one fixed-shape product per slice, so a check may gather its arguments
+    # into one call of any size, one slice included
     op = _operators(n)["tabulated"]
     x = _stack(24, n, 64)
     got = op.apply(x)
-    for start, stop in ((0, 2), (5, 8), (10, 17), (1, 64)):
+    for start, stop in ((0, 1), (0, 2), (5, 8), (10, 17), (1, 64)):
         assert np.array_equal(op.apply(x[start:stop]), got[start:stop])
+    assert np.array_equal(op.apply(x[9]), got[9])
     assert np.array_equal(op.apply(x.reshape(8, 8, n, n)), got.reshape(8, 8, n, n))
     assert np.array_equal(op.apply(np.concatenate([x[40:], x[:40]])), np.concatenate([got[40:], got[:40]]))
 
