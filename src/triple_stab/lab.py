@@ -46,6 +46,7 @@ from .sampling import (
 from .stability import (
     HOMOGENEITY_TOL,
     ROUNDOFF_FLOOR,
+    ZERO_CONTROL_TOL,
     ConvergenceError,
     LinearityCertificationError,
     PowerType,
@@ -548,8 +549,12 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
 
     hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
     report.hypotheses = _section(hyp)
-    checks.append(_check("hypothesis_ratio_f", hyp.max_ratio_f <= 1.0, hyp.max_ratio_f, 1.0))
-    checks.append(_check("hypothesis_ratio_h", hyp.max_ratio_h <= 1.0, hyp.max_ratio_h, 1.0))
+    for name, value, tolerance in (
+        ("hypothesis_ratio_f", hyp.max_ratio_f, 1.0),
+        ("hypothesis_ratio_h", hyp.max_ratio_h, 1.0),
+        ("hypothesis_zero_control", hyp.max_zero_control_residual, ZERO_CONTROL_TOL),
+    ):
+        checks.append(_check(name, value <= tolerance, value, tolerance))
     lap("hypotheses")
 
     bound_f, bound_h = verify_stability_bound(((f, d_hat), (h, theta_hat)), phi, scheme, probes)

@@ -106,12 +106,30 @@ def test_every_config_field_has_a_flag_whose_help_is_its_metadata(command):
         assert action.help == f.metadata["help"]
 
 
+def test_recover_names_a_failed_zero_control_check(tmp_path, capsys):
+    # at eps = 0 every hypothesis sample has a zero control, where the maps'
+    # residuals must stay within ZERO_CONTROL_TOL; at skew_scale 1e6 their
+    # round-off does not, and the failure has its own row and stderr line
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    out_path = tmp_path / "zero.json"
+    argv = ["recover", "--config", str(config), "--eps", "0"]
+    code = main([*argv, "--generator", '{"skew_scale": 1e6}', "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    report = load_report(str(out_path))
+    assert not report.hypotheses["passed"]
+    row = next(c for c in report.checks if c["name"] == "hypothesis_zero_control")
+    assert row["value"] == report.hypotheses["max_zero_control_residual"] > 1e-10
+    assert row == {"name": "hypothesis_zero_control", "passed": False, "value": row["value"], "tolerance": 1e-10}
+    assert "FAILED hypothesis_zero_control: value=" in err
+
+
 def test_recover_command_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["recover", *TRIMMED, "--out", str(out_path)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "recover: 20/20 checks passed" in out
+    assert "recover: 21/21 checks passed" in out
     report = load_report(str(out_path))
     assert report.passed
     assert report.config["scheme"] == "jensen3-contractive"
@@ -409,6 +427,7 @@ _PINNED_RECOVER_OUT = """\
   PASS recovery_error_theta               value=5.45046e-17 tol=1e-06
   PASS hypothesis_ratio_f                 value=0.505418 tol=1
   PASS hypothesis_ratio_h                 value=0.476338 tol=1
+  PASS hypothesis_zero_control            value=0 tol=1e-10
   PASS bound_ratio                        value=0.436216 tol=1
   PASS bound_ratio_theta                  value=0.412148 tol=1
   PASS s1_homogeneity                     value=1.12167e-16 tol=1e-06
@@ -419,7 +438,7 @@ _PINNED_RECOVER_OUT = """\
   PASS derivation_sequence_decreasing     value=0.0123461 tol=1
   PASS derivation_sequence_rate           value=0.0123459 tol=0.05
   PASS approximant_rate                   value=0.0123694 tol=0.05
-recover: 20/20 checks passed in <s> s
+recover: 21/21 checks passed in <s> s
 setup <s>
 axioms <s>
 recover <s>

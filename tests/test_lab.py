@@ -45,6 +45,7 @@ CHECK_NAMES = [
     "recovery_error_theta",
     "hypothesis_ratio_f",
     "hypothesis_ratio_h",
+    "hypothesis_zero_control",
     "bound_ratio",
     "bound_ratio_theta",
     "s1_homogeneity",
@@ -639,12 +640,13 @@ def test_run_recovery_makes_no_deep_copy(monkeypatch):
 # a numpy or BLAS build that rounds differently would change them.  All four
 # moved when the operators began to multiply each slice on its own (at
 # dim 2, elementwise) instead of laying the stack out as one tall GEMM,
-# which sums each entry's products in another order
+# which sums each entry's products in another order.  All four moved again
+# when the zero-control hypothesis test got its own check row
 _SHIPPED_DIGESTS = {
-    "cauchy2": "54e96796bfdeb6c081bb950661553755d9fbab4451408206431ae7a78958b13c",
-    "cauchy2_contractive": "720e24e31e30dce9dcfd9fe128d21e0a897498e56b8882432f14e583c6dcfcfd",
-    "jensen3": "2cee2e19c0145b724439eabf0f44c5c8143cc39342c9f1bda855cf0016cb6377",
-    "jensen3_contractive": "c88a6363fe5c93d37c4913f01f13b9a760ee616d667160084f1b91e41ad2da2e",
+    "cauchy2": "58841b3d24ef34a2a00da17302b56efe21919cf65abf8c016c3532eb55c724bf",
+    "cauchy2_contractive": "a456cf2eb07b066c5f079a2cf0683c51f9aa03d42cdec0cae74ad99dacd1d39e",
+    "jensen3": "5d49baed1fda3ec00f53c3bf8e6d62838ffe6459577755317a4a9dc6ce2a7e26",
+    "jensen3_contractive": "2e54a7c52d160c8006eff011195755d4f9967f3db212b22011b5e758afa72375",
 }
 
 
@@ -659,8 +661,9 @@ def test_shipped_reports_keep_their_bytes(name, pin_core_note):
 # The operators multiply each slice on its own instead of as one tall GEMM
 # over the stack, which sums each entry's products in another order: the 40
 # reports at dims >= 2 moved at round-off and the 8 dim-1 reports kept
-# their bytes
-_REPORT_SET_DIGEST = "6b3c2ef9f1ac80babca48a83ba3c702db819191c3a9eae83e12ffc2a943434af"
+# their bytes.  Then every report gained the ``hypothesis_zero_control``
+# row, which passes in all 48, and no other byte moved
+_REPORT_SET_DIGEST = "78e862509dc2cf7a2c08ed3b370fac6b2b4a431833308c547ebdc88f410f1556"
 
 
 @pytest.mark.slow
