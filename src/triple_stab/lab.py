@@ -650,10 +650,29 @@ def _render_float(value: float) -> str:
 def render_json(value) -> str:
     """Deterministic JSON: sorted keys, 17 significant digits for floats.
 
-    Floats, most of a report's values, are tested first.  Keys and strings
-    are escaped by ``encode_basestring_ascii``, as ``json.dumps`` escapes
-    them with its default arguments.
+    Exact types are tested first: floats, most of a report's values, then
+    lists, tuples and dicts, whose float items are rendered in place.  The
+    rest takes the ``isinstance`` chain: float subclasses such as
+    ``numpy.float64``, bool before int, subclasses of dict and list.  Keys
+    and strings are escaped by ``encode_basestring_ascii``, as
+    ``json.dumps`` escapes them with its default arguments.
     """
+    kind = type(value)
+    if kind is float:
+        return _render_float(value)
+    if kind is list or kind is tuple:
+        return "[" + ", ".join(
+            [_render_float(v) if type(v) is float else render_json(v) for v in value]
+        ) + "]"
+    if kind is dict:
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise ValueError(f"report keys must be strings, got {key!r}")
+            v = value[key]
+            text = _render_float(v) if type(v) is float else render_json(v)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
+        return "{" + ", ".join(items) + "}"
     if isinstance(value, float):
         return _render_float(value)
     if isinstance(value, str):
@@ -665,14 +684,9 @@ def render_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, dict):
-        items = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise ValueError(f"report keys must be strings, got {key!r}")
-            items.append(f"{encode_basestring_ascii(key)}: {render_json(value[key])}")
-        return "{" + ", ".join(items) + "}"
+        return render_json(dict(value))
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join([render_json(v) for v in value]) + "]"
+        return render_json(list(value))
     raise ValueError(f"cannot serialize {type(value).__name__} into a report")
 
 

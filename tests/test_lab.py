@@ -210,6 +210,23 @@ def test_render_json_scalars():
     assert render_json("a\"b") == '"a\\"b"'
 
 
+def test_render_json_renders_subclasses_as_their_exact_types():
+    # exact floats, lists, tuples and dicts take the first branches, anything
+    # else the isinstance chain; both give the same bytes
+    class Rows(list):
+        pass
+
+    class Section(dict):
+        pass
+
+    assert render_json((1.0, 2)) == render_json([1.0, 2]) == "[1.0, 2]"
+    assert render_json(np.float64(0.25)) == render_json(0.25) == "0.25"
+    assert render_json([True, np.float64(3.0), False]) == "[true, 3.0, false]"
+    assert render_json({"b": True, "a": np.float64(1e-300)}) == '{"a": 1e-300, "b": true}'
+    nested = Section(b=Rows([np.float64(1.0), (2.5,)]), a=(False, None))
+    assert render_json(nested) == '{"a": [false, null], "b": [1.0, [2.5]]}'
+
+
 def test_render_json_sorts_keys():
     assert render_json({"b": 1, "a": [2, 3]}) == '{"a": [2, 3], "b": 1}'
     assert render_json({"a": 1, "b": 2}) == render_json({"b": 2, "a": 1})
