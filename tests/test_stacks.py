@@ -10,10 +10,16 @@ at a time.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import _openblas_core
 
+import triple_stab
 from triple_stab import lab
 from triple_stab.lab import SEQUENCE_TRIPLE_COUNT, ExperimentConfig, _sequence_triples, render_json
 from triple_stab.linalg import _norm, as_matrix, hs_inner, spectral_norm
@@ -156,6 +162,66 @@ def test_fixed_matrix_operators_are_bit_stable_in_any_stack(n, k, name):
     nested = op.apply(np.stack([x, x[::-1]]))
     assert nested.shape == (2, k, n, n)
     assert np.array_equal(nested, [got, got[::-1]])
+
+
+# every operator on stacks of 1, 7 and 64 slices, whole and from each offset,
+# against its images of the slices one at a time; prints the core that ran,
+# then the cases whose bits differ
+_INVARIANCE_CHILD = """
+import numpy as np
+from conftest import _openblas_core
+from triple_stab.sampling import haar_unitary, random_matrix, rng_for, skew_matrix
+from triple_stab.triple import Commutator, Compose, Conjugation
+
+print(_openblas_core())
+for n in (2, 4, 8, 16):
+    theta = Conjugation(haar_unitary(rng_for(7, 4), n))
+    d = Commutator(skew_matrix(rng_for(7, 5), n))
+    ops = {"conjugation": theta, "commutator": d, "compose": Compose(theta, d)}
+    ops["tabulated"] = ops["compose"].to_tabulated()
+    rng = np.random.default_rng(23)
+    for k in (1, 7, 64):
+        x = np.stack([random_matrix(rng, n) for _ in range(k)])
+        for name, op in ops.items():
+            alone = np.array([op.apply(s) for s in x])
+            for start in sorted({0, 1 % k, k // 3, k - 1}):
+                if not np.array_equal(op.apply(x[start:]), alone[start:]):
+                    print(name, n, k, start)
+"""
+
+# each OpenBLAS core forced below: the name OpenBLAS then reports, and the
+# CPU features the core needs (forcing a core the CPU lacks would stop the
+# process with an illegal instruction)
+_FORCED_CORES = {
+    "Haswell": ("Haswell", ("AVX2", "FMA3")),
+    "Sandybridge": ("Sandybridge", ("AVX",)),
+    "Prescott": ("Katmai", ("SSE3",)),
+}
+
+
+@pytest.mark.parametrize("core", sorted(_FORCED_CORES))
+def test_operators_are_bit_stable_in_any_stack_on_other_blas_cores(core):
+    if _openblas_core() == "unknown":
+        pytest.skip("numpy has no bundled OpenBLAS whose core can be forced")
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    reported, features = _FORCED_CORES[core]
+    missing = [f for f in features if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU cannot run the {core} kernel: no {', '.join(missing)}")
+    tests_dir = str(Path(__file__).resolve().parent)
+    package_root = str(Path(triple_stab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, tests_dir, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-c", _INVARIANCE_CHILD],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    ran, *differing = run.stdout.splitlines()
+    assert ran == reported
+    assert differing == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
