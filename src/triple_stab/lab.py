@@ -650,21 +650,16 @@ def _render_float(value: float) -> str:
 def render_json(value) -> str:
     """Deterministic JSON: sorted keys, 17 significant digits for floats.
 
-    Exact types are tested first: floats, most of a report's values, then
-    lists, tuples and dicts, whose float items are rendered in place.  The
-    rest takes the ``isinstance`` chain: float subclasses such as
-    ``numpy.float64``, bool before int, subclasses of dict and list.  Keys
-    and strings are escaped by ``encode_basestring_ascii``, as
+    Lists, tuples and dicts are tested first; they render their float items,
+    most of a report's values, in place instead of by a call each.  Other
+    floats (``numpy.float64`` too), strings, None, bools and ints follow.
+    Keys and strings are escaped by ``encode_basestring_ascii``, as
     ``json.dumps`` escapes them with its default arguments.
     """
-    kind = type(value)
-    if kind is float:
-        return _render_float(value)
-    if kind is list or kind is tuple:
-        return "[" + ", ".join(
-            [_render_float(v) if type(v) is float else render_json(v) for v in value]
-        ) + "]"
-    if kind is dict:
+    if isinstance(value, (list, tuple)):
+        items = [_render_float(v) if type(v) is float else render_json(v) for v in value]
+        return "[" + ", ".join(items) + "]"
+    if isinstance(value, dict):
         items = []
         for key in sorted(value):
             if not isinstance(key, str):
@@ -683,10 +678,6 @@ def render_json(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, dict):
-        return render_json(dict(value))
-    if isinstance(value, (list, tuple)):
-        return render_json(list(value))
     raise ValueError(f"cannot serialize {type(value).__name__} into a report")
 
 
