@@ -417,12 +417,12 @@ class PerturbedMap:
     So a level scan applies the base and takes the norms and traces once,
     not once per level.  At s = 1 this is f(x) bit for bit.  At s = 2^l it
     is f(s x) bit for bit too: a power of two scales the base's slice
-    products, the norm and the trace without rounding.  At s = 3^l the call rounds s x
-    before the map and the kernel rounds s base(x), s ||x|| and s Re tr x
-    after it, so the two differ at round-off, most in the sine, whose
-    argument of size alpha s ||x|| multiplies its rounding.  Each slice's
-    image depends on that slice, its norm and its scale alone, so it is
-    the same in any stack.
+    products, the norm and the trace without rounding.  At s = 3^l the
+    call rounds s x before the map and the kernel rounds s base(x),
+    s ||x|| and s Re tr x after it, so the two differ at round-off, most in
+    the sine, whose argument of size alpha s ||x|| multiplies its rounding.
+    Each slice's image depends on that slice, its norm and its scale alone,
+    so it is the same in any stack.
     """
 
     base: LinearOperator
