@@ -25,18 +25,17 @@ theorems use; a ``Custom`` control is the term-by-term reference series of
 ``phi_tilde`` and ``hyers_bound``.  Maps, power-type controls and
 certificates take (k, n, n) probe stacks: every stage makes one call per
 map and per check over all of its probes, and a level scan stacks its
-levels too, in groups of at most LEVEL_GROUP_ENTRIES complex entries per
-call.  A stage takes the norms of its stacks in one norm call (the
-``linalg._norm`` kernel), and the probe norms behind a power-type bound are
-reused by the direct method's target, the linearity certificate and the
-bound table.  Where a stage hands one argument stack to both perturbed
-maps, it norms the stack once and both maps run their known-norm kernel on
-those norms (``_image``): the hypothesis stage maps x, the pair argument
-and {x,y,z} with one f call and x and the pair argument with one h call,
-and the bound stage's maps reuse the probe norms.  A level scan hands a
-perturbed map its unscaled stack, the stack's norms and one scale per
-level: the kernel applies the base, and takes the traces, once for all the
-levels of a group and scales them by s, so the derivation sequence norms
+levels too, in one call per map.  A stage takes the norms of its stacks in
+one norm call (the ``linalg._norm`` kernel), and the probe norms behind a
+power-type bound are reused by the direct method's target, the linearity
+certificate and the bound table.  Where a stage hands one argument stack to
+both perturbed maps, it norms the stack once and both maps run their
+known-norm kernel on those norms (``_image``): the hypothesis stage maps x,
+the pair argument and {x,y,z} with one f call and x and the pair argument
+with one h call, and the bound stage's maps reuse the probe norms.  A level
+scan hands a perturbed map its unscaled stack, the stack's norms and one
+scale per level: the kernel applies the base, and takes the traces, once
+for all the levels and scales them by s, so the derivation sequence norms
 its (x, y, z, {x,y,z}) stack once for both maps and every level, the rate
 fit norms its probes once, and the direct method reuses the norms of its
 bound.  At base 2 the scaled images are f(s x) bit for bit; at base 3 they
@@ -91,10 +90,6 @@ DERIVATION_TOL = 1e-6
 ROUNDOFF_FLOOR = 1e-13
 # the approximant-rate fit uses ||A_l - A_{l-1}|| at these levels
 RATE_LEVELS = range(3, 13)
-# complex entries of the argument stack one map call takes in a level scan;
-# a group holds at least one level, so at large dims each level is its own
-# call and the scan's temporaries stay near one level's
-LEVEL_GROUP_ENTRIES = 2**15
 
 
 class SummabilityError(ValueError):
@@ -415,12 +410,13 @@ class PerturbedMap:
     The kernel also takes a scale s and gives f(s x) from the unscaled
     stack: s base(x) plus the defect at norm s ||x|| and trace s Re tr x.
     So a level scan applies the base and takes the norms and traces once,
-    not once per level.  At s = 1 this is f(x) bit for bit.  At s = 2^l it
-    is f(s x) bit for bit too: a power of two scales the base's slice
-    products, the norm and the trace without rounding.  At s = 3^l the
-    call rounds s x before the map and the kernel rounds s base(x),
-    s ||x|| and s Re tr x after it, so the two differ at round-off, most in
-    the sine, whose argument of size alpha s ||x|| multiplies its rounding.
+    in one kernel call over all its levels, not once per level.  At s = 1
+    this is f(x) bit for bit.  At s = 2^l it is f(s x) bit for bit too: a
+    power of two scales the base's slice products, the norm and the trace
+    without rounding.  At s = 3^l the call rounds s x before the map and
+    the kernel rounds s base(x), s ||x|| and s Re tr x after it, so the two
+    differ at round-off, most in the sine, whose argument of size
+    alpha s ||x|| multiplies its rounding.
     Each slice's image depends on that slice, its norm and its scale alone,
     so it is the same in any stack.
     """
@@ -697,14 +693,8 @@ def _guard_levels(scheme: Scheme, levels: Sequence[int], largest: float, cube_la
             )
 
 
-def _level_groups(count: int, entries_per_level: int) -> list[slice]:
-    """Consecutive runs of ``count`` levels within LEVEL_GROUP_ENTRIES, at least one level each."""
-    size = max(1, LEVEL_GROUP_ENTRIES // entries_per_level)
-    return [slice(i, i + size) for i in range(0, count, size)]
-
-
 def approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
-    """A_l(x) = f(s x) / s with s = scheme.scale(l) for each level, one f call per group.
+    """A_l(x) = f(s x) / s with s = scheme.scale(l) for each level, in one f call.
 
     A ``PerturbedMap`` is evaluated from the unscaled x and its norms
     (``_image``).  Every level is guarded before f is called
@@ -722,18 +712,15 @@ def _approximants(
 ) -> np.ndarray:
     """``approximants`` on a checked stack of known slice norms and a nonempty level list.
 
-    f's outputs are checked.  Each group of levels is one ``_image`` call on
-    the unscaled probes, their norms and the group's scales.
+    f's outputs are checked.  All levels are one ``_image`` call on the
+    unscaled probes, their norms and one scale per level.
     """
     _guard_levels(scheme, levels, np.abs(mx).max())
     n = mx.shape[-1]
     probes, norms = mx.reshape(-1, n, n), np.reshape(norms, -1)
-    scales = np.array([scheme.scale(l) for l in levels])[:, None]
-    out = []
-    for group in _level_groups(len(scales), probes.size):
-        s = scales[group]
-        out.append(as_matrix(_image(f, probes, norms, s)) / s[..., None, None])
-    return np.concatenate(out).reshape(len(scales), *mx.shape)
+    s = np.array([scheme.scale(l) for l in levels])[:, None]
+    out = as_matrix(_image(f, probes, norms, s)) / s[..., None, None]
+    return out.reshape(len(s), *mx.shape)
 
 
 def direct_method(
@@ -975,8 +962,8 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
          - {h(s x) f(s y) h(s z)} - {h(s x) h(s y) f(s z)} || / s3.
 
     The unscaled arguments are normed once, and each map is evaluated once
-    per group of levels, from those arguments, their norms and the group's
-    scales (``_image``): h takes the norms of f's x, y and z.  Raises
+    over all levels, from those arguments, their norms and one scale per
+    level (``_image``): h takes the norms of f's x, y and z.  Raises
     SchemeError for a scheme without
     derivation-sequence levels (cauchy2-contractive); every level is guarded
     before f is called (``_guard_levels``).
@@ -995,15 +982,12 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
     norms = _norm(unscaled)
     # per level, the product scales by s3 = scale(3l) and x, y, z by s = scale(l)
     factors = np.array([[scheme.scale(3 * l)] + 3 * [scheme.scale(l)] for l in levels])
-    out = []
-    for group in _level_groups(len(factors), unscaled.size):
-        # (4, levels, 1): slot by slot, so x, y and z are the tail h maps
-        s = factors[group].T[:, :, None]
-        fp, fx, fy, fz = as_matrix(_image(f, unscaled, norms, s))
-        hx, hy, hz = as_matrix(_image(h, unscaled[1:], norms[1:], s[1:]))
-        residual = _norm(derivation_defect(fp, fx, fy, fz, hx, hy, hz))
-        out.append((1.0 / factors[group, :1]) * residual)
-    return np.concatenate(out)
+    # (4, levels, 1): slot by slot, so x, y and z are the tail h maps
+    s = factors.T[:, :, None]
+    fp, fx, fy, fz = as_matrix(_image(f, unscaled, norms, s))
+    hx, hy, hz = as_matrix(_image(h, unscaled[1:], norms[1:], s[1:]))
+    residual = _norm(derivation_defect(fp, fx, fy, fz, hx, hy, hz))
+    return (1.0 / factors[:, :1]) * residual
 
 
 @dataclass(frozen=True)

@@ -474,7 +474,7 @@ def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, fai
 
 
 def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
-    """Norm-kernel calls per run_recovery of each shipped config at dim 2.
+    """Norm-kernel and perturbed-map kernel calls per run_recovery of each shipped config.
 
     Every norm goes through ``linalg._norm`` once, whether through the public
     ``spectral_norm`` or straight from the package's internals.  Each stage
@@ -491,6 +491,13 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
     stack once for all levels, and the direct method's limit reuses the
     norms of its power-type bound (29/26/29/29 when each recovery's limit
     normed its scaled probes again).
+
+    Every map call of a stage is one ``PerturbedMap._at`` call: two in the
+    hypothesis stage, two in the bound stage, one per recovery's limit, two
+    in the derivation sequence and one in the rate fit.  A level scan takes
+    all its levels in one call at every dim, so dim 8 reads the counts of
+    dim 2 (35/24/33/29 norm and 27/9/23/15 kernel calls when the scans split
+    their levels into groups of at most 2^15 complex entries).
     """
     calls = []
     norm = linalg._norm
@@ -502,17 +509,33 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "triple_stab" and module.__dict__.get("_norm") is norm:
             monkeypatch.setattr(module, "_norm", counted)
-    counts = {}
-    for name in ("cauchy2", "cauchy2_contractive", "jensen3", "jensen3_contractive"):
-        calls.clear()
-        run_recovery(_shipped_config(name))
-        counts[name] = len(calls)
-    assert counts == {
-        "cauchy2": 27,
-        "cauchy2_contractive": 24,
-        "jensen3": 27,
-        "jensen3_contractive": 27,
-    }
+    kernel_calls = []
+    kernel = stability.PerturbedMap._at
+
+    def counted_kernel(self, *args):
+        kernel_calls.append(1)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(stability.PerturbedMap, "_at", counted_kernel)
+    for dim in (2, 8):
+        counts, kernel_counts = {}, {}
+        for name in ("cauchy2", "cauchy2_contractive", "jensen3", "jensen3_contractive"):
+            calls.clear()
+            kernel_calls.clear()
+            run_recovery(_shipped_config(name, dim=dim))
+            counts[name], kernel_counts[name] = len(calls), len(kernel_calls)
+        assert counts == {
+            "cauchy2": 27,
+            "cauchy2_contractive": 24,
+            "jensen3": 27,
+            "jensen3_contractive": 27,
+        }, dim
+        assert kernel_counts == {
+            "cauchy2": 9,
+            "cauchy2_contractive": 7,
+            "jensen3": 9,
+            "jensen3_contractive": 9,
+        }, dim
 
 
 def test_shipped_runs_take_pinned_as_matrix_counts(monkeypatch):
@@ -803,7 +826,7 @@ def test_config_space_sweep_fails_only_for_named_reasons():
     scale leaves the overflow limit.  ``derivation_sequence_decreasing``
     fails only at jensen3 p = 0.9: the strict decrease of the mean residual
     is a heuristic that the sinusoidal defect breaks there, although the
-    pooled tail rate of the same runs holds (a known defect, ROADMAP item 2).
+    pooled tail rate of the same runs holds (a known defect, ROADMAP item 5).
     No other check fails.  Run with ``python -m pytest -m slow``.
     """
     grid = [(scheme, p) for scheme, ps in _GRID_P.items() for p in ps]

@@ -566,7 +566,7 @@ class _NonLinearMap:
 
 def test_a_map_without_the_kernel_is_called_on_the_scaled_arguments():
     # the level scans hand a map other than a PerturbedMap s x itself, one
-    # call per group of levels, and divide its images by s
+    # call over all levels, and divide its images by s
     _, _, big_d = _generators(44)
     g, calls = _NonLinearMap(big_d), []
     recorded = lambda x: calls.append(np.array(x)) or g(x)

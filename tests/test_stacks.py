@@ -669,26 +669,26 @@ def test_derivation_sequence_equals_h_taking_its_own_norms(n, scheme):
     assert np.array_equal(derivation_limit_sequence(f, h, scheme, triples, levels), want)
 
 
-def test_level_scan_groups_split_without_changing_values(monkeypatch):
-    f, h = _perturbed_pair(2, 0.5, "cauchy")
-    triples = _triples(50, 2, 4)
+def test_level_scans_make_one_map_call_each():
+    # each scan hands f every level in one call, also at dim 16, where the
+    # calls hold 400 x 256 and 440 x 256 complex entries: 4 arguments x 4
+    # triples x 25 levels in the sequence, 40 probes x 11 levels in the rate
+    # fit; the values are those of the map's own kernel, level by level
+    f, h = _perturbed_pair(16, 0.5, "cauchy")
+    triples = _triples(50, 16, 4)
     levels = list(Scheme.CAUCHY2.derivation_levels())
     assert len(levels) == 25
-    whole = derivation_limit_sequence(f, h, Scheme.CAUCHY2, triples, levels)
-    probes = _stack(53, 2, 40)
-    rate = estimate_convergence_rate(f, Scheme.CAUCHY2, probes)
-    # 4 arguments x 4 triples x 4 entries per level: 10 levels per group,
-    # so the 25 levels take three calls; 40 probes x 4 entries: the rate
-    # scan's 11 levels take three calls of at most 4
-    monkeypatch.setattr(stability, "LEVEL_GROUP_ENTRIES", 640)
+    probes = _stack(53, 16, 40)
     calls = []
     counted = lambda x: calls.append(len(x)) or f(x)
-    split = derivation_limit_sequence(counted, h, Scheme.CAUCHY2, triples, levels)
-    assert calls == [160, 160, 80]
-    assert np.array_equal(split, whole)
+    sequence = derivation_limit_sequence(counted, h, Scheme.CAUCHY2, triples, levels)
+    assert calls == [400]
+    by_level = [derivation_limit_sequence(f, h, Scheme.CAUCHY2, triples, [l])[0] for l in levels]
+    assert np.array_equal(sequence, np.stack(by_level))
     calls.clear()
-    assert estimate_convergence_rate(counted, Scheme.CAUCHY2, probes) == rate
-    assert calls == [160, 160, 120]
+    rate = estimate_convergence_rate(counted, Scheme.CAUCHY2, probes)
+    assert calls == [440]
+    assert rate == estimate_convergence_rate(f, Scheme.CAUCHY2, probes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
