@@ -141,8 +141,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     eps = args.eps if args.eps is not None else 1.0
     dim = args.dim if args.dim is not None else 2
-    # the config's own checks: dim in [1, DIM_MAX], eps finite and nonnegative
-    ExperimentConfig(dim=dim, eps=eps).validate()
+    # the config's own checks: dim in [1, DIM_MAX], eps finite and nonnegative;
+    # an explicit p is checked as a control's exponent, before any output
+    ExperimentConfig(dim=dim, eps=eps)
+    if args.p is not None:
+        PowerType(eps, args.p)
     schemes = list(Scheme)
     if args.scheme is not None:
         schemes = [Scheme.parse(args.scheme)]

@@ -122,9 +122,41 @@ def _require_float(name: str, value) -> float:
     return out
 
 
-@dataclass
+def _generator_spec(g) -> dict:
+    """The expanded generator spec: "identity" or an object, with its defaults filled in."""
+    if g == "identity":
+        g = {"unitary": "identity", "skew": "random", "skew_scale": 1.0}
+    if not isinstance(g, dict):
+        raise ConfigError(
+            f'generator must be "identity" or an object, got {g!r}'
+        )
+    unknown = set(g) - _GENERATOR_KEYS
+    if unknown:
+        raise ConfigError(
+            f"unknown generator fields: {', '.join(sorted(unknown))}"
+        )
+    out = {
+        "unitary": g.get("unitary", "haar"),
+        "skew": g.get("skew", "random"),
+        "skew_scale": _require_float("skew_scale", g.get("skew_scale", 1.0)),
+    }
+    for key, kinds in (("unitary", _UNITARY_KINDS), ("skew", _SKEW_KINDS)):
+        if out[key] not in kinds:
+            raise ConfigError(f"generator {key} must be one of {kinds}, got {out[key]!r}")
+    if out["skew_scale"] <= 0.0:
+        raise ConfigError(
+            f"skew_scale must be positive, got {out['skew_scale']!r}"
+        )
+    return out
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one scenario needs, reproducible from the seed alone."""
+    """Everything one scenario needs, reproducible from the seed alone.
+
+    A config is checked once, when it is made, and cannot be changed after:
+    its fields hold the normalized values (see ``validate``).
+    """
 
     # each field's help is its CLI flag's: --probe-count sets probe_count
     dim: int = field(default=2, metadata={"help": "matrix dimension n"})
@@ -139,44 +171,18 @@ class ExperimentConfig:
         default="identity", metadata={"help": 'generator spec: "identity" or a JSON object'}
     )
 
+    def __post_init__(self):
+        self.validate()
+
     def scheme_enum(self) -> Scheme:
         return Scheme.parse(self.scheme)
 
-    def generator_dict(self) -> dict:
-        """Expanded and validated generator spec."""
-        g = self.generator
-        if g == "identity":
-            g = {"unitary": "identity", "skew": "random", "skew_scale": 1.0}
-        if not isinstance(g, dict):
-            raise ConfigError(
-                f'generator must be "identity" or an object, got {g!r}'
-            )
-        unknown = set(g) - _GENERATOR_KEYS
-        if unknown:
-            raise ConfigError(
-                f"unknown generator fields: {', '.join(sorted(unknown))}"
-            )
-        out = {
-            "unitary": g.get("unitary", "haar"),
-            "skew": g.get("skew", "random"),
-            "skew_scale": _require_float("skew_scale", g.get("skew_scale", 1.0)),
-        }
-        if out["unitary"] not in _UNITARY_KINDS:
-            raise ConfigError(
-                f"generator unitary must be one of {_UNITARY_KINDS}, "
-                f"got {out['unitary']!r}"
-            )
-        if out["skew"] not in _SKEW_KINDS:
-            raise ConfigError(
-                f"generator skew must be one of {_SKEW_KINDS}, got {out['skew']!r}"
-            )
-        if out["skew_scale"] <= 0.0:
-            raise ConfigError(
-                f"skew_scale must be positive, got {out['skew_scale']!r}"
-            )
-        return out
-
     def validate(self) -> None:
+        """Check every field, then store the normalized values in place.
+
+        They are the canonical scheme tag, eps, p and tol as floats, and the
+        expanded generator spec, so a second call changes nothing.
+        """
         _require_int("dim", self.dim)
         if not 1 <= self.dim <= DIM_MAX:
             raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {self.dim}")
@@ -196,13 +202,17 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if _require_int("probe_count", self.probe_count) < 1:
             raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
-        if _require_float("tol", self.tol) <= 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        tol = _require_float("tol", self.tol)
+        if tol <= 0.0:
+            raise ConfigError(f"tol must be positive, got {tol}")
         if _require_int("l_max", self.l_max) < 1:
             raise ConfigError(f"l_max must be >= 1, got {self.l_max}")
         if not scheme.power_gate_ok(p):
             raise ConfigError(scheme.gate_message(p))
-        self.generator_dict()
+        normalized = {"scheme": scheme.value, "eps": eps, "p": p, "tol": tol}
+        normalized["generator"] = _generator_spec(self.generator)
+        for name, value in normalized.items():
+            object.__setattr__(self, name, value)  # how a frozen dataclass sets its own fields
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -214,23 +224,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown config fields: {', '.join(sorted(unknown))}"
             )
-        cfg = cls(**data)
-        cfg.eps = _require_float("eps", cfg.eps)
-        cfg.p = _require_float("p", cfg.p)
-        cfg.tol = _require_float("tol", cfg.tol)
-        cfg.validate()
-        return cfg
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        """Canonical echo: normalized scheme tag, float eps/p/tol, expanded generator."""
-        return {
-            **_section(self),
-            "scheme": self.scheme_enum().value,
-            "eps": float(self.eps),
-            "p": float(self.p),
-            "tol": float(self.tol),
-            "generator": self.generator_dict(),
-        }
+        """Canonical echo: the normalized fields, with a copy of the generator spec."""
+        return {**_section(self), "generator": dict(self.generator)}
 
 
 def _section(result) -> dict:
@@ -244,7 +242,7 @@ def _section(result) -> dict:
 
 def build_generators(config: ExperimentConfig):
     """Exact (theta, d, D) for the config: conjugation, commutator, composite."""
-    g = config.generator_dict()
+    g = config.generator
     n = config.dim
     if g["unitary"] == "haar":
         u = haar_unitary(rng_for(config.seed, ROLE_UNITARY), n)
@@ -290,7 +288,6 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     ``samples`` draws (default: the config probe count).  Each check runs
     once over the stack of all draws.
     """
-    config.validate()
     n = config.dim
     count = config.probe_count if samples is None else samples
     if count < 1:
@@ -467,7 +464,6 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     ``threads`` is ignored: the pipeline runs in one thread.  It stays only
     because ``perfbench/worker.py`` passes it (ROADMAP item 1).
     """
-    config.validate()
     scheme = config.scheme_enum()
     phi = PowerType(config.eps, config.p)
     form = scheme.hypothesis_form

@@ -346,6 +346,16 @@ def test_bounds_checks_eps_as_a_config_does(argv, fragment, capsys):
     assert "closed_form" not in captured.out
 
 
+@pytest.mark.parametrize("p", ["-1", "inf", "nan"])
+def test_bounds_checks_p_as_a_control_does(p, capsys):
+    # a control's exponent is checked before any output, as recover checks it
+    code = main(["bounds", f"--p={p}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "p must be finite and nonnegative" in captured.err
+    assert captured.out == ""
+
+
 def test_recover_rejects_gate_violation(capsys):
     code = main(["recover", "--scheme", "cauchy2", "--p", "1.0"])
     err = capsys.readouterr().err

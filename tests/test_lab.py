@@ -86,7 +86,10 @@ def _trimmed_config(**overrides):
 
 def test_default_config_is_valid():
     cfg = ExperimentConfig()
+    before = copy.deepcopy(cfg)
+    # validate() ran at construction; on a normalized config it changes nothing
     cfg.validate()
+    assert cfg == before
     assert cfg.scheme_enum().value == "cauchy2"
 
 
@@ -106,50 +109,69 @@ def test_default_config_is_valid():
         ("probe_count", 0, "probe_count must be >= 1"),
         ("tol", 0.0, "tol must be positive"),
         ("tol", -1e-9, "tol must be positive"),
+        ("tol", 0, r"tol must be positive, got 0\.0$"),
         ("l_max", 0, "l_max must be >= 1"),
     ],
 )
 def test_config_field_validation(field, value, fragment):
-    cfg = ExperimentConfig(**{field: value})
     with pytest.raises(ConfigError, match=fragment):
-        cfg.validate()
+        ExperimentConfig(**{field: value})
 
 
 def test_config_gate_violation_names_condition():
-    cfg = ExperimentConfig(scheme="cauchy2", p=1.0)
     with pytest.raises(ConfigError, match="requires p < 1"):
-        cfg.validate()
-    cfg = ExperimentConfig(scheme="jensen3-contractive", p=2.0)
+        ExperimentConfig(scheme="cauchy2", p=1.0)
     with pytest.raises(ConfigError, match="requires p > 3"):
-        cfg.validate()
+        ExperimentConfig(scheme="jensen3-contractive", p=2.0)
 
 
 def test_generator_spec_validation():
-    ExperimentConfig(generator="identity").validate()
-    ExperimentConfig(generator={"unitary": "haar"}).validate()
+    ExperimentConfig(generator="identity")
+    ExperimentConfig(generator={"unitary": "haar"})
     with pytest.raises(ConfigError, match="unknown generator fields"):
-        ExperimentConfig(generator={"twist": 1}).validate()
-    with pytest.raises(ConfigError, match="generator unitary must be one of"):
-        ExperimentConfig(generator={"unitary": "fourier"}).validate()
-    with pytest.raises(ConfigError, match="generator skew must be one of"):
-        ExperimentConfig(generator={"skew": "none"}).validate()
+        ExperimentConfig(generator={"twist": 1})
+    with pytest.raises(ConfigError) as unitary:
+        ExperimentConfig(generator={"unitary": "fourier"})
+    assert str(unitary.value) == (
+        "generator unitary must be one of ('haar', 'identity'), got 'fourier'"
+    )
+    with pytest.raises(ConfigError) as skew:
+        ExperimentConfig(generator={"skew": "none"})
+    assert str(skew.value) == "generator skew must be one of ('random', 'zero'), got 'none'"
     with pytest.raises(ConfigError, match="skew_scale must be positive"):
-        ExperimentConfig(generator={"skew_scale": 0.0}).validate()
+        ExperimentConfig(generator={"skew_scale": 0.0})
     with pytest.raises(ConfigError, match='generator must be "identity" or an object'):
-        ExperimentConfig(generator=[1, 2]).validate()
+        ExperimentConfig(generator=[1, 2])
 
 
-def test_generator_dict_expands_defaults():
-    assert ExperimentConfig(generator="identity").generator_dict() == {
+def test_generator_field_expands_defaults():
+    assert ExperimentConfig(generator="identity").generator == {
         "unitary": "identity",
         "skew": "random",
         "skew_scale": 1.0,
     }
-    assert ExperimentConfig(generator={}).generator_dict() == {
+    assert ExperimentConfig(generator={}).generator == {
         "unitary": "haar",
         "skew": "random",
         "skew_scale": 1.0,
     }
+
+
+def test_config_cannot_be_changed_into_an_invalid_one():
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dim = 0
+    with pytest.raises(ConfigError, match="dim must be in"):
+        dataclasses.replace(cfg, dim=0)
+    assert cfg == ExperimentConfig()
+
+
+def test_config_echo_does_not_alias_the_config():
+    cfg = ExperimentConfig(generator={"unitary": "haar"})
+    echo = cfg.to_dict()
+    echo["generator"]["skew_scale"] = 5.0
+    assert cfg.generator["skew_scale"] == 1.0
+    assert cfg.to_dict()["generator"] == {"unitary": "haar", "skew": "random", "skew_scale": 1.0}
 
 
 def test_from_dict_rejects_bad_shapes():
@@ -163,6 +185,14 @@ def test_from_dict_coerces_numeric_fields():
     cfg = ExperimentConfig.from_dict({"eps": 1, "p": 0, "tol": 1e-8})
     assert isinstance(cfg.eps, float) and cfg.eps == 1.0
     assert isinstance(cfg.p, float) and cfg.p == 0.0
+    # a config made directly holds the same normalized values
+    direct = ExperimentConfig(eps=1, p=0, tol=1, scheme="CAUCHY2")
+    assert (direct.scheme, type(direct.eps), type(direct.p), type(direct.tol)) == (
+        "cauchy2",
+        float,
+        float,
+        float,
+    )
 
 
 def test_shipped_configs_are_valid():
@@ -193,6 +223,43 @@ def test_config_round_trip_normalizes_scheme_tag():
     }
     again = ExperimentConfig.from_dict(data)
     assert again.to_dict() == data
+
+
+@st.composite
+def _valid_configs(draw):
+    """Any accepted config: dims 1-16, each scheme with a p inside its gate, any tag spelling."""
+    scheme = draw(st.sampled_from(list(stability.Scheme)))
+    if scheme.contractive:
+        p = st.floats(min_value=scheme.gate, max_value=1e6, exclude_min=True)
+    else:
+        p = st.floats(min_value=0.0, max_value=scheme.gate, exclude_max=True)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    generator = st.fixed_dictionaries(
+        {},
+        optional={
+            "unitary": st.sampled_from(["haar", "identity"]),
+            "skew": st.sampled_from(["random", "zero"]),
+            "skew_scale": st.one_of(st.integers(1, 10**6), positive),
+        },
+    )
+    return ExperimentConfig(
+        dim=draw(st.integers(1, 16)),
+        scheme=draw(st.sampled_from([scheme.value, scheme.value.replace("-", "_").upper()])),
+        eps=draw(st.one_of(st.integers(0, 10**6), st.floats(min_value=0.0, allow_infinity=False))),
+        p=draw(p),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        probe_count=draw(st.integers(1, 10**4)),
+        tol=draw(positive),
+        l_max=draw(st.integers(1, 10**4)),
+        generator=draw(st.one_of(st.just("identity"), generator)),
+    )
+
+
+@given(_valid_configs())
+def test_config_echo_round_trips(cfg):
+    echo = cfg.to_dict()
+    assert ExperimentConfig.from_dict(echo) == cfg
+    assert ExperimentConfig.from_dict(echo).to_dict() == echo
 
 
 # ---------------------------------------------------------------------------
@@ -557,27 +624,39 @@ def test_shipped_runs_take_pinned_as_matrix_counts(monkeypatch):
     The level scans of the direct method and the rate stage run the map's
     kernel on their checked stacks too, and check only its output
     (45/41/45/45 when they called the map on each scaled stack).
+
+    A config is checked once, when it is made, so a run calls no
+    ``ExperimentConfig.validate`` (2 when the run and its axiom suite each
+    checked the config again).
     """
-    calls = []
+    calls, validations = [], []
     check = linalg.as_matrix
+    validate = ExperimentConfig.validate
 
     def counted(x):
         calls.append(1)
         return check(x)
 
+    def counted_validate(config):
+        validations.append(1)
+        return validate(config)
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "triple_stab" and module.__dict__.get("as_matrix") is check:
             monkeypatch.setattr(module, "as_matrix", counted)
+    monkeypatch.setattr(ExperimentConfig, "validate", counted_validate)
     counts = {}
     for name in ("cauchy2", "cauchy2_contractive", "jensen3", "jensen3_contractive"):
+        config = _shipped_config(name)
         calls.clear()
-        run_recovery(_shipped_config(name))
-        counts[name] = len(calls)
+        validations.clear()
+        run_recovery(config)
+        counts[name] = (len(calls), len(validations))
     assert counts == {
-        "cauchy2": 42,
-        "cauchy2_contractive": 38,
-        "jensen3": 42,
-        "jensen3_contractive": 42,
+        "cauchy2": (42, 0),
+        "cauchy2_contractive": (38, 0),
+        "jensen3": (42, 0),
+        "jensen3_contractive": (42, 0),
     }
 
 
@@ -753,7 +832,6 @@ def test_build_generators_accepts_every_large_skew_scale(dim, skew_scale):
     # "not a triple derivation"; the residual is round-off of order u ||a||
     generator = {"unitary": "haar", "skew": "random", "skew_scale": skew_scale}
     config = ExperimentConfig(dim=dim, generator=generator)
-    config.validate()
     theta, d, big_d = build_generators(config)
     assert (theta.dim, d.dim, big_d.dim) == (dim, dim, dim)
 
