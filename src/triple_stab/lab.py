@@ -443,21 +443,6 @@ def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: f
     }
 
 
-def _bound_section(result) -> dict:
-    """A stability-bound result as a report section.
-
-    Where the bound is 0 (eps = 0) and the error is not, the ratio is
-    infinite; JSON has no number for it, so the section names it "inf".
-    """
-    section = _section(result)
-    if not math.isfinite(result.max_ratio):
-        section["max_ratio"] = str(result.max_ratio)
-        section["rows"] = [
-            [*row[:3], row[3] if math.isfinite(row[3]) else str(row[3])] for row in result.rows
-        ]
-    return section
-
-
 def run_recovery(config: ExperimentConfig, threads: int | None = None) -> StabilityReport:
     """End-to-end scenario: build, perturb, recover, certify, report.
 
@@ -554,7 +539,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     lap("hypotheses")
 
     bound_f, bound_h = verify_stability_bound(((f, d_hat), (h, theta_hat)), phi, scheme, probes)
-    report.bound, report.bound_theta = _bound_section(bound_f), _bound_section(bound_h)
+    report.bound, report.bound_theta = _section(bound_f), _section(bound_h)
     del report.bound_theta["rows"]
     for name, part in (("bound_ratio", report.bound), ("bound_ratio_theta", report.bound_theta)):
         checks.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))
@@ -635,8 +620,11 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
 # ---------------------------------------------------------------------------
 
 def _render_float(value: float) -> str:
+    # JSON has no number for +-inf, so a report names it, "inf" or "-inf"
     if not math.isfinite(value):
-        raise ValueError(f"reports must contain finite numbers, got {value!r}")
+        if math.isnan(value):
+            raise ValueError(f"reports must not contain NaN, got {value!r}")
+        return f'"{value}"'
     text = format(value, ".17g")
     if "." not in text and "e" not in text and "E" not in text:
         text += ".0"
@@ -684,8 +672,9 @@ def render_csv(report_data: dict) -> str:
         raise ReportFormatError("report has no per-probe bound table for CSV output")
     lines = ["norm_x,bound,error,ratio"]
     for row in bound["rows"]:
-        # a ratio JSON has no number for is written by name, as in the report
-        lines.append(",".join(v if isinstance(v, str) else _render_float(float(v)) for v in row))
+        # a cell is a float, or the name "inf" a saved report holds; either
+        # way it is written as the JSON writes it, without the quotes
+        lines.append(",".join(_render_float(float(v)) for v in row).replace('"', ""))
     return "\n".join(lines) + "\n"
 
 

@@ -68,9 +68,14 @@ def _top_singular_value_2x2(m: ComplexMatrix) -> np.ndarray:
     # (part, row, column, slice): real then imaginary parts, slices innermost
     # so that every step below is one contiguous pass
     a = np.array((flat.real.T, flat.imag.T)).reshape(2, 2, 2, -1)
+    largest = np.abs(a).reshape(8, -1).max(axis=0)
+    # a slice with an infinite part has norm inf: zero it, so that no
+    # inf - inf or inf * 0 below makes its norm nan, and set inf at the end
+    infinite = np.isinf(largest)
+    a[..., infinite] = 0.0
     # scale each slice by a power of two that brings its largest part into
     # [0.5, 1): exact, and no square below can overflow or lose the top value
-    e = np.frexp(np.abs(a).reshape(8, -1).max(axis=0))[1]
+    e = np.frexp(largest)[1]
     re, im = np.ldexp(a, -e)
     sq = re * re + im * im
     g11, g22 = 0.5 * (sq[0] + sq[1])  # half the squared column norms
@@ -80,6 +85,7 @@ def _top_singular_value_2x2(m: ComplexMatrix) -> np.ndarray:
     x, y = x[0] + x[1], y[0] + y[1]
     d = g11 - g22
     top = np.ldexp(np.sqrt(g11 + g22 + np.sqrt(d * d + x * x + y * y)), e)
+    top[infinite] = np.inf
     return top.reshape(m.shape[:-2])
 
 

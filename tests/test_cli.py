@@ -3,7 +3,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -374,6 +377,7 @@ def test_recover_rejects_gate_violation(capsys):
         (["report", "--in", "/nonexistent/report.json"], "could not read report"),
         (["bounds", "--dim", "17"], "dim must be in [1, 16]"),
         (["bounds", "--dim", "0"], "dim must be in [1, 16]"),
+        (["recover", "--out", "/nonexistent/dir/report.json"], "could not write report"),
     ],
 )
 def test_errors_exit_two_with_message(argv, fragment, capsys):
@@ -408,6 +412,26 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_closed_stdout_exits_one_in_silence():
+    # the reader of stdout has gone before the run starts: not a file error,
+    # so exit 1 with nothing on stderr, not even a message at shutdown
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "triple_stab.cli", "bounds", "--p", "0.5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def _masked(text: str) -> str:

@@ -28,6 +28,7 @@ from triple_stab.lab import (
     load_report,
     render_csv,
     render_json,
+    render_report,
     run_axiom_suite,
     run_recovery,
 )
@@ -300,10 +301,16 @@ def test_render_json_sorts_keys():
 
 
 def test_render_json_rejects_bad_values():
-    with pytest.raises(ValueError, match="finite"):
-        render_json(float("nan"))
-    with pytest.raises(ValueError, match="finite"):
-        render_json({"x": float("inf")})
+    # JSON has no number for +-inf: a report names it, wherever it stands
+    inf = float("inf")
+    assert render_json(inf) == '"inf"'
+    assert render_json(-inf) == '"-inf"'
+    assert render_json([1.0, inf, -inf]) == '[1.0, "inf", "-inf"]'
+    assert render_json({"x": inf, "y": [-inf]}) == '{"x": "inf", "y": ["-inf"]}'
+    assert render_json(np.float64(-inf)) == '"-inf"'
+    for bad in (float("nan"), [float("nan")], {"x": float("nan")}):
+        with pytest.raises(ValueError, match="NaN"):
+            render_json(bad)
     with pytest.raises(ValueError, match="keys must be strings"):
         render_json({1: "x"})
     with pytest.raises(ValueError, match="cannot serialize"):
@@ -805,24 +812,45 @@ def test_report_set_keeps_its_bytes(pin_core_note):
 
 def test_zero_eps_report_renders_and_names_its_infinite_ratio(tmp_path):
     # at eps = 0 the bound is 0, so the recovered map's round-off has an
-    # infinite ratio; the check fails and the report says "inf"
+    # infinite ratio; the check fails, the report holds the float inf and
+    # its written JSON and CSV say "inf"
+    inf = float("inf")
     report = run_recovery(_shipped_config("cauchy2", eps=0.0))
     assert not report.passed
     failed = [c for c in report.checks if not c["passed"]]
     assert failed == [
-        {"name": "bound_ratio", "passed": False, "value": "inf", "tolerance": 1.0 + 1e-9}
+        {"name": "bound_ratio", "passed": False, "value": inf, "tolerance": 1.0 + 1e-9}
     ]
-    assert report.bound["max_ratio"] == "inf"
+    assert report.bound["max_ratio"] == inf
     ratios = [row[3] for row in report.bound["rows"]]
-    assert "inf" in ratios and all(r == "inf" or r == 0.0 for r in ratios)
-    assert all(isinstance(v, float) for row in report.bound["rows"] for v in row[:3])
+    assert inf in ratios and all(r == inf or r == 0.0 for r in ratios)
+    assert all(isinstance(v, float) for row in report.bound["rows"] for v in row)
     path = tmp_path / "eps0.json"
     emit_report(report, "json", str(path))
-    assert load_report(str(path)).to_dict() == report.to_dict()
-    assert render_json(load_report(str(path)).to_dict()) + "\n" == path.read_text()
+    text = path.read_text()
+    assert '"max_ratio": "inf"' in text and '"value": "inf"' in text
+    loaded = load_report(str(path))
+    assert loaded.bound["max_ratio"] == "inf"
+    assert render_report(loaded, "json") == text
     csv_path = tmp_path / "eps0.csv"
     emit_report(report, "csv", str(csv_path))
     assert csv_path.read_text().splitlines()[1].endswith(",inf")
+    assert render_report(loaded, "csv") == csv_path.read_text()
+
+
+# sha256 of the JSON and CSV text of the eps = 0 cauchy2 report: its bound
+# ratio is inf, a value no other byte pin covers
+_ZERO_EPS_DIGESTS = {
+    "json": "ec2d5ca70381f1cccafe9955586634a26ff47b617cc0bb45f9299c147c1a849d",
+    "csv": "b9248e3d3149bdbbd417adbcf14c26558b3f4036705dff7c0b4a8b122498c409",
+}
+
+
+def test_zero_eps_report_keeps_its_bytes(pin_core_note):
+    report = run_recovery(_shipped_config("cauchy2", eps=0.0))
+    for fmt, expected in _ZERO_EPS_DIGESTS.items():
+        digest = hashlib.sha256(render_report(report, fmt).encode()).hexdigest()
+        assert digest == expected, f"{fmt}: {pin_core_note}"
 
 
 @pytest.mark.parametrize("dim", [2, 3, 16])

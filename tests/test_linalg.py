@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from triple_stab.linalg import (
     DimensionMismatchError,
+    _norm,
     as_matrix,
     hs_inner,
     spectral_norm,
@@ -128,6 +129,25 @@ def test_closed_form_norm_matches_lapack(n):
     # a stack's norms are its slices' norms, bit for bit, whatever its shape
     assert np.array_equal(got, [spectral_norm(s) for s in x])
     assert np.array_equal(spectral_norm(np.stack([x, x[::-1]])), [got, got[::-1]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "bad", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.inf, np.inf)]
+)
+def test_norm_kernel_of_an_infinite_slice_is_inf(n, bad):
+    # the public norm refuses non-finite input, but its kernel gives a slice
+    # with an infinite part the norm inf, as at n = 1, with no warning (the
+    # suite makes a RuntimeWarning an error); finite slices keep their bits
+    finite = _closed_form_cases(n)
+    mixed = np.repeat(finite, 2, axis=0)
+    mixed[1::2] = 1.0
+    mixed[1::2, -1, 0] = bad
+    got = _norm(mixed)
+    assert np.array_equal(got[::2], spectral_norm(finite))
+    assert (got[1::2] == np.inf).all()
+    with pytest.raises(ValueError, match="finite"):
+        spectral_norm(mixed)
 
 
 def test_entrywise_helpers():
