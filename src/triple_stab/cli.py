@@ -18,8 +18,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .lab import (
     ConfigError,
     ExperimentConfig,
@@ -30,6 +28,7 @@ from .lab import (
     run_recovery,
 )
 from .stability import Custom, PowerType, Scheme, SummabilityError, hyers_bound
+from .triple import matrix_basis
 
 _GRID = {
     Scheme.CAUCHY2: (0.0, 0.25, 0.5, 0.75),
@@ -154,8 +153,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             # an explicitly requested combination outside the summability
             # gate is an error, not a table row
             raise SummabilityError(schemes[0].gate_message(args.p))
-    unit = np.zeros((dim, dim), dtype=np.complex128)
-    unit[0, 0] = 1.0
+    unit = matrix_basis(dim)[0]
 
     print(f"{'scheme':<22s} {'p':>6s} {'closed_form':>22s} {'series':>22s} {'rel_diff':>10s}")
     for scheme in schemes:

@@ -247,12 +247,12 @@ def build_generators(config: ExperimentConfig):
     if g["unitary"] == "haar":
         u = haar_unitary(rng_for(config.seed, ROLE_UNITARY), n)
     else:
-        u = np.eye(n, dtype=np.complex128)
+        u = np.eye(n)
     theta = Conjugation(u)
     if g["skew"] == "random":
         a = skew_matrix(rng_for(config.seed, ROLE_SKEW), n, g["skew_scale"])
     else:
-        a = np.zeros((n, n), dtype=np.complex128)
+        a = np.zeros((n, n))
     d = Commutator(a)
     return theta, d, make_theta_derivation(theta, d)
 
@@ -390,7 +390,22 @@ class StabilityReport:
         unknown = [str(key) for key in data if key not in names]
         if unknown:
             raise ValueError(f"report has unknown fields: {', '.join(unknown)}")
+        # each bound row is four numbers, as the CSV writes them
+        rows = data["bound"].get("rows", []) if isinstance(data["bound"], dict) else []
+        if not isinstance(rows, list):
+            raise ValueError(f"report bound.rows must be a list, got {type(rows).__name__}")
+        for i, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == 4 and all(map(_is_cell, row))):
+                raise ValueError(f"report bound.rows[{i}] must be four numbers, got {row!r}")
         return cls(**{name: data[name] for name in names})
+
+
+def _is_cell(value) -> bool:
+    # a cell: "inf" or "-inf" as a saved report names +-inf, a float but NaN, or
+    # an int that converts to a float
+    if type(value) is int:
+        return abs(value) <= float(np.finfo(float).max)
+    return value in ("inf", "-inf") or type(value) is float and not math.isnan(value)
 
 
 def _sequence_triples(config: ExperimentConfig) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Dense complex matrix kernel: validation, spectral norm, HS pairing.
 
-Matrices are square numpy arrays of complex128, either one n x n matrix or
-a stack of shape (..., n, n).  ``as_matrix`` checks squareness and
-finiteness, and ``same_dim`` that operands share n.  Each array is checked
-once, at the public boundary: an exported function, an operator call or a
-map's output.  What is computed from checked arrays goes through private
-kernels on trusted stacks (``_norm``, ``_hs``).  ``spectral_norm`` and
-``hs_inner`` act slice by slice on stacks.
+Matrices are square numpy arrays of dtype ``DTYPE``, one n x n matrix or a
+stack (..., n, n).  This module alone decides what an operand is:
+``as_matrix`` casts to ``DTYPE`` and checks squareness and finiteness, and
+``require_dim`` is the one dimension check.  Each array is checked once, at
+the public boundary: an exported function, an operator call or a map's
+output.  What is computed from checked arrays goes through private kernels
+on trusted stacks (``_norm``, ``_hs``), which act slice by slice.
 
 ``spectral_norm`` takes the top singular value in closed form for n <= 2
 and from LAPACK's SVD for n >= 3; its docstring gives the closed form's
@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# A validated (..., n, n) complex128 array.  Kept as a plain ndarray so numpy
+# The working dtype, read by ``as_matrix`` at each call; no other module names
+# a complex dtype, they pass plain arrays.  No config field, flag or parameter
+# reaches it; a test may swap it, e.g. for clongdouble to rerun the pipeline
+# at n <= 2 in extended precision (n >= 3 needs LAPACK, which has no long
+# double).
+DTYPE = np.complex128
+
+# A validated (..., n, n) DTYPE array.  Kept as a plain ndarray so numpy
 # arithmetic stays available to callers.
 ComplexMatrix = np.ndarray
 
@@ -26,13 +33,20 @@ class DimensionMismatchError(ValueError):
     """Raised when two operands carry different square dimensions."""
 
 
+def require_dim(n: int, *others: int) -> None:
+    """DimensionMismatchError naming n and the first of others that differs from it."""
+    for m in others:
+        if m != n:
+            raise DimensionMismatchError(f"dimension mismatch: {n} vs {m}")
+
+
 def as_matrix(x) -> ComplexMatrix:
-    """Coerce to a complex128 matrix, or stack of matrices, with finite entries.
+    """Coerce to a DTYPE matrix, or stack of matrices, with finite entries.
 
     The trailing two dimensions must be equal and nonzero.  Called once per
     array, where it enters the package (see the module docstring).
     """
-    m = np.asarray(x, dtype=np.complex128)
+    m = np.asarray(x, dtype=DTYPE)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     # a complex entry is finite only when both of its parts are
@@ -44,10 +58,7 @@ def as_matrix(x) -> ComplexMatrix:
 def same_dim(*mats) -> list[ComplexMatrix]:
     """Each operand through ``as_matrix``; DimensionMismatchError unless all share n."""
     out = [as_matrix(m) for m in mats]
-    n = out[0].shape[-1]
-    for m in out[1:]:
-        if m.shape[-1] != n:
-            raise DimensionMismatchError(f"dimension mismatch: {n} vs {m.shape[-1]}")
+    require_dim(*(m.shape[-1] for m in out))
     return out
 
 
@@ -68,7 +79,9 @@ def _top_singular_value_2x2(m: ComplexMatrix) -> np.ndarray:
     # (part, row, column, slice): real then imaginary parts, slices innermost
     # so that every step below is one contiguous pass
     a = np.array((flat.real.T, flat.imag.T)).reshape(2, 2, 2, -1)
-    largest = np.abs(a).reshape(8, -1).max(axis=0)
+    # fmax skips nan, so a slice with an infinite part reads inf here even
+    # when another of its parts is nan
+    largest = np.fmax.reduce(np.abs(a).reshape(8, -1), axis=0)
     # a slice with an infinite part has norm inf: zero it, so that no
     # inf - inf or inf * 0 below makes its norm nan, and set inf at the end
     infinite = np.isinf(largest)
@@ -115,7 +128,7 @@ def spectral_norm(x):
 
 
 def _norm(m: ComplexMatrix):
-    """Kernel of ``spectral_norm`` on a trusted complex128 matrix or stack."""
+    """Kernel of ``spectral_norm`` on a trusted matrix or stack."""
     n = m.shape[-1]
     if n > 2:
         top = np.linalg.svd(m, compute_uv=False)[..., 0]

@@ -55,9 +55,9 @@ import numpy as np
 
 from .linalg import (
     ComplexMatrix,
-    DimensionMismatchError,
     _norm,
     as_matrix,
+    require_dim,
     spectral_norm,
 )
 from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, rng_for
@@ -471,8 +471,7 @@ def _image(g, mx: ComplexMatrix, norms, s=1.0) -> ComplexMatrix:
     if not isinstance(g, PerturbedMap):
         args = np.asarray(s)[..., None, None] * mx
         return np.reshape(g(args.reshape(-1, *mx.shape[-2:])), args.shape)
-    if mx.shape[-1] != g.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {mx.shape[-1]}")
+    require_dim(g.dim, mx.shape[-1])
     return g._at(mx, norms, s)
 
 

@@ -52,10 +52,10 @@ import numpy as np
 
 from .linalg import (
     ComplexMatrix,
-    DimensionMismatchError,
     _hs,
     _norm,
     as_matrix,
+    require_dim,
     same_dim,
     spectral_norm,
 )
@@ -144,25 +144,25 @@ def vec(x) -> np.ndarray:
 
 
 def _unvec(arr: np.ndarray, dim: int) -> ComplexMatrix:
-    """Kernel of ``unvec`` on trusted complex128 vectors of length dim^2."""
+    """Kernel of ``unvec`` on vectors of length dim^2."""
     return np.swapaxes(arr.reshape(*arr.shape[:-1], dim, dim), -1, -2)
 
 
 def unvec(u, dim: int) -> ComplexMatrix:
     """Inverse of ``vec`` for a given dimension; (..., n^2) gives (..., n, n), checked."""
-    arr = np.asarray(u, dtype=np.complex128)
+    arr = np.asarray(u)
     if arr.ndim < 1 or arr.shape[-1] != dim * dim:
         raise ValueError(f"expected vectors of length {dim * dim}, got {arr.shape}")
     return as_matrix(_unvec(arr, dim))
 
 
 def matrix_basis(dim: int) -> list[ComplexMatrix]:
-    """Matrix units in column-stacking order."""
-    return list(_unvec(np.eye(dim * dim, dtype=np.complex128), dim))
+    """Matrix units in column-stacking order; real, promoted by what they meet."""
+    return list(_unvec(np.eye(dim * dim), dim))
 
 
 def _frozen(arr) -> np.ndarray:
-    copy = np.array(arr, dtype=np.complex128, copy=True)
+    copy = np.array(arr, copy=True)
     copy.setflags(write=False)
     return copy
 
@@ -181,8 +181,7 @@ class LinearOperator:
     def _operand(self, x) -> ComplexMatrix:
         """x validated as a matrix or stack of this operator's dimension."""
         mx = as_matrix(x)
-        if mx.shape[-1] != self.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {mx.shape[-1]}")
+        require_dim(self.dim, mx.shape[-1])
         return mx
 
     def to_tabulated(self) -> "Tabulated":
@@ -199,15 +198,14 @@ class Conjugation(LinearOperator):
 
     def __init__(self, u):
         mu = as_matrix(u)
-        n = mu.shape[0]
-        defect = _norm(mu.conj().T @ mu - np.eye(n))
+        defect = _norm(mu.conj().T @ mu - np.eye(mu.shape[0]))
         if defect > UNITARY_TOL:
             raise OperatorValidationError(
                 f"conjugation needs a unitary matrix: ||u*u - I|| = {defect:.3e}"
             )
         self.matrix = _frozen(mu)
         self.adjoint = _frozen(mu.conj().T)
-        self.dim = n
+        self.dim = mu.shape[0]
 
     def apply(self, x) -> ComplexMatrix:
         return _stack_product(_stack_product(self.matrix, x), self.adjoint)
@@ -262,14 +260,9 @@ class OperatorSum(LinearOperator):
         terms = list(terms)
         if not terms:
             raise ValueError("sum needs at least one term")
-        n = terms[0].dim
-        for t in terms[1:]:
-            if t.dim != n:
-                raise DimensionMismatchError(
-                    f"dimension mismatch in sum: {n} vs {t.dim}"
-                )
+        require_dim(*(t.dim for t in terms))
         self.terms = tuple(terms)
-        self.dim = n
+        self.dim = terms[0].dim
 
     def apply(self, x) -> ComplexMatrix:
         acc = self.terms[0].apply(x)
@@ -285,10 +278,7 @@ class Compose(LinearOperator):
     """outer(inner(x))."""
 
     def __init__(self, outer: LinearOperator, inner: LinearOperator):
-        if outer.dim != inner.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch in composition: {outer.dim} vs {inner.dim}"
-            )
+        require_dim(outer.dim, inner.dim)
         self.outer = outer
         self.inner = inner
         self.dim = outer.dim
@@ -467,12 +457,10 @@ def make_theta_derivation(theta: Conjugation, d: Commutator) -> Compose:
     ||a* + a|| <= SKEW_TOL.  That bounds the relative homomorphism and
     derivation residuals by about 2 * 1e-10, plus round-off of order u ||a||
     (u the unit round-off).  Another operator type raises
-    OperatorValidationError, unequal dimensions DimensionMismatchError.
+    OperatorValidationError, and ``Compose`` refuses unequal dimensions.
     """
     if not isinstance(theta, Conjugation):
         raise OperatorValidationError(f"theta must be a Conjugation, got {theta!r}")
     if not isinstance(d, Commutator):
         raise OperatorValidationError(f"d must be a Commutator, got {d!r}")
-    if theta.dim != d.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {theta.dim} vs {d.dim}")
     return Compose(theta, d)

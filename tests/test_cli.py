@@ -257,6 +257,25 @@ def test_report_refuses_a_recover_report_with_an_unknown_field(tmp_path, capsys)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("edit", ["cell", "row"])
+def test_report_refuses_a_bound_row_that_is_not_four_numbers(tmp_path, capsys, fmt, edit):
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    saved = tmp_path / "saved.json"
+    assert main(["recover", "--config", str(config), "--out", str(saved)]) == 0
+    data = json.loads(saved.read_text(encoding="utf-8"))
+    if edit == "cell":
+        data["bound"]["rows"][3][1] = "abc"
+    else:
+        data["bound"]["rows"][3] = [1.0]
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--in", str(saved), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert "error: report bound.rows[3] must be four numbers, got [" in captured.err
+    assert captured.out == ""
+
+
 def test_recover_writes_a_failed_zero_eps_report(tmp_path, capsys):
     # a bound of 0 gives the bound ratio the value inf, which JSON has no number for
     config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"

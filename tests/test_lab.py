@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -394,6 +395,36 @@ def test_load_report_refuses_a_non_object(tmp_path, text, kind):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"report must be an object, got {kind}"):
         load_report(str(path))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ({"rows": 1.0}, "bound.rows must be a list, got float"),
+        ({"rows": [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]]}, r"bound.rows\[1\] must be four"),
+        ({"rows": [[1.0, 2.0, 3.0, "nan"]]}, r"bound.rows\[0\] must be four"),
+        ({"rows": [[1.0, 2.0, 3.0, float("nan")]]}, r"bound.rows\[0\] must be four"),
+        ({"rows": [[1.0, 2.0, 3.0, True]]}, r"bound.rows\[0\] must be four"),
+        ({"rows": [[1.0, 2.0, 3.0, 10**400]]}, r"bound.rows\[0\] must be four"),
+    ],
+)
+def test_load_report_refuses_a_bound_row_that_is_not_four_numbers(tmp_path, rows, message):
+    data = _tiny_report().to_dict()
+    data["bound"] = {**data["bound"], **rows}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_report(str(path))
+
+
+def test_load_report_accepts_the_cells_a_report_holds(tmp_path):
+    # ints, the names of +-inf, and a float inf (JSON's Infinity, or 1e999)
+    data = _tiny_report().to_dict()
+    data["bound"] = {**data["bound"], "rows": [[1, 2.5, "inf", "-inf"], [0.5, 1.0, 2.0, math.inf]]}
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    csv = render_csv(load_report(str(path)).to_dict())
+    assert csv == "norm_x,bound,error,ratio\n1.0,2.5,inf,-inf\n0.5,1.0,2.0,inf\n"
 
 
 def test_load_report_missing_file(tmp_path):
@@ -946,3 +977,106 @@ def test_config_space_sweep_fails_only_for_named_reasons():
         if "derivation_sequence_decreasing" in failed:
             assert (scheme, p) == ("jensen3", 0.9), where
         assert failed <= {"recovery_converged", "derivation_sequence_decreasing"}, (where, failed)
+
+
+# the extended-precision shadow needs a long double finer than float64
+_NEEDS_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="long double is float64 on this platform",
+)
+
+
+@_NEEDS_LONG_DOUBLE
+@pytest.mark.parametrize("name", sorted(_SHIPPED_DIGESTS))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shipped_configs_pass_in_extended_precision(name, dim, monkeypatch):
+    # swapping linalg's working dtype runs the whole pipeline in clongdouble:
+    # every operand is cast where it is checked, and nothing else names a dtype
+    monkeypatch.setattr(linalg, "DTYPE", np.clongdouble)
+    recovered = []
+
+    def recover(*args):
+        tabulated, level = stability.recover_linear_map(*args)
+        recovered.append(tabulated)
+        return tabulated, level
+
+    monkeypatch.setattr(lab, "recover_linear_map", recover)
+    report = run_recovery(_shipped_config(name, dim=dim))
+    assert [c["name"] for c in report.checks if not c["passed"]] == []
+    assert [m.coeffs.dtype for m in recovered] == [np.dtype(np.clongdouble)] * 2
+
+
+# (lo, hi) of the sampler's p draw, per scheme
+_SAMPLED_P_RANGE = {
+    stability.Scheme.CAUCHY2: (0.0, 1.0),
+    stability.Scheme.CAUCHY2_CONTRACTIVE: (1.0, 4.0),
+    stability.Scheme.JENSEN3: (0.0, 1.0),
+    stability.Scheme.JENSEN3_CONTRACTIVE: (3.0, 6.0),
+}
+
+
+def _sampled_configs(s: int, dims, count: int):
+    """The accepted-space sampler written out in ROADMAP.md, draw by draw."""
+    rng = np.random.default_rng(s)
+    for _ in range(count):
+        dim = int(rng.choice(dims))
+        scheme = list(stability.Scheme)[rng.integers(4)]
+        lo, hi = _SAMPLED_P_RANGE[scheme]
+        p = rng.uniform(lo, hi)
+        if p == lo:
+            p = (lo + hi) / 2
+        # Python ints: numpy's int64 product would wrap past 2^63
+        seed = 2 * int(rng.integers(0, 2**63)) + int(rng.integers(2))
+        zero = rng.uniform() < 0.05
+        e = 10 ** rng.uniform(-14, 4)
+        tol = 10 ** rng.uniform(-13, -1)
+        skew_scale = 10 ** rng.uniform(-6, 6)
+        unitary = ("haar", "identity")[rng.integers(2)]
+        probe_count = int(rng.integers(1, 120))
+        yield ExperimentConfig(
+            dim=dim,
+            scheme=scheme.value,
+            eps=0.0 if zero else e,
+            p=p,
+            seed=seed,
+            probe_count=probe_count,
+            tol=tol,
+            l_max=200,
+            generator={"unitary": unitary, "skew": "random", "skew_scale": skew_scale},
+        )
+
+
+@_NEEDS_LONG_DOUBLE
+@pytest.mark.slow
+def test_extended_precision_shadow_of_sampled_draws(monkeypatch):
+    """100 sampled draws at dims 1-2, each run in float64 and in clongdouble.
+
+    Every draw completes in both precisions, with no exception and no
+    RuntimeWarning (the suite makes one an error), and both runs have the
+    same check rows.  The one exception is a recovery that fails in one
+    precision only: that run stops after ``recovery_converged``, so its
+    rows are the other run's up to there.  The reports are compared in
+    memory; the extended one is not rendered.  Run with
+    ``python -m pytest -m slow -rP`` to see, per check, how many float64
+    failures still fail in extended precision.  About 3 s.
+    """
+    tally = {}
+    for config in _sampled_configs(20261019, [1, 2], 100):
+        plain = run_recovery(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "DTYPE", np.clongdouble)
+            extended = run_recovery(config)
+        names = [[c["name"] for c in r.checks] for r in (plain, extended)]
+        if plain.recovery["converged"] == extended.recovery["converged"]:
+            assert names[0] == names[1], config
+        else:
+            short, long = sorted(names, key=len)
+            assert short[-1] == "recovery_converged" and long[: len(short)] == short, config
+        still = {c["name"] for c in extended.checks if not c["passed"]}
+        for check in plain.checks:
+            if not check["passed"]:
+                fails = tally.setdefault(check["name"], [0, 0])
+                fails[0] += 1
+                fails[1] += check["name"] in still
+    for name, (plain_fails, still_fails) in tally.items():
+        print(f"{name}: {plain_fails} float64 failures, {still_fails} still fail in extended")

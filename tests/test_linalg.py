@@ -7,11 +7,15 @@ that can be read off directly (diagonal matrices, rank-one units, matrices
 with an exactly repeated top singular value).
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import triple_stab
 from triple_stab.linalg import (
     DimensionMismatchError,
     _norm,
@@ -133,7 +137,14 @@ def test_closed_form_norm_matches_lapack(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize(
-    "bad", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.inf, np.inf)]
+    "bad",
+    [
+        complex(np.inf, 0.0),
+        complex(0.0, -np.inf),
+        complex(np.inf, np.inf),
+        complex(np.inf, np.nan),
+        complex(np.nan, -np.inf),
+    ],
 )
 def test_norm_kernel_of_an_infinite_slice_is_inf(n, bad):
     # the public norm refuses non-finite input, but its kernel gives a slice
@@ -148,6 +159,13 @@ def test_norm_kernel_of_an_infinite_slice_is_inf(n, bad):
     assert (got[1::2] == np.inf).all()
     with pytest.raises(ValueError, match="finite"):
         spectral_norm(mixed)
+    # nan in every other entry beside the infinite part leaves inf, as hypot
+    # gives at n = 1; a nan part with no infinite part leaves nan
+    nan_beside = np.where(np.isfinite(mixed[1::2]), complex(np.nan, np.nan), mixed[1::2])
+    assert (_norm(nan_beside) == np.inf).all()
+    nan_only = finite[:3].copy()
+    nan_only[:, -1, 0] = complex(1.0, np.nan)
+    assert np.isnan(_norm(nan_only)).all()
 
 
 def test_entrywise_helpers():
@@ -160,6 +178,29 @@ def test_entrywise_helpers():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         hs_inner(np.eye(2), np.eye(3))
+
+
+_COMPLEX_DTYPES = {"complex128", "complex64", "clongdouble"}
+
+
+def test_linalg_alone_decides_the_operand_contract():
+    # the working dtype and the dimension check live in linalg: no other
+    # module names a complex dtype in code (docstrings and comments may) or
+    # raises DimensionMismatchError
+    found = []
+    for path in sorted(Path(triple_stab.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a name (complex128), an attribute (np.complex128) or a string constant
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.Constant):
+                named = node.value
+            if named in _COMPLEX_DTYPES:
+                found.append(f"{path.name}:{node.lineno} names {named}")
+            if isinstance(node, ast.Raise) and "DimensionMismatchError" in ast.unparse(node):
+                found.append(f"{path.name}:{node.lineno} raises DimensionMismatchError")
+    assert found == []
 
 
 def test_as_matrix_accepts_nested_lists():

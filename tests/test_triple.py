@@ -259,5 +259,15 @@ def test_make_theta_derivation_rejects_bad_generators():
     # a conjugation is not a triple derivation
     with pytest.raises(OperatorValidationError):
         make_theta_derivation(theta, Conjugation(u))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
         make_theta_derivation(theta, Commutator(skew_matrix(rng_for(20, 5), 3)))
+
+
+def test_operators_refuse_another_dimension_in_one_wording():
+    theta = Conjugation(haar_unitary(rng_for(20, 4), 2))
+    d3 = Commutator(skew_matrix(rng_for(20, 5), 3))
+    for build in (lambda: OperatorSum((theta, d3)), lambda: Compose(theta, d3)):
+        with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+            build()
+    with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+        theta(np.eye(3))
