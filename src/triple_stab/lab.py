@@ -116,7 +116,11 @@ def _require_int(name: str, value) -> int:
 def _require_float(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        # an integer past the float range; its digits may be too many for a str
+        raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return out
@@ -434,7 +438,8 @@ def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: f
     rate is the pooled slope over every triple's residuals at levels from
     SEQUENCE_STRICT_AFTER on.
     """
-    values = residuals.mean(axis=1).tolist()
+    # a report holds floats, whatever the working dtype
+    values = residuals.mean(axis=1).astype(float).tolist()
     tail = [i for i, lvl in enumerate(levels) if lvl >= SEQUENCE_STRICT_AFTER]
     # mean values past the pre-asymptotic levels and above the round-off floor
     kept = [i for i in tail if values[i] > ROUNDOFF_FLOOR]
@@ -458,6 +463,55 @@ def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: f
     }
 
 
+def _checks(sections: dict) -> list[dict]:
+    """Every check row of a recovery report, read back from its sections, in report order.
+
+    ``sections`` is a report's dict, as ``StabilityReport.to_dict`` or a saved
+    report gives it.  A failed recovery ends the rows at ``recovery_converged``.
+    """
+    rows = _axiom_checks(sections["axioms"])
+    recovery = sections["recovery"]
+    rows.append(_check("recovery_converged", recovery["converged"]))
+    if not recovery["converged"]:
+        return rows
+    tolerance = recovery["tolerance"]
+    for name in ("d", "theta"):
+        err = recovery[f"{name}_entrywise_error"]
+        rows.append(_check(f"recovery_error_{name}", err <= tolerance, err, tolerance))
+    hyp = sections["hypotheses"]
+    # the hypothesis section has one verdict for all three rows, and no thresholds
+    for name, key, tolerance in (
+        ("hypothesis_ratio_f", "max_ratio_f", 1.0),
+        ("hypothesis_ratio_h", "max_ratio_h", 1.0),
+        ("hypothesis_zero_control", "max_zero_control_residual", ZERO_CONTROL_TOL),
+    ):
+        rows.append(_check(name, hyp[key] <= tolerance, hyp[key], tolerance))
+    for name, key in (("bound_ratio", "bound"), ("bound_ratio_theta", "bound_theta")):
+        part = sections[key]
+        rows.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))
+    s1 = sections["homogeneity"]["s1"]
+    s1_value = max(s1["max_residual"], s1["zero_residual"])
+    rows.append(_check("s1_homogeneity", s1["passed"], s1_value, s1["threshold"]))
+    for entry in sections["homogeneity"]["complex"]:
+        name = f"complex_homogeneity_{entry['label']}"
+        rows.append(_check(name, entry["passed"], entry["residual"], entry["threshold"]))
+    cert = sections["derivation_certificate"]
+    value = cert["max_relative_residual"]
+    rows.append(_check("derivation_certificate", cert["passed"], value, cert["threshold"]))
+    seq = sections["derivation_sequence"]
+    if "skipped" not in seq:
+        # strict decrease: every tail ratio of the mean residual stays below 1
+        for part, key, tolerance in (
+            ("decreasing", "max_tail_ratio", 1.0),
+            ("rate", "tail_rate", seq["rate_window"]),
+        ):
+            name = f"derivation_sequence_{part}"
+            rows.append(_check(name, seq[f"{part}_passed"], seq[key], tolerance))
+    rate = sections["rate"]
+    rows.append(_check("approximant_rate", rate["passed"], rate["estimate"], rate["window"]))
+    return rows
+
+
 def run_recovery(config: ExperimentConfig, threads: int | None = None) -> StabilityReport:
     """End-to-end scenario: build, perturb, recover, certify, report.
 
@@ -471,13 +525,10 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     started = mark = time.perf_counter()
 
     def lap(stage: str) -> None:
-        # consecutive laps partition the run, so the stages sum to total_s;
-        # the stages stay in run order, with total_s last
+        # consecutive laps partition the run, in run order, so they sum to total_s
         nonlocal mark
         now = time.perf_counter()
-        timings.pop("total_s", None)
         timings[f"{stage}_s"] = now - mark
-        timings["total_s"] = now - started
         mark = now
 
     theta, _d, big_d = build_generators(config)
@@ -494,9 +545,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     ).reshape(CERT_TRIPLE_COUNT, 3, config.dim, config.dim)
     lap("setup")
 
-    checks: list[dict] = []
     axioms = run_axiom_suite(config, samples=min(config.probe_count, 50))
-    checks.extend(_axiom_checks(axioms))
     lap("axioms")
 
     levels: dict[str, int] = {}
@@ -521,113 +570,71 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     recovery["converged"] = recovery["error"] is None
     lap("recover")
 
-    checks.append(_check("recovery_converged", recovery["converged"]))
+    sections = {"config": config.to_dict(), "axioms": axioms, "recovery": recovery}
     # the stages after recovery fill in their sections; a failed recovery leaves them empty
-    report = StabilityReport(
-        config=config.to_dict(),
-        axioms=axioms,
-        recovery=recovery,
-        checks=checks,
-        passed=False,
-        timings=timings,
-    )
-    if not recovery["converged"]:
-        return report
+    if recovery["converged"]:
+        # both sides were checked by their constructors
+        for name, recovered, exact in (("d", d_hat, big_d), ("theta", theta_hat, theta)):
+            err = float(np.abs(recovered.coeffs - exact.to_tabulated().coeffs).max())
+            recovery[f"{name}_entrywise_error"] = err
+        worst = max(recovery["d_entrywise_error"], recovery["theta_entrywise_error"])
+        recovery["passed"] = worst <= RECOVERY_ERROR_TOL
 
-    # both sides were checked by their constructors
-    for name, recovered, exact in (("d", d_hat, big_d), ("theta", theta_hat, theta)):
-        err = float(np.abs(recovered.coeffs - exact.to_tabulated().coeffs).max())
-        recovery[f"{name}_entrywise_error"] = err
-        checks.append(
-            _check(f"recovery_error_{name}", err <= RECOVERY_ERROR_TOL, err, RECOVERY_ERROR_TOL)
-        )
-    recovery["passed"] = checks[-2]["passed"] and checks[-1]["passed"]
+        sections["hypotheses"] = _section(verify_hypotheses(f, h, phi, form, probes, mu_samples))
+        lap("hypotheses")
 
-    hyp = verify_hypotheses(f, h, phi, form, probes, mu_samples)
-    report.hypotheses = _section(hyp)
-    for name, value, tolerance in (
-        ("hypothesis_ratio_f", hyp.max_ratio_f, 1.0),
-        ("hypothesis_ratio_h", hyp.max_ratio_h, 1.0),
-        ("hypothesis_zero_control", hyp.max_zero_control_residual, ZERO_CONTROL_TOL),
-    ):
-        checks.append(_check(name, value <= tolerance, value, tolerance))
-    lap("hypotheses")
+        pairs = ((f, d_hat), (h, theta_hat))
+        bound_f, bound_h = verify_stability_bound(pairs, phi, scheme, probes)
+        sections["bound"], sections["bound_theta"] = _section(bound_f), _section(bound_h)
+        del sections["bound_theta"]["rows"]
+        lap("bound")
 
-    bound_f, bound_h = verify_stability_bound(((f, d_hat), (h, theta_hat)), phi, scheme, probes)
-    report.bound, report.bound_theta = _section(bound_f), _section(bound_h)
-    del report.bound_theta["rows"]
-    for name, part in (("bound_ratio", report.bound), ("bound_ratio_theta", report.bound_theta)):
-        checks.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))
-    lap("bound")
+        s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples)
+        complex_entries = []
+        mid_probes = probes[[0, len(probes) // 2, -1]]
+        lams = [lam for lam, _ in COMPLEX_LAMBDAS]
+        by_lam = complex_homogeneity_via_decomposition(d_hat, lams, mid_probes).residual
+        for (lam, label), row in zip(COMPLEX_LAMBDAS, by_lam):
+            entry = _within(HOMOGENEITY_TOL, residual=float(row.max()))
+            complex_entries.append({"label": label, "lambda": [lam.real, lam.imag], **entry})
+        sections["homogeneity"] = {
+            "s1": _section(s1),
+            "complex": complex_entries,
+            "passed": s1.passed and all(e["passed"] for e in complex_entries),
+        }
+        lap("homogeneity")
 
-    s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples)
-    s1_value = max(s1.max_residual, s1.zero_residual)
-    checks.append(_check("s1_homogeneity", s1.passed, s1_value, s1.threshold))
-    complex_entries = []
-    mid_probes = probes[[0, len(probes) // 2, -1]]
-    lams = [lam for lam, _ in COMPLEX_LAMBDAS]
-    by_lam = complex_homogeneity_via_decomposition(d_hat, lams, mid_probes).residual
-    for (lam, label), row in zip(COMPLEX_LAMBDAS, by_lam):
-        entry = _within(HOMOGENEITY_TOL, residual=float(row.max()))
-        complex_entries.append({"label": label, "lambda": [lam.real, lam.imag], **entry})
-        name = f"complex_homogeneity_{label}"
-        checks.append(_check(name, entry["passed"], entry["residual"], HOMOGENEITY_TOL))
-    report.homogeneity = {
-        "s1": _section(s1),
-        "complex": complex_entries,
-        "passed": s1.passed and all(e["passed"] for e in complex_entries),
-    }
-    lap("homogeneity")
+        cert = certify_theta_derivation(d_hat, theta_hat, cert_triples)
+        sections["derivation_certificate"] = _section(cert)
+        lap("certificate")
 
-    cert = certify_theta_derivation(d_hat, theta_hat, cert_triples)
-    report.derivation_certificate = _section(cert)
-    checks.append(
-        _check("derivation_certificate", cert.passed, cert.max_relative_residual, cert.threshold)
-    )
-    lap("certificate")
+        expected_rate = perturbation_decay_rate(scheme, config.p)
+        try:
+            seq_levels = list(scheme.derivation_levels())
+        except SchemeError as exc:
+            sections["derivation_sequence"] = {"skipped": str(exc)}
+        else:
+            values = derivation_limit_sequence(f, h, scheme, _sequence_triples(config), seq_levels)
+            sections["derivation_sequence"] = _sequence_section(values, seq_levels, expected_rate)
+        lap("sequence")
 
-    expected_rate = perturbation_decay_rate(scheme, config.p)
-    try:
-        levels = list(scheme.derivation_levels())
-    except SchemeError as exc:
-        report.derivation_sequence = {"skipped": str(exc)}
-    else:
-        values = derivation_limit_sequence(f, h, scheme, _sequence_triples(config), levels)
-        sequence = report.derivation_sequence = _sequence_section(values, levels, expected_rate)
-        checks.append(
-            _check(
-                "derivation_sequence_decreasing",
-                sequence["decreasing_passed"],
-                sequence["max_tail_ratio"],
-                1.0,
-            )
-        )
-        checks.append(
-            _check(
-                "derivation_sequence_rate",
-                sequence["rate_passed"],
-                sequence["tail_rate"],
-                RATE_WINDOW,
-            )
-        )
-    lap("sequence")
+        rate_est = estimate_convergence_rate(f, scheme, rate_probes)
+        sections["rate"] = {
+            "estimate": rate_est.rate,
+            "expected": expected_rate,
+            "window": RATE_WINDOW,
+            "first_level": rate_est.first_level,
+            "last_level": rate_est.last_level,
+            "probes": rate_est.probes_used,
+            "passed": _within_rate_window(rate_est.rate, expected_rate),
+        }
+        lap("rate")
 
-    rate_est = estimate_convergence_rate(f, scheme, rate_probes)
-    rate_ok = _within_rate_window(rate_est.rate, expected_rate)
-    report.rate = {
-        "estimate": rate_est.rate,
-        "expected": expected_rate,
-        "window": RATE_WINDOW,
-        "first_level": rate_est.first_level,
-        "last_level": rate_est.last_level,
-        "probes": rate_est.probes_used,
-        "passed": rate_ok,
-    }
-    checks.append(_check("approximant_rate", rate_ok, rate_est.rate, RATE_WINDOW))
-    lap("rate")
-
-    report.passed = all(c["passed"] for c in checks)
-    return report
+    # every check row is read back from the sections, in one place
+    checks = _checks(sections)
+    passed = all(c["passed"] for c in checks)
+    timings["total_s"] = mark - started
+    return StabilityReport(**sections, checks=checks, passed=passed, timings=timings)
 
 
 # ---------------------------------------------------------------------------

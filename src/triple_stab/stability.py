@@ -858,7 +858,8 @@ def verify_stability_bound(
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
     reports = []
     for error, ratio in zip(errors, ratios):
-        rows = np.array([norms, bounds, error, ratio]).T.tolist()
+        # a report holds floats, whatever the working dtype
+        rows = np.array([norms, bounds, error, ratio]).T.astype(float).tolist()
         max_ratio = float(ratio.max())
         reports.append(BoundReport(rows, max_ratio, BOUND_SLACK, max_ratio <= 1.0 + BOUND_SLACK))
     return tuple(reports)

@@ -188,6 +188,9 @@ class LinearOperator:
         """Lower to the dense n^2 x n^2 matrix acting on vec(x)."""
         return Tabulated(_vec(self.apply(np.stack(matrix_basis(self.dim)))).T)
 
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
+
 
 class Conjugation(LinearOperator):
     """x -> u x u* for a unitary u; an exact triple homomorphism.
@@ -210,9 +213,6 @@ class Conjugation(LinearOperator):
     def apply(self, x) -> ComplexMatrix:
         return _stack_product(_stack_product(self.matrix, x), self.adjoint)
 
-    def __repr__(self):
-        return f"Conjugation(dim={self.dim})"
-
 
 class Commutator(LinearOperator):
     """x -> a x - x a for a skew-adjoint a; an exact triple derivation.
@@ -233,9 +233,6 @@ class Commutator(LinearOperator):
 
     def apply(self, x) -> ComplexMatrix:
         return _stack_product(self.matrix, x) - _stack_product(x, self.matrix)
-
-    def __repr__(self):
-        return f"Commutator(dim={self.dim})"
 
 
 class Scaled(LinearOperator):
@@ -310,9 +307,6 @@ class Tabulated(LinearOperator):
 
     def to_tabulated(self) -> "Tabulated":
         return self
-
-    def __repr__(self):
-        return f"Tabulated(dim={self.dim})"
 
 
 # ---------------------------------------------------------------------------

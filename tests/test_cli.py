@@ -397,6 +397,10 @@ def test_recover_rejects_gate_violation(capsys):
         (["bounds", "--dim", "17"], "dim must be in [1, 16]"),
         (["bounds", "--dim", "0"], "dim must be in [1, 16]"),
         (["recover", "--out", "/nonexistent/dir/report.json"], "could not write report"),
+        (
+            ["recover", "--generator", f'{{"skew_scale": {10**400}}}'],
+            "skew_scale must be finite, got an integer too large for a float",
+        ),
     ],
 )
 def test_errors_exit_two_with_message(argv, fragment, capsys):

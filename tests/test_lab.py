@@ -1,5 +1,6 @@
 """Tests for experiment configs, the lab pipelines, and report serialization."""
 
+import ast
 import copy
 import dataclasses
 import hashlib
@@ -181,6 +182,18 @@ def test_from_dict_rejects_bad_shapes():
         ExperimentConfig.from_dict([1, 2])
     with pytest.raises(ConfigError, match="unknown config fields: extra"):
         ExperimentConfig.from_dict({"extra": 1})
+
+
+@pytest.mark.parametrize("field", ["eps", "p", "tol", "skew_scale"])
+@pytest.mark.parametrize(
+    "huge", [10**400, -(10**400), 10**5000], ids=["10**400", "-10**400", "10**5000"]
+)
+def test_config_names_an_integer_past_the_float_range(field, huge):
+    # float() overflows on these; 10**5000 has more digits than str() will write
+    data = {"generator": {field: huge}} if field == "skew_scale" else {field: huge}
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig.from_dict(data)
+    assert str(excinfo.value) == f"{field} must be finite, got an integer too large for a float"
 
 
 def test_from_dict_coerces_numeric_fields():
@@ -884,6 +897,41 @@ def test_zero_eps_report_keeps_its_bytes(pin_core_note):
         assert digest == expected, f"{fmt}: {pin_core_note}"
 
 
+# converged runs, a failed recovery, and converged runs whose bound ratio is inf
+_ROW_CASES = [
+    *((name, {}) for name in sorted(_SHIPPED_DIGESTS)),
+    ("cauchy2", {"l_max": 1}),
+    *((name, {"eps": 0.0}) for name in sorted(_SHIPPED_DIGESTS)),
+]
+
+
+@pytest.mark.parametrize("name,overrides", _ROW_CASES)
+def test_check_rows_are_read_back_from_the_saved_sections(name, overrides, tmp_path):
+    # the rows are a function of the sections: read back from a saved and
+    # reloaded report, they equal the rows it was saved with
+    path = tmp_path / "report.json"
+    emit_report(run_recovery(_shipped_config(name, **overrides)), "json", str(path))
+    loaded = load_report(str(path))
+    assert lab._checks(loaded.to_dict()) == loaded.checks
+    if "eps" in overrides:
+        assert loaded.bound["max_ratio"] == "inf"
+
+
+def test_check_rows_have_one_home():
+    # run_recovery fills the report's sections and returns once; only
+    # _axiom_checks and _checks make a check row, reading it from a section
+    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    makers = {
+        name
+        for name, node in functions.items()
+        if any(isinstance(n, ast.Name) and n.id == "_check" for n in ast.walk(node))
+    }
+    assert makers == {"_axiom_checks", "_checks"}
+    returns = [n for n in ast.walk(functions["run_recovery"]) if isinstance(n, ast.Return)]
+    assert len(returns) == 1
+
+
 @pytest.mark.parametrize("dim", [2, 3, 16])
 @pytest.mark.parametrize("skew_scale", [1e8, 1e12])
 def test_build_generators_accepts_every_large_skew_scale(dim, skew_scale):
@@ -1004,6 +1052,9 @@ def test_shipped_configs_pass_in_extended_precision(name, dim, monkeypatch):
     report = run_recovery(_shipped_config(name, dim=dim))
     assert [c["name"] for c in report.checks if not c["passed"]] == []
     assert [m.coeffs.dtype for m in recovered] == [np.dtype(np.clongdouble)] * 2
+    # the report holds floats, so it renders as a float64 one does
+    assert json.loads(render_report(report, "json"))["passed"] is True
+    assert len(render_report(report, "csv").splitlines()) == 1 + len(report.bound["rows"])
 
 
 # (lo, hi) of the sampler's p draw, per scheme
