@@ -9,7 +9,8 @@ as one stack in a single thread.
 The runner builds an exact pair (D, theta) from a unitary conjugation and
 a skew-adjoint commutator, perturbs both maps, recovers them back through
 the configured iteration scheme, and certifies stability bounds,
-homogeneity, and the derivation identity on the recovered pair.
+homogeneity, and the derivation identity on the recovered pair, storing
+the report section each certifying stage returns.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .sampling import (
     check_seed,
     child_seed,
     haar_unitary,
+    int_text,
     make_mu_samples,
     make_probes,
     random_matrices,
@@ -52,6 +54,7 @@ from .stability import (
     PowerType,
     Scheme,
     SchemeError,
+    _within,
     certify_theta_derivation,
     complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
@@ -189,7 +192,7 @@ class ExperimentConfig:
         """
         _require_int("dim", self.dim)
         if not 1 <= self.dim <= DIM_MAX:
-            raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {self.dim}")
+            raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {int_text(self.dim)}")
         try:
             scheme = Scheme.parse(self.scheme)
         except ValueError as exc:
@@ -205,12 +208,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if _require_int("probe_count", self.probe_count) < 1:
-            raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
+            raise ConfigError(f"probe_count must be >= 1, got {int_text(self.probe_count)}")
         tol = _require_float("tol", self.tol)
         if tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {tol}")
         if _require_int("l_max", self.l_max) < 1:
-            raise ConfigError(f"l_max must be >= 1, got {self.l_max}")
+            raise ConfigError(f"l_max must be >= 1, got {int_text(self.l_max)}")
         if not scheme.power_gate_ok(p):
             raise ConfigError(scheme.gate_message(p))
         normalized = {"scheme": scheme.value, "eps": eps, "p": p, "tol": tol}
@@ -236,7 +239,7 @@ class ExperimentConfig:
 
 
 def _section(result) -> dict:
-    """A dataclass's fields as a dict, shallow: report sections hold scalars or lists of floats."""
+    """A dataclass's fields as a dict, shallow: the config echo and a linearity failure."""
     return {f.name: getattr(result, f.name) for f in dataclass_fields(result)}
 
 
@@ -280,11 +283,6 @@ def _check(name: str, passed: bool, value=None, tolerance=None) -> dict:
     return {"name": name, "passed": passed, "value": value, "tolerance": tolerance}
 
 
-def _within(threshold: float, **measured: float) -> dict:
-    """A report section: worst measured values, the threshold they must stay within."""
-    return {**measured, "threshold": threshold, "passed": max(measured.values()) <= threshold}
-
-
 def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dict:
     """All four triple axioms plus product-form agreement on seeded data.
 
@@ -295,7 +293,7 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     n = config.dim
     count = config.probe_count if samples is None else samples
     if count < 1:
-        raise ConfigError(f"sample count must be >= 1, got {count}")
+        raise ConfigError(f"sample count must be >= 1, got {int_text(count)}")
     rng = rng_for(config.seed, ROLE_AXIOMS)
     # per draw: a, b, x, y, z, the positivity generator and its four probes
     draws = random_matrices(rng, 10 * count, n).reshape(count, 10, n, n)
@@ -580,12 +578,11 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         worst = max(recovery["d_entrywise_error"], recovery["theta_entrywise_error"])
         recovery["passed"] = worst <= RECOVERY_ERROR_TOL
 
-        sections["hypotheses"] = _section(verify_hypotheses(f, h, phi, form, probes, mu_samples))
+        sections["hypotheses"] = verify_hypotheses(f, h, phi, form, probes, mu_samples)
         lap("hypotheses")
 
-        pairs = ((f, d_hat), (h, theta_hat))
-        bound_f, bound_h = verify_stability_bound(pairs, phi, scheme, probes)
-        sections["bound"], sections["bound_theta"] = _section(bound_f), _section(bound_h)
+        bounds = verify_stability_bound(((f, d_hat), (h, theta_hat)), phi, scheme, probes)
+        sections["bound"], sections["bound_theta"] = bounds
         del sections["bound_theta"]["rows"]
         lap("bound")
 
@@ -598,14 +595,14 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
             entry = _within(HOMOGENEITY_TOL, residual=float(row.max()))
             complex_entries.append({"label": label, "lambda": [lam.real, lam.imag], **entry})
         sections["homogeneity"] = {
-            "s1": _section(s1),
+            "s1": s1,
             "complex": complex_entries,
-            "passed": s1.passed and all(e["passed"] for e in complex_entries),
+            "passed": s1["passed"] and all(e["passed"] for e in complex_entries),
         }
         lap("homogeneity")
 
         cert = certify_theta_derivation(d_hat, theta_hat, cert_triples)
-        sections["derivation_certificate"] = _section(cert)
+        sections["derivation_certificate"] = cert
         lap("certificate")
 
         expected_rate = perturbation_decay_rate(scheme, config.p)
@@ -618,16 +615,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
             sections["derivation_sequence"] = _sequence_section(values, seq_levels, expected_rate)
         lap("sequence")
 
-        rate_est = estimate_convergence_rate(f, scheme, rate_probes)
-        sections["rate"] = {
-            "estimate": rate_est.rate,
-            "expected": expected_rate,
-            "window": RATE_WINDOW,
-            "first_level": rate_est.first_level,
-            "last_level": rate_est.last_level,
-            "probes": rate_est.probes_used,
-            "passed": _within_rate_window(rate_est.rate, expected_rate),
-        }
+        rate = sections["rate"] = estimate_convergence_rate(f, scheme, rate_probes)
+        rate["expected"], rate["window"] = expected_rate, RATE_WINDOW
+        rate["passed"] = _within_rate_window(rate["estimate"], expected_rate)
         lap("rate")
 
     # every check row is read back from the sections, in one place

@@ -29,11 +29,19 @@ ROLE_RATE_PROBES = 11
 ROLE_RECOVERY = 12
 
 
+def int_text(value: int) -> str:
+    """An integer for a message: its digits below 10^20, else its size (str() stops at 4300)."""
+    value = int(value)
+    if abs(value) < 10**20:
+        return str(value)
+    return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) <= MAX_SEED:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        raise ValueError(f"seed must fit in 64 bits, got {int_text(seed)}")
     return int(seed)
 
 

@@ -20,6 +20,9 @@ alternative of Diaz-Margolis and Cadariu-Radu): ``direct_method`` evaluates
 A_L once, at the smallest L the bound certifies.  Convergence rates come
 from one pooled least-squares slope over a fixed window of levels.
 
+Each verification stage returns its report section: a dict under the
+report's key names of Python floats, ints and bools, whatever the dtype.
+
 The stages price with a power-type control only, the one the paper's
 theorems use; a ``Custom`` control is the term-by-term reference series of
 ``phi_tilde`` and ``hyers_bound``.  Maps, power-type controls and
@@ -546,6 +549,11 @@ def _stack(mats, what: str, inner: int = 0) -> np.ndarray:
     return out
 
 
+def _within(threshold: float, **measured: float) -> dict:
+    """A report section: worst measured values, the threshold they must stay within."""
+    return {**measured, "threshold": threshold, "passed": max(measured.values()) <= threshold}
+
+
 def _ratio(num: np.ndarray, den: np.ndarray, at_zero) -> np.ndarray:
     """num / den where den > 0, else ``at_zero``, without dividing by zero."""
     out = np.array(np.broadcast_to(at_zero, np.shape(num)), dtype=float)
@@ -556,24 +564,6 @@ def _ratio(num: np.ndarray, den: np.ndarray, at_zero) -> np.ndarray:
 # hypothesis verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Worst observed ratios of residuals to the control function.
-
-    Samples where the control vanishes cannot be expressed as ratios; they
-    are counted and reported through their largest absolute residual.
-    """
-
-    form: str
-    samples: int
-    max_ratio_f: float
-    max_ratio_h: float
-    max_triple_ratio: float
-    zero_control_samples: int
-    max_zero_control_residual: float
-    passed: bool
-
-
 def verify_hypotheses(
     f,
     h,
@@ -581,8 +571,8 @@ def verify_hypotheses(
     form: str,
     probes: Sequence,
     mu_samples: Sequence[complex],
-) -> HypothesisReport:
-    """Sampled confirmation of the functional inequalities behind a run.
+) -> dict:
+    """Sampled confirmation of the functional inequalities behind a run: its hypotheses section.
 
     For each sample the additive (or jensen) residual of f and of h is
     divided by phi(x, y, 0); by construction of make_perturbation these
@@ -591,10 +581,12 @@ def verify_hypotheses(
         || f({x,y,z}) - {f(x) h(y) h(z)} - {h(x) f(y) h(z)} - {h(x) h(y) f(z)} ||
 
     is divided by phi(x, y, z) and reported without a pass threshold; the
-    perturbation construction does not promise it stays below 1.  One norm
-    call covers x, the pair argument (mu x + y, or half of it for jensen)
-    and {x,y,z}; f is called once over all three and h once over the first
-    two, on those norms.
+    perturbation construction does not promise it stays below 1.  Samples
+    where the control vanishes are counted and reported through their
+    largest absolute residual, which must stay within ZERO_CONTROL_TOL.
+    One norm call covers x, the pair argument (mu x + y, or half of it for
+    jensen) and {x,y,z}; f is called once over all three and h once over
+    the first two, on those norms.
     """
     _require_power(phi, "verify_hypotheses")
     form = _parse_form(form)
@@ -639,18 +631,13 @@ def verify_hypotheses(
     max_f = float(_ratio(rf, denom_pair, 0.0).max())
     max_h = float(_ratio(rh, denom_pair, 0.0).max())
     max_t = float(_ratio(triple_res, denom_triple, 0.0).max())
-    zero_samples = int(zero.sum())
     zero_abs = float(np.where(zero, np.maximum(rf, rh), 0.0).max())
-    return HypothesisReport(
-        form=form,
-        samples=m,
-        max_ratio_f=max_f,
-        max_ratio_h=max_h,
-        max_triple_ratio=max_t,
-        zero_control_samples=zero_samples,
-        max_zero_control_residual=zero_abs,
-        passed=max_f <= 1.0 and max_h <= 1.0 and zero_abs <= ZERO_CONTROL_TOL,
-    )
+    passed = max_f <= 1.0 and max_h <= 1.0 and zero_abs <= ZERO_CONTROL_TOL
+    return {
+        "form": form, "samples": m, "max_ratio_f": max_f, "max_ratio_h": max_h,
+        "max_triple_ratio": max_t, "zero_control_samples": int(zero.sum()),
+        "max_zero_control_residual": zero_abs, "passed": passed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -825,25 +812,16 @@ def recover_linear_map(
 # certificates on recovered maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-probe comparison of the actual defect against the bound."""
-
-    rows: list[list[float]]  # [norm_x, bound, error, ratio] per probe
-    max_ratio: float
-    slack: float
-    passed: bool
-
-
 def verify_stability_bound(
     pairs: Sequence[tuple],
     phi: PowerType,
     scheme,
     probes: Sequence,
-) -> tuple[BoundReport, ...]:
+) -> tuple[dict, ...]:
     """Check ||f(x) - recovered(x)|| <= (1 + BOUND_SLACK) hyers_bound(phi, scheme, x) on probes.
 
-    One report per (f, recovered) pair in ``pairs``, against one power-type
+    One bound section per (f, recovered) pair in ``pairs``, whose ``rows``
+    hold [norm_x, bound, error, ratio] per probe, against one power-type
     bound on the whole stack, whose norms the rows and the perturbed maps
     reuse.  The errors of every pair are normed in one call, which checks
     the maps' outputs.
@@ -856,29 +834,20 @@ def verify_stability_bound(
         np.stack([_image(f, x, norms) - recovered(x) for f, recovered in pairs])
     )
     ratios = _ratio(errors, bounds, np.where(errors == 0.0, 0.0, math.inf))
-    reports = []
-    for error, ratio in zip(errors, ratios):
-        # a report holds floats, whatever the working dtype
-        rows = np.array([norms, bounds, error, ratio]).T.astype(float).tolist()
-        max_ratio = float(ratio.max())
-        reports.append(BoundReport(rows, max_ratio, BOUND_SLACK, max_ratio <= 1.0 + BOUND_SLACK))
-    return tuple(reports)
+    # a report holds floats, whatever the working dtype
+    rows = np.stack(np.broadcast_arrays(norms, bounds, errors, ratios), axis=-1).astype(float)
+    return tuple(
+        {"rows": r.tolist(), "max_ratio": m, "slack": BOUND_SLACK, "passed": m <= 1.0 + BOUND_SLACK}
+        for r, m in zip(rows, ratios.max(axis=1).astype(float).tolist())
+    )
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
-    """Unimodular homogeneity of a map over probe and scalar samples."""
-
-    max_residual: float
-    zero_residual: float
-    threshold: float
-    passed: bool
-
-
-def verify_s1_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> HomogeneityReport:
+def verify_s1_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> dict:
     """Max of ||op(mu x) - mu op(x)|| / max(1, ||x||), plus the zero case, to HOMOGENEITY_TOL.
 
-    One op call over (mu x for every scalar and probe, x, 0), one norm call.
+    Returns the homogeneity ``s1`` section, whose ``zero_residual`` is
+    ||op(0)||.  One op call over (mu x for every scalar and probe, x, 0),
+    one norm call.
     """
     if len(probes) == 0 or len(mu_samples) == 0:
         raise ValueError("verify_s1_homogeneity needs probes and scalar samples")
@@ -889,10 +858,7 @@ def verify_s1_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -
     op_mu_x, op_x = images[: -k - 1].reshape(len(mu), k, n, n), images[-k - 1 : -1]
     norms = spectral_norm(np.concatenate([(op_mu_x - mu * op_x).reshape(-1, n, n), x, images[-1:]]))
     res = norms[: -k - 1].reshape(len(mu), k) / np.maximum(1.0, norms[-k - 1 : -1])
-    worst = float(res.max())
-    zero_residual = float(norms[-1])
-    passed = worst <= HOMOGENEITY_TOL and zero_residual <= HOMOGENEITY_TOL
-    return HomogeneityReport(worst, zero_residual, HOMOGENEITY_TOL, passed)
+    return _within(HOMOGENEITY_TOL, max_residual=float(res.max()), zero_residual=float(norms[-1]))
 
 
 def unimodular_average_decomposition(gamma: float) -> tuple[UnimodularScalar, UnimodularScalar]:
@@ -990,18 +956,12 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
     return (1.0 / factors[:, :1]) * residual
 
 
-@dataclass(frozen=True)
-class DerivationCertificate:
-    """Worst relative three-slot defect of a recovered pair."""
+def certify_theta_derivation(d_hat, theta_hat, triples: Sequence) -> dict:
+    """Check the derivation identity of (d_hat, theta_hat) on probe triples, to DERIVATION_TOL.
 
-    max_relative_residual: float
-    worst_index: int
-    threshold: float
-    passed: bool
-
-
-def certify_theta_derivation(d_hat, theta_hat, triples: Sequence) -> DerivationCertificate:
-    """Check the derivation identity of (d_hat, theta_hat) on probe triples, to DERIVATION_TOL."""
+    Returns the derivation_certificate section: the worst three-slot defect
+    over max(1, ||x|| ||y|| ||z||) and the index of its triple.
+    """
     t = _stack(triples, "certify_theta_derivation", inner=3)
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     nx, ny, nz = _norm(t).T
@@ -1012,12 +972,7 @@ def certify_theta_derivation(d_hat, theta_hat, triples: Sequence) -> DerivationC
     # round-off names the same triple under any numerically equivalent kernel
     tie = worst_value * (1.0 - 4.0 * np.finfo(float).eps)
     worst = int(np.argmax(values >= tie))
-    return DerivationCertificate(
-        max_relative_residual=worst_value,
-        worst_index=worst,
-        threshold=DERIVATION_TOL,
-        passed=worst_value <= DERIVATION_TOL,
-    )
+    return {**_within(DERIVATION_TOL, max_relative_residual=worst_value), "worst_index": worst}
 
 
 # ---------------------------------------------------------------------------
@@ -1045,25 +1000,17 @@ def pooled_rate(levels: Sequence[int], values) -> tuple[float | None, int]:
     return math.exp(float((dl * np.log(np.where(kept, values, 1.0))).sum()) / spread), used
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Geometric rate of successive approximant differences.
+def estimate_convergence_rate(f, scheme, probes: Sequence) -> dict:
+    """Rate of the approximant differences at the fixed RATE_LEVELS window.
 
-    ``pooled_rate`` of ||A_l(x) - A_{l-1}(x)|| over the probes at levels
-    first_level..last_level; probes_used counts the probes with at least
-    two differences above the round-off floor.
+    Returns the measured part of the rate section: ``estimate`` is the
+    ``pooled_rate`` of ||A_l(x) - A_{l-1}(x)|| at levels first_level to
+    last_level, and ``probes`` counts the probes with at least two
+    differences above the round-off floor.
     """
-
-    rate: float | None
-    first_level: int
-    last_level: int
-    probes_used: int
-
-
-def estimate_convergence_rate(f, scheme, probes: Sequence) -> RateEstimate:
-    """Rate of the approximant differences at the fixed RATE_LEVELS window."""
     x = _stack(probes, "estimate_convergence_rate")
     levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
     values = _approximants(f, Scheme.parse(scheme), x, levels, _norm(x))
     rate, used = pooled_rate(RATE_LEVELS, _norm(np.diff(values, axis=0)))
-    return RateEstimate(rate, RATE_LEVELS[0], RATE_LEVELS[-1], used)
+    window = {"first_level": RATE_LEVELS[0], "last_level": RATE_LEVELS[-1]}
+    return {"estimate": rate, **window, "probes": used}

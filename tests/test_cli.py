@@ -354,6 +354,29 @@ def test_bounds_explicit_gate_violation_fails_before_output(capsys):
 
 
 @pytest.mark.parametrize(
+    "scheme,p,closed,j",
+    [
+        ("cauchy2", "0.99", "144.7700817110848", 499),
+        ("jensen3", "0.95", "36.418723707106231", 315),
+        ("cauchy2-contractive", "1.01", "143.7700817110848", 1024),
+    ],
+)
+def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(scheme, p, closed, j, capsys):
+    # the gate accepts p and the closed form is finite, but the term-by-term
+    # reference series leaves the float range: the row says so, as a
+    # gate-rejected row names its gate
+    code = main(["bounds", "--scheme", scheme, "--p", p])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    header, row = captured.out.splitlines()
+    assert header.split() == ["scheme", "p", "closed_form", "series", "rel_diff"]
+    assert row == (
+        f"{scheme:<22s} {float(p):>6.2f} {closed:>22s}   no series: series for scheme "
+        f"{scheme} left the representable range at j = {j}"
+    )
+
+
+@pytest.mark.parametrize(
     "argv,fragment",
     [
         (["bounds", "--eps", "-1"], "eps must be nonnegative, got -1.0"),

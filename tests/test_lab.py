@@ -114,6 +114,21 @@ def test_default_config_is_valid():
         ("tol", -1e-9, "tol must be positive"),
         ("tol", 0, r"tol must be positive, got 0\.0$"),
         ("l_max", 0, "l_max must be >= 1"),
+        # past 4300 digits str() refuses an integer: the message names its size
+        *(
+            pytest.param(
+                name, -(10**5000), f"{fragment}, got a negative integer of 16610 bits$",
+                id=f"{name}--10**5000",
+            )
+            for name, fragment in (
+                ("dim", r"dim must be in \[1, 16\]"),
+                ("probe_count", "probe_count must be >= 1"),
+                ("l_max", "l_max must be >= 1"),
+            )
+        ),
+        pytest.param(
+            "seed", 10**5000, "seed must fit in 64 bits, got an integer of 16610 bits$", id="seed-10**5000"
+        ),
     ],
 )
 def test_config_field_validation(field, value, fragment):
@@ -450,8 +465,9 @@ def test_load_report_missing_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_run_axiom_suite_rejects_zero_samples():
-    with pytest.raises(ConfigError, match="sample count must be >= 1"):
-        run_axiom_suite(ExperimentConfig(), samples=0)
+    for samples, got in ((0, "0"), (-(10**5000), "a negative integer of 16610 bits")):
+        with pytest.raises(ConfigError, match=f"sample count must be >= 1, got {got}$"):
+            run_axiom_suite(ExperimentConfig(), samples=samples)
 
 
 def test_axioms_report_passes_and_is_deterministic():
@@ -764,15 +780,26 @@ def test_homogeneity_stage_applies_the_recovered_map_twice(monkeypatch):
     assert len(bounds) == 3
 
 
+def _plain_leaves(value) -> bool:
+    """True when a section holds only Python scalars, lists and dicts: no numpy scalar."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain_leaves(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain_leaves, value))
+    return type(value) in (float, int, bool, str, type(None))
+
+
 def test_report_sections_hold_every_field_of_their_results(monkeypatch):
-    # the sections are shallow copies; each must equal the deep copy of its result
-    results = {}
+    # each stage returns its report section; run_recovery stores that dict,
+    # drops bound_theta's rows and adds the rate section's verdict keys
+    results, snapshots = {}, {}
 
     def keep(name):
-        check = getattr(lab, name)
+        stage = getattr(lab, name)
 
         def kept(*args):
-            results[name] = check(*args)
+            results[name] = stage(*args)
+            snapshots[name] = copy.deepcopy(results[name])
             return results[name]
 
         return kept
@@ -782,20 +809,52 @@ def test_report_sections_hold_every_field_of_their_results(monkeypatch):
         "verify_stability_bound",
         "verify_s1_homogeneity",
         "certify_theta_derivation",
+        "estimate_convergence_rate",
     ):
         monkeypatch.setattr(lab, name, keep(name))
     report = run_recovery(_shipped_config("cauchy2"))
     bound_f, bound_h = results["verify_stability_bound"]
+    assert report.bound is bound_f and report.bound_theta is bound_h
+    assert report.bound == snapshots["verify_stability_bound"][0]
     assert all(type(row) is list for row in report.bound["rows"])
-    assert report.bound == dataclasses.asdict(bound_f)
     assert report.bound_theta == {
-        k: v for k, v in dataclasses.asdict(bound_h).items() if k != "rows"
+        k: v for k, v in snapshots["verify_stability_bound"][1].items() if k != "rows"
     }
-    assert report.hypotheses == dataclasses.asdict(results["verify_hypotheses"])
-    assert report.homogeneity["s1"] == dataclasses.asdict(results["verify_s1_homogeneity"])
-    assert report.derivation_certificate == dataclasses.asdict(
-        results["certify_theta_derivation"]
-    )
+    for section, name in (
+        (report.hypotheses, "verify_hypotheses"),
+        (report.homogeneity["s1"], "verify_s1_homogeneity"),
+        (report.derivation_certificate, "certify_theta_derivation"),
+    ):
+        assert section is results[name] and section == snapshots[name]
+    rate = snapshots["estimate_convergence_rate"]
+    assert report.rate is results["estimate_convergence_rate"]
+    assert report.rate.keys() - rate.keys() == {"expected", "window", "passed"}
+    assert {k: report.rate[k] for k in rate} == rate
+
+
+def test_stages_called_directly_return_renderable_sections(monkeypatch):
+    # a library caller gets the same plain section, in any working dtype
+    monkeypatch.setattr(linalg, "DTYPE", np.clongdouble)
+    config = _shipped_config("cauchy2")
+    theta, _, big_d = build_generators(config)
+    phi = stability.PowerType(config.eps, config.p)
+    f = stability.make_perturbation(big_d, config.eps, config.p, "cauchy", seed=1)
+    h = stability.make_perturbation(theta, config.eps, config.p, "cauchy", seed=2)
+    d_hat, _ = stability.recover_linear_map(f, "cauchy2", phi)
+    theta_hat, _ = stability.recover_linear_map(h, "cauchy2", phi)
+    probes = triple_stab.make_probes(2, 6, triple_stab.rng_for(3, 2))
+    mus = triple_stab.make_mu_samples(4, triple_stab.rng_for(3, 3))
+    sections = [
+        stability.verify_hypotheses(f, h, phi, "cauchy", probes, mus),
+        *stability.verify_stability_bound([(f, d_hat), (h, theta_hat)], phi, "cauchy2", probes),
+        stability.verify_s1_homogeneity(d_hat, probes, mus),
+        stability.certify_theta_derivation(d_hat, theta_hat, probes.reshape(2, 3, 2, 2)),
+        stability.estimate_convergence_rate(f, "cauchy2", probes),
+    ]
+    assert [m.coeffs.dtype for m in (d_hat, theta_hat)] == [np.dtype(np.clongdouble)] * 2
+    for section in sections:
+        assert type(section) is dict and _plain_leaves(section), section
+        assert json.loads(render_json(section)) == section
 
 
 def test_run_recovery_makes_no_deep_copy(monkeypatch):
