@@ -68,7 +68,6 @@ from .stability import (
     verify_stability_bound,
 )
 from .triple import (
-    CheckResult,
     Commutator,
     Compose,
     Conjugation,

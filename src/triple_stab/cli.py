@@ -138,6 +138,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return _finish(args, report.to_dict(), report.timings)
 
 
+def _p_text(p: float) -> str:
+    """p to two decimals where they hold it exactly, else in full."""
+    text = f"{p:.2f}"
+    return text if float(text) == p else repr(p)
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     eps = args.eps if args.eps is not None else 1.0
     dim = args.dim if args.dim is not None else 2
@@ -160,11 +166,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         grid = (args.p,) if args.p is not None else _GRID[scheme]
         for p in grid:
             if not scheme.power_gate_ok(p):
-                print(f"{scheme.value:<22s} {p:>6.2f}   rejected: {scheme.gate_message(p)}")
+                print(f"{scheme.value:<22s} {_p_text(p):>6s}   rejected: {scheme.gate_message(p)}")
                 continue
             power = PowerType(eps, p)
             closed = hyers_bound(power, scheme, unit)
-            row = f"{scheme.value:<22s} {p:>6.2f} {closed:>22.17g}"
+            row = f"{scheme.value:<22s} {_p_text(p):>6s} {closed:>22.17g}"
             try:
                 series = hyers_bound(Custom(power.value), scheme, unit)
             except SummabilityError as exc:

@@ -46,7 +46,6 @@ from .sampling import (
     skew_matrix,
 )
 from .stability import (
-    HOMOGENEITY_TOL,
     ROUNDOFF_FLOOR,
     ZERO_CONTROL_TOL,
     ConvergenceError,
@@ -54,7 +53,6 @@ from .stability import (
     PowerType,
     Scheme,
     SchemeError,
-    _within,
     certify_theta_derivation,
     complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
@@ -68,11 +66,6 @@ from .stability import (
     verify_stability_bound,
 )
 from .triple import (
-    AXIOM_COMMUTATIVITY_TOL,
-    AXIOM_JORDAN_TOL,
-    AXIOM_L_POSITIVITY_TOL,
-    AXIOM_NORM_TOL,
-    PRODUCT_AGREEMENT_TOL,
     Commutator,
     Conjugation,
     check_axioms,
@@ -297,27 +290,7 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     rng = rng_for(config.seed, ROLE_AXIOMS)
     # per draw: a, b, x, y, z, the positivity generator and its four probes
     draws = random_matrices(rng, 10 * count, n).reshape(count, 10, n, n)
-    comm, jordan, lpos, norm_id, agreement = check_axioms(
-        *(draws[:, i] for i in range(6)), draws[:, 6:]
-    )
-    # thresholds scale with the input norms; renormalize for aggregation
-    jordan_rel = jordan.residual * (AXIOM_JORDAN_TOL / jordan.threshold)
-    fragment = {
-        "samples": count,
-        "commutativity": _within(AXIOM_COMMUTATIVITY_TOL, max_residual=float(comm.residual.max())),
-        "jordan_identity": _within(
-            AXIOM_JORDAN_TOL, max_relative_residual=float(jordan_rel.max())
-        ),
-        "l_positivity": _within(
-            AXIOM_L_POSITIVITY_TOL,
-            max_selfadjoint_violation=float(lpos.max_selfadjoint_violation.max()),
-            max_negativity=float(lpos.max_negativity.max()),
-        ),
-        "norm_identity": _within(AXIOM_NORM_TOL, max_relative_error=float(norm_id.residual.max())),
-        "product_agreement": _within(
-            PRODUCT_AGREEMENT_TOL, max_relative_residual=float(agreement.residual.max())
-        ),
-    }
+    fragment = {"samples": count, **check_axioms(*(draws[:, i] for i in range(6)), draws[:, 6:])}
     fragment["passed"] = all(fragment[section]["passed"] for section, _ in _AXIOM_SECTIONS)
     return fragment
 
@@ -587,13 +560,10 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         lap("bound")
 
         s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples)
-        complex_entries = []
         mid_probes = probes[[0, len(probes) // 2, -1]]
         lams = [lam for lam, _ in COMPLEX_LAMBDAS]
-        by_lam = complex_homogeneity_via_decomposition(d_hat, lams, mid_probes).residual
-        for (lam, label), row in zip(COMPLEX_LAMBDAS, by_lam):
-            entry = _within(HOMOGENEITY_TOL, residual=float(row.max()))
-            complex_entries.append({"label": label, "lambda": [lam.real, lam.imag], **entry})
+        by_lam = complex_homogeneity_via_decomposition(d_hat, lams, mid_probes)
+        complex_entries = [{"label": label, **e} for (_, label), e in zip(COMPLEX_LAMBDAS, by_lam)]
         sections["homogeneity"] = {
             "s1": s1,
             "complex": complex_entries,

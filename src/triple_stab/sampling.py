@@ -96,7 +96,7 @@ def make_probes(
     """C-contiguous complex128 (count, dim, dim) stack: random directions at log-spaced norms."""
     if count < 1:
         raise ValueError("probe count must be at least 1")
-    if not 0.0 < norm_min <= norm_max:
+    if not 0.0 < norm_min <= norm_max < np.inf:
         raise ValueError("norm range must satisfy 0 < norm_min <= norm_max")
     lo, hi = np.log10(norm_min), np.log10(norm_max)
     targets = np.array(
@@ -108,6 +108,8 @@ def make_probes(
 
 def make_mu_samples(count: int, rng: np.random.Generator) -> list[complex]:
     """Unimodular scalars: 1, i, -1, -i first, then seeded random phases."""
+    if count < 1:
+        raise ValueError("mu sample count must be at least 1")
     fixed = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]
     out = fixed[:count]
     while len(out) < count:

@@ -65,11 +65,11 @@ from .linalg import (
 )
 from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, rng_for
 from .triple import (
-    CheckResult,
     LinearOperator,
     Tabulated,
     _cstar,
     _vec,
+    _within,
     derivation_defect,
     matrix_basis,
     theta_derivation_residual,
@@ -549,11 +549,6 @@ def _stack(mats, what: str, inner: int = 0) -> np.ndarray:
     return out
 
 
-def _within(threshold: float, **measured: float) -> dict:
-    """A report section: worst measured values, the threshold they must stay within."""
-    return {**measured, "threshold": threshold, "passed": max(measured.values()) <= threshold}
-
-
 def _ratio(num: np.ndarray, den: np.ndarray, at_zero) -> np.ndarray:
     """num / den where den > 0, else ``at_zero``, without dividing by zero."""
     out = np.array(np.broadcast_to(at_zero, np.shape(num)), dtype=float)
@@ -877,7 +872,7 @@ def _integer_and_pair(part: float):
     return n, (tuple(mu.value for mu in unimodular_average_decomposition(frac)) if frac > 0.0 else ())
 
 
-def complex_homogeneity_via_decomposition(op, lams: Sequence[complex], x) -> CheckResult:
+def complex_homogeneity_via_decomposition(op, lams: Sequence[complex], x) -> list[dict]:
     """Compare op(lam x) against the reassembly used in the linearity proof, for each lam.
 
     lam = a1 + i a2 is split into integer and fractional parts; fractional
@@ -888,9 +883,9 @@ def complex_homogeneity_via_decomposition(op, lams: Sequence[complex], x) -> Che
               + i * (n2 op(x) + (op(m21 x) + op(m22 x)) / 2)
 
     One op call over x and every scaled copy the lams need, one norm call.
-    Returns, one row per lam, the residual against op(lam x), normalized by
-    max(1, |lam| ||x||), against HOMOGENEITY_TOL; on a stack of x, one
-    residual per slice.
+    Returns one entry per lam: ``lambda`` as [real, imag] and the residual
+    against op(lam x), normalized by max(1, |lam| ||x||) and worst over the
+    slices of a stack of x, against HOMOGENEITY_TOL.
     """
     if len(lams) == 0:
         raise ValueError("complex_homogeneity_via_decomposition needs at least one lambda")
@@ -915,7 +910,10 @@ def complex_homogeneity_via_decomposition(op, lams: Sequence[complex], x) -> Che
     norms = spectral_norm(np.stack([mx, *gaps]))
     size = np.array([abs(lam) for lam in lams]).reshape((-1,) + (1,) * (norms.ndim - 1))
     residual = norms[1:] / np.maximum(1.0, size * norms[0])
-    return CheckResult(residual, HOMOGENEITY_TOL, residual <= HOMOGENEITY_TOL)
+    return [
+        {"lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=float(row.max()))}
+        for lam, row in zip(lams, residual)
+    ]
 
 
 def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[int]) -> np.ndarray:

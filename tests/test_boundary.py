@@ -215,3 +215,18 @@ def test_l_positivity_refuses_probes_of_another_dimension():
     for probes in (np.eye(2), np.zeros((0, 2, 2))):
         with pytest.raises(ValueError, match="at least one probe per generator"):
             check_axioms(*ops, probes)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_make_mu_samples_refuses_a_count_below_one(count):
+    # a negative count would slice the fixed scalars from the end, and 0 would
+    # give an empty list that only a later stage refuses, under its own name
+    with pytest.raises(ValueError, match="mu sample count must be at least 1"):
+        make_mu_samples(count, rng_for(62, 2))
+
+
+@pytest.mark.parametrize("norm_min,norm_max", [(1e-2, np.inf), (np.inf, np.inf), (1e-2, np.nan)])
+def test_make_probes_refuses_a_non_finite_norm_range(norm_min, norm_max):
+    # an infinite bound would give non-finite probes, and a RuntimeWarning
+    with pytest.raises(ValueError, match="norm range must satisfy 0 < norm_min <= norm_max"):
+        make_probes(2, 3, rng_for(62, 1), norm_min, norm_max)

@@ -377,6 +377,24 @@ def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(scheme, p,
 
 
 @pytest.mark.parametrize(
+    "argv,p_text",
+    [
+        (["--scheme", "cauchy2", "--p", "0.999"], "0.999"),
+        (["--p", "0.999"], "0.999"),
+        (["--scheme", "jensen3-contractive", "--p", "3.0001"], "3.0001"),
+        (["--scheme", "cauchy2", "--p", "0.25"], "0.25"),
+    ],
+)
+def test_bounds_prints_an_explicit_p_that_two_decimals_do_not_hold_in_full(argv, p_text, capsys):
+    # 0.999 to two decimals reads 1.00, the p at which cauchy2 has no constant;
+    # every row, a gate-rejected one too, shows the p it was computed at
+    code = main(["bounds", *argv])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0
+    assert rows and [row.split()[1] for row in rows] == [p_text] * len(rows)
+
+
+@pytest.mark.parametrize(
     "argv,fragment",
     [
         (["bounds", "--eps", "-1"], "eps must be nonnegative, got -1.0"),

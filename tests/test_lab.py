@@ -850,6 +850,8 @@ def test_stages_called_directly_return_renderable_sections(monkeypatch):
         stability.verify_s1_homogeneity(d_hat, probes, mus),
         stability.certify_theta_derivation(d_hat, theta_hat, probes.reshape(2, 3, 2, 2)),
         stability.estimate_convergence_rate(f, "cauchy2", probes),
+        triple.check_axioms(*probes, probes),
+        *stability.complex_homogeneity_via_decomposition(d_hat, [2.0, 1j, 0.9 + 2.3j], probes[:3]),
     ]
     assert [m.coeffs.dtype for m in (d_hat, theta_hat)] == [np.dtype(np.clongdouble)] * 2
     for section in sections:

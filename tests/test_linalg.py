@@ -203,6 +203,27 @@ def test_linalg_alone_decides_the_operand_contract():
     assert found == []
 
 
+def test_no_module_imports_a_name_it_does_not_use():
+    # no linter runs on the package, so this walk stands in for one; the
+    # package __init__ imports to re-export
+    found = []
+    for path in sorted(Path(triple_stab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno} imports {name} unused")
+    assert found == []
+
+
 def test_as_matrix_accepts_nested_lists():
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.complex128

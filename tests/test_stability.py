@@ -771,13 +771,13 @@ def test_complex_homogeneity_via_decomposition():
     _, _, big_d = _generators(47)
     x = np.array([[0.4, -0.3j], [0.2, 0.9]])
     for lam in (2.0 + 0.0j, 1.0j, 0.9 + 2.3j):
-        res = complex_homogeneity_via_decomposition(big_d, [lam], x)
-        assert res.passed[0]
-        assert res.residual[0] <= 1e-12
+        [entry] = complex_homogeneity_via_decomposition(big_d, [lam], x)
+        assert entry["passed"]
+        assert entry["residual"] <= 1e-12
 
 
 def test_complex_homogeneity_refuses_an_empty_lambda_list():
-    # an empty list would return an empty CheckResult, which passes vacuously;
+    # an empty list would return no entry, which passes vacuously;
     # verify_s1_homogeneity refuses empty samples the same way
     _, _, big_d = _generators(47)
     calls = []
@@ -790,10 +790,8 @@ def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
     # conjugation is additive and fixes real scalars, but maps i x to -i conj(x);
     # at lam = i, x = 100 E11 the route gives 100i E11 against -100i E11, a gap
     # of 200 on |lam| ||x|| = 100
-    res = complex_homogeneity_via_decomposition(lambda x: x.conj(), [1j], 100.0 * E11)
-    assert res.residual[0] == 2.0
-    assert res.threshold == 1e-6
-    assert not res.passed[0]
+    [entry] = complex_homogeneity_via_decomposition(lambda x: x.conj(), [1j], 100.0 * E11)
+    assert entry == {"lambda": [0.0, 1.0], "residual": 2.0, "threshold": 1e-6, "passed": False}
 
 
 def test_estimate_rate_trivial_on_exact_map():

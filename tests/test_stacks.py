@@ -8,7 +8,6 @@ bit for bit, the same formula written out one level or one operator call
 at a time.
 """
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -66,6 +65,7 @@ from triple_stab.triple import (
     AXIOM_NORM_TOL,
     PRODUCT_AGREEMENT_TOL,
     _stack_product,
+    _within,
     check_axioms,
     jordan_product,
     theta_derivation_residual,
@@ -375,16 +375,20 @@ def test_kernel_at_a_power_of_two_scale_equals_the_scaled_call(n):
 
 @pytest.mark.parametrize("n,k", SHAPES)
 def test_axiom_checkers_match_slices(n, k):
-    # every check of a stack equals its per-slice checks bit for bit
+    # a stack's sections are the merge of its single-draw sections, bit for
+    # bit: the max of each value (the threshold included), the and of passed
     ops = [_stack(seed, n, k) for seed in (13, 14, 15, 16, 17, 19)]
     probes = np.stack([_stack(18 + i, n, 4) for i in range(k)])
     stacked = check_axioms(*ops, probes)
     singles = [check_axioms(*s) for s in zip(*ops, probes)]
-    for i, check in enumerate(stacked):
-        parts = [dataclasses.asdict(single[i]) for single in singles]
-        for key, value in dataclasses.asdict(check).items():
-            # a fixed tolerance stays a scalar; a norm-scaled one has one entry per slice
-            assert np.array_equal(np.broadcast_to(value, (k,)), [p[key] for p in parts])
+    merged = {
+        name: {
+            key: (all if key == "passed" else max)(single[name][key] for single in singles)
+            for key in section
+        }
+        for name, section in stacked.items()
+    }
+    assert stacked == merged
 
 
 def _reference_axiom_fragment(config: ExperimentConfig, count: int) -> dict:
@@ -420,17 +424,17 @@ def _reference_axiom_fragment(config: ExperimentConfig, count: int) -> dict:
     agreement = spectral_norm(t(x, y, z) - jb) / np.maximum(1.0, nx * ny * nz)
     fragment = {
         "samples": count,
-        "commutativity": lab._within(AXIOM_COMMUTATIVITY_TOL, max_residual=float(comm.max())),
-        "jordan_identity": lab._within(
+        "commutativity": _within(AXIOM_COMMUTATIVITY_TOL, max_residual=float(comm.max())),
+        "jordan_identity": _within(
             AXIOM_JORDAN_TOL, max_relative_residual=float(jordan_rel.max())
         ),
-        "l_positivity": lab._within(
+        "l_positivity": _within(
             AXIOM_L_POSITIVITY_TOL,
             max_selfadjoint_violation=float(asym.max()),
             max_negativity=float(neg.max()),
         ),
-        "norm_identity": lab._within(AXIOM_NORM_TOL, max_relative_error=float(cube.max())),
-        "product_agreement": lab._within(
+        "norm_identity": _within(AXIOM_NORM_TOL, max_relative_error=float(cube.max())),
+        "product_agreement": _within(
             PRODUCT_AGREEMENT_TOL, max_relative_residual=float(agreement.max())
         ),
     }
@@ -921,9 +925,12 @@ def test_homogeneity_checks_match_one_call_per_argument(n, name):
     assert report["threshold"] == HOMOGENEITY_TOL
     lams = [2.0, 1j, 0.9 + 2.3j, -1.25 + 0.5j]
     got = complex_homogeneity_via_decomposition(op, lams, x[:3])
-    assert got.residual.shape == (4, 3)
-    assert np.array_equal(got.residual, [_complex_by_calls(op, complex(lam), x[:3]) for lam in lams])
-    assert np.array_equal(got.passed, got.residual <= HOMOGENEITY_TOL)
+    # one entry per lam, its residual the worst over the three slices
+    want = [_complex_by_calls(op, complex(lam), x[:3]) for lam in lams]
+    assert got == [
+        {"lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=float(row.max()))}
+        for lam, row in zip(map(complex, lams), want)
+    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
