@@ -51,7 +51,6 @@ from .stability import (
     UnimodularScalar,
     approximants,
     certify_theta_derivation,
-    complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
     direct_method,
     estimate_convergence_rate,
@@ -64,7 +63,7 @@ from .stability import (
     recover_linear_map,
     unimodular_average_decomposition,
     verify_hypotheses,
-    verify_s1_homogeneity,
+    verify_homogeneity,
     verify_stability_bound,
 )
 from .triple import (

@@ -54,7 +54,6 @@ from .stability import (
     Scheme,
     SchemeError,
     certify_theta_derivation,
-    complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
     estimate_convergence_rate,
     make_perturbation,
@@ -62,7 +61,7 @@ from .stability import (
     pooled_rate,
     recover_linear_map,
     verify_hypotheses,
-    verify_s1_homogeneity,
+    verify_homogeneity,
     verify_stability_bound,
 )
 from .triple import (
@@ -78,17 +77,10 @@ RECOVERY_ERROR_TOL = 1e-6
 RATE_WINDOW = 0.05
 
 MU_SAMPLE_COUNT = 16
-S1_PROBE_COUNT = 8
 RATE_PROBE_COUNT = 120
 CERT_TRIPLE_COUNT = 100
 SEQUENCE_TRIPLE_COUNT = 40
 SEQUENCE_STRICT_AFTER = 5
-
-COMPLEX_LAMBDAS = (
-    (complex(2.0, 0.0), "2"),
-    (complex(0.0, 1.0), "i"),
-    (complex(0.9, 2.3), "0.9+2.3i"),
-)
 
 _UNITARY_KINDS = ("haar", "identity")
 _SKEW_KINDS = ("random", "zero")
@@ -354,26 +346,6 @@ class StabilityReport:
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._serialized()}
 
-    @classmethod
-    def from_dict(cls, data) -> "StabilityReport":
-        if not isinstance(data, dict):
-            raise ValueError(f"report must be an object, got {type(data).__name__}")
-        names = cls._serialized()
-        missing = [name for name in names if name not in data]
-        if missing:
-            raise ValueError(f"report is missing fields: {', '.join(missing)}")
-        unknown = [str(key) for key in data if key not in names]
-        if unknown:
-            raise ValueError(f"report has unknown fields: {', '.join(unknown)}")
-        # each bound row is four numbers, as the CSV writes them
-        rows = data["bound"].get("rows", []) if isinstance(data["bound"], dict) else []
-        if not isinstance(rows, list):
-            raise ValueError(f"report bound.rows must be a list, got {type(rows).__name__}")
-        for i, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == 4 and all(map(_is_cell, row))):
-                raise ValueError(f"report bound.rows[{i}] must be four numbers, got {row!r}")
-        return cls(**{name: data[name] for name in names})
-
 
 def _is_cell(value) -> bool:
     # a cell: "inf" or "-inf" as a saved report names +-inf, a float but NaN, or
@@ -559,16 +531,7 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         del sections["bound_theta"]["rows"]
         lap("bound")
 
-        s1 = verify_s1_homogeneity(d_hat, probes[:S1_PROBE_COUNT], mu_samples)
-        mid_probes = probes[[0, len(probes) // 2, -1]]
-        lams = [lam for lam, _ in COMPLEX_LAMBDAS]
-        by_lam = complex_homogeneity_via_decomposition(d_hat, lams, mid_probes)
-        complex_entries = [{"label": label, **e} for (_, label), e in zip(COMPLEX_LAMBDAS, by_lam)]
-        sections["homogeneity"] = {
-            "s1": s1,
-            "complex": complex_entries,
-            "passed": s1["passed"] and all(e["passed"] for e in complex_entries),
-        }
+        sections["homogeneity"] = verify_homogeneity(d_hat, probes, mu_samples)
         lap("homogeneity")
 
         cert = certify_theta_derivation(d_hat, theta_hat, cert_triples)
@@ -648,12 +611,12 @@ def render_json(value) -> str:
 
 
 def render_csv(report_data: dict) -> str:
-    """Per-probe bound table as CSV with a fixed header."""
+    """Per-probe bound table as CSV with a fixed header; a failed recovery's is the header alone."""
     bound = report_data.get("bound")
-    if not isinstance(bound, dict) or "rows" not in bound:
+    if not isinstance(bound, dict) or (bound and "rows" not in bound):
         raise ReportFormatError("report has no per-probe bound table for CSV output")
     lines = ["norm_x,bound,error,ratio"]
-    for row in bound["rows"]:
+    for row in bound.get("rows", []):
         # a cell is a float, or the name "inf" a saved report holds; either
         # way it is written as the JSON writes it, without the quotes
         lines.append(",".join(_render_float(float(v)) for v in row).replace('"', ""))
@@ -683,14 +646,33 @@ def emit_report(report, fmt: str, path: str) -> None:
 def load_report(path: str) -> StabilityReport | dict:
     """Read back a JSON report written by emit_report.
 
-    A recovery report comes back as a StabilityReport; an axioms report,
-    which holds exactly the fields ``axioms_report`` writes, as its dict.
+    A report that holds a field only recovery reports have is checked as one
+    and comes back as a StabilityReport; any other is checked against the
+    fields ``axioms_report`` writes and comes back as its dict.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise OSError(f"could not read report from {path}: {exc}") from exc
-    if isinstance(data, dict) and data.keys() == {"config", "axioms", "checks", "passed"}:
+    if not isinstance(data, dict):
+        raise ValueError(f"report must be an object, got {type(data).__name__}")
+    names, axioms_fields = StabilityReport._serialized(), ["config", "axioms", "checks", "passed"]
+    if set(names).difference(axioms_fields).isdisjoint(data):
+        names = axioms_fields
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"report is missing fields: {', '.join(missing)}")
+    unknown = [str(key) for key in data if key not in names]
+    if unknown:
+        raise ValueError(f"report has unknown fields: {', '.join(unknown)}")
+    if names is axioms_fields:
         return data
-    return StabilityReport.from_dict(data)
+    # each bound row is four numbers, as the CSV writes them
+    rows = data["bound"].get("rows", []) if isinstance(data["bound"], dict) else []
+    if not isinstance(rows, list):
+        raise ValueError(f"report bound.rows must be a list, got {type(rows).__name__}")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 4 and all(map(_is_cell, row))):
+            raise ValueError(f"report bound.rows[{i}] must be four numbers, got {row!r}")
+    return StabilityReport(**{name: data[name] for name in names})

@@ -43,8 +43,8 @@ its (x, y, z, {x,y,z}) stack once for both maps and every level, the rate
 fit norms its probes once, and the direct method reuses the norms of its
 bound.  At base 2 the scaled images are f(s x) bit for bit; at base 3 they
 differ from it at round-off (``PerturbedMap``).  The bound stage takes one
-bound for all its maps, and a homogeneity check applies its map once, to
-every scaled argument.
+bound for all its maps, and the homogeneity stage applies its map once, to
+every scaled argument of its S1 and complex checks, and takes one norm call.
 """
 
 from __future__ import annotations
@@ -87,6 +87,14 @@ ZERO_CONTROL_TOL = 1e-10
 # thresholds of the certificates on a recovered map
 BOUND_SLACK = 1e-9
 HOMOGENEITY_TOL = 1e-6
+# the homogeneity stage's S1 check takes the first probes, and its complex
+# check these lambdas, each under the label of its check row
+S1_PROBE_COUNT = 8
+COMPLEX_LAMBDAS = (
+    (complex(2.0, 0.0), "2"),
+    (complex(0.0, 1.0), "i"),
+    (complex(0.9, 2.3), "0.9+2.3i"),
+)
 DERIVATION_TOL = 1e-6
 # differences and residuals this small sit on the floating-point floor of
 # their computation; rate fits and decrease checks leave them out
@@ -837,25 +845,6 @@ def verify_stability_bound(
     )
 
 
-def verify_s1_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> dict:
-    """Max of ||op(mu x) - mu op(x)|| / max(1, ||x||), plus the zero case, to HOMOGENEITY_TOL.
-
-    Returns the homogeneity ``s1`` section, whose ``zero_residual`` is
-    ||op(0)||.  One op call over (mu x for every scalar and probe, x, 0),
-    one norm call.
-    """
-    if len(probes) == 0 or len(mu_samples) == 0:
-        raise ValueError("verify_s1_homogeneity needs probes and scalar samples")
-    x = _stack(probes, "verify_s1_homogeneity")
-    k, n = len(x), x.shape[-1]
-    mu = np.array([complex(m) for m in mu_samples])[:, None, None, None]
-    images = op(np.concatenate([(mu * x).reshape(-1, n, n), x, np.zeros_like(x[:1])]))
-    op_mu_x, op_x = images[: -k - 1].reshape(len(mu), k, n, n), images[-k - 1 : -1]
-    norms = spectral_norm(np.concatenate([(op_mu_x - mu * op_x).reshape(-1, n, n), x, images[-1:]]))
-    res = norms[: -k - 1].reshape(len(mu), k) / np.maximum(1.0, norms[-k - 1 : -1])
-    return _within(HOMOGENEITY_TOL, max_residual=float(res.max()), zero_residual=float(norms[-1]))
-
-
 def unimodular_average_decomposition(gamma: float) -> tuple[UnimodularScalar, UnimodularScalar]:
     """Write gamma in [0, 1) as the average of two conjugate unimodular scalars."""
     g = float(gamma)
@@ -872,48 +861,63 @@ def _integer_and_pair(part: float):
     return n, (tuple(mu.value for mu in unimodular_average_decomposition(frac)) if frac > 0.0 else ())
 
 
-def complex_homogeneity_via_decomposition(op, lams: Sequence[complex], x) -> list[dict]:
-    """Compare op(lam x) against the reassembly used in the linearity proof, for each lam.
+def _split(stack: np.ndarray, parts: list) -> list:
+    """stack cut into pieces as long as the items of parts, in order."""
+    return np.split(stack, np.cumsum([len(p) for p in parts[:-1]]))
 
-    lam = a1 + i a2 is split into integer and fractional parts; fractional
-    parts become averages of two unimodular scalars, so the route value
-    needs only additivity and unimodular homogeneity of op:
+
+def verify_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> dict:
+    """The homogeneity section: S1 and complex homogeneity of op, to HOMOGENEITY_TOL.
+
+    ``s1`` holds the max of ||op(mu x) - mu op(x)|| / max(1, ||x||) over
+    every scalar and the first S1_PROBE_COUNT probes, and ``zero_residual``,
+    ||op(0)||.  ``complex`` holds one entry per COMPLEX_LAMBDAS lambda, at
+    the first, middle and last probe.  lam = a1 + i a2 is split into integer
+    and fractional parts; fractional parts become averages of two unimodular
+    scalars, so the route value needs only additivity and unimodular
+    homogeneity of op, as in the linearity proof:
 
         route = n1 op(x) + (op(m11 x) + op(m12 x)) / 2
               + i * (n2 op(x) + (op(m21 x) + op(m22 x)) / 2)
 
-    One op call over x and every scaled copy the lams need, one norm call.
-    Returns one entry per lam: ``lambda`` as [real, imag] and the residual
-    against op(lam x), normalized by max(1, |lam| ||x||) and worst over the
-    slices of a stack of x, against HOMOGENEITY_TOL.
+    An entry's residual is ||op(lam x) - route|| / max(1, |lam| ||x||), worst
+    over the three probes.  One op call over every argument (mu x, x, 0, the
+    three probes and their scaled copies), one norm call.
     """
-    if len(lams) == 0:
-        raise ValueError("complex_homogeneity_via_decomposition needs at least one lambda")
-    mx = as_matrix(x)
-    lams = [complex(lam) for lam in lams]
+    if len(mu_samples) == 0:
+        raise ValueError("verify_homogeneity needs at least one unimodular sample")
+    x = _stack(probes, "verify_homogeneity")
+    xs, xc = x[:S1_PROBE_COUNT], x[[0, len(x) // 2, -1]]
+    mu = np.array([complex(m) for m in mu_samples])[:, None, None, None]
+    lams = [lam for lam, _ in COMPLEX_LAMBDAS]
     # per lam, its real and imaginary parts as (integer part, unimodular pair or ())
     splits = [(_integer_and_pair(lam.real), _integer_and_pair(lam.imag)) for lam in lams]
-    # op's arguments after x, in the order the loop below reads their images
-    scalars = []
+    # op's arguments, in the order the lines below read their images
+    args = [(mu * xs).reshape(-1, *xs.shape[1:]), xs, np.zeros_like(xs[:1]), xc]
     for lam, parts in zip(lams, splits):
-        scalars += [lam, *(mu for _, pair in parts for mu in pair)]
-    images = iter(op(np.stack([mx, *(s * mx for s in scalars)])))
-    image, gaps = next(images), []
+        args += [lam * xc, *(m * xc for _, pair in parts for m in pair)]
+    op_mu_x, op_x, op_0, image, *scaled = _split(op(np.concatenate(args)), args)
+    scaled, gaps = iter(scaled), []
     for parts in splits:
-        direct, route = next(images), np.zeros_like(mx)
-        for factor, (n, pair) in zip((1.0 + 0.0j, 1.0j), parts):
-            contribution = n * image
+        direct, route = next(scaled), np.zeros_like(xc)
+        for factor, (whole, pair) in zip((1.0 + 0.0j, 1.0j), parts):
+            contribution = whole * image
             if pair:
-                contribution = contribution + (next(images) + next(images)) / 2.0
+                contribution = contribution + (next(scaled) + next(scaled)) / 2.0
             route = route + factor * contribution
         gaps.append(direct - route)
-    norms = spectral_norm(np.stack([mx, *gaps]))
-    size = np.array([abs(lam) for lam in lams]).reshape((-1,) + (1,) * (norms.ndim - 1))
-    residual = norms[1:] / np.maximum(1.0, size * norms[0])
-    return [
-        {"lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=float(row.max()))}
-        for lam, row in zip(lams, residual)
+    terms = [op_mu_x - (mu * op_x).reshape(op_mu_x.shape), xs, op_0, xc, *gaps]
+    diff, norm_x, zero, norm_c, *norm_gaps = _split(spectral_norm(np.concatenate(terms)), terms)
+    res = diff.reshape(len(mu), -1) / np.maximum(1.0, norm_x)
+    s1 = _within(HOMOGENEITY_TOL, max_residual=float(res.max()), zero_residual=float(zero[0]))
+    size = np.array([abs(lam) for lam in lams])[:, None]
+    residual = np.array(norm_gaps) / np.maximum(1.0, size * norm_c)
+    entries = [
+        {"label": label, "lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=r)}
+        for (lam, label), r in zip(COMPLEX_LAMBDAS, map(float, residual.max(axis=1)))
     ]
+    passed = s1["passed"] and all(e["passed"] for e in entries)
+    return {"s1": s1, "complex": entries, "passed": passed}
 
 
 def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[int]) -> np.ndarray:

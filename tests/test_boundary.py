@@ -16,14 +16,13 @@ from triple_stab.stability import (
     Scheme,
     approximants,
     certify_theta_derivation,
-    complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
     direct_method,
     estimate_convergence_rate,
     make_perturbation,
     recover_linear_map,
     verify_hypotheses,
-    verify_s1_homogeneity,
+    verify_homogeneity,
     verify_stability_bound,
 )
 from triple_stab.triple import (
@@ -99,12 +98,7 @@ def _stage_calls(value):
         "verify_stability_bound_recovered": lambda: verify_stability_bound(
             [(f, _Spoiled(d_hat, value))], PHI, Scheme.CAUCHY2, probes
         ),
-        "verify_s1_homogeneity": lambda: verify_s1_homogeneity(
-            _Spoiled(d_hat, value), probes, mus
-        ),
-        "complex_homogeneity_via_decomposition": lambda: complex_homogeneity_via_decomposition(
-            _Spoiled(d_hat, value), [2.0, 0.9 + 2.3j], probes[:3]
-        ),
+        "verify_homogeneity": lambda: verify_homogeneity(_Spoiled(d_hat, value), probes, mus),
         "certify_theta_derivation_d": lambda: certify_theta_derivation(
             _Spoiled(d_hat, value), theta_hat, _triples()
         ),

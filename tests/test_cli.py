@@ -193,15 +193,20 @@ def test_recover_refuses_a_huge_eps_without_a_traceback(eps, capsys):
 
 
 def test_report_of_failed_recovery_has_no_bound_table(tmp_path, capsys):
+    # the recovery fails as predicted (L > l_max) and leaves the bound section
+    # empty, so its CSV is the header alone: recover writes it and exits 1, as
+    # it does for JSON, and report prints it and exits 0
     config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
-    out_path = tmp_path / "failed.json"
-    assert main(["recover", "--config", str(config), "--l-max", "1", "--out", str(out_path)]) == 1
+    run = ["recover", "--config", str(config), "--dim", "1", "--p", "0.9"]
+    csv_path, json_path = tmp_path / "failed.csv", tmp_path / "failed.json"
+    assert main([*run, "--format", "csv", "--out", str(csv_path)]) == 1
+    assert "exceeds l_max = 200" in capsys.readouterr().err
+    assert csv_path.read_bytes() == b"norm_x,bound,error,ratio\n"
+    assert main([*run, "--out", str(json_path)]) == 1
     capsys.readouterr()
-    code = main(["report", "--in", str(out_path)])
+    assert main(["report", "--in", str(json_path)]) == 0
     captured = capsys.readouterr()
-    assert code == 2
-    assert "report has no per-probe bound table" in captured.err
-    assert captured.out == ""
+    assert (captured.out, captured.err) == ("norm_x,bound,error,ratio\n", "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -228,6 +233,28 @@ def test_report_renders_an_axioms_report(tmp_path, capsys):
     assert main(["report", "--in", str(saved)]) == 2
     captured = capsys.readouterr()
     assert "report has no per-probe bound table" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [("missing", "report is missing fields: passed"), ("unknown", "report has unknown fields: note")],
+)
+def test_report_names_only_the_fields_of_a_damaged_axioms_report(tmp_path, capsys, edit, message):
+    # a report with no field of a recovery report's own is checked as an axioms report
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    saved = tmp_path / "axioms.json"
+    assert main(["axioms", "--config", str(config), "--out", str(saved)]) == 0
+    data = json.loads(saved.read_text(encoding="utf-8"))
+    if edit == "missing":
+        del data["passed"]
+    else:
+        data["note"] = "x"
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--in", str(saved), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

@@ -37,7 +37,6 @@ from triple_stab.stability import (
     UnimodularScalar,
     approximants,
     certify_theta_derivation,
-    complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
     direct_method,
     estimate_convergence_rate,
@@ -51,7 +50,7 @@ from triple_stab.stability import (
     recover_linear_map,
     unimodular_average_decomposition,
     verify_hypotheses,
-    verify_s1_homogeneity,
+    verify_homogeneity,
     verify_stability_bound,
 )
 from triple_stab.triple import (
@@ -301,14 +300,14 @@ def test_hypotheses_and_s1_homogeneity_take_scalar_samples_as_an_array():
     assert verify_hypotheses(f, h, phi, "cauchy", probes, np.array(mus)) == verify_hypotheses(
         f, h, phi, "cauchy", probes, mus
     )
-    assert verify_s1_homogeneity(big_d, probes, np.array(mus)) == verify_s1_homogeneity(
+    assert verify_homogeneity(big_d, probes, np.array(mus)) == verify_homogeneity(
         big_d, probes, mus
     )
     for empty in ([], np.array([], dtype=complex)):
         with pytest.raises(ValueError, match="unimodular sample"):
             verify_hypotheses(f, h, phi, "cauchy", probes, empty)
-        with pytest.raises(ValueError, match="scalar samples"):
-            verify_s1_homogeneity(big_d, probes, empty)
+        with pytest.raises(ValueError, match="unimodular sample"):
+            verify_homogeneity(big_d, probes, empty)
 
 
 # (scheme, form, p): each scheme at its shipped p and near its gate
@@ -694,7 +693,7 @@ def test_hypotheses_evaluate_each_perturbed_map_once_on_one_norm_call(monkeypatc
 
 
 def test_checks_on_a_recovered_map_apply_it_once(monkeypatch):
-    # each homogeneity check applies the map once and takes one norm call; the
+    # the homogeneity stage applies the map once and takes one norm call; the
     # bound stage applies each map once and takes one bound and one error norm
     # for all its pairs
     theta, _, big_d = _generators(50)
@@ -709,14 +708,12 @@ def test_checks_on_a_recovered_map_apply_it_once(monkeypatch):
         stability, "_power_bound", lambda *args: bounds.append(1) or power_bound(*args)
     )
     op = _counting(big_d, op_calls)
-    verify_s1_homogeneity(op, probes, mus)
-    assert (op_calls, norms) == ([16 * 8 + 8 + 1], [16 * 8 + 8 + 1])
-    op_calls.clear()
-    norms.clear()
-    complex_homogeneity_via_decomposition(op, [2.0, 1j, 0.9 + 2.3j], probes[:3])
-    # one stack of the three probes scaled by 1, 2, i, 0.9 + 2.3i and the
-    # unimodular pairs of 0.9 and 0.3; norms of x and of the three gaps
-    assert (op_calls, norms) == ([8], [4])
+    verify_homogeneity(op, probes, mus)
+    # one stack: 16 scalars times 8 probes, the probes and 0, then the first,
+    # middle and last probe scaled by 1, 2, i, 0.9 + 2.3i and the unimodular
+    # pairs of 0.9 and 0.3; one norm call over the S1 differences, the probes,
+    # op(0), the three probes and their gaps at the three lambdas
+    assert (op_calls, norms) == ([16 * 8 + 8 + 1 + 3 * 8], [16 * 8 + 8 + 1 + 3 + 3 * 3])
     norms.clear()
     f_calls, h_calls = [], []
     # the exact maps take no norms of their own: one norm call for the bound,
@@ -762,36 +759,39 @@ def test_s1_homogeneity_of_linear_map():
     _, _, big_d = _generators(46)
     probes = make_probes(2, 6, rng_for(22, 2))
     mus = make_mu_samples(8, rng_for(22, 3))
-    rep = verify_s1_homogeneity(big_d, probes, mus)
-    assert rep["passed"]
-    assert rep["max_residual"] <= 1e-12
+    rep = verify_homogeneity(big_d, probes, mus)
+    assert rep["passed"] and rep["s1"]["passed"]
+    assert rep["s1"]["max_residual"] <= 1e-12
 
 
 def test_complex_homogeneity_via_decomposition():
     _, _, big_d = _generators(47)
     x = np.array([[0.4, -0.3j], [0.2, 0.9]])
-    for lam in (2.0 + 0.0j, 1.0j, 0.9 + 2.3j):
-        [entry] = complex_homogeneity_via_decomposition(big_d, [lam], x)
+    entries = verify_homogeneity(big_d, [x], [1.0])["complex"]
+    assert [(e["label"], e["lambda"]) for e in entries] == [
+        ("2", [2.0, 0.0]),
+        ("i", [0.0, 1.0]),
+        ("0.9+2.3i", [0.9, 2.3]),
+    ]
+    for entry in entries:
         assert entry["passed"]
         assert entry["residual"] <= 1e-12
-
-
-def test_complex_homogeneity_refuses_an_empty_lambda_list():
-    # an empty list would return no entry, which passes vacuously;
-    # verify_s1_homogeneity refuses empty samples the same way
-    _, _, big_d = _generators(47)
-    calls = []
-    with pytest.raises(ValueError, match="needs at least one lambda"):
-        complex_homogeneity_via_decomposition(_counting(big_d, calls), [], E11)
-    assert calls == []
 
 
 def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
     # conjugation is additive and fixes real scalars, but maps i x to -i conj(x);
     # at lam = i, x = 100 E11 the route gives 100i E11 against -100i E11, a gap
     # of 200 on |lam| ||x|| = 100
-    [entry] = complex_homogeneity_via_decomposition(lambda x: x.conj(), [1j], 100.0 * E11)
-    assert entry == {"lambda": [0.0, 1.0], "residual": 2.0, "threshold": 1e-6, "passed": False}
+    section = verify_homogeneity(lambda x: x.conj(), [100.0 * E11], [1.0])
+    [entry] = [e for e in section["complex"] if e["label"] == "i"]
+    assert entry == {
+        "label": "i",
+        "lambda": [0.0, 1.0],
+        "residual": 2.0,
+        "threshold": 1e-6,
+        "passed": False,
+    }
+    assert not section["passed"]
 
 
 def test_estimate_rate_trivial_on_exact_map():

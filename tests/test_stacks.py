@@ -38,9 +38,9 @@ from triple_stab.stability import (
     PowerType,
     Scheme,
     SummabilityError,
+    COMPLEX_LAMBDAS,
     HOMOGENEITY_TOL,
     approximants,
-    complex_homogeneity_via_decomposition,
     derivation_limit_sequence,
     estimate_convergence_rate,
     hyers_bound,
@@ -50,7 +50,7 @@ from triple_stab.stability import (
     recover_linear_map,
     unimodular_average_decomposition,
     verify_hypotheses,
-    verify_s1_homogeneity,
+    verify_homogeneity,
     verify_stability_bound,
 )
 from triple_stab.triple import (
@@ -892,7 +892,7 @@ def test_power_hyers_bound_equals_its_phi_tilde_composition(n, scheme):
 
 
 def _s1_by_calls(op, x, mus):
-    """verify_s1_homogeneity written out: op at mu x, at x and at 0, one norm per term."""
+    """The S1 check written out: op at mu x, at x and at 0, one norm per term."""
     mu = np.array(mus)[:, None, None, None]
     res = spectral_norm(op(mu * x) - mu * op(x)) / np.maximum(1.0, spectral_norm(x))
     return float(res.max()), spectral_norm(op(np.zeros_like(x[0])))
@@ -914,23 +914,26 @@ def _complex_by_calls(op, lam, x):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("name", ["compose", "tabulated"])
-def test_homogeneity_checks_match_one_call_per_argument(n, name):
-    # each check applies op once over all its arguments; with every written-out
-    # call on a stack of at least two slices, the values agree bit for bit
+def test_homogeneity_checks_match_one_call_per_argument(monkeypatch, n, name):
+    # the stage applies op once over all its arguments; with every written-out
+    # call on a stack of at least two slices, the values agree bit for bit.  A
+    # lambda with a negative real part joins the shipped three
+    lams = (*COMPLEX_LAMBDAS, (complex(-1.25, 0.5), "-1.25+0.5i"))
+    monkeypatch.setattr(stability, "COMPLEX_LAMBDAS", lams)
     op = _operators(n)[name]
     x = _stack(87, n, 8)
     mus = [np.exp(1j * a) for a in (0.3, 1.1, 2.9, 4.0)]
-    report = verify_s1_homogeneity(op, x, mus)
-    assert (report["max_residual"], report["zero_residual"]) == _s1_by_calls(op, x, mus)
-    assert report["threshold"] == HOMOGENEITY_TOL
-    lams = [2.0, 1j, 0.9 + 2.3j, -1.25 + 0.5j]
-    got = complex_homogeneity_via_decomposition(op, lams, x[:3])
-    # one entry per lam, its residual the worst over the three slices
-    want = [_complex_by_calls(op, complex(lam), x[:3]) for lam in lams]
-    assert got == [
-        {"lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=float(row.max()))}
-        for lam, row in zip(map(complex, lams), want)
+    section = verify_homogeneity(op, x, mus)
+    s1 = section["s1"]
+    assert (s1["max_residual"], s1["zero_residual"]) == _s1_by_calls(op, x, mus)
+    assert s1["threshold"] == HOMOGENEITY_TOL
+    # one entry per lam, its residual the worst over the first, middle and last probe
+    want = [_complex_by_calls(op, lam, x[[0, 4, 7]]) for lam, _ in lams]
+    assert section["complex"] == [
+        {"label": label, "lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=r)}
+        for (lam, label), r in zip(lams, (float(row.max()) for row in want))
     ]
+    assert section["passed"] == all(e["passed"] for e in [s1, *section["complex"]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
