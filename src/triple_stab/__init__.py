@@ -61,7 +61,9 @@ from .stability import (
     perturbation_decay_rate,
     phi_tilde,
     recover_linear_map,
+    recover_maps,
     unimodular_average_decomposition,
+    verify_derivation_sequence,
     verify_hypotheses,
     verify_homogeneity,
     verify_stability_bound,

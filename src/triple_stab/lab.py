@@ -7,10 +7,11 @@ every run with the same config.  The pipeline evaluates each stage's probes
 as one stack in a single thread.
 
 The runner builds an exact pair (D, theta) from a unitary conjugation and
-a skew-adjoint commutator, perturbs both maps, recovers them back through
-the configured iteration scheme, and certifies stability bounds,
-homogeneity, and the derivation identity on the recovered pair, storing
-the report section each certifying stage returns.
+a skew-adjoint commutator, perturbs both maps and draws the probe sets.  It
+then calls the stages of ``stability`` in turn, from the recovery of the
+pair to the rate fit, times each, and stores each report section as its
+stage returns it (the theta bound without its per-probe rows).  Every
+check row is read back from the sections.
 """
 
 from __future__ import annotations
@@ -46,20 +47,15 @@ from .sampling import (
     skew_matrix,
 )
 from .stability import (
-    ROUNDOFF_FLOOR,
     ZERO_CONTROL_TOL,
-    ConvergenceError,
-    LinearityCertificationError,
     PowerType,
     Scheme,
-    SchemeError,
     certify_theta_derivation,
-    derivation_limit_sequence,
     estimate_convergence_rate,
     make_perturbation,
-    perturbation_decay_rate,
-    pooled_rate,
-    recover_linear_map,
+    perturbation_amplitude,
+    recover_maps,
+    verify_derivation_sequence,
     verify_hypotheses,
     verify_homogeneity,
     verify_stability_bound,
@@ -73,14 +69,10 @@ from .triple import (
 
 DIM_MAX = 16
 
-RECOVERY_ERROR_TOL = 1e-6
-RATE_WINDOW = 0.05
-
 MU_SAMPLE_COUNT = 16
 RATE_PROBE_COUNT = 120
 CERT_TRIPLE_COUNT = 100
 SEQUENCE_TRIPLE_COUNT = 40
-SEQUENCE_STRICT_AFTER = 5
 
 _UNITARY_KINDS = ("haar", "identity")
 _SKEW_KINDS = ("random", "zero")
@@ -99,6 +91,14 @@ def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _config_call(call, *args):
+    """call(*args); a ValueError it raises becomes a ConfigError with the same message."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require_float(name: str, value) -> float:
@@ -178,20 +178,14 @@ class ExperimentConfig:
         _require_int("dim", self.dim)
         if not 1 <= self.dim <= DIM_MAX:
             raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {int_text(self.dim)}")
-        try:
-            scheme = Scheme.parse(self.scheme)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        scheme = _config_call(Scheme.parse, self.scheme)
         eps = _require_float("eps", self.eps)
         if eps < 0.0:
             raise ConfigError(f"eps must be nonnegative, got {eps}")
         p = _require_float("p", self.p)
         if p < 0.0:
             raise ConfigError(f"p must be nonnegative, got {p}")
-        try:
-            check_seed(_require_int("seed", self.seed))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _config_call(check_seed, _require_int("seed", self.seed))
         if _require_int("probe_count", self.probe_count) < 1:
             raise ConfigError(f"probe_count must be >= 1, got {int_text(self.probe_count)}")
         tol = _require_float("tol", self.tol)
@@ -201,6 +195,8 @@ class ExperimentConfig:
             raise ConfigError(f"l_max must be >= 1, got {int_text(self.l_max)}")
         if not scheme.power_gate_ok(p):
             raise ConfigError(scheme.gate_message(p))
+        # the defect constant 2^(p-1) must be a float
+        _config_call(perturbation_amplitude, eps, p, scheme.hypothesis_form)
         normalized = {"scheme": scheme.value, "eps": eps, "p": p, "tol": tol}
         normalized["generator"] = _generator_spec(self.generator)
         for name, value in normalized.items():
@@ -220,12 +216,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Canonical echo: the normalized fields, with a copy of the generator spec."""
-        return {**_section(self), "generator": dict(self.generator)}
-
-
-def _section(result) -> dict:
-    """A dataclass's fields as a dict, shallow: the config echo and a linearity failure."""
-    return {f.name: getattr(result, f.name) for f in dataclass_fields(result)}
+        return {**vars(self), "generator": dict(self.generator)}
 
 
 # ---------------------------------------------------------------------------
@@ -369,43 +360,6 @@ def _sequence_triples(config: ExperimentConfig) -> np.ndarray:
     return scaled.reshape(SEQUENCE_TRIPLE_COUNT, 3, n, n)
 
 
-def _within_rate_window(rate: float | None, expected: float) -> bool:
-    """A measured rate passes within RATE_WINDOW of the expected one; no measurement passes."""
-    return rate is None or abs(rate - expected) <= RATE_WINDOW
-
-
-def _sequence_section(residuals: np.ndarray, levels: list[int], expected_rate: float) -> dict:
-    """Strict-decrease test of the mean residual trajectory and its tail rate.
-
-    ``residuals`` has one row per level and one column per triple.  The tail
-    rate is the pooled slope over every triple's residuals at levels from
-    SEQUENCE_STRICT_AFTER on.
-    """
-    # a report holds floats, whatever the working dtype
-    values = residuals.mean(axis=1).astype(float).tolist()
-    tail = [i for i, lvl in enumerate(levels) if lvl >= SEQUENCE_STRICT_AFTER]
-    # mean values past the pre-asymptotic levels and above the round-off floor
-    kept = [i for i in tail if values[i] > ROUNDOFF_FLOOR]
-    pairs = [(values[i], values[i + 1]) for i in kept if i + 1 < len(values)]
-    decreasing = all(b < a for a, b in pairs)
-    max_tail_ratio = max((b / a for a, b in pairs), default=None)
-    tail_rate, _ = pooled_rate([levels[i] for i in tail], residuals[tail])
-    rate_ok = _within_rate_window(tail_rate, expected_rate)
-    return {
-        "levels": levels,
-        "values": values,
-        "floor": ROUNDOFF_FLOOR,
-        "strict_after": SEQUENCE_STRICT_AFTER,
-        "max_tail_ratio": max_tail_ratio,
-        "tail_rate": tail_rate,
-        "expected_rate": expected_rate,
-        "rate_window": RATE_WINDOW,
-        "decreasing_passed": decreasing,
-        "rate_passed": rate_ok,
-        "passed": decreasing and rate_ok,
-    }
-
-
 def _checks(sections: dict) -> list[dict]:
     """Every check row of a recovery report, read back from its sections, in report order.
 
@@ -486,43 +440,20 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
     cert_triples = random_matrices(
         rng_for(config.seed, ROLE_CERT_TRIPLES), 3 * CERT_TRIPLE_COUNT, config.dim
     ).reshape(CERT_TRIPLE_COUNT, 3, config.dim, config.dim)
+    # the sequence stage reads them only for a scheme with sequence levels
+    seq_triples = _sequence_triples(config) if scheme.sequence_levels is not None else None
     lap("setup")
 
     axioms = run_axiom_suite(config, samples=min(config.probe_count, 50))
     lap("axioms")
 
-    levels: dict[str, int] = {}
-    recovery = {
-        "error": None,
-        "levels": levels,
-        "series_ratio": scheme.series_ratio(config.p),
-        "d_entrywise_error": None,
-        "theta_entrywise_error": None,
-        "tolerance": RECOVERY_ERROR_TOL,
-        "passed": False,
-    }
-    try:
-        d_hat, levels["d"] = recover_linear_map(f, scheme, phi, config.tol, config.l_max)
-        theta_hat, levels["theta"] = recover_linear_map(h, scheme, phi, config.tol, config.l_max)
-    except (ConvergenceError, LinearityCertificationError) as exc:
-        recovery["error"] = str(exc)
-        if isinstance(exc, LinearityCertificationError):
-            # levels names the maps recovered before the one that failed
-            failed = "theta" if levels else "d"
-            recovery["linearity_failure"] = {"map": failed, **_section(exc.failure)}
-    recovery["converged"] = recovery["error"] is None
+    exact = (big_d, theta)
+    recovery, d_hat, theta_hat = recover_maps(f, h, exact, phi, scheme, config.tol, config.l_max)
     lap("recover")
 
     sections = {"config": config.to_dict(), "axioms": axioms, "recovery": recovery}
     # the stages after recovery fill in their sections; a failed recovery leaves them empty
     if recovery["converged"]:
-        # both sides were checked by their constructors
-        for name, recovered, exact in (("d", d_hat, big_d), ("theta", theta_hat, theta)):
-            err = float(np.abs(recovered.coeffs - exact.to_tabulated().coeffs).max())
-            recovery[f"{name}_entrywise_error"] = err
-        worst = max(recovery["d_entrywise_error"], recovery["theta_entrywise_error"])
-        recovery["passed"] = worst <= RECOVERY_ERROR_TOL
-
         sections["hypotheses"] = verify_hypotheses(f, h, phi, form, probes, mu_samples)
         lap("hypotheses")
 
@@ -534,23 +465,14 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         sections["homogeneity"] = verify_homogeneity(d_hat, probes, mu_samples)
         lap("homogeneity")
 
-        cert = certify_theta_derivation(d_hat, theta_hat, cert_triples)
-        sections["derivation_certificate"] = cert
+        sections["derivation_certificate"] = certify_theta_derivation(d_hat, theta_hat, cert_triples)
         lap("certificate")
 
-        expected_rate = perturbation_decay_rate(scheme, config.p)
-        try:
-            seq_levels = list(scheme.derivation_levels())
-        except SchemeError as exc:
-            sections["derivation_sequence"] = {"skipped": str(exc)}
-        else:
-            values = derivation_limit_sequence(f, h, scheme, _sequence_triples(config), seq_levels)
-            sections["derivation_sequence"] = _sequence_section(values, seq_levels, expected_rate)
+        seq = verify_derivation_sequence(f, h, scheme, config.p, seq_triples)
+        sections["derivation_sequence"] = seq
         lap("sequence")
 
-        rate = sections["rate"] = estimate_convergence_rate(f, scheme, rate_probes)
-        rate["expected"], rate["window"] = expected_rate, RATE_WINDOW
-        rate["passed"] = _within_rate_window(rate["estimate"], expected_rate)
+        sections["rate"] = estimate_convergence_rate(f, scheme, config.p, rate_probes)
         lap("rate")
 
     # every check row is read back from the sections, in one place

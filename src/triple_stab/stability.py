@@ -20,8 +20,10 @@ alternative of Diaz-Margolis and Cadariu-Radu): ``direct_method`` evaluates
 A_L once, at the smallest L the bound certifies.  Convergence rates come
 from one pooled least-squares slope over a fixed window of levels.
 
-Each verification stage returns its report section: a dict under the
-report's key names of Python floats, ints and bools, whatever the dtype.
+Each stage of a run, from the recovery to the rate fit, returns its whole
+report section, verdict included: a dict under the report's key names of
+Python floats, ints and bools, whatever the dtype.  The thresholds of its
+checks sit here beside it.
 
 The stages price with a power-type control only, the one the paper's
 theorems use; a ``Custom`` control is the term-by-term reference series of
@@ -33,18 +35,11 @@ one norm call (the ``linalg._norm`` kernel), and the probe norms behind a
 power-type bound are reused by the direct method's target, the linearity
 certificate and the bound table.  Where a stage hands one argument stack to
 both perturbed maps, it norms the stack once and both maps run their
-known-norm kernel on those norms (``_image``): the hypothesis stage maps x,
-the pair argument and {x,y,z} with one f call and x and the pair argument
-with one h call, and the bound stage's maps reuse the probe norms.  A level
-scan hands a perturbed map its unscaled stack, the stack's norms and one
-scale per level: the kernel applies the base, and takes the traces, once
-for all the levels and scales them by s, so the derivation sequence norms
-its (x, y, z, {x,y,z}) stack once for both maps and every level, the rate
-fit norms its probes once, and the direct method reuses the norms of its
-bound.  At base 2 the scaled images are f(s x) bit for bit; at base 3 they
-differ from it at round-off (``PerturbedMap``).  The bound stage takes one
-bound for all its maps, and the homogeneity stage applies its map once, to
-every scaled argument of its S1 and complex checks, and takes one norm call.
+known-norm kernel on those norms (``_image``).  A level scan hands a
+perturbed map its unscaled stack, the stack's norms and one scale per
+level: the kernel applies the base, and takes the traces, once for all the
+levels and scales them by s.  At base 2 the scaled images are f(s x) bit
+for bit; at base 3 they differ from it at round-off (``PerturbedMap``).
 """
 
 from __future__ import annotations
@@ -96,6 +91,12 @@ COMPLEX_LAMBDAS = (
     (complex(0.9, 2.3), "0.9+2.3i"),
 )
 DERIVATION_TOL = 1e-6
+# largest entry of a recovered map's table minus the exact map's
+RECOVERY_ERROR_TOL = 1e-6
+# a measured decay rate passes within this distance of the expected one
+RATE_WINDOW = 0.05
+# the derivation sequence's decrease and tail-rate tests start at this level
+SEQUENCE_STRICT_AFTER = 5
 # differences and residuals this small sit on the floating-point floor of
 # their computation; rate fits and decrease checks leave them out
 ROUNDOFF_FLOOR = 1e-13
@@ -243,7 +244,9 @@ class PowerType:
         return self.from_norms(spectral_norm(x), spectral_norm(y), spectral_norm(z))
 
     def from_norms(self, nx, ny, nz):
-        """phi at arguments of norms nx, ny and nz."""
+        """phi at arguments of norms nx, ny and nz: 0 at eps = 0, where ||x||^p may overflow."""
+        if self.eps == 0.0:
+            return 0.0 * (nx + ny + nz)
         return self.eps * (
             norm_power(nx, self.p) + norm_power(ny, self.p) + norm_power(nz, self.p)
         )
@@ -494,7 +497,10 @@ def perturbation_amplitude(eps: float, p: float, form: str) -> float:
     jensen form.
     """
     form = _parse_form(form)
-    k_p = max(1.0, 2.0 ** (p - 1.0))
+    try:
+        k_p = max(1.0, 2.0 ** (p - 1.0))
+    except OverflowError:
+        raise ValueError(f"p = {p:g} leaves the float range in the constant 2^(p-1)") from None
     if form == "cauchy":
         return eps / (k_p + 1.0)
     return eps / (2.0 ** (1.0 - p) * k_p + 1.0)
@@ -729,7 +735,8 @@ def direct_method(
     ``error_bound`` holds r^L hyers_bound(x) per slice and ``norms`` holds
     ||x||, the norms the bound was taken from.  Raises
     ConvergenceError, naming L, r and the limit, when L exceeds l_max or its
-    scale would leave OVERFLOW_LIMIT, and naming r when the bound overflows.
+    scale would leave OVERFLOW_LIMIT, and naming r when the bound overflows
+    or is NaN.
     """
     _require_power(phi, "direct_method")
     scheme = Scheme.parse(scheme)
@@ -740,14 +747,16 @@ def direct_method(
     # log(need) is a difference of logarithms, as need overflows at a huge eps
     # before the bound does, and a zero bound has log -inf; the float test
     # settles rounding
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bound, norms = _power_bound(phi, scheme, xs)
         target = tol * np.maximum(1.0, norms)
         log_need = float((np.log(bound) - np.log(target)).max())
     r = scheme.series_ratio(phi.p)
-    if log_need == math.inf:
+    # a NaN bound (inf * 0 once r underflows) would keep the level search below going
+    if not log_need < math.inf:
+        what = "is NaN" if math.isnan(log_need) else "overflows"
         raise ConvergenceError(
-            f"the stability bound at series ratio {r:.6g} overflows: no level certifies tol"
+            f"the stability bound at series ratio {r:.6g} {what}: no level certifies tol"
         )
     level = math.ceil(log_need / -math.log(r)) if log_need > 0.0 else 0
     while level > 0 and (r ** (level - 1) * bound <= target).all():
@@ -809,6 +818,40 @@ def recover_linear_map(
             failure,
         )
     return recovered, run.l_used
+
+
+def recover_maps(f, h, exact, phi: PowerType, scheme, tol: float, l_max: int) -> tuple:
+    """The recovery section, then d_hat from f and theta_hat from h (None, None after a failure).
+
+    Each map is recovered by ``recover_linear_map`` and measured against its
+    exact map in ``exact``, (D, theta), by the largest entrywise difference of
+    their tables, to RECOVERY_ERROR_TOL.  ``error`` records a ConvergenceError
+    or a failed linearity certificate, whose map ``linearity_failure`` names.
+    """
+    scheme = Scheme.parse(scheme)
+    levels, recovered = {}, []
+    section = {
+        "error": None, "levels": levels, "series_ratio": scheme.series_ratio(phi.p),
+        "d_entrywise_error": None, "theta_entrywise_error": None,
+        "tolerance": RECOVERY_ERROR_TOL, "passed": False, "converged": False,
+    }
+    try:
+        for name, g in (("d", f), ("theta", h)):
+            tabulated, levels[name] = recover_linear_map(g, scheme, phi, tol, l_max)
+            recovered.append(tabulated)
+    except (ConvergenceError, LinearityCertificationError) as exc:
+        section["error"] = str(exc)
+        if isinstance(exc, LinearityCertificationError):
+            # levels names the maps recovered before the one that failed
+            failed = "theta" if levels else "d"
+            section["linearity_failure"] = {"map": failed, **vars(exc.failure)}
+        return section, None, None
+    # both sides were checked by their constructors
+    for name, hat, g in zip(levels, recovered, exact):
+        section[f"{name}_entrywise_error"] = float(np.abs(hat.coeffs - g.to_tabulated().coeffs).max())
+    worst = max(section["d_entrywise_error"], section["theta_entrywise_error"])
+    section.update(converged=True, passed=worst <= RECOVERY_ERROR_TOL)
+    return section, *recovered
 
 
 # ---------------------------------------------------------------------------
@@ -958,6 +1001,40 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
     return (1.0 / factors[:, :1]) * residual
 
 
+def verify_derivation_sequence(f, h, scheme, p: float, triples: Sequence) -> dict:
+    """The derivation_sequence section: strict decrease and tail rate of the residuals.
+
+    The mean of ``derivation_limit_sequence`` over the triples must strictly
+    decrease at levels from SEQUENCE_STRICT_AFTER on while above
+    ROUNDOFF_FLOOR, and the pooled slope of every triple's residuals at
+    those levels must lie within RATE_WINDOW of perturbation_decay_rate(p).
+    A scheme without sequence levels gives {"skipped": reason}, unread triples.
+    """
+    scheme = Scheme.parse(scheme)
+    try:
+        levels = list(scheme.derivation_levels())
+    except SchemeError as exc:
+        return {"skipped": str(exc)}
+    residuals = derivation_limit_sequence(f, h, scheme, triples, levels)
+    expected_rate = perturbation_decay_rate(scheme, p)
+    # a report holds floats, whatever the working dtype
+    values = residuals.mean(axis=1).astype(float).tolist()
+    tail = [i for i, lvl in enumerate(levels) if lvl >= SEQUENCE_STRICT_AFTER]
+    # mean values past the pre-asymptotic levels and above the round-off floor
+    kept = [i for i in tail if values[i] > ROUNDOFF_FLOOR]
+    pairs = [(values[i], values[i + 1]) for i in kept if i + 1 < len(values)]
+    decreasing = all(b < a for a, b in pairs)
+    max_tail_ratio = max((b / a for a, b in pairs), default=None)
+    tail_rate, _ = pooled_rate([levels[i] for i in tail], residuals[tail])
+    rate_ok = tail_rate is None or abs(tail_rate - expected_rate) <= RATE_WINDOW
+    return {
+        "levels": levels, "values": values, "floor": ROUNDOFF_FLOOR,
+        "strict_after": SEQUENCE_STRICT_AFTER, "max_tail_ratio": max_tail_ratio,
+        "tail_rate": tail_rate, "expected_rate": expected_rate, "rate_window": RATE_WINDOW,
+        "decreasing_passed": decreasing, "rate_passed": rate_ok, "passed": decreasing and rate_ok,
+    }
+
+
 def certify_theta_derivation(d_hat, theta_hat, triples: Sequence) -> dict:
     """Check the derivation identity of (d_hat, theta_hat) on probe triples, to DERIVATION_TOL.
 
@@ -1002,17 +1079,21 @@ def pooled_rate(levels: Sequence[int], values) -> tuple[float | None, int]:
     return math.exp(float((dl * np.log(np.where(kept, values, 1.0))).sum()) / spread), used
 
 
-def estimate_convergence_rate(f, scheme, probes: Sequence) -> dict:
-    """Rate of the approximant differences at the fixed RATE_LEVELS window.
+def estimate_convergence_rate(f, scheme, p: float, probes: Sequence) -> dict:
+    """The rate section: rate of the approximant differences at the fixed RATE_LEVELS window.
 
-    Returns the measured part of the rate section: ``estimate`` is the
-    ``pooled_rate`` of ||A_l(x) - A_{l-1}(x)|| at levels first_level to
-    last_level, and ``probes`` counts the probes with at least two
-    differences above the round-off floor.
+    ``estimate`` is the ``pooled_rate`` of ||A_l(x) - A_{l-1}(x)|| at levels
+    first_level to last_level, within RATE_WINDOW of perturbation_decay_rate(p)
+    (or None, which passes); ``probes`` counts the probes it used.
     """
     x = _stack(probes, "estimate_convergence_rate")
+    scheme = Scheme.parse(scheme)
     levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
-    values = _approximants(f, Scheme.parse(scheme), x, levels, _norm(x))
+    values = _approximants(f, scheme, x, levels, _norm(x))
     rate, used = pooled_rate(RATE_LEVELS, _norm(np.diff(values, axis=0)))
-    window = {"first_level": RATE_LEVELS[0], "last_level": RATE_LEVELS[-1]}
-    return {"estimate": rate, **window, "probes": used}
+    expected = perturbation_decay_rate(scheme, p)
+    return {
+        "estimate": rate, "first_level": RATE_LEVELS[0], "last_level": RATE_LEVELS[-1],
+        "probes": used, "expected": expected, "window": RATE_WINDOW,
+        "passed": rate is None or abs(rate - expected) <= RATE_WINDOW,
+    }

@@ -1,8 +1,10 @@
-"""Shared test configuration: a bounded hypothesis profile, the BLAS core of the byte pins."""
+"""Shared test configuration: a bounded hypothesis profile, the BLAS core of the byte pins,
+and a wall-clock deadline for tests that must not hang."""
 
 import ctypes
 import glob
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -37,3 +39,26 @@ def _openblas_core() -> str:
 def pin_core_note() -> str:
     """Failure message of a byte pin: the core that ran, next to the one the pins hold."""
     return f"OpenBLAS core {_openblas_core()} ran; pins taken on {PIN_CORE}"
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)`` fails the test once that much wall time has passed.
+
+    It arms ``signal.setitimer(ITIMER_REAL)``, so a test that would hang
+    fails inside itself instead of stalling the suite.  The timer and the
+    SIGALRM handler are restored when the test ends; where the platform has
+    no interval timer, the test is skipped.
+    """
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("signal.setitimer is not available on this platform")
+
+    def expire(signum, frame):
+        pytest.fail("the test ran past its deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -112,7 +112,7 @@ def _stage_calls(value):
             f, bad_h, Scheme.CAUCHY2, _triples(), [0, 1]
         ),
         "estimate_convergence_rate": lambda: estimate_convergence_rate(
-            bad_f, Scheme.CAUCHY2, probes
+            bad_f, Scheme.CAUCHY2, PHI.p, probes
         ),
     }
 

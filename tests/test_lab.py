@@ -11,6 +11,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,28 @@ def test_config_gate_violation_names_condition():
         ExperimentConfig(scheme="jensen3-contractive", p=2.0)
 
 
+@pytest.mark.parametrize("scheme", ["cauchy2-contractive", "jensen3-contractive"])
+def test_contractive_schemes_end_at_a_large_p(scheme, deadline):
+    # at eps = 0 the control is 0 everywhere: ||x||^p overflowing from
+    # p = 308 on once made its bound 0 * inf = NaN, and the level search
+    # never ended.  From p = 1025 the defect constant 2^(p-1) leaves the
+    # float range, and validate() refuses the config, naming p.  Warnings
+    # are recorded, as the CLI prints them, instead of raised
+    deadline(10.0)
+    for p in (308.0, 1024.0):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_recovery(_shipped_config(scheme.replace("-", "_"), eps=0.0, p=p))
+        assert caught == []
+        assert report.recovery["converged"] and not report.passed
+        # the known eps = 0 row: a zero bound against a round-off error
+        failed = [c["name"] for c in report.checks if not c["passed"]]
+        assert failed == ["bound_ratio"] and report.bound["max_ratio"] == math.inf
+    for eps, p in ((0.0, 1e6), (0.1, 1025.0), (0.1, 1e6)):
+        with pytest.raises(ConfigError, match=re.escape(f"p = {p:g} leaves the float range")):
+            _shipped_config(scheme.replace("-", "_"), eps=eps, p=p)
+
+
 def test_generator_spec_validation():
     ExperimentConfig(generator="identity")
     ExperimentConfig(generator={"unitary": "haar"})
@@ -258,10 +282,13 @@ def test_config_round_trip_normalizes_scheme_tag():
 
 @st.composite
 def _valid_configs(draw):
-    """Any accepted config: dims 1-16, each scheme with a p inside its gate, any tag spelling."""
+    """Any accepted config: dims 1-16, each scheme with a p inside its gate, any tag spelling.
+
+    A contractive p stays below 1025, from where 2^(p-1) leaves the float range.
+    """
     scheme = draw(st.sampled_from(list(stability.Scheme)))
     if scheme.contractive:
-        p = st.floats(min_value=scheme.gate, max_value=1e6, exclude_min=True)
+        p = st.floats(min_value=scheme.gate, max_value=1025.0, exclude_min=True, exclude_max=True)
     else:
         p = st.floats(min_value=0.0, max_value=scheme.gate, exclude_max=True)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -590,9 +617,54 @@ def test_run_recovery_keeps_timings_in_run_order():
     assert list(passed.timings) == [f"{stage}_s" for stage in (*_RUN_STAGES, "total")]
 
 
+def test_recover_lap_holds_the_whole_recovery(monkeypatch):
+    # the entrywise errors against the exact maps are part of the recovery
+    # stage, so a slow exact table is charged to recover_s, not hypotheses_s
+    to_tabulated = triple.LinearOperator.to_tabulated
+
+    def slow(self):
+        time.sleep(0.05)
+        return to_tabulated(self)
+
+    monkeypatch.setattr(triple.LinearOperator, "to_tabulated", slow)
+    timings = run_recovery(_shipped_config("cauchy2")).timings
+    assert timings["recover_s"] >= 0.05
+    assert timings["hypotheses_s"] < 0.05
+
+
+def test_lab_builds_no_report_section():
+    # every check threshold sits in stability beside the stage that applies
+    # it: lab defines none and imports none of the recovery, sequence and
+    # rate machinery
+    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
+    defined = {
+        target.id
+        for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    moved = {"RECOVERY_ERROR_TOL", "RATE_WINDOW", "SEQUENCE_STRICT_AFTER", "_section"}
+    assert defined & moved == set()
+    assert imported & {
+        "recover_linear_map",
+        "derivation_limit_sequence",
+        "perturbation_decay_rate",
+        "pooled_rate",
+        "ROUNDOFF_FLOOR",
+        "SchemeError",
+        "ConvergenceError",
+        "LinearityCertificationError",
+    } == set()
+
+
 @pytest.mark.parametrize("failing", ["d", "theta"])
 def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, failing):
-    recover = lab.recover_linear_map
+    recover = stability.recover_linear_map
 
     def fail_one_map(g, *args):
         # h perturbs theta, a conjugation; f perturbs the composite D
@@ -602,7 +674,7 @@ def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, fai
             )
         return recover(g, *args)
 
-    monkeypatch.setattr(lab, "recover_linear_map", fail_one_map)
+    monkeypatch.setattr(stability, "recover_linear_map", fail_one_map)
     report = run_recovery(_shipped_config("cauchy2"))
     assert not report.passed
     assert report.recovery["error"] == "linearity failed"
@@ -618,7 +690,7 @@ def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, fai
     rendered = json.loads(render_json(report.to_dict()))
     assert rendered["recovery"]["linearity_failure"] == report.recovery["linearity_failure"]
     # a recovery that passes, or fails for another reason, adds no key
-    monkeypatch.setattr(lab, "recover_linear_map", recover)
+    monkeypatch.setattr(stability, "recover_linear_map", recover)
     assert "linearity_failure" not in run_recovery(_shipped_config("cauchy2")).recovery
     assert "linearity_failure" not in run_recovery(_shipped_config("cauchy2", l_max=1)).recovery
 
@@ -825,8 +897,8 @@ def _plain_leaves(value) -> bool:
 
 
 def test_report_sections_hold_every_field_of_their_results(monkeypatch):
-    # each stage returns its report section; run_recovery stores that dict,
-    # drops bound_theta's rows and adds the rate section's verdict keys
+    # each stage returns its report section; run_recovery stores that dict
+    # and drops bound_theta's rows
     results, snapshots = {}, {}
 
     def keep(name):
@@ -840,14 +912,19 @@ def test_report_sections_hold_every_field_of_their_results(monkeypatch):
         return kept
 
     for name in (
+        "recover_maps",
         "verify_hypotheses",
         "verify_stability_bound",
         "verify_homogeneity",
         "certify_theta_derivation",
+        "verify_derivation_sequence",
         "estimate_convergence_rate",
     ):
         monkeypatch.setattr(lab, name, keep(name))
     report = run_recovery(_shipped_config("cauchy2"))
+    recovery, d_hat, theta_hat = results["recover_maps"]
+    assert report.recovery is recovery and report.recovery == snapshots["recover_maps"][0]
+    assert "skipped" not in report.derivation_sequence
     bound_f, bound_h = results["verify_stability_bound"]
     assert report.bound is bound_f and report.bound_theta is bound_h
     assert report.bound == snapshots["verify_stability_bound"][0]
@@ -859,12 +936,10 @@ def test_report_sections_hold_every_field_of_their_results(monkeypatch):
         (report.hypotheses, "verify_hypotheses"),
         (report.homogeneity, "verify_homogeneity"),
         (report.derivation_certificate, "certify_theta_derivation"),
+        (report.derivation_sequence, "verify_derivation_sequence"),
+        (report.rate, "estimate_convergence_rate"),
     ):
         assert section is results[name] and section == snapshots[name]
-    rate = snapshots["estimate_convergence_rate"]
-    assert report.rate is results["estimate_convergence_rate"]
-    assert report.rate.keys() - rate.keys() == {"expected", "window", "passed"}
-    assert {k: report.rate[k] for k in rate} == rate
 
 
 def test_stages_called_directly_return_renderable_sections(monkeypatch):
@@ -875,16 +950,18 @@ def test_stages_called_directly_return_renderable_sections(monkeypatch):
     phi = stability.PowerType(config.eps, config.p)
     f = stability.make_perturbation(big_d, config.eps, config.p, "cauchy", seed=1)
     h = stability.make_perturbation(theta, config.eps, config.p, "cauchy", seed=2)
-    d_hat, _ = stability.recover_linear_map(f, "cauchy2", phi)
-    theta_hat, _ = stability.recover_linear_map(h, "cauchy2", phi)
+    exact = (big_d, theta)
+    recovery, d_hat, theta_hat = stability.recover_maps(f, h, exact, phi, "cauchy2", 1e-9, 200)
     probes = triple_stab.make_probes(2, 6, triple_stab.rng_for(3, 2))
     mus = triple_stab.make_mu_samples(4, triple_stab.rng_for(3, 3))
     sections = [
+        recovery,
         stability.verify_hypotheses(f, h, phi, "cauchy", probes, mus),
         *stability.verify_stability_bound([(f, d_hat), (h, theta_hat)], phi, "cauchy2", probes),
         stability.verify_homogeneity(d_hat, probes, mus),
         stability.certify_theta_derivation(d_hat, theta_hat, probes.reshape(2, 3, 2, 2)),
-        stability.estimate_convergence_rate(f, "cauchy2", probes),
+        stability.verify_derivation_sequence(f, h, "cauchy2", config.p, probes.reshape(2, 3, 2, 2)),
+        stability.estimate_convergence_rate(f, "cauchy2", config.p, probes),
         triple.check_axioms(*probes, probes),
     ]
     assert [m.coeffs.dtype for m in (d_hat, theta_hat)] == [np.dtype(np.clongdouble)] * 2
@@ -1136,14 +1213,14 @@ def test_shipped_configs_pass_in_extended_precision(name, dim, monkeypatch):
     # swapping linalg's working dtype runs the whole pipeline in clongdouble:
     # every operand is cast where it is checked, and nothing else names a dtype
     monkeypatch.setattr(linalg, "DTYPE", np.clongdouble)
-    recovered = []
+    recovered, recover_linear_map = [], stability.recover_linear_map
 
     def recover(*args):
-        tabulated, level = stability.recover_linear_map(*args)
+        tabulated, level = recover_linear_map(*args)
         recovered.append(tabulated)
         return tabulated, level
 
-    monkeypatch.setattr(lab, "recover_linear_map", recover)
+    monkeypatch.setattr(stability, "recover_linear_map", recover)
     report = run_recovery(_shipped_config(name, dim=dim))
     assert [c["name"] for c in report.checks if not c["passed"]] == []
     assert [m.coeffs.dtype for m in recovered] == [np.dtype(np.clongdouble)] * 2

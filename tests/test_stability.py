@@ -447,6 +447,36 @@ def test_direct_method_refuses_a_huge_eps(eps, fragment):
         assert not (r ** (level - 1) * bound <= target).all()
 
 
+def test_direct_method_names_a_nan_bound(deadline):
+    # past p = 1075 the contractive doubling ratio 2^(1-p) underflows to 0,
+    # and ||3 E11||^p overflows: the bound is inf * 0 = NaN, on which the
+    # level search once ran forever
+    deadline(10.0)
+    _, _, big_d = _generators(56)
+    calls = []
+    with pytest.raises(ConvergenceError, match="series ratio 0 is NaN: no level certifies tol"):
+        direct_method(
+            _counting(big_d, calls), Scheme.CAUCHY2_CONTRACTIVE, PowerType(0.1, 1100.0),
+            np.stack([E11, 3.0 * E11]),
+        )
+    assert calls == []
+
+
+def test_zero_control_stays_zero_where_the_power_overflows():
+    # eps = 0 is 0 everywhere, not 0 * inf = NaN where ||x||^p leaves the range
+    norms = np.array([0.0, 1.0, 10.0])
+    assert PowerType(0.0, 400.0).from_norms(norms, norms, 0.0).tolist() == [0.0, 0.0, 0.0]
+    assert PowerType(0.0, 400.0).from_norms(10.0, 10.0, 10.0) == 0.0
+
+
+@pytest.mark.parametrize("form", ["cauchy", "jensen"])
+def test_perturbation_amplitude_names_a_p_past_the_float_range(form):
+    # 2^(p-1) is the largest power of two below the float range at p = 1024
+    assert perturbation_amplitude(0.1, 1024.0, form) > 0.0
+    with pytest.raises(ValueError, match=r"p = 1025 leaves the float range in the constant 2\^"):
+        perturbation_amplitude(0.1, 1025.0, form)
+
+
 def test_pooled_rate_recovers_a_common_ratio():
     levels = np.arange(3, 13)
     rho = 0.7
@@ -660,7 +690,7 @@ def test_stages_call_each_map_once_per_scan():
     derivation_limit_sequence(cf, ch, Scheme.CAUCHY2, triples, range(25))
     assert (f_calls, h_calls) == ([25 * 160], [25 * 120])
     f_calls.clear()
-    estimate_convergence_rate(cf, Scheme.CAUCHY2, make_probes(2, 120, rng_for(29, 11)))
+    estimate_convergence_rate(cf, Scheme.CAUCHY2, 0.5, make_probes(2, 120, rng_for(29, 11)))
     assert f_calls == [11 * 120]
     f_calls.clear()
     h_calls.clear()
@@ -797,7 +827,7 @@ def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
 def test_estimate_rate_trivial_on_exact_map():
     _, _, big_d = _generators(48)
     f = make_perturbation(big_d, 0.0, 0.5, "cauchy", seed=23)
-    est = estimate_convergence_rate(f, Scheme.CAUCHY2, [E11])
+    est = estimate_convergence_rate(f, Scheme.CAUCHY2, 0.5, [E11])
     assert est["estimate"] is None
     assert est["probes"] == 0
 
@@ -806,7 +836,7 @@ def test_estimate_rate_perturbed_doubling():
     _, _, big_d = _generators(49)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=24)
     probes = make_probes(2, 10, rng_for(25, 11), norm_min=0.5, norm_max=2.0)
-    est = estimate_convergence_rate(f, Scheme.CAUCHY2, probes)
+    est = estimate_convergence_rate(f, Scheme.CAUCHY2, 0.5, probes)
     assert est["estimate"] is not None
     assert est["probes"] == 10
     # a single probe draw scatters around the asymptotic rate by several

@@ -35,6 +35,7 @@ from triple_stab.sampling import (
 from triple_stab import stability
 from triple_stab.stability import (
     RATE_LEVELS,
+    RATE_WINDOW,
     PowerType,
     Scheme,
     SummabilityError,
@@ -45,6 +46,7 @@ from triple_stab.stability import (
     estimate_convergence_rate,
     hyers_bound,
     make_perturbation,
+    perturbation_decay_rate,
     phi_tilde,
     pooled_rate,
     recover_linear_map,
@@ -690,9 +692,9 @@ def test_level_scans_make_one_map_call_each():
     by_level = [derivation_limit_sequence(f, h, Scheme.CAUCHY2, triples, [l])[0] for l in levels]
     assert np.array_equal(sequence, np.stack(by_level))
     calls.clear()
-    rate = estimate_convergence_rate(counted, Scheme.CAUCHY2, probes)
+    rate = estimate_convergence_rate(counted, Scheme.CAUCHY2, 0.5, probes)
     assert calls == [440]
-    assert rate == estimate_convergence_rate(f, Scheme.CAUCHY2, probes)
+    assert rate == estimate_convergence_rate(f, Scheme.CAUCHY2, 0.5, probes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -701,7 +703,8 @@ def test_rate_scan_matches_level_by_level(n, scheme):
     # the scan over all levels is bit for bit the scan one level at a time;
     # the black-box f(s x) / s gives the same bits at base 2 and stays within
     # round-off at base 3
-    f, _ = _perturbed_pair(n, SHIPPED_P[scheme], scheme.hypothesis_form)
+    p = SHIPPED_P[scheme]
+    f, _ = _perturbed_pair(n, p, scheme.hypothesis_form)
     probes = _stack(60, n, 5)
     levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
     by_level = np.stack([approximants(f, scheme, probes, [l])[0] for l in levels])
@@ -713,12 +716,16 @@ def test_rate_scan_matches_level_by_level(n, scheme):
         allowance = [_image_roundoff(f, scheme.scale(l), probes) / scheme.scale(l) for l in levels]
         assert (spectral_norm(by_level - written_out) <= np.stack(allowance)).all()
     rate, used = pooled_rate(RATE_LEVELS, spectral_norm(np.diff(by_level, axis=0)))
-    est = estimate_convergence_rate(f, scheme, probes)
+    est = estimate_convergence_rate(f, scheme, p, probes)
+    expected = perturbation_decay_rate(scheme, p)
     assert est == {
         "estimate": rate,
         "first_level": RATE_LEVELS[0],
         "last_level": RATE_LEVELS[-1],
         "probes": used,
+        "expected": expected,
+        "window": RATE_WINDOW,
+        "passed": rate is None or abs(rate - expected) <= RATE_WINDOW,
     }
 
 
