@@ -41,7 +41,6 @@ from .stability import (
     ConvergenceError,
     Custom,
     LinearityCertificationError,
-    LinearityFailure,
     PerturbedMap,
     PowerType,
     ScaleOverflowError,

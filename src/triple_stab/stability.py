@@ -58,7 +58,7 @@ from .linalg import (
     require_dim,
     spectral_norm,
 )
-from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, rng_for
+from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, random_matrix, rng_for
 from .triple import (
     LinearOperator,
     Tabulated,
@@ -120,21 +120,10 @@ class ConvergenceError(RuntimeError):
     """No certified level: it exceeds l_max, its scale or the bound leaves float range."""
 
 
-@dataclass(frozen=True)
-class LinearityFailure:
-    """Worst certificate probe of a failed linearity check, under its report key names."""
-
-    probe_index: int
-    probe_norm: float
-    gap: float
-    allowance: float
-    level: int
-
-
 class LinearityCertificationError(RuntimeError):
-    """A recovered map failed its linearity certificate; ``failure`` says where."""
+    """A recovered map failed its linearity certificate; ``failure``, a section dict, says where."""
 
-    def __init__(self, message: str, failure: LinearityFailure):
+    def __init__(self, message: str, failure: dict):
         super().__init__(message)
         self.failure = failure
 
@@ -530,9 +519,7 @@ def make_perturbation(
     PowerType(eps, p)  # the control's own checks on eps and p
     form = _parse_form(form)
     rng = rng_for(seed, ROLE_PERTURBATION)
-    raw = rng.uniform(-1.0, 1.0, (base.dim, base.dim)) + 1j * rng.uniform(
-        -1.0, 1.0, (base.dim, base.dim)
-    )
+    raw = random_matrix(rng, base.dim)
     direction = raw / _norm(raw)
     direction.setflags(write=False)
     alpha, beta = (float(v) for v in rng.uniform(1.0, 2.0, 2))
@@ -792,12 +779,13 @@ def recover_linear_map(
     sum_ij |x_ij| err(E_ij) + err(x), with err the per-slice error bounds;
     the certificate allows that plus tol * max(1, ||x||), the requested
     accuracy, which also covers round-off when the bounds vanish (eps = 0).
+    A failure names the worst probe and, from one more evaluation of it,
+    ||A_L(x) - A_{L-1}(x)|| (None at L = 0), under the report's key names.
     """
     scheme = Scheme.parse(scheme)
-    dim = f.dim
-    basis = np.stack(matrix_basis(dim))
+    basis = matrix_basis(f.dim)
     seed = getattr(f, "seed", 0)
-    probes = make_probes(dim, CERT_PROBE_COUNT, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
+    probes = make_probes(f.dim, CERT_PROBE_COUNT, rng_for(seed, ROLE_RECOVERY), 1e-2, 1e1)
     run = direct_method(f, scheme, phi, np.concatenate([basis, probes]), tol=tol, l_max=l_max)
     units, directs = run.value[: len(basis)], run.value[len(basis) :]
     err_units, err_probes = run.error_bound[: len(basis)], run.error_bound[len(basis) :]
@@ -806,18 +794,24 @@ def recover_linear_map(
     norms = run.norms[len(basis) :]
     # basis order is vec's column-stacking order
     allowance = np.abs(_vec(probes)) @ err_units + err_probes + tol * np.maximum(1.0, norms)
-    worst = int(np.argmax(gaps - allowance))
+    worst, level = int(np.argmax(gaps - allowance)), run.l_used
     if gaps[worst] > allowance[worst]:
-        failure = LinearityFailure(
-            worst, float(norms[worst]), float(gaps[worst]), float(allowance[worst]), run.l_used
-        )
+        failure = {
+            "probe_index": worst, "probe_norm": float(norms[worst]), "gap": float(gaps[worst]),
+            "allowance": float(allowance[worst]), "level": level, "last_difference": None,
+        }
+        if level > 0:
+            # cast to the working dtype, as direct_method cast the probe for A_L
+            x = as_matrix(probes[[worst]])
+            previous = _approximants(f, scheme, x, [level - 1], norms[[worst]])
+            failure["last_difference"] = _norm(directs[worst] - previous[0, 0])
         raise LinearityCertificationError(
-            f"recovered map failed linearity certification at level L = {failure.level}: "
-            f"probe {worst} (norm {failure.probe_norm:.3e}) disagrees with its direct value "
-            f"by {failure.gap:.3e}, beyond the allowance {failure.allowance:.3e}",
+            f"recovered map failed linearity certification at level L = {level}: "
+            f"probe {worst} (norm {failure['probe_norm']:.3e}) disagrees with its direct value "
+            f"by {failure['gap']:.3e}, beyond the allowance {failure['allowance']:.3e}",
             failure,
         )
-    return recovered, run.l_used
+    return recovered, level
 
 
 def recover_maps(f, h, exact, phi: PowerType, scheme, tol: float, l_max: int) -> tuple:
@@ -843,8 +837,7 @@ def recover_maps(f, h, exact, phi: PowerType, scheme, tol: float, l_max: int) ->
         section["error"] = str(exc)
         if isinstance(exc, LinearityCertificationError):
             # levels names the maps recovered before the one that failed
-            failed = "theta" if levels else "d"
-            section["linearity_failure"] = {"map": failed, **vars(exc.failure)}
+            section["linearity_failure"] = {"map": "theta" if levels else "d", **exc.failure}
         return section, None, None
     # both sides were checked by their constructors
     for name, hat, g in zip(levels, recovered, exact):

@@ -154,9 +154,9 @@ def unvec(u, dim: int) -> ComplexMatrix:
     return as_matrix(_unvec(arr, dim))
 
 
-def matrix_basis(dim: int) -> list[ComplexMatrix]:
-    """Matrix units in column-stacking order; real, promoted by what they meet."""
-    return list(_unvec(np.eye(dim * dim), dim))
+def matrix_basis(dim: int) -> np.ndarray:
+    """C-contiguous (n^2, n, n) stack of the real matrix units in column-stacking order."""
+    return np.ascontiguousarray(_unvec(np.eye(dim * dim), dim))
 
 
 def _frozen(arr) -> np.ndarray:
@@ -184,7 +184,7 @@ class LinearOperator:
 
     def to_tabulated(self) -> "Tabulated":
         """Lower to the dense n^2 x n^2 matrix acting on vec(x)."""
-        return Tabulated(_vec(self.apply(np.stack(matrix_basis(self.dim)))).T)
+        return Tabulated(_vec(self.apply(matrix_basis(self.dim))).T)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"

@@ -197,8 +197,12 @@ def test_unvec_refuses_what_as_matrix_refuses():
 
 
 def test_matrix_basis_is_the_units_in_vec_order():
-    for dim in (1, 2, 3):
-        assert np.array_equal(vec(np.stack(matrix_basis(dim))), np.eye(dim * dim))
+    # one C-contiguous (n^2, n, n) stack, which its callers take as it is
+    for dim in range(1, 17):
+        basis = matrix_basis(dim)
+        assert isinstance(basis, np.ndarray) and basis.flags.c_contiguous
+        assert basis.shape == (dim * dim, dim, dim)
+        assert np.array_equal(vec(basis), np.eye(dim * dim))
 
 
 def test_l_positivity_refuses_probes_of_another_dimension():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from triple_stab.cli import build_parser, main
-from triple_stab.lab import ExperimentConfig, load_report
+from triple_stab.lab import ExperimentConfig, load_report, run_recovery
 
 TRIMMED = [
     "--scheme",
@@ -318,6 +318,32 @@ def test_recover_writes_a_failed_zero_eps_report(tmp_path, capsys):
     again = tmp_path / "again.json"
     assert main(["report", "--in", str(out_path), "--format", "json", "--out", str(again)]) == 0
     assert again.read_bytes() == out_path.read_bytes()
+
+
+def test_recover_reports_a_linearity_failure_with_its_last_difference(tmp_path, capsys):
+    # at skew_scale 1e8 the round-off of D(x), of order u ||D|| ||x||, passes
+    # the certificate's allowance; the direct value has converged, so its last
+    # difference A_L(x) - A_{L-1}(x) is 0 and the gap is round-off alone
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    generator = {"unitary": "identity", "skew": "random", "skew_scale": 1e8}
+    data = json.loads(config.read_text(encoding="utf-8"))
+    report = run_recovery(ExperimentConfig.from_dict({**data, "generator": generator}))
+    assert [c["name"] for c in report.checks if not c["passed"]] == ["recovery_converged"]
+    failure = report.recovery["linearity_failure"]
+    assert failure["gap"] > failure["allowance"]
+    named = (failure["map"], failure["probe_index"], failure["level"], failure["last_difference"])
+    assert named == ("d", 21, 57, 0.0)
+    run = ["recover", "--config", str(config), "--generator", json.dumps(generator)]
+    json_path, csv_path = tmp_path / "failed.json", tmp_path / "failed.csv"
+    assert main([*run, "--out", str(json_path)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("FAILED ")] == [
+        "FAILED recovery_converged: value=-, tolerance=-"
+    ]
+    assert "recovery error: recovered map failed linearity certification at level L = 57" in err
+    assert load_report(str(json_path)).to_dict() == report.to_dict()
+    assert main([*run, "--format", "csv", "--out", str(csv_path)]) == 1
+    assert csv_path.read_bytes() == b"norm_x,bound,error,ratio\n"
 
 
 def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):

@@ -37,7 +37,7 @@ from triple_stab.lab import (
     run_axiom_suite,
     run_recovery,
 )
-from triple_stab.stability import LinearityCertificationError, LinearityFailure
+from triple_stab.stability import LinearityCertificationError
 from triple_stab.triple import Conjugation
 
 CHECK_NAMES = [
@@ -669,9 +669,11 @@ def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, fai
     def fail_one_map(g, *args):
         # h perturbs theta, a conjugation; f perturbs the composite D
         if isinstance(g.base, Conjugation) == (failing == "theta"):
-            raise LinearityCertificationError(
-                "linearity failed", LinearityFailure(5, 1.25, 3e-7, 2e-7, 57)
-            )
+            failure = {
+                "probe_index": 5, "probe_norm": 1.25, "gap": 3e-7, "allowance": 2e-7,
+                "level": 57, "last_difference": 4e-9,
+            }
+            raise LinearityCertificationError("linearity failed", failure)
         return recover(g, *args)
 
     monkeypatch.setattr(stability, "recover_linear_map", fail_one_map)
@@ -686,6 +688,7 @@ def test_failed_linearity_certificate_is_recorded_in_the_report(monkeypatch, fai
         "gap": 3e-7,
         "allowance": 2e-7,
         "level": 57,
+        "last_difference": 4e-9,
     }
     rendered = json.loads(render_json(report.to_dict()))
     assert rendered["recovery"]["linearity_failure"] == report.recovery["linearity_failure"]

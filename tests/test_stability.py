@@ -613,9 +613,9 @@ def test_recover_certifies_linearity():
     with pytest.raises(LinearityCertificationError) as exc:
         recover_linear_map(_NonLinearMap(big_d), Scheme.CAUCHY2, PowerType(0.1, 0.5), tol=1e-9)
     err = exc.value.failure
-    assert err.gap > err.allowance > 0.0
-    assert err.level == 57
-    for fragment in ("L = 57", "probe ", "norm ", f"{err.gap:.3e}", f"{err.allowance:.3e}"):
+    assert err["gap"] > err["allowance"] > 0.0
+    assert err["level"] == 57
+    for fragment in ("L = 57", "probe ", "norm ", f"{err['gap']:.3e}", f"{err['allowance']:.3e}"):
         assert fragment in str(exc.value)
     # the allowance written out at the worst probe x:
     # sum_ij |x_ij| err(E_ij) + err(x) + tol * max(1, ||x||)
@@ -623,12 +623,12 @@ def test_recover_certifies_linearity():
     units = matrix_basis(2)
     probes = make_probes(2, 24, rng_for(0, ROLE_RECOVERY), 1e-2, 1e1)
     run = direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), np.concatenate([units, probes]))
-    k = err.probe_index
+    k = err["probe_index"]
     x = probes[k]
-    assert err.probe_norm == spectral_norm(x)
+    assert err["probe_norm"] == spectral_norm(x)
     allowance = sum(abs(x[e == 1.0][0]) * run.error_bound[j] for j, e in enumerate(units))
     allowance += run.error_bound[len(units) + k] + 1e-9 * max(1.0, spectral_norm(x))
-    assert err.allowance == pytest.approx(allowance, rel=1e-12)
+    assert err["allowance"] == pytest.approx(allowance, rel=1e-12)
 
 
 def test_derivation_limit_residual_exact_pair():
