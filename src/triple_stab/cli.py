@@ -145,13 +145,11 @@ def _p_text(p: float) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    eps = args.eps if args.eps is not None else 1.0
-    dim = args.dim if args.dim is not None else 2
     # the config's own checks: dim in [1, DIM_MAX], eps finite and nonnegative;
     # an explicit p is checked as a control's exponent, before any output
-    ExperimentConfig(dim=dim, eps=eps)
+    ExperimentConfig(dim=args.dim, eps=args.eps)
     if args.p is not None:
-        PowerType(eps, args.p)
+        PowerType(args.eps, args.p)
     schemes = list(Scheme)
     if args.scheme is not None:
         schemes = [Scheme.parse(args.scheme)]
@@ -159,7 +157,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             # an explicitly requested combination outside the summability
             # gate is an error, not a table row
             raise SummabilityError(schemes[0].gate_message(args.p))
-    unit = matrix_basis(dim)[0]
+    unit = matrix_basis(args.dim)[0]
 
     print(f"{'scheme':<22s} {'p':>6s} {'closed_form':>22s} {'series':>22s} {'rel_diff':>10s}")
     for scheme in schemes:
@@ -168,7 +166,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             if not scheme.power_gate_ok(p):
                 print(f"{scheme.value:<22s} {_p_text(p):>6s}   rejected: {scheme.gate_message(p)}")
                 continue
-            power = PowerType(eps, p)
+            power = PowerType(args.eps, p)
             closed = hyers_bound(power, scheme, unit)
             row = f"{scheme.value:<22s} {_p_text(p):>6s} {closed:>22.17g}"
             try:
@@ -218,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", help="print the stability-constant table over a grid of p"
     )
     p_bounds.add_argument("--scheme", help="restrict to one scheme")
-    p_bounds.add_argument("--eps", type=float, help="control amplitude (default 1)")
+    p_bounds.add_argument("--eps", type=float, default=1.0, help="control amplitude (default 1)")
     p_bounds.add_argument("--p", type=float, help="single exponent instead of the grid")
-    p_bounds.add_argument("--dim", type=int, help="matrix dimension (default 2)")
+    p_bounds.add_argument("--dim", type=int, default=2, help="matrix dimension (default 2)")
 
     p_report = sub.add_parser("report", help="re-render a persisted JSON report")
     p_report.add_argument("--in", metavar="PATH", required=True, help="JSON report to read")

@@ -259,6 +259,16 @@ def _check(name: str, passed: bool, value=None, tolerance=None) -> dict:
     return {"name": name, "passed": passed, "value": value, "tolerance": tolerance}
 
 
+# what a section keeps beside the measured values of its ``triple._within`` part
+_NOT_MEASURED = ("threshold", "passed", "label", "lambda", "worst_index")
+
+
+def _within_check(name: str, part: dict) -> dict:
+    """The row of a ``_within`` part: its worst measured value against ``threshold``."""
+    worst = max(v for k, v in part.items() if k not in _NOT_MEASURED)
+    return _check(name, part["passed"], worst, part["threshold"])
+
+
 def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dict:
     """All four triple axioms plus product-form agreement on seeded data.
 
@@ -280,12 +290,7 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
 
 def _axiom_checks(fragment: dict) -> list[dict]:
     """One check row per axiom section, valued at its worst measured residual."""
-    rows = []
-    for section, name in _AXIOM_SECTIONS:
-        part = fragment[section]
-        worst = max(v for k, v in part.items() if k not in ("threshold", "passed"))
-        rows.append(_check(name, part["passed"], worst, part["threshold"]))
-    return rows
+    return [_within_check(name, fragment[section]) for section, name in _AXIOM_SECTIONS]
 
 
 def axioms_report(config: ExperimentConfig, samples: int | None = None) -> tuple[dict, dict]:
@@ -386,15 +391,11 @@ def _checks(sections: dict) -> list[dict]:
     for name, key in (("bound_ratio", "bound"), ("bound_ratio_theta", "bound_theta")):
         part = sections[key]
         rows.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))
-    s1 = sections["homogeneity"]["s1"]
-    s1_value = max(s1["max_residual"], s1["zero_residual"])
-    rows.append(_check("s1_homogeneity", s1["passed"], s1_value, s1["threshold"]))
-    for entry in sections["homogeneity"]["complex"]:
-        name = f"complex_homogeneity_{entry['label']}"
-        rows.append(_check(name, entry["passed"], entry["residual"], entry["threshold"]))
-    cert = sections["derivation_certificate"]
-    value = cert["max_relative_residual"]
-    rows.append(_check("derivation_certificate", cert["passed"], value, cert["threshold"]))
+    homogeneity = sections["homogeneity"]
+    rows.append(_within_check("s1_homogeneity", homogeneity["s1"]))
+    for entry in homogeneity["complex"]:
+        rows.append(_within_check(f"complex_homogeneity_{entry['label']}", entry))
+    rows.append(_within_check("derivation_certificate", sections["derivation_certificate"]))
     seq = sections["derivation_sequence"]
     if "skipped" not in seq:
         # strict decrease: every tail ratio of the mean residual stays below 1

@@ -131,7 +131,7 @@ class LinearityCertificationError(RuntimeError):
 class Scheme(enum.Enum):
     """Iteration schemes, one row of facts each; values are the config and CLI tags.
 
-    Approximants, bound series and gates all derive from the row and scale(l).
+    Approximants, bound series, gates and Hyers terms all derive from the row and scale(l).
     """
 
     # tag, base b, contractive, gate on p, first index of the bound series,
@@ -155,6 +155,19 @@ class Scheme(enum.Enum):
         self.sequence_levels = sequence_levels
         # functional-inequality shape the scheme iterates on
         self.hypothesis_form = "cauchy" if base == 2 else "jensen"
+        # the Hyers bound at x is the sum of phi_tilde(a x, b x, 0) over these
+        # terms (a, b), each a multiple (num, den) of x, over the divisor
+        if base == 2:
+            self.hyers_terms, self.hyers_divisor = (((1, 1), (1, 1)),), 2
+        elif not contractive:
+            self.hyers_terms, self.hyers_divisor = (((1, 1), (-1, 1)), ((-1, 1), (3, 1))), 3
+        else:
+            self.hyers_terms, self.hyers_divisor = (((1, 3), (-1, 3)), ((-1, 3), (1, 1))), 1
+        # the distinct sizes (|num|, den) in order of appearance, which a
+        # power-type bound norms once, and each term's two as indices into them
+        sizes = [[(abs(num), den) for num, den in term] for term in self.hyers_terms]
+        self.hyers_sizes = list(dict.fromkeys(size for term in sizes for size in term))
+        self.hyers_index = [[self.hyers_sizes.index(size) for size in term] for term in sizes]
 
     @classmethod
     def parse(cls, tag) -> "Scheme":
@@ -243,14 +256,14 @@ class PowerType:
 
 @dataclass(frozen=True)
 class Custom:
-    """User-supplied control on single matrices; values are checked to be nonnegative."""
+    """User-supplied control on single matrices; values are checked to be nonnegative (or +inf)."""
 
     fn: Callable
 
     def value(self, x, y, z) -> float:
         v = float(self.fn(x, y, z))
-        if v < 0.0 or not math.isfinite(v):
-            raise ValueError(f"control function returned {v!r}; needs finite >= 0")
+        if not v >= 0.0:
+            raise ValueError(f"control function returned {v!r}; needs >= 0")
         return v
 
 
@@ -297,14 +310,15 @@ def phi_tilde(
             weight, arg_scale = scheme.scale(-j), scheme.scale(j)
         except OverflowError:
             weight, arg_scale = math.inf, math.inf
-        if (
-            not (math.isfinite(weight) and math.isfinite(arg_scale))
-            or arg_scale * largest > OVERFLOW_LIMIT
-        ):
+        term = math.inf
+        if arg_scale * largest <= OVERFLOW_LIMIT:
+            term = weight * phi.value(arg_scale * mx, arg_scale * my, arg_scale * mz)
+        # a scale past the float range, a scaled argument past OVERFLOW_LIMIT
+        # or a weighted term that overflows
+        if not math.isfinite(term):
             raise SummabilityError(
                 f"series for scheme {scheme.value} left the representable range at j = {j}"
             )
-        term = weight * phi.value(arg_scale * mx, arg_scale * my, arg_scale * mz)
         total += term
         if term <= SERIES_TOL * (total + SERIES_TOL):
             return total
@@ -338,51 +352,43 @@ def _require_power(phi: PowerType | Custom, caller: str) -> None:
         raise TypeError(f"{caller} needs a PowerType control, got {type(phi).__name__}")
 
 
+def _multiple(mx, num: int, den: int):
+    """mx num / den with no operation where num or den is 1: x, -x, 3x, x/3 or -x/3."""
+    out = mx if num == 1 else num * mx
+    return out if den == 1 else out / den
+
+
 def _power_bound(phi: PowerType, scheme: Scheme, mx: ComplexMatrix):
     """hyers_bound of a power-type control at a checked mx, and ||mx||, from one norm call.
 
-    The call takes the norms of the distinct arguments of the phi_tilde
-    terms: x (doubling), x and 3x (tripling), x/3 and x (contractive
-    tripling).  ||-x|| = ||x|| and ||0|| = 0 hold bit for bit, and the
-    terms are combined in phi_tilde's order, so the bound equals the
+    The call norms each distinct size of x in the scheme's Hyers terms
+    once: x (doubling), x and 3x (tripling), x/3 and x (contractive
+    tripling).  ||-y|| = ||y|| and ||0|| = 0 hold bit for bit, and the
+    terms are summed in phi_tilde's order, so the bound equals the
     phi_tilde composition bit for bit.
     """
-    if scheme.hypothesis_form == "cauchy":
-        nx = _norm(mx)
-        return 0.5 * _power_tilde(phi, scheme, nx, nx), nx
-    if not scheme.contractive:
-        nx, n3x = _norm(np.stack([mx, 3.0 * mx]))
-        return (_power_tilde(phi, scheme, nx, nx) + _power_tilde(phi, scheme, nx, n3x)) / 3.0, nx
-    nx3, nx = _norm(np.stack([mx / 3.0, mx]))
-    return _power_tilde(phi, scheme, nx3, nx3) + _power_tilde(phi, scheme, nx3, nx), nx
+    norms = _norm(np.stack([_multiple(mx, *size) for size in scheme.hyers_sizes]))
+    bound = sum(_power_tilde(phi, scheme, norms[i], norms[j]) for i, j in scheme.hyers_index)
+    return bound / scheme.hyers_divisor, norms[scheme.hyers_sizes.index((1, 1))]
 
 
 def hyers_bound(phi: PowerType | Custom, scheme, x) -> float:
-    """Stability bound at x for the scheme, assembled from phi_tilde.
+    """Stability bound at x: the sum of the scheme's phi_tilde terms over its divisor.
 
     For power-type controls this reproduces the closed-form constants
       2 eps / |2 - 2^p| * ||x||^p            (doubling schemes)
       (3 + 3^p) / (3 - 3^p) eps ||x||^p      (tripling, p < 1)
-      (3^p + 3) / (3^p - 3) eps ||x||^p      (contractive tripling, p > 3).
-    A power-type bound is evaluated from one norm call over the distinct
-    phi_tilde arguments, x alone or with 3x or x/3 (``_power_bound``), and
-    equals the phi_tilde composition below bit for bit; other controls sum
-    each phi_tilde term by term.
+      (3^p + 3) / (3^p - 3) eps ||x||^p      (contractive tripling, p > 3),
+    from one norm call (``_power_bound``); other controls sum each
+    phi_tilde term by term.  The terms are ``Scheme.hyers_terms``.
     """
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
     if isinstance(phi, PowerType):
         return _power_bound(phi, scheme, mx)[0]
     zero = np.zeros_like(mx)
-    if scheme.hypothesis_form == "cauchy":
-        return 0.5 * phi_tilde(phi, scheme, mx, mx, zero)
-    if not scheme.contractive:
-        return (
-            phi_tilde(phi, scheme, mx, -mx, zero) + phi_tilde(phi, scheme, -mx, 3.0 * mx, zero)
-        ) / 3.0
-    return phi_tilde(phi, scheme, mx / 3.0, -mx / 3.0, zero) + phi_tilde(
-        phi, scheme, -mx / 3.0, mx, zero
-    )
+    terms = ((_multiple(mx, *a), _multiple(mx, *b)) for a, b in scheme.hyers_terms)
+    return sum(phi_tilde(phi, scheme, ma, mb, zero) for ma, mb in terms) / scheme.hyers_divisor
 
 
 # ---------------------------------------------------------------------------

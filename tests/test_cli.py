@@ -407,18 +407,22 @@ def test_bounds_explicit_gate_violation_fails_before_output(capsys):
 
 
 @pytest.mark.parametrize(
-    "scheme,p,closed,j",
+    "scheme,p,closed,j,eps",
     [
-        ("cauchy2", "0.99", "144.7700817110848", 499),
-        ("jensen3", "0.95", "36.418723707106231", 315),
-        ("cauchy2-contractive", "1.01", "143.7700817110848", 1024),
+        ("cauchy2", "0.99", "144.7700817110848", 499, "1"),
+        ("jensen3", "0.95", "36.418723707106231", 315, "1"),
+        ("cauchy2-contractive", "1.01", "143.7700817110848", 1024, "1"),
+        # the weighted term overflows while the closed form is finite
+        ("cauchy2", "0.50", "3.4142135623730956e+300", 53, "1e300"),
     ],
 )
-def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(scheme, p, closed, j, capsys):
+def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(
+    scheme, p, closed, j, eps, capsys
+):
     # the gate accepts p and the closed form is finite, but the term-by-term
     # reference series leaves the float range: the row says so, as a
     # gate-rejected row names its gate
-    code = main(["bounds", "--scheme", scheme, "--p", p])
+    code = main(["bounds", "--scheme", scheme, "--eps", eps, "--p", p])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     header, row = captured.out.splitlines()
@@ -427,6 +431,22 @@ def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(scheme, p,
         f"{scheme:<22s} {float(p):>6.2f} {closed:>22s}   no series: series for scheme "
         f"{scheme} left the representable range at j = {j}"
     )
+
+
+def test_bounds_at_a_huge_eps_prints_the_whole_grid(capsys):
+    # every grid row prints; where the weighted series overflows, the row names its j
+    code = main(["bounds", "--eps", "1e300"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 16
+    overflows = [row.split()[:2] + [row.split()[-1]] for row in rows if "no series" in row]
+    assert overflows == [
+        ["cauchy2", "0.50", "53"],
+        ["cauchy2", "0.75", "36"],
+        ["jensen3", "0.50", "34"],
+        ["jensen3", "0.75", "23"],
+    ]
 
 
 @pytest.mark.parametrize(

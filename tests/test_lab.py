@@ -1094,15 +1094,18 @@ def test_check_rows_are_read_back_from_the_saved_sections(name, overrides, tmp_p
 
 def test_check_rows_have_one_home():
     # run_recovery fills the report's sections and returns once; only
-    # _axiom_checks and _checks make a check row, reading it from a section
+    # _axiom_checks and _checks make a check row, reading it from a section,
+    # and every row of a _within part goes through _within_check
     tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     makers = {
         name
         for name, node in functions.items()
-        if any(isinstance(n, ast.Name) and n.id == "_check" for n in ast.walk(node))
+        if any(
+            isinstance(n, ast.Name) and n.id in ("_check", "_within_check") for n in ast.walk(node)
+        )
     }
-    assert makers == {"_axiom_checks", "_checks"}
+    assert makers == {"_within_check", "_axiom_checks", "_checks"}
     returns = [n for n in ast.walk(functions["run_recovery"]) if isinstance(n, ast.Return)]
     assert len(returns) == 1
 
@@ -1207,6 +1210,21 @@ _NEEDS_LONG_DOUBLE = pytest.mark.skipif(
     np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
     reason="long double is float64 on this platform",
 )
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [np.complex64, np.complex128, pytest.param(np.clongdouble, marks=_NEEDS_LONG_DOUBLE)],
+)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_axiom_residuals_are_round_off_in_units_of_u(monkeypatch, dim, dtype):
+    # each axiom section's worst residual is a few unit round-offs u of the
+    # working dtype, at every precision; at dims 1-2 no BLAS kernel runs
+    monkeypatch.setattr(linalg, "DTYPE", dtype)
+    u = float(np.finfo(dtype).eps) / 2.0
+    fragment = run_axiom_suite(ExperimentConfig(dim=dim), samples=50)
+    in_u = {row["name"]: row["value"] / u for row in lab._axiom_checks(fragment)}
+    assert max(in_u.values()) <= 32.0, in_u
 
 
 @_NEEDS_LONG_DOUBLE
