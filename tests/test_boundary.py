@@ -12,6 +12,7 @@ import pytest
 from triple_stab.linalg import DimensionMismatchError, hs_inner
 from triple_stab.sampling import haar_unitary, make_mu_samples, make_probes, rng_for, skew_matrix
 from triple_stab.stability import (
+    Custom,
     PowerType,
     Scheme,
     approximants,
@@ -20,6 +21,7 @@ from triple_stab.stability import (
     direct_method,
     estimate_convergence_rate,
     make_perturbation,
+    phi_tilde,
     recover_linear_map,
     verify_hypotheses,
     verify_homogeneity,
@@ -146,11 +148,16 @@ def _entries():
     theta, d, big_d = _generators()
     f, _h = _maps()
     a, b = _probes(2)
+    power = PowerType(1.0, 0.5)
     entries = {
         "triple_product_cstar": lambda x: triple_product_cstar(a, x, b),
         "triple_product_jbstar": lambda x: triple_product_jbstar(a, b, x),
         "jordan_product": lambda x: jordan_product(a, x),
         "hs_inner": lambda x: hs_inner(a, x),
+        "PowerType.value": lambda x: power.value(a, x, b),
+        "phi_tilde": lambda x: phi_tilde(power, "cauchy2", a, x, b),
+        # the term-by-term route
+        "phi_tilde_custom": lambda x: phi_tilde(Custom(power.value), "cauchy2", a, x, b),
         "PerturbedMap": f,
     }
     operators = {

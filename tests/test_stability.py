@@ -171,6 +171,31 @@ def test_phi_tilde_custom_divergence_detected():
     growing = Custom(lambda x, y, z: spectral_norm(x) ** 2)
     with pytest.raises(SummabilityError):
         phi_tilde(growing, Scheme.CAUCHY2, E11, E11, np.zeros((2, 2)))
+    # a diverging series ends where it leaves the representable range: a
+    # scaled argument past OVERFLOW_LIMIT for the expansive schemes, the
+    # float power b^j at j = 1024 (base 2) or 647 (base 3) for the
+    # contractive ones, whose terms grow as b^(j/2)
+    root = Custom(lambda x, y, z: spectral_norm(x) ** 0.5)
+    cases = [
+        (growing, Scheme.CAUCHY2, 499),
+        (growing, Scheme.JENSEN3, 315),
+        (root, Scheme.CAUCHY2_CONTRACTIVE, 1024),
+        (root, Scheme.JENSEN3_CONTRACTIVE, 647),
+    ]
+    for phi, scheme, j in cases:
+        stop = f"series for scheme {scheme.value} left the representable range at j = {j}$"
+        with pytest.raises(SummabilityError, match=stop):
+            phi_tilde(phi, scheme, E11, E11, np.zeros((2, 2)))
+
+
+def test_phi_tilde_custom_sums_a_series_that_rises_before_it_falls():
+    # weighted terms 2^(j/2) up to j = 20, then 2^(20 - j/2): twenty rising
+    # terms are no sign of divergence, and the series converges
+    capped = Custom(lambda x, y, z: spectral_norm(x) ** 0.5 * min(spectral_norm(x), 2.0**20))
+    direct = sum(2.0 ** (j / 2) if j <= 20 else 2.0 ** (20 - j / 2) for j in range(200))
+    assert direct == 5965.895162177725
+    got = phi_tilde(capped, Scheme.CAUCHY2, E11, E11, np.zeros((2, 2)))
+    assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_bound_constant_anchors():
@@ -850,6 +875,12 @@ def test_perturbation_decay_rates():
     assert perturbation_decay_rate(Scheme.JENSEN3, 0.5) == pytest.approx(3.0**-0.5)
     assert perturbation_decay_rate(Scheme.CAUCHY2_CONTRACTIVE, 2.0) == pytest.approx(0.25)
     assert perturbation_decay_rate(Scheme.JENSEN3_CONTRACTIVE, 4.0) == pytest.approx(3.0**-4.0)
+
+
+def test_perturbation_decay_rate_takes_a_scheme_tag():
+    for scheme in Scheme:
+        for p in (0.0, 1e-3, 0.25, 0.5, 2.0, 3.3, 4.0, 7.5):
+            assert perturbation_decay_rate(scheme.value, p) == perturbation_decay_rate(scheme, p)
 
 
 def test_verify_stability_bound_perturbed_pair():
