@@ -39,7 +39,6 @@ from .sampling import (
 )
 from .stability import (
     ConvergenceError,
-    Custom,
     LinearityCertificationError,
     PerturbedMap,
     PowerType,
@@ -54,6 +53,7 @@ from .stability import (
     direct_method,
     estimate_convergence_rate,
     hyers_bound,
+    hyers_series,
     make_perturbation,
     norm_power,
     perturbation_amplitude,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -27,7 +28,7 @@ from .lab import (
     render_report,
     run_recovery,
 )
-from .stability import Custom, PowerType, Scheme, SummabilityError, hyers_bound
+from .stability import PowerType, Scheme, SummabilityError, hyers_bound, hyers_series
 from .triple import matrix_basis
 
 _GRID = {
@@ -139,9 +140,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _p_text(p: float) -> str:
-    """p to two decimals where they hold it exactly, else in full."""
-    text = f"{p:.2f}"
-    return text if float(text) == p else repr(p)
+    """p to two decimals where they hold it in at most one character past repr(p), else repr(p)."""
+    text, full = f"{p:.2f}", repr(p)
+    return text if float(text) == p and len(text) <= len(full) + 1 else full
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -163,14 +164,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for scheme in schemes:
         grid = (args.p,) if args.p is not None else _GRID[scheme]
         for p in grid:
+            lead = f"{scheme.value:<22s} {_p_text(p):>6s}"
             if not scheme.power_gate_ok(p):
-                print(f"{scheme.value:<22s} {_p_text(p):>6s}   rejected: {scheme.gate_message(p)}")
+                print(f"{lead}   rejected: {scheme.gate_message(p)}")
                 continue
             power = PowerType(args.eps, p)
             closed = hyers_bound(power, scheme, unit)
-            row = f"{scheme.value:<22s} {_p_text(p):>6s} {closed:>22.17g}"
+            if not math.isfinite(closed):
+                print(f"{lead}   no bound: the closed form is not finite")
+                continue
+            row = f"{lead} {closed:>22.17g}"
             try:
-                series = hyers_bound(Custom(power.value), scheme, unit)
+                series = hyers_series(power, scheme, unit)
             except SummabilityError as exc:
                 # near the gate the term-by-term series can leave the float
                 # range while the closed form is finite: the row names why

@@ -25,9 +25,9 @@ report section, verdict included: a dict under the report's key names of
 Python floats, ints and bools, whatever the dtype.  The thresholds of its
 checks sit here beside it.
 
-The stages price with a power-type control only, the one the paper's
-theorems use; a ``Custom`` control is the term-by-term reference series of
-``phi_tilde`` and ``hyers_bound``.  Maps, power-type controls and
+Controls are power-type, the ones the paper's theorems use; ``phi_tilde``
+and ``hyers_bound`` are closed forms, and ``hyers_series`` sums the Hyers
+bound term by term as the reference they are held to.  Maps, controls and
 certificates take (k, n, n) probe stacks: every stage makes one call per
 map and per check over all of its probes, and a level scan stacks its
 levels too, in one call per map.  A stage takes the norms of its stacks in
@@ -48,7 +48,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,7 +74,8 @@ from .triple import (
 
 # scaled arguments beyond this entry magnitude abort the iteration
 OVERFLOW_LIMIT = 1e150
-# a custom-control series stops once its next term is this small, relatively
+# hyers_series stops once the geometric tail after a term is at most this
+# times its partial sum
 SERIES_TOL = 1e-15
 # random probes of the linearity certificate in recovery
 CERT_PROBE_COUNT = 24
@@ -256,19 +257,6 @@ class PowerType:
 
 
 @dataclass(frozen=True)
-class Custom:
-    """User-supplied control on single matrices; values are checked to be nonnegative (or +inf)."""
-
-    fn: Callable
-
-    def value(self, x, y, z) -> float:
-        v = float(self.fn(x, y, z))
-        if not v >= 0.0:
-            raise ValueError(f"control function returned {v!r}; needs >= 0")
-        return v
-
-
-@dataclass(frozen=True)
 class UnimodularScalar:
     """A complex number on the unit circle, validated on construction."""
 
@@ -283,58 +271,20 @@ class UnimodularScalar:
 # weighted series and closed-form bounds
 # ---------------------------------------------------------------------------
 
-def phi_tilde(
-    phi: PowerType | Custom,
-    scheme,
-    x,
-    y,
-    z,
-) -> float:
-    """Scheme-weighted series of the control function at (x, y, z).
-
-    Power-type controls are summed in closed form after the summability gate
-    is checked.  Custom controls are summed term by term until the next term
-    is at most SERIES_TOL * (partial sum + SERIES_TOL); a scale, a scaled
-    argument past OVERFLOW_LIMIT or a weighted term that leaves the float
-    range ends the series in a SummabilityError.  No other rule stops it.
-    """
-    scheme = Scheme.parse(scheme)
-    mx, my, mz = same_dim(x, y, z)
-    if isinstance(phi, PowerType):
-        return _power_tilde(phi, scheme, _norm(mx), _norm(my), _norm(mz))
-
-    largest = max(np.abs(m).max() for m in (mx, my, mz))
-    total = 0.0
-    for j in itertools.count(scheme.series_start):
-        try:
-            weight, arg_scale = scheme.scale(-j), scheme.scale(j)
-        except OverflowError:
-            weight, arg_scale = math.inf, math.inf
-        term = math.inf
-        if arg_scale * largest <= OVERFLOW_LIMIT:
-            term = weight * phi.value(arg_scale * mx, arg_scale * my, arg_scale * mz)
-        # a scale past the float range, a scaled argument past OVERFLOW_LIMIT
-        # or a weighted term that overflows; b^j is a float power, which
-        # overflows at j = 1024 for b = 2 and j = 647 for b = 3, so every
-        # diverging series ends here by then
-        if not math.isfinite(term):
-            raise SummabilityError(
-                f"series for scheme {scheme.value} left the representable range at j = {j}"
-            )
-        total += term
-        if term <= SERIES_TOL * (total + SERIES_TOL):
-            return total
+def phi_tilde(phi: PowerType, scheme, x, y, z) -> float:
+    """Scheme-weighted series of the control function at (x, y, z), in closed form."""
+    return _power_tilde(phi, Scheme.parse(scheme), *map(_norm, same_dim(x, y, z)))
 
 
 def _power_tilde(phi: PowerType, scheme: Scheme, nx, ny, nz=0.0):
-    """phi_tilde of a power-type control, from the norms of its three arguments."""
+    """phi_tilde from its arguments' norms: phi r^j0 / (1 - r), r the series ratio, j0 its start."""
     if not scheme.power_gate_ok(phi.p):
         raise SummabilityError(scheme.gate_message(phi.p))
     r = scheme.series_ratio(phi.p)
     return phi.from_norms(nx, ny, nz) * r**scheme.series_start / (1.0 - r)
 
 
-def _require_power(phi: PowerType | Custom, caller: str) -> None:
+def _require_power(phi, caller: str) -> None:
     """TypeError unless phi is the power-type control the stages price with."""
     if not isinstance(phi, PowerType):
         raise TypeError(f"{caller} needs a PowerType control, got {type(phi).__name__}")
@@ -360,23 +310,60 @@ def _power_bound(phi: PowerType, scheme: Scheme, mx: ComplexMatrix):
     return bound / scheme.hyers_divisor, norms[scheme.hyers_sizes.index((1, 1))]
 
 
-def hyers_bound(phi: PowerType | Custom, scheme, x) -> float:
+def hyers_bound(phi: PowerType, scheme, x) -> float:
     """Stability bound at x: the sum of the scheme's phi_tilde terms over its divisor.
 
-    For power-type controls this reproduces the closed-form constants
+    This reproduces the closed-form constants
       2 eps / |2 - 2^p| * ||x||^p            (doubling schemes)
       (3 + 3^p) / (3 - 3^p) eps ||x||^p      (tripling, p < 1)
       (3^p + 3) / (3^p - 3) eps ||x||^p      (contractive tripling, p > 3),
-    from one norm call (``_power_bound``); other controls sum each
-    phi_tilde term by term.  The terms are ``Scheme.hyers_terms``.
+    from one norm call (``_power_bound``).  The terms are
+    ``Scheme.hyers_terms``; ``hyers_series`` sums them term by term.
+    """
+    return _power_bound(phi, Scheme.parse(scheme), as_matrix(x))[0]
+
+
+def hyers_series(phi: PowerType, scheme, x) -> float:
+    """hyers_bound at x summed term by term: the reference its closed form is held to.
+
+    Each Hyers term (u, v), two multiples of x, sums b^-j phi1(b^j u, b^j v, 0)
+    from ``series_start`` (b^j and b^-j swap for a contractive scheme), with
+    phi1 = phi / eps, so no term underflows at a tiny eps.  A series stops
+    once the tail after a term t, t r / (1 - r) at the series ratio r, is at
+    most SERIES_TOL times its partial sum on every slice of x, or raises
+    SummabilityError where a scale, a scaled argument past OVERFLOW_LIMIT or
+    eps times the partial sum leaves the float range.
     """
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
-    if isinstance(phi, PowerType):
-        return _power_bound(phi, scheme, mx)[0]
-    zero = np.zeros_like(mx)
-    terms = ((_multiple(mx, *a), _multiple(mx, *b)) for a, b in scheme.hyers_terms)
-    return sum(phi_tilde(phi, scheme, ma, mb, zero) for ma, mb in terms) / scheme.hyers_divisor
+    if not scheme.power_gate_ok(phi.p):
+        raise SummabilityError(scheme.gate_message(phi.p))
+    r = scheme.series_ratio(phi.p)
+    # phi / eps; at eps = 0 the zero control, whose series is 0 from its first term
+    unit = PowerType(float(phi.eps > 0.0), phi.p)
+    total = 0.0
+    for u, v in scheme.hyers_terms:
+        pair = np.stack([_multiple(mx, *u), _multiple(mx, *v)])
+        largest, partial = np.abs(pair).max(), 0.0
+        for j in itertools.count(scheme.series_start):
+            try:
+                weight, s = scheme.scale(-j), scheme.scale(j)
+            except OverflowError:
+                weight = s = math.inf
+            term = math.inf
+            if s * largest <= OVERFLOW_LIMIT:
+                term = weight * unit.from_norms(*_norm(s * pair), 0.0)
+            partial += term
+            # b^j is a float power: it overflows at j = 1024 (b = 2) and
+            # j = 647 (b = 3), so a series that has not converged ends here
+            if not np.isfinite(phi.eps * (total + partial)).all():
+                raise SummabilityError(
+                    f"series for scheme {scheme.value} left the representable range at j = {j}"
+                )
+            if np.all(term * r / (1.0 - r) <= SERIES_TOL * partial):
+                break
+        total += partial
+    return phi.eps * total / scheme.hyers_divisor
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 from triple_stab.linalg import DimensionMismatchError, hs_inner
 from triple_stab.sampling import haar_unitary, make_mu_samples, make_probes, rng_for, skew_matrix
 from triple_stab.stability import (
-    Custom,
     PowerType,
     Scheme,
     approximants,
@@ -20,6 +19,8 @@ from triple_stab.stability import (
     derivation_limit_sequence,
     direct_method,
     estimate_convergence_rate,
+    hyers_bound,
+    hyers_series,
     make_perturbation,
     phi_tilde,
     recover_linear_map,
@@ -156,8 +157,6 @@ def _entries():
         "hs_inner": lambda x: hs_inner(a, x),
         "PowerType.value": lambda x: power.value(a, x, b),
         "phi_tilde": lambda x: phi_tilde(power, "cauchy2", a, x, b),
-        # the term-by-term route
-        "phi_tilde_custom": lambda x: phi_tilde(Custom(power.value), "cauchy2", a, x, b),
         "PerturbedMap": f,
     }
     operators = {
@@ -194,6 +193,18 @@ def test_public_entries_refuse_a_non_square_shape(entry):
 def test_public_entries_refuse_a_mismatched_dimension(entry):
     with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
         _entries()[entry](np.eye(3))
+
+
+@pytest.mark.parametrize("bound", [hyers_bound, hyers_series])
+def test_single_operand_bounds_refuse_a_nan_entry_and_a_non_square_shape(bound):
+    # the closed form and its term-by-term reference take x alone, so no
+    # dimension can mismatch
+    x = np.eye(2, dtype=np.complex128)
+    x[1, 0] = np.nan
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        bound(PHI, "cauchy2", x)
+    with pytest.raises(ValueError, match=r"expected a nonempty square matrix, got shape \(2, 3\)"):
+        bound(PHI, "cauchy2", np.ones((2, 3)))
 
 
 def test_unvec_refuses_what_as_matrix_refuses():

@@ -13,6 +13,7 @@ import pytest
 
 from triple_stab.cli import build_parser, main
 from triple_stab.lab import ExperimentConfig, load_report, run_recovery
+from triple_stab.stability import SERIES_TOL
 
 TRIMMED = [
     "--scheme",
@@ -412,8 +413,9 @@ def test_bounds_explicit_gate_violation_fails_before_output(capsys):
         ("cauchy2", "0.99", "144.7700817110848", 499, "1"),
         ("jensen3", "0.95", "36.418723707106231", 315, "1"),
         ("cauchy2-contractive", "1.01", "143.7700817110848", 1024, "1"),
-        # the weighted term overflows while the closed form is finite
-        ("cauchy2", "0.50", "3.4142135623730956e+300", 53, "1e300"),
+        # the first Hyers term converges before its argument would pass
+        # OVERFLOW_LIMIT at j = 315; the second, at 3x, passes it at j = 314
+        ("jensen3", "0.90", "18.223091055158896", 314, "1"),
     ],
 )
 def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(
@@ -434,19 +436,29 @@ def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(
 
 
 def test_bounds_at_a_huge_eps_prints_the_whole_grid(capsys):
-    # every grid row prints; where the weighted series overflows, the row names its j
-    code = main(["bounds", "--eps", "1e300"])
+    # the reference sums the unit control and scales by eps once, so at a
+    # huge or a tiny eps every grid row prints a series within its tolerance
+    for eps in ("1e300", "1e-300"):
+        code = main(["bounds", "--eps", eps])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 16
+        assert all(float(row.split()[-1]) <= 2 * SERIES_TOL for row in rows), captured.out
+
+
+def test_bounds_never_prints_inf_or_nan(capsys):
+    # at eps = 1e308 twelve closed forms overflow: those rows say so and
+    # print no series, and the four finite ones keep theirs
+    code = main(["bounds", "--eps", "1e308"])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     rows = captured.out.splitlines()[1:]
     assert len(rows) == 16
-    overflows = [row.split()[:2] + [row.split()[-1]] for row in rows if "no series" in row]
-    assert overflows == [
-        ["cauchy2", "0.50", "53"],
-        ["cauchy2", "0.75", "36"],
-        ["jensen3", "0.50", "34"],
-        ["jensen3", "0.75", "23"],
-    ]
+    assert not any(word in row for row in rows for word in ("inf", "nan"))
+    overflows = [row for row in rows if row.endswith("no bound: the closed form is not finite")]
+    assert len(overflows) == 12
+    assert all(row.startswith("jensen3-contractive") for row in rows if row not in overflows)
 
 
 @pytest.mark.parametrize(
@@ -456,6 +468,8 @@ def test_bounds_at_a_huge_eps_prints_the_whole_grid(capsys):
         (["--p", "0.999"], "0.999"),
         (["--scheme", "jensen3-contractive", "--p", "3.0001"], "3.0001"),
         (["--scheme", "cauchy2", "--p", "0.25"], "0.25"),
+        # two decimals hold 1e308 exactly, in 312 characters
+        (["--scheme", "cauchy2-contractive", "--p", "1e308"], "1e+308"),
     ],
 )
 def test_bounds_prints_an_explicit_p_that_two_decimals_do_not_hold_in_full(argv, p_text, capsys):

@@ -26,7 +26,6 @@ from triple_stab import linalg, stability
 from triple_stab.stability import (
     ROUNDOFF_FLOOR,
     ConvergenceError,
-    Custom,
     LinearityCertificationError,
     PerturbedMap,
     PowerType,
@@ -41,6 +40,7 @@ from triple_stab.stability import (
     direct_method,
     estimate_convergence_rate,
     hyers_bound,
+    hyers_series,
     make_perturbation,
     norm_power,
     perturbation_amplitude,
@@ -152,7 +152,7 @@ def test_phi_tilde_matches_series_oracle():
 
 
 def test_phi_tilde_custom_route_matches_closed_form():
-    zero = np.zeros((2, 2))
+    # the term-by-term reference sums the closed-form phi_tilde terms of the bound
     for scheme, p in (
         (Scheme.CAUCHY2, 0.5),
         (Scheme.CAUCHY2_CONTRACTIVE, 2.0),
@@ -160,42 +160,38 @@ def test_phi_tilde_custom_route_matches_closed_form():
         (Scheme.JENSEN3_CONTRACTIVE, 4.0),
     ):
         power = PowerType(0.3, p)
-        closed = phi_tilde(power, scheme, E11, E11, zero)
-        series = phi_tilde(Custom(power.value), scheme, E11, E11, zero)
+        closed = sum(
+            phi_tilde(power, scheme, E11 * a[0] / a[1], E11 * b[0] / b[1], 0.0 * E11)
+            for a, b in scheme.hyers_terms
+        ) / scheme.hyers_divisor
+        series = hyers_series(power, scheme, E11)
         assert series == pytest.approx(closed, rel=1e-12)
 
 
-def test_phi_tilde_custom_divergence_detected():
-    # quadratic growth outpaces the 2^-j weights, so successive terms grow
-    # and the series must be rejected rather than summed forever
-    growing = Custom(lambda x, y, z: spectral_norm(x) ** 2)
-    with pytest.raises(SummabilityError):
-        phi_tilde(growing, Scheme.CAUCHY2, E11, E11, np.zeros((2, 2)))
-    # a diverging series ends where it leaves the representable range: a
-    # scaled argument past OVERFLOW_LIMIT for the expansive schemes, the
-    # float power b^j at j = 1024 (base 2) or 647 (base 3) for the
-    # contractive ones, whose terms grow as b^(j/2)
-    root = Custom(lambda x, y, z: spectral_norm(x) ** 0.5)
-    cases = [
-        (growing, Scheme.CAUCHY2, 499),
-        (growing, Scheme.JENSEN3, 315),
-        (root, Scheme.CAUCHY2_CONTRACTIVE, 1024),
-        (root, Scheme.JENSEN3_CONTRACTIVE, 647),
-    ]
-    for phi, scheme, j in cases:
-        stop = f"series for scheme {scheme.value} left the representable range at j = {j}$"
-        with pytest.raises(SummabilityError, match=stop):
-            phi_tilde(phi, scheme, E11, E11, np.zeros((2, 2)))
+def test_hyers_series_bounds_its_own_truncation():
+    # near the gate the terms decay slowly (ratio 0.93 and 0.97); the stopping
+    # rule bounds the tail it leaves out, so the reference keeps its tolerance
+    for scheme, p in ((Scheme.CAUCHY2, 0.9), (Scheme.CAUCHY2_CONTRACTIVE, 1.05)):
+        power = PowerType(1.0, p)
+        closed = hyers_bound(power, scheme, E11)
+        assert abs(hyers_series(power, scheme, E11) - closed) <= 1e-15 * closed
 
 
-def test_phi_tilde_custom_sums_a_series_that_rises_before_it_falls():
-    # weighted terms 2^(j/2) up to j = 20, then 2^(20 - j/2): twenty rising
-    # terms are no sign of divergence, and the series converges
-    capped = Custom(lambda x, y, z: spectral_norm(x) ** 0.5 * min(spectral_norm(x), 2.0**20))
-    direct = sum(2.0 ** (j / 2) if j <= 20 else 2.0 ** (20 - j / 2) for j in range(200))
-    assert direct == 5965.895162177725
-    got = phi_tilde(capped, Scheme.CAUCHY2, E11, E11, np.zeros((2, 2)))
-    assert got == pytest.approx(direct, rel=1e-12)
+def test_hyers_series_stops_on_its_two_rules():
+    # a zero series is 0 from its first term, also near the gate, where the
+    # unit control's series would leave the float range at j = 499
+    assert hyers_series(PowerType(0.0, 0.999), Scheme.CAUCHY2, E11) == 0.0
+    assert hyers_series(PowerType(1.0, 0.999), Scheme.CAUCHY2, 0.0 * E11) == 0.0
+    # a stack's series stops once every slice's has converged
+    xs = np.stack([E11, 0.0 * E11, 4.0 * E11])
+    power = PowerType(0.3, 0.5)
+    closed = hyers_bound(power, Scheme.JENSEN3, xs)
+    assert hyers_series(power, Scheme.JENSEN3, xs) == pytest.approx(closed, rel=2e-15)
+    # eps times the partial sum leaves the float range at the first term
+    with pytest.raises(SummabilityError, match="left the representable range at j = 0$"):
+        hyers_series(PowerType(1e308, 0.5), Scheme.CAUCHY2, E11)
+    with pytest.raises(SummabilityError, match="requires p < 1"):
+        hyers_series(PowerType(1.0, 1.0), Scheme.CAUCHY2, E11)
 
 
 def test_bound_constant_anchors():
@@ -211,7 +207,7 @@ def test_bound_constant_anchors():
     for scheme, eps, p, want in cases:
         got = hyers_bound(PowerType(eps, p), scheme, E11)
         assert got == pytest.approx(want, rel=1e-12)
-        series = hyers_bound(Custom(PowerType(eps, p).value), scheme, E11)
+        series = hyers_series(PowerType(eps, p), scheme, E11)
         assert series == pytest.approx(got, rel=1e-12)
 
 
@@ -408,12 +404,12 @@ def test_direct_method_rejects_zero_tol_and_other_controls():
     with pytest.raises(ValueError):
         direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=0.0)
     with pytest.raises(TypeError):
-        direct_method(f, Scheme.CAUCHY2, Custom(phi.value), E11[None])
+        direct_method(f, Scheme.CAUCHY2, phi.value, E11[None])
     # the other stages price with the power-type control only, too
     with pytest.raises(TypeError):
-        verify_hypotheses(f, f, Custom(phi.value), "cauchy", E11[None], [1.0])
+        verify_hypotheses(f, f, phi.value, "cauchy", E11[None], [1.0])
     with pytest.raises(TypeError):
-        verify_stability_bound([(f, f)], Custom(phi.value), Scheme.CAUCHY2, E11[None])
+        verify_stability_bound([(f, f)], phi.value, Scheme.CAUCHY2, E11[None])
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,6 @@ from triple_stab import stability
 from triple_stab.stability import (
     RATE_LEVELS,
     RATE_WINDOW,
-    Custom,
     PowerType,
     Scheme,
     SummabilityError,
@@ -895,11 +894,6 @@ def test_power_hyers_bound_equals_its_phi_tilde_composition(n, scheme):
         singles = [hyers_bound(phi, scheme, s) for s in x]
         assert all(isinstance(b, float) for b in singles)
         assert np.array_equal(got, singles)
-        if n <= 2:
-            # the term-by-term branch sums the same terms, bit for bit
-            custom = Custom(phi.value)
-            terms = [hyers_bound(custom, scheme, s) for s in x]
-            assert terms == [_hyers_by_phi_tilde(custom, scheme, s) for s in x]
     with pytest.raises(SummabilityError, match=f"requires p . {scheme.gate}"):
         hyers_bound(PowerType(0.3, float(scheme.gate)), scheme, x)
 
