@@ -46,7 +46,6 @@ from .stability import (
     Scheme,
     SchemeError,
     SummabilityError,
-    UnimodularScalar,
     approximants,
     certify_theta_derivation,
     derivation_limit_sequence,

@@ -376,18 +376,17 @@ def _checks(sections: dict) -> list[dict]:
     rows.append(_check("recovery_converged", recovery["converged"]))
     if not recovery["converged"]:
         return rows
-    tolerance = recovery["tolerance"]
-    for name in ("d", "theta"):
-        err = recovery[f"{name}_entrywise_error"]
-        rows.append(_check(f"recovery_error_{name}", err <= tolerance, err, tolerance))
     hyp = sections["hypotheses"]
-    # the hypothesis section has one verdict for all three rows, and no thresholds
-    for name, key, tolerance in (
-        ("hypothesis_ratio_f", "max_ratio_f", 1.0),
-        ("hypothesis_ratio_h", "max_ratio_h", 1.0),
-        ("hypothesis_zero_control", "max_zero_control_residual", ZERO_CONTROL_TOL),
+    # each row passes at a value within its tolerance; the hypothesis section
+    # has one verdict for all three of its rows, and no thresholds
+    for name, value, tolerance in (
+        ("recovery_error_d", recovery["d_entrywise_error"], recovery["tolerance"]),
+        ("recovery_error_theta", recovery["theta_entrywise_error"], recovery["tolerance"]),
+        ("hypothesis_ratio_f", hyp["max_ratio_f"], 1.0),
+        ("hypothesis_ratio_h", hyp["max_ratio_h"], 1.0),
+        ("hypothesis_zero_control", hyp["max_zero_control_residual"], ZERO_CONTROL_TOL),
     ):
-        rows.append(_check(name, hyp[key] <= tolerance, hyp[key], tolerance))
+        rows.append(_check(name, value <= tolerance, value, tolerance))
     for name, key in (("bound_ratio", "bound"), ("bound_ratio_theta", "bound_theta")):
         part = sections[key]
         rows.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))
@@ -399,12 +398,10 @@ def _checks(sections: dict) -> list[dict]:
     seq = sections["derivation_sequence"]
     if "skipped" not in seq:
         # strict decrease: every tail ratio of the mean residual stays below 1
-        for part, key, tolerance in (
-            ("decreasing", "max_tail_ratio", 1.0),
-            ("rate", "tail_rate", seq["rate_window"]),
-        ):
-            name = f"derivation_sequence_{part}"
-            rows.append(_check(name, seq[f"{part}_passed"], seq[key], tolerance))
+        rows.append(_check("derivation_sequence_decreasing", seq["decreasing_passed"],
+                           seq["max_tail_ratio"], 1.0))
+        rows.append(_check("derivation_sequence_rate", seq["rate_passed"],
+                           seq["tail_rate"], seq["rate_window"]))
     rate = sections["rate"]
     rows.append(_check("approximant_rate", rate["passed"], rate["estimate"], rate["window"]))
     return rows

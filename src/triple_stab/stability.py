@@ -256,17 +256,6 @@ class PowerType:
         )
 
 
-@dataclass(frozen=True)
-class UnimodularScalar:
-    """A complex number on the unit circle, validated on construction."""
-
-    value: complex
-
-    def __post_init__(self):
-        if abs(abs(self.value) - 1.0) > 1e-12:
-            raise ValueError(f"scalar is not unimodular: |{self.value!r}| != 1")
-
-
 # ---------------------------------------------------------------------------
 # weighted series and closed-form bounds
 # ---------------------------------------------------------------------------
@@ -331,8 +320,8 @@ def hyers_series(phi: PowerType, scheme, x) -> float:
     phi1 = phi / eps, so no term underflows at a tiny eps.  A series stops
     once the tail after a term t, t r / (1 - r) at the series ratio r, is at
     most SERIES_TOL times its partial sum on every slice of x, or raises
-    SummabilityError where a scale, a scaled argument past OVERFLOW_LIMIT or
-    eps times the partial sum leaves the float range.
+    SummabilityError where a scale, a scaled argument or eps times the
+    partial sum leaves the float range.
     """
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
@@ -342,27 +331,31 @@ def hyers_series(phi: PowerType, scheme, x) -> float:
     # phi / eps; at eps = 0 the zero control, whose series is 0 from its first term
     unit = PowerType(float(phi.eps > 0.0), phi.p)
     total = 0.0
-    for u, v in scheme.hyers_terms:
-        pair = np.stack([_multiple(mx, *u), _multiple(mx, *v)])
-        largest, partial = np.abs(pair).max(), 0.0
-        for j in itertools.count(scheme.series_start):
-            try:
-                weight, s = scheme.scale(-j), scheme.scale(j)
-            except OverflowError:
-                weight = s = math.inf
-            term = math.inf
-            if s * largest <= OVERFLOW_LIMIT:
-                term = weight * unit.from_norms(*_norm(s * pair), 0.0)
-            partial += term
-            # b^j is a float power: it overflows at j = 1024 (b = 2) and
-            # j = 647 (b = 3), so a series that has not converged ends here
-            if not np.isfinite(phi.eps * (total + partial)).all():
-                raise SummabilityError(
-                    f"series for scheme {scheme.value} left the representable range at j = {j}"
-                )
-            if np.all(term * r / (1.0 - r) <= SERIES_TOL * partial):
-                break
-        total += partial
+    # a term or a sum past the float range is inf, with no warning: the
+    # range check below names it
+    with np.errstate(over="ignore"):
+        for u, v in scheme.hyers_terms:
+            pair = np.stack([_multiple(mx, *u), _multiple(mx, *v)])
+            largest, partial = float(np.abs(pair).max()), 0.0
+            for j in itertools.count(scheme.series_start):
+                try:
+                    weight, s = scheme.scale(-j), scheme.scale(j)
+                except OverflowError:
+                    weight = s = math.inf
+                term = math.inf
+                # a scaled argument past the float range has an inf term
+                if s * largest < math.inf:
+                    term = weight * unit.from_norms(*_norm(s * pair), 0.0)
+                partial += term
+                # b^j is a float power: it overflows at j = 1024 (b = 2) and
+                # j = 647 (b = 3), so a series that has not converged ends here
+                if not np.isfinite(phi.eps * (total + partial)).all():
+                    raise SummabilityError(
+                        f"series for scheme {scheme.value} left the representable range at j = {j}"
+                    )
+                if np.all(term * r / (1.0 - r) <= SERIES_TOL * partial):
+                    break
+            total += partial
     return phi.eps * total / scheme.hyers_divisor
 
 
@@ -862,20 +855,20 @@ def verify_stability_bound(
     )
 
 
-def unimodular_average_decomposition(gamma: float) -> tuple[UnimodularScalar, UnimodularScalar]:
+def unimodular_average_decomposition(gamma: float) -> tuple[complex, complex]:
     """Write gamma in [0, 1) as the average of two conjugate unimodular scalars."""
     g = float(gamma)
     if not 0.0 <= g < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {g!r}")
     mu = complex(g, math.sqrt(1.0 - g * g))
-    return UnimodularScalar(mu), UnimodularScalar(mu.conjugate())
+    return mu, mu.conjugate()
 
 
 def _integer_and_pair(part: float):
     """floor(part) and the unimodular pair averaging to its fraction (none for 0)."""
     n = math.floor(part)
     frac = part - n
-    return n, (tuple(mu.value for mu in unimodular_average_decomposition(frac)) if frac > 0.0 else ())
+    return n, (unimodular_average_decomposition(frac) if frac > 0.0 else ())
 
 
 def _split(stack: np.ndarray, parts: list) -> list:

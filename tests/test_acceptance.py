@@ -200,7 +200,7 @@ def test_criterion_6_homogeneity(c2_report):
     decomposition_exact = True
     for gamma in (0.0, 0.25, 0.5, 0.9):
         mu1, mu2 = unimodular_average_decomposition(gamma)
-        reconstructed = (mu1.value + mu2.value) / 2.0
+        reconstructed = (mu1 + mu2) / 2.0
         decomposition_exact = decomposition_exact and reconstructed == complex(gamma, 0.0)
     ok = ok and decomposition_exact
 

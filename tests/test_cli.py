@@ -410,12 +410,10 @@ def test_bounds_explicit_gate_violation_fails_before_output(capsys):
 @pytest.mark.parametrize(
     "scheme,p,closed,j,eps",
     [
-        ("cauchy2", "0.99", "144.7700817110848", 499, "1"),
-        ("jensen3", "0.95", "36.418723707106231", 315, "1"),
+        # each series ends at the first power b^j past the float range
+        ("cauchy2", "0.99", "144.7700817110848", 1024, "1"),
+        ("jensen3", "0.99", "182.04967634216561", 647, "1"),
         ("cauchy2-contractive", "1.01", "143.7700817110848", 1024, "1"),
-        # the first Hyers term converges before its argument would pass
-        # OVERFLOW_LIMIT at j = 315; the second, at 3x, passes it at j = 314
-        ("jensen3", "0.90", "18.223091055158896", 314, "1"),
     ],
 )
 def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(
@@ -433,6 +431,19 @@ def test_bounds_near_a_gate_prints_the_closed_form_without_its_series(
         f"{scheme:<22s} {float(p):>6.2f} {closed:>22s}   no series: series for scheme "
         f"{scheme} left the representable range at j = {j}"
     )
+
+
+@pytest.mark.parametrize("scheme,p", [("jensen3", "0.90"), ("jensen3", "0.95"), ("cauchy2", "0.95")])
+def test_bounds_near_a_gate_sums_a_series_that_fits_the_float_range(scheme, p, capsys):
+    # the scaled arguments stay finite until the tail rule stops the sum; up
+    # to 647 summed terms add about 647 u of round-off to SERIES_TOL, u the
+    # float64 unit round-off, so the row is held to 1e-13
+    code = main(["bounds", "--scheme", scheme, "--eps", "1", "--p", p])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    row = captured.out.splitlines()[1]
+    assert "no series" not in row
+    assert float(row.split()[-1]) <= 1e-13, row
 
 
 def test_bounds_at_a_huge_eps_prints_the_whole_grid(capsys):

@@ -205,13 +205,18 @@ def test_linalg_alone_decides_the_operand_contract():
 
 def test_no_module_imports_a_name_it_does_not_use():
     # no linter runs on the package, so this walk stands in for one; the
-    # package __init__ imports to re-export
+    # package __init__ imports to re-export.  A name is used where it is
+    # read, annotations included: binding it again does not count
     found = []
     for path in sorted(Path(triple_stab.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue

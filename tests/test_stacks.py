@@ -913,7 +913,7 @@ def _complex_by_calls(op, lam, x):
         contribution = whole * image
         if part - whole > 0.0:
             mu1, mu2 = unimodular_average_decomposition(part - whole)
-            contribution = contribution + (op(mu1.value * x) + op(mu2.value * x)) / 2.0
+            contribution = contribution + (op(mu1 * x) + op(mu2 * x)) / 2.0
         route = route + factor * contribution
     gap = spectral_norm(op(lam * x) - route)
     return gap / np.maximum(1.0, abs(lam) * spectral_norm(x))
