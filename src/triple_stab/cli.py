@@ -45,13 +45,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=type(f.default), help=f.metadata["help"])
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser, default: str) -> None:
     parser.add_argument("--out", metavar="PATH", help="write the report here")
     parser.add_argument(
         "--format",
         choices=("json", "csv"),
-        default="json",
-        help="report format (default json)",
+        default=default,
+        help=f"report format (default {default})",
     )
 
 
@@ -146,9 +146,9 @@ def _p_text(p: float) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    # the config's own checks: dim in [1, DIM_MAX], eps finite and nonnegative;
-    # an explicit p is checked as a control's exponent, before any output
-    ExperimentConfig(dim=args.dim, eps=args.eps)
+    # the config's own check on eps, finite and nonnegative; an explicit p is
+    # checked as a control's exponent, before any output
+    ExperimentConfig(eps=args.eps)
     if args.p is not None:
         PowerType(args.eps, args.p)
     schemes = list(Scheme)
@@ -158,7 +158,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             # an explicitly requested combination outside the summability
             # gate is an error, not a table row
             raise SummabilityError(schemes[0].gate_message(args.p))
-    unit = matrix_basis(args.dim)[0]
+    # the bounds read only ||x||, so a 1x1 unit prices them at every dim
+    unit = matrix_basis(1)[0]
 
     print(f"{'scheme':<22s} {'p':>6s} {'closed_form':>22s} {'series':>22s} {'rel_diff':>10s}")
     for scheme in schemes:
@@ -205,12 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_axioms = sub.add_parser("axioms", help="run the triple-axiom suite")
+    p_axioms.set_defaults(run=_cmd_axioms)
     _add_config_flags(p_axioms)
-    _add_output_flags(p_axioms)
+    _add_output_flags(p_axioms, "json")
 
     p_recover = sub.add_parser("recover", help="run the full recovery pipeline")
+    p_recover.set_defaults(run=_cmd_recover)
     _add_config_flags(p_recover)
-    _add_output_flags(p_recover)
+    _add_output_flags(p_recover, "json")
     p_recover.add_argument(
         "--timings",
         action="store_true",
@@ -220,37 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser(
         "bounds", help="print the stability-constant table over a grid of p"
     )
+    p_bounds.set_defaults(run=_cmd_bounds)
     p_bounds.add_argument("--scheme", help="restrict to one scheme")
     p_bounds.add_argument("--eps", type=float, default=1.0, help="control amplitude (default 1)")
     p_bounds.add_argument("--p", type=float, help="single exponent instead of the grid")
-    p_bounds.add_argument("--dim", type=int, default=2, help="matrix dimension (default 2)")
 
     p_report = sub.add_parser("report", help="re-render a persisted JSON report")
+    p_report.set_defaults(run=_cmd_report)
     p_report.add_argument("--in", metavar="PATH", required=True, help="JSON report to read")
-    p_report.add_argument("--out", metavar="PATH", help="write the rendering here")
-    p_report.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="csv",
-        help="output format (default csv)",
-    )
+    _add_output_flags(p_report, "csv")
 
     return parser
-
-
-_COMMANDS = {
-    "axioms": _cmd_axioms,
-    "recover": _cmd_recover,
-    "bounds": _cmd_bounds,
-    "report": _cmd_report,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         # a reader that closed stdout shows here, not in the flush at exit
         sys.stdout.flush()
         return code

@@ -986,13 +986,13 @@ def verify_derivation_sequence(f, h, scheme, p: float, triples: Sequence) -> dic
     expected_rate = perturbation_decay_rate(scheme, p)
     # a report holds floats, whatever the working dtype
     values = residuals.mean(axis=1).astype(float).tolist()
-    tail = [i for i, lvl in enumerate(levels) if lvl >= SEQUENCE_STRICT_AFTER]
+    # the levels are range(sequence_levels), so each level is its own index
+    tail = levels[SEQUENCE_STRICT_AFTER:]
     # mean values past the pre-asymptotic levels and above the round-off floor
-    kept = [i for i in tail if values[i] > ROUNDOFF_FLOOR]
-    pairs = [(values[i], values[i + 1]) for i in kept if i + 1 < len(values)]
+    pairs = [(values[i], values[i + 1]) for i in tail[:-1] if values[i] > ROUNDOFF_FLOOR]
     decreasing = all(b < a for a, b in pairs)
     max_tail_ratio = max((b / a for a, b in pairs), default=None)
-    tail_rate, _ = pooled_rate([levels[i] for i in tail], residuals[tail])
+    tail_rate, _ = pooled_rate(tail, residuals[tail])
     rate_ok = tail_rate is None or abs(tail_rate - expected_rate) <= RATE_WINDOW
     return {
         "levels": levels, "values": values, "floor": ROUNDOFF_FLOOR,

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -11,9 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from triple_stab.cli import build_parser, main
-from triple_stab.lab import ExperimentConfig, load_report, run_recovery
-from triple_stab.stability import SERIES_TOL
+from triple_stab.cli import _GRID, build_parser, main
+from triple_stab.lab import DIM_MAX, ExperimentConfig, load_report, run_recovery
+from triple_stab.stability import (
+    SERIES_TOL,
+    PowerType,
+    Scheme,
+    SummabilityError,
+    hyers_bound,
+    hyers_series,
+)
+from triple_stab.triple import matrix_basis
 
 TRIMMED = [
     "--scheme",
@@ -517,6 +526,36 @@ def test_bounds_checks_p_as_a_control_does(p, capsys):
     assert captured.out == ""
 
 
+@functools.cache
+def _bound_outcomes(n: int) -> list[str]:
+    """repr of hyers_bound and hyers_series at the n x n unit E11, or a refusal's text."""
+    x, found = matrix_basis(n)[0], []
+    for scheme, ps in [*_GRID.items(), (Scheme.CAUCHY2, (0.95,)), (Scheme.JENSEN3, (0.9,))]:
+        for p in ps:
+            for eps in (1.0, 0.1, 1e300, 1e-300, 1e308, 0.0):
+                power = PowerType(eps, p)
+                for bound in (hyers_bound, hyers_series):
+                    try:
+                        found.append(repr(bound(power, scheme, x)))
+                    except SummabilityError as exc:
+                        found.append(str(exc))
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, DIM_MAX + 1))
+def test_hyers_bounds_read_only_the_norm_of_x(n):
+    # what lets `bounds` price its table on a 1x1 unit: at every dim, the
+    # unit E11 gives the 1x1 unit's bounds and refusals bit for bit
+    assert _bound_outcomes(n) == _bound_outcomes(1)
+
+
+def test_bounds_takes_no_dim(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--dim", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
+
+
 def test_recover_rejects_gate_violation(capsys):
     code = main(["recover", "--scheme", "cauchy2", "--p", "1.0"])
     err = capsys.readouterr().err
@@ -533,8 +572,6 @@ def test_recover_rejects_gate_violation(capsys):
         (["recover", "--generator", "{not json"], "generator is not valid JSON"),
         (["axioms", "--dim", "40"], "dim must be in"),
         (["report", "--in", "/nonexistent/report.json"], "could not read report"),
-        (["bounds", "--dim", "17"], "dim must be in [1, 16]"),
-        (["bounds", "--dim", "0"], "dim must be in [1, 16]"),
         (["recover", "--out", "/nonexistent/dir/report.json"], "could not write report"),
         (
             ["recover", "--generator", f'{{"skew_scale": {10**400}}}'],

@@ -229,6 +229,36 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert found == []
 
 
+def test_no_private_top_level_name_is_left_unread():
+    # a private helper, class or constant that nothing in the package reads
+    # is one a deletion left behind: tests do not count as readers
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(triple_stab.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__") and private not in read:
+                    found.append(f"{name}:{node.lineno} defines {private}, never read")
+    assert found == []
+
+
 def test_as_matrix_accepts_nested_lists():
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.complex128
