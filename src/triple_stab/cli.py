@@ -45,13 +45,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=type(f.default), help=f.metadata["help"])
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, default: str) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser, *formats: str) -> None:
+    # --format offers only the formats the command can write; the first is the default
     parser.add_argument("--out", metavar="PATH", help="write the report here")
     parser.add_argument(
         "--format",
-        choices=("json", "csv"),
-        default=default,
-        help=f"report format (default {default})",
+        choices=formats,
+        default=formats[0],
+        help=f"report format (default {formats[0]})",
     )
 
 
@@ -85,11 +86,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _value_text(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
+    return "-" if value is None else format(value, ".6g")
 
 
 def _emit_if_requested(report, args: argparse.Namespace) -> None:
@@ -146,11 +143,8 @@ def _p_text(p: float) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    # the config's own check on eps, finite and nonnegative; an explicit p is
-    # checked as a control's exponent, before any output
-    ExperimentConfig(eps=args.eps)
-    if args.p is not None:
-        PowerType(args.eps, args.p)
+    # eps and an explicit p are checked as a control's, before any output
+    PowerType(args.eps, 0.0 if args.p is None else args.p)
     schemes = list(Scheme)
     if args.scheme is not None:
         schemes = [Scheme.parse(args.scheme)]
@@ -213,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover = sub.add_parser("recover", help="run the full recovery pipeline")
     p_recover.set_defaults(run=_cmd_recover)
     _add_config_flags(p_recover)
-    _add_output_flags(p_recover, "json")
+    _add_output_flags(p_recover, "json", "csv")
     p_recover.add_argument(
         "--timings",
         action="store_true",
@@ -231,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="re-render a persisted JSON report")
     p_report.set_defaults(run=_cmd_report)
     p_report.add_argument("--in", metavar="PATH", required=True, help="JSON report to read")
-    _add_output_flags(p_report, "csv")
+    _add_output_flags(p_report, "csv", "json")
 
     return parser
 

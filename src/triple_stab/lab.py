@@ -180,11 +180,8 @@ class ExperimentConfig:
             raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {int_text(self.dim)}")
         scheme = _config_call(Scheme.parse, self.scheme)
         eps = _require_float("eps", self.eps)
-        if eps < 0.0:
-            raise ConfigError(f"eps must be nonnegative, got {eps}")
         p = _require_float("p", self.p)
-        if p < 0.0:
-            raise ConfigError(f"p must be nonnegative, got {p}")
+        _config_call(PowerType, eps, p)
         _config_call(check_seed, _require_int("seed", self.seed))
         if _require_int("probe_count", self.probe_count) < 1:
             raise ConfigError(f"probe_count must be >= 1, got {int_text(self.probe_count)}")

@@ -239,10 +239,12 @@ class PowerType:
     p: float
 
     def __post_init__(self):
-        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
-        if not (self.p >= 0.0 and math.isfinite(self.p)):
-            raise ValueError(f"p must be finite and nonnegative, got {self.p!r}")
+        # the one check of eps and p: configs, `bounds` and make_perturbation call it
+        for name, v in (("eps", self.eps), ("p", self.p)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+            if v < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {v!r}")
 
     def value(self, x, y, z) -> float:
         return self.from_norms(*map(_norm, same_dim(x, y, z)))

@@ -303,9 +303,6 @@ class Tabulated(LinearOperator):
     def apply(self, x) -> ComplexMatrix:
         return _unvec(np.matmul(self.coeffs, _vec(x)[..., None])[..., 0], self.dim)
 
-    def to_tabulated(self) -> "Tabulated":
-        return self
-
 
 # ---------------------------------------------------------------------------
 # axiom checkers

@@ -210,6 +210,9 @@ def test_single_operand_bounds_refuse_a_nan_entry_and_a_non_square_shape(bound):
 def test_unvec_refuses_what_as_matrix_refuses():
     with pytest.raises(ValueError, match=NOT_FINITE):
         unvec([np.nan, 1.0, 2.0, 3.0], 2)
+    # and a vector of no n^2 length
+    with pytest.raises(ValueError, match=r"expected vectors of length 4, got \(3,\)"):
+        unvec(np.zeros(3), 2)
     with pytest.raises(ValueError, match=r"expected a nonempty square matrix, got shape \(0, 0\)"):
         unvec(np.zeros(0), 0)
 
@@ -239,6 +242,14 @@ def test_make_mu_samples_refuses_a_count_below_one(count):
     # give an empty list that only a later stage refuses, under its own name
     with pytest.raises(ValueError, match="mu sample count must be at least 1"):
         make_mu_samples(count, rng_for(62, 2))
+    with pytest.raises(ValueError, match="probe count must be at least 1"):
+        make_probes(2, count, rng_for(62, 1))
+
+
+def test_rng_for_refuses_a_non_integer_seed():
+    # sampling's own check; a config refuses a float seed before it gets here
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        rng_for(1.5, 2)
 
 
 @pytest.mark.parametrize("norm_min,norm_max", [(1e-2, np.inf), (np.inf, np.inf), (1e-2, np.nan)])

@@ -45,6 +45,8 @@ def test_axioms_command_passes(capsys):
     assert "axioms: 5/5 checks passed" in out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+    # a plain-text generator is the identity spec, not JSON
+    assert main(["axioms", "--generator", "identity"]) == 0
 
 
 def test_axioms_config_file_with_override(tmp_path, capsys):
@@ -516,13 +518,20 @@ def test_bounds_checks_eps_as_a_config_does(argv, fragment, capsys):
     assert "closed_form" not in captured.out
 
 
-@pytest.mark.parametrize("p", ["-1", "inf", "nan"])
-def test_bounds_checks_p_as_a_control_does(p, capsys):
+@pytest.mark.parametrize(
+    "p,message",
+    [
+        pytest.param("-1", "p must be nonnegative, got -1.0", id="-1"),
+        pytest.param("inf", "p must be finite, got inf", id="inf"),
+        pytest.param("nan", "p must be finite, got nan", id="nan"),
+    ],
+)
+def test_bounds_checks_p_as_a_control_does(p, message, capsys):
     # a control's exponent is checked before any output, as recover checks it
     code = main(["bounds", f"--p={p}"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "p must be finite and nonnegative" in captured.err
+    assert message in captured.err
     assert captured.out == ""
 
 
@@ -547,6 +556,18 @@ def test_hyers_bounds_read_only_the_norm_of_x(n):
     # what lets `bounds` price its table on a 1x1 unit: at every dim, the
     # unit E11 gives the 1x1 unit's bounds and refusals bit for bit
     assert _bound_outcomes(n) == _bound_outcomes(1)
+
+
+def test_axioms_offers_only_the_json_format(tmp_path, capsys):
+    # argparse refuses csv before the suite runs: no check line, no file
+    out = tmp_path / "a.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--format", "csv", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
 
 
 def test_bounds_takes_no_dim(capsys):
@@ -577,6 +598,7 @@ def test_recover_rejects_gate_violation(capsys):
             ["recover", "--generator", f'{{"skew_scale": {10**400}}}'],
             "skew_scale must be finite, got an integer too large for a float",
         ),
+        (["axioms", "--generator", "haar"], 'generator must be "identity" or an object, got \'haar\''),
     ],
 )
 def test_errors_exit_two_with_message(argv, fragment, capsys):
@@ -605,6 +627,10 @@ def test_config_file_with_bad_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "is not valid JSON" in err
+    # valid JSON that is no object
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["axioms", "--config", str(path)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -108,6 +108,7 @@ def test_default_config_is_valid():
         ("dim", 2.0, "dim must be an integer"),
         ("scheme", "cauchy4", "unknown scheme"),
         ("eps", -1.0, "eps must be nonnegative"),
+        ("eps", "0.1", "eps must be a number, got '0.1'"),
         ("eps", float("nan"), "eps must be finite"),
         ("p", -0.5, "p must be nonnegative"),
         ("seed", -3, "seed must fit"),

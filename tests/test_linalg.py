@@ -229,13 +229,15 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert found == []
 
 
-def test_no_private_top_level_name_is_left_unread():
-    # a private helper, class or constant that nothing in the package reads
-    # is one a deletion left behind: tests do not count as readers
-    trees = {
+def _package_trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(triple_stab.__file__).parent.glob("*.py"))
     }
+
+
+def _read_names(trees) -> set[str]:
+    """Every name the package reads: an ast.Name load or an attribute."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -243,8 +245,12 @@ def test_no_private_top_level_name_is_left_unread():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    found = []
-    for name, tree in trees.items():
+    return read
+
+
+def _top_level_definitions(trees):
+    """(module, line, name) of each top-level function, class and assigned name."""
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined = [node.name]
@@ -253,9 +259,40 @@ def test_no_private_top_level_name_is_left_unread():
                 defined = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            for private in defined:
-                if private.startswith("_") and not private.startswith("__") and private not in read:
-                    found.append(f"{name}:{node.lineno} defines {private}, never read")
+            for name in defined:
+                if not name.startswith("__"):
+                    yield module, node.lineno, name
+
+
+def test_no_private_top_level_name_is_left_unread():
+    # a private helper, class or constant that nothing in the package reads
+    # is one a deletion left behind: tests do not count as readers
+    trees = _package_trees()
+    read = _read_names(trees)
+    found = [
+        f"{module}:{line} defines {name}, never read"
+        for module, line, name in _top_level_definitions(trees)
+        if name.startswith("_") and name not in read
+    ]
+    assert found == []
+
+
+def test_no_public_top_level_name_is_orphaned():
+    # a public name is either exported by the package __init__ or read
+    # somewhere in the package; tests do not count as readers
+    trees = _package_trees()
+    read = _read_names(trees)
+    exported = {
+        alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    found = [
+        f"{module}:{line} defines {name}, neither exported nor read"
+        for module, line, name in _top_level_definitions(trees)
+        if not name.startswith("_") and name not in exported | read
+    ]
     assert found == []
 
 

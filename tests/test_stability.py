@@ -366,6 +366,24 @@ def test_direct_method_level_is_certified_and_minimal(scheme, form, p):
     assert np.array_equal(res.value, approximants(f, scheme, xs, [level])[0])
 
 
+@pytest.mark.parametrize("power,level", [(1, 1), (5, 6), (5, 5)], ids=["down", "up", "exact"])
+def test_direct_method_rounds_its_log_space_level_to_the_least_certified(power, level):
+    # log(need) / log(1 / r) can land one level off either way: at tol = r b
+    # the guess steps down while L - 1 still certifies, and just below
+    # r^5 b it steps up until L does
+    _, _, big_d = _generators(51)
+    phi = PowerType(0.1, 0.5)
+    f = make_perturbation(big_d, phi.eps, phi.p, "cauchy", seed=28)
+    r = Scheme.CAUCHY2.series_ratio(0.5)
+    b = hyers_bound(phi, Scheme.CAUCHY2, E11)
+    tol = r**power * b
+    if level > power:
+        tol = np.nextafter(tol, 0.0)
+    res = direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=tol)
+    assert res.l_used == level
+    assert r**level * b <= tol < r ** (level - 1) * b
+
+
 def test_direct_method_exact_map_converges_immediately():
     # eps = 0 certifies level 0: the approximant is f itself, with zero bound
     _, _, big_d = _generators(35)

@@ -135,6 +135,8 @@ def test_tabulated_matches_source_operator():
     op = Compose(Conjugation(u), Commutator(a))
     tab = op.to_tabulated()
     assert isinstance(tab, Tabulated)
+    # a table lowers to an equal table
+    assert np.array_equal(tab.to_tabulated().coeffs, tab.coeffs)
     for seed in range(5):
         x = _random_matrix(100 + seed, 3)
         assert np.abs(tab(x) - op(x)).max() <= 1e-12 * max(1.0, spectral_norm(x))
