@@ -25,7 +25,6 @@ from .linalg import (
     ComplexMatrix,
     DimensionMismatchError,
     as_matrix,
-    hs_inner,
     spectral_norm,
 )
 from .sampling import (
@@ -46,7 +45,6 @@ from .stability import (
     Scheme,
     SchemeError,
     SummabilityError,
-    approximants,
     certify_theta_derivation,
     derivation_limit_sequence,
     direct_method,
@@ -57,7 +55,6 @@ from .stability import (
     norm_power,
     perturbation_amplitude,
     perturbation_decay_rate,
-    phi_tilde,
     recover_linear_map,
     recover_maps,
     unimodular_average_decomposition,
@@ -76,14 +73,11 @@ from .triple import (
     Scaled,
     Tabulated,
     check_axioms,
-    jordan_product,
     make_theta_derivation,
     matrix_basis,
     theta_derivation_residual,
     triple_product_cstar,
     triple_product_jbstar,
-    unvec,
-    vec,
 )
 
 __version__ = "0.1.0"

@@ -63,14 +63,8 @@ def same_dim(*mats) -> list[ComplexMatrix]:
 
 
 def _hs(mx: ComplexMatrix, my: ComplexMatrix) -> np.ndarray:
-    """Kernel of ``hs_inner`` on trusted operands: an array, 0-d for one pair."""
+    """Hilbert-Schmidt inner product trace(x y*) of trusted operands: an array, 0-d for one pair."""
     return np.einsum("...ij,...ij->...", mx, my.conj())
-
-
-def hs_inner(x, y):
-    """Hilbert-Schmidt inner product trace(x y*); an array over stack slices."""
-    inner = _hs(*same_dim(x, y))
-    return complex(inner) if inner.ndim == 0 else inner
 
 
 def _top_singular_value_2x2(m: ComplexMatrix) -> np.ndarray:

@@ -25,9 +25,9 @@ report section, verdict included: a dict under the report's key names of
 Python floats, ints and bools, whatever the dtype.  The thresholds of its
 checks sit here beside it.
 
-Controls are power-type, the ones the paper's theorems use; ``phi_tilde``
-and ``hyers_bound`` are closed forms, and ``hyers_series`` sums the Hyers
-bound term by term as the reference they are held to.  Maps, controls and
+Controls are power-type, the ones the paper's theorems use; ``hyers_bound``
+is a closed form over phi_tilde terms (``_power_tilde``), and ``hyers_series``
+sums it term by term as the reference it is held to.  Maps, controls and
 certificates take (k, n, n) probe stacks: every stage makes one call per
 map and per check over all of its probes, and a level scan stacks its
 levels too, in one call per map.  A stage takes the norms of its stacks in
@@ -57,7 +57,6 @@ from .linalg import (
     _norm,
     as_matrix,
     require_dim,
-    same_dim,
     spectral_norm,
 )
 from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, random_matrix, rng_for
@@ -230,10 +229,7 @@ def norm_power(norm, p: float):
 
 @dataclass(frozen=True)
 class PowerType:
-    """phi(x, y, z) = eps * (||x||^p + ||y||^p + ||z||^p).
-
-    On (k, n, n) stacks ``value`` returns one value per slice.
-    """
+    """phi(x, y, z) = eps * (||x||^p + ||y||^p + ||z||^p), from the norms of x, y and z."""
 
     eps: float
     p: float
@@ -245,9 +241,6 @@ class PowerType:
                 raise ValueError(f"{name} must be finite, got {v!r}")
             if v < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {v!r}")
-
-    def value(self, x, y, z) -> float:
-        return self.from_norms(*map(_norm, same_dim(x, y, z)))
 
     def from_norms(self, nx, ny, nz):
         """phi at arguments of norms nx, ny and nz: 0 at eps = 0, where ||x||^p may overflow."""
@@ -262,13 +255,11 @@ class PowerType:
 # weighted series and closed-form bounds
 # ---------------------------------------------------------------------------
 
-def phi_tilde(phi: PowerType, scheme, x, y, z) -> float:
-    """Scheme-weighted series of the control function at (x, y, z), in closed form."""
-    return _power_tilde(phi, Scheme.parse(scheme), *map(_norm, same_dim(x, y, z)))
-
-
 def _power_tilde(phi: PowerType, scheme: Scheme, nx, ny, nz=0.0):
-    """phi_tilde from its arguments' norms: phi r^j0 / (1 - r), r the series ratio, j0 its start."""
+    """Scheme-weighted series phi_tilde at arguments of norms nx, ny and nz, in closed form.
+
+    It is phi r^j0 / (1 - r), r the series ratio and j0 its start.
+    """
     if not scheme.power_gate_ok(phi.p):
         raise SummabilityError(scheme.gate_message(phi.p))
     r = scheme.series_ratio(phi.p)
@@ -311,6 +302,7 @@ def hyers_bound(phi: PowerType, scheme, x) -> float:
     from one norm call (``_power_bound``).  The terms are
     ``Scheme.hyers_terms``; ``hyers_series`` sums them term by term.
     """
+    _require_power(phi, "hyers_bound")
     return _power_bound(phi, Scheme.parse(scheme), as_matrix(x))[0]
 
 
@@ -325,6 +317,7 @@ def hyers_series(phi: PowerType, scheme, x) -> float:
     SummabilityError where a scale, a scaled argument or eps times the
     partial sum leaves the float range.
     """
+    _require_power(phi, "hyers_series")
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
     if not scheme.power_gate_ok(phi.p):
@@ -651,26 +644,14 @@ def _guard_levels(scheme: Scheme, levels: Sequence[int], largest: float, cube_la
             )
 
 
-def approximants(f, scheme, x, levels: Sequence[int]) -> np.ndarray:
-    """A_l(x) = f(s x) / s with s = scheme.scale(l) for each level, in one f call.
-
-    A ``PerturbedMap`` is evaluated from the unscaled x and its norms
-    (``_image``).  Every level is guarded before f is called
-    (``_guard_levels``).  Returns shape (len(levels), *x.shape).
-    """
-    scheme = Scheme.parse(scheme)
-    if len(levels) == 0:
-        raise ValueError("approximants needs at least one level")
-    mx = as_matrix(x)
-    return _approximants(f, scheme, mx, levels, _norm(mx))
-
-
 def _approximants(
     f, scheme: Scheme, mx: ComplexMatrix, levels: Sequence[int], norms
 ) -> np.ndarray:
-    """``approximants`` on a checked stack of known slice norms and a nonempty level list.
+    """A_l(x) = f(s x) / s, s = scheme.scale(l), on a checked stack of known slice norms.
 
-    f's outputs are checked.  All levels are one ``_image`` call on the
+    One row per level of a nonempty list: shape (len(levels), *mx.shape).
+    Every level is guarded before f is called (``_guard_levels``), f's
+    outputs are checked, and all levels are one ``_image`` call on the
     unscaled probes, their norms and one scale per level.
     """
     _guard_levels(scheme, levels, np.abs(mx).max())
@@ -703,7 +684,8 @@ def direct_method(
     """
     _require_power(phi, "direct_method")
     scheme = Scheme.parse(scheme)
-    if tol <= 0.0:
+    # written so that a NaN tol fails it too
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     xs = _stack(xs, "direct_method")
     # r^L need <= 1 from L = log(need) / log(1 / r) on, need = max(bound / target);
@@ -768,7 +750,7 @@ def recover_linear_map(
     recovered = Tabulated(_vec(units).T)
     gaps = _norm(recovered.apply(probes) - directs)
     norms = run.norms[len(basis) :]
-    # basis order is vec's column-stacking order
+    # basis order is _vec's column-stacking order
     allowance = np.abs(_vec(probes)) @ err_units + err_probes + tol * np.maximum(1.0, norms)
     worst, level = int(np.argmax(gaps - allowance)), run.l_used
     if gaps[worst] > allowance[worst]:
@@ -798,6 +780,7 @@ def recover_maps(f, h, exact, phi: PowerType, scheme, tol: float, l_max: int) ->
     their tables, to RECOVERY_ERROR_TOL.  ``error`` records a ConvergenceError
     or a failed linearity certificate, whose map ``linearity_failure`` names.
     """
+    _require_power(phi, "recover_maps")
     scheme = Scheme.parse(scheme)
     levels, recovered = {}, []
     section = {

@@ -24,9 +24,9 @@ through one kernel call, concatenated: the axiom checker takes one
 ``_jordan`` call per level, bit for bit what each product gives alone.
 
 Each operand is checked once, at the public boundary (see ``linalg``): the
-public products check theirs and run kernels on trusted stacks (``_cstar``,
-``_jbstar``, ``_jordan``), which the axiom checker uses on what it checked.
-``op(x)`` checks x, and ``op.apply`` takes a checked stack.
+public triple products check theirs and run kernels on trusted stacks
+(``_cstar``, ``_jbstar``, ``_jordan``), which the axiom checker uses on what
+it checked.  ``op(x)`` checks x, and ``op.apply`` takes a checked stack.
 
 Every product of two n x n stacks, in the triple and Jordan products and in
 every operator, goes through one kernel, ``_stack_product``, which computes
@@ -89,13 +89,8 @@ def _stack_product(a, b) -> ComplexMatrix:
 
 
 def _jordan(x, y) -> ComplexMatrix:
-    """Kernel of ``jordan_product`` on trusted stacks."""
+    """Jordan product x o y = (x y + y x) / 2 of trusted stacks, slice by slice."""
     return (_stack_product(x, y) + _stack_product(y, x)) / 2.0
-
-
-def jordan_product(x, y) -> ComplexMatrix:
-    """Symmetrized product (x y + y x) / 2."""
-    return _jordan(*same_dim(x, y))
 
 
 def _cstar(x, y, z) -> ComplexMatrix:
@@ -128,30 +123,14 @@ def triple_product_jbstar(x, y, z) -> ComplexMatrix:
 # ---------------------------------------------------------------------------
 
 def _vec(m: ComplexMatrix) -> np.ndarray:
-    """Kernel of ``vec`` on a trusted stack."""
+    """Column-stack each slice of a trusted stack: basis order E11, E21, ..., En1, E12, ..., Enn."""
     # the column-stacked matrix is its transpose read row by row
     return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], m.shape[-1] ** 2)
 
 
-def vec(x) -> np.ndarray:
-    """Column-stack a matrix: basis order E11, E21, ..., En1, E12, ..., Enn.
-
-    A (..., n, n) stack gives (..., n^2), one vector per slice.
-    """
-    return _vec(as_matrix(x))
-
-
 def _unvec(arr: np.ndarray, dim: int) -> ComplexMatrix:
-    """Kernel of ``unvec`` on vectors of length dim^2."""
+    """Inverse of ``_vec`` on vectors of length dim^2: (..., n^2) gives (..., n, n)."""
     return np.swapaxes(arr.reshape(*arr.shape[:-1], dim, dim), -1, -2)
-
-
-def unvec(u, dim: int) -> ComplexMatrix:
-    """Inverse of ``vec`` for a given dimension; (..., n^2) gives (..., n, n), checked."""
-    arr = np.asarray(u)
-    if arr.ndim < 1 or arr.shape[-1] != dim * dim:
-        raise ValueError(f"expected vectors of length {dim * dim}, got {arr.shape}")
-    return as_matrix(_unvec(arr, dim))
 
 
 def matrix_basis(dim: int) -> np.ndarray:

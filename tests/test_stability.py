@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triple_stab.linalg import spectral_norm
+from triple_stab.linalg import as_matrix, spectral_norm
 from triple_stab.sampling import (
     ROLE_RECOVERY,
     haar_unitary,
@@ -33,7 +33,8 @@ from triple_stab.stability import (
     Scheme,
     SchemeError,
     SummabilityError,
-    approximants,
+    _approximants,
+    _power_tilde,
     certify_theta_derivation,
     derivation_limit_sequence,
     direct_method,
@@ -44,9 +45,9 @@ from triple_stab.stability import (
     norm_power,
     perturbation_amplitude,
     perturbation_decay_rate,
-    phi_tilde,
     pooled_rate,
     recover_linear_map,
+    recover_maps,
     unimodular_average_decomposition,
     verify_hypotheses,
     verify_homogeneity,
@@ -66,6 +67,17 @@ def _generators(seed: int, dim: int = 2):
     theta = Conjugation(haar_unitary(rng_for(seed, 4), dim))
     d = Commutator(skew_matrix(rng_for(seed, 5), dim))
     return theta, d, make_theta_derivation(theta, d)
+
+
+def _phi_tilde(phi, scheme, x, y, z):
+    """phi_tilde at (x, y, z): its closed-form kernel on the three norms."""
+    return _power_tilde(phi, scheme, *map(spectral_norm, (x, y, z)))
+
+
+def _scan(f, scheme, x, levels):
+    """A_l(x) at each level, from the level-scan kernel on the cast x and its norms."""
+    mx = as_matrix(x)
+    return _approximants(f, scheme, mx, levels, spectral_norm(mx))
 
 
 def _counting(g, calls: list):
@@ -130,7 +142,7 @@ def test_phi_tilde_outside_gate_raises():
         (Scheme.JENSEN3_CONTRACTIVE, 2.0),
     ):
         with pytest.raises(SummabilityError):
-            phi_tilde(PowerType(1.0, p), scheme, E11, E11, np.zeros((2, 2)))
+            _phi_tilde(PowerType(1.0, p), scheme, E11, E11, np.zeros((2, 2)))
 
 
 def test_phi_tilde_matches_series_oracle():
@@ -144,7 +156,7 @@ def test_phi_tilde_matches_series_oracle():
     ]
     for scheme, p, (x, y, z) in cases:
         eps = 0.7
-        got = phi_tilde(PowerType(eps, p), scheme, x, y, z)
+        got = _phi_tilde(PowerType(eps, p), scheme, x, y, z)
         norms = [spectral_norm(m) for m in (x, y, z)]
         want = _series_oracle(scheme, eps, p, norms)
         assert got == pytest.approx(want, rel=1e-12)
@@ -160,7 +172,7 @@ def test_phi_tilde_custom_route_matches_closed_form():
     ):
         power = PowerType(0.3, p)
         closed = sum(
-            phi_tilde(power, scheme, E11 * a[0] / a[1], E11 * b[0] / b[1], 0.0 * E11)
+            _phi_tilde(power, scheme, E11 * a[0] / a[1], E11 * b[0] / b[1], 0.0 * E11)
             for a, b in scheme.hyers_terms
         ) / scheme.hyers_divisor
         series = hyers_series(power, scheme, E11)
@@ -363,7 +375,7 @@ def test_direct_method_level_is_certified_and_minimal(scheme, form, p):
     # far below tol (the contractive thirding bounds reach 1e-19 on small x)
     roundoff = 1e-14 * np.maximum(1.0, spectral_norm(xs))
     assert (spectral_norm(res.value - big_d(xs)) <= res.error_bound + roundoff).all()
-    assert np.array_equal(res.value, approximants(f, scheme, xs, [level])[0])
+    assert np.array_equal(res.value, _scan(f, scheme, xs, [level])[0])
 
 
 @pytest.mark.parametrize("power,level", [(1, 1), (5, 6), (5, 5)], ids=["down", "up", "exact"])
@@ -412,19 +424,50 @@ def test_direct_limits_rejects_non_stacks():
             direct_method(f, Scheme.CAUCHY2, PowerType(0.1, 0.5), bad)
 
 
+def _plain_control(x, y, z):
+    """A control written as a plain function of its three arguments: not a PowerType."""
+    return 0.1 * (spectral_norm(x) + spectral_norm(y) + spectral_norm(z))
+
+
 def test_direct_method_rejects_zero_tol_and_other_controls():
     _, _, big_d = _generators(53)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
     phi = PowerType(0.1, 0.5)
-    with pytest.raises(ValueError):
-        direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=0.0)
+    # a NaN tol is refused by name, not as a NaN bound
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            recover_linear_map(f, Scheme.CAUCHY2, phi, tol=tol)
     with pytest.raises(TypeError):
-        direct_method(f, Scheme.CAUCHY2, phi.value, E11[None])
-    # the other stages price with the power-type control only, too
-    with pytest.raises(TypeError):
-        verify_hypotheses(f, f, phi.value, "cauchy", E11[None], [1.0])
-    with pytest.raises(TypeError):
-        verify_stability_bound([(f, f)], phi.value, Scheme.CAUCHY2, E11[None])
+        direct_method(f, Scheme.CAUCHY2, _plain_control, E11[None])
+
+
+def _control_entries():
+    """Each public entry that takes a control, called with ``_plain_control``, by name."""
+    theta, _, big_d = _generators(53)
+    f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
+    s = Scheme.CAUCHY2
+    return {
+        "direct_method": lambda: direct_method(f, s, _plain_control, E11[None]),
+        "recover_linear_map": lambda: recover_linear_map(f, s, _plain_control),
+        "recover_maps": lambda: recover_maps(f, f, (big_d, theta), _plain_control, s, 1e-9, 200),
+        "verify_hypotheses": lambda: verify_hypotheses(
+            f, f, _plain_control, "cauchy", E11[None], [1.0]
+        ),
+        "verify_stability_bound": lambda: verify_stability_bound(
+            [(f, f)], _plain_control, s, E11[None]
+        ),
+        "hyers_bound": lambda: hyers_bound(_plain_control, s, E11),
+        "hyers_series": lambda: hyers_series(_plain_control, s, E11),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_control_entries()))
+def test_every_control_entry_refuses_a_non_power_control(entry):
+    # recover_linear_map is refused by the direct_method it calls
+    with pytest.raises(TypeError, match="needs a PowerType control, got function"):
+        _control_entries()[entry]()
 
 
 @pytest.mark.parametrize(
@@ -531,14 +574,14 @@ def test_pooled_rate_recovers_a_common_ratio():
 
 
 def test_scheme_approximant_overflow_guard():
-    # the one-level scan of approximants, which replaced scheme_approximant
+    # the one-level scan of the approximants, which replaced scheme_approximant
     _, _, big_d = _generators(37)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=12)
     with pytest.raises(ScaleOverflowError):
-        approximants(f, Scheme.CAUCHY2, E11, [600])
+        _scan(f, Scheme.CAUCHY2, E11, [600])
     # 2.0 ** 3375 itself is not a float; the guard decides before computing it
     with pytest.raises(ScaleOverflowError):
-        approximants(f, Scheme.CAUCHY2, E11, [3375])
+        _scan(f, Scheme.CAUCHY2, E11, [3375])
 
 
 def test_approximants_guard_every_level_before_any_map_call():
@@ -549,13 +592,11 @@ def test_approximants_guard_every_level_before_any_map_call():
     calls = []
     counted = _counting(f, calls)
     with pytest.raises(ScaleOverflowError, match="level l = 600 exceed"):
-        approximants(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400, 600, 700])
+        _scan(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400, 600, 700])
     with pytest.raises(ValueError, match="l must be nonnegative"):
-        approximants(counted, Scheme.CAUCHY2, E11[None], [0, -1])
-    with pytest.raises(ValueError, match="approximants needs at least one level"):
-        approximants(counted, Scheme.CAUCHY2, E11[None], [])
+        _scan(counted, Scheme.CAUCHY2, E11[None], [0, -1])
     assert calls == []
-    assert approximants(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400]).shape == (3, 1, 2, 2)
+    assert _scan(counted, Scheme.CAUCHY2, E11[None], [0, 1, 400]).shape == (3, 1, 2, 2)
     assert calls == [3]
 
 
@@ -576,8 +617,8 @@ def test_contractive_guard_trips_on_the_prefactor():
     f = make_perturbation(big_d, 0.1, 4.0, "jensen", seed=12)
     for scheme, level in ((Scheme.CAUCHY2_CONTRACTIVE, 500), (Scheme.JENSEN3_CONTRACTIVE, 700)):
         with pytest.raises(ScaleOverflowError):
-            approximants(f, scheme, E11, [level])
-    assert np.isfinite(approximants(f, Scheme.JENSEN3_CONTRACTIVE, E11, [300])).all()
+            _scan(f, scheme, E11, [level])
+    assert np.isfinite(_scan(f, Scheme.JENSEN3_CONTRACTIVE, E11, [300])).all()
     with pytest.raises(ScaleOverflowError):
         derivation_limit_sequence(f, f, Scheme.JENSEN3_CONTRACTIVE, [(E11, E11, E11)], [110])
 
@@ -638,7 +679,7 @@ def test_a_map_without_the_kernel_is_called_on_the_scaled_arguments():
     probes = make_probes(2, 3, rng_for(44, 2))
     levels = [0, 1, 4]
     scaled = np.stack([Scheme.JENSEN3.scale(l) * probes for l in levels])
-    got = approximants(recorded, Scheme.JENSEN3, probes, levels)
+    got = _scan(recorded, Scheme.JENSEN3, probes, levels)
     assert len(calls) == 1 and np.array_equal(calls[0], scaled.reshape(-1, 2, 2))
     want = np.stack([g(a) / Scheme.JENSEN3.scale(l) for a, l in zip(scaled, levels)])
     assert np.array_equal(got, want)
@@ -912,6 +953,6 @@ def test_phi_tilde_closed_form_property(seed, p, eps):
     # closed form against the brute-force sum across the gated region
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    got = phi_tilde(PowerType(eps, p), Scheme.CAUCHY2, x, x, np.zeros((2, 2)))
+    got = _phi_tilde(PowerType(eps, p), Scheme.CAUCHY2, x, x, np.zeros((2, 2)))
     want = _series_oracle(Scheme.CAUCHY2, eps, p, [spectral_norm(x)] * 2 + [0.0])
     assert got == pytest.approx(want, rel=1e-10)

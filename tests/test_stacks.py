@@ -21,7 +21,7 @@ from conftest import _openblas_core
 import triple_stab
 from triple_stab import lab
 from triple_stab.lab import SEQUENCE_TRIPLE_COUNT, ExperimentConfig, _sequence_triples, render_json
-from triple_stab.linalg import _norm, as_matrix, hs_inner, spectral_norm
+from triple_stab.linalg import _hs, _norm, as_matrix, spectral_norm
 from triple_stab.sampling import (
     ROLE_AXIOMS,
     ROLE_SEQUENCE_TRIPLES,
@@ -41,13 +41,13 @@ from triple_stab.stability import (
     SummabilityError,
     COMPLEX_LAMBDAS,
     HOMOGENEITY_TOL,
-    approximants,
+    _approximants,
+    _power_tilde,
     derivation_limit_sequence,
     estimate_convergence_rate,
     hyers_bound,
     make_perturbation,
     perturbation_decay_rate,
-    phi_tilde,
     pooled_rate,
     recover_linear_map,
     unimodular_average_decomposition,
@@ -66,15 +66,15 @@ from triple_stab.triple import (
     AXIOM_L_POSITIVITY_TOL,
     AXIOM_NORM_TOL,
     PRODUCT_AGREEMENT_TOL,
+    _jordan,
     _stack_product,
+    _unvec,
+    _vec,
     _within,
     check_axioms,
-    jordan_product,
     theta_derivation_residual,
     triple_product_cstar,
     triple_product_jbstar,
-    unvec,
-    vec,
 )
 
 SHAPES = [(n, k) for n in (1, 2, 5) for k in (1, 3)]
@@ -111,16 +111,15 @@ def _operators(n: int) -> dict:
 def test_norm_and_pairing_match_slices(n, k):
     x, y = _stack(1, n, k), _stack(2, n, k)
     _assert_slicewise(spectral_norm(x), [spectral_norm(s) for s in x])
-    _assert_slicewise(hs_inner(x, y), [hs_inner(a, b) for a, b in zip(x, y)])
+    _assert_slicewise(_hs(x, y), [_hs(a, b) for a, b in zip(x, y)])
     assert isinstance(spectral_norm(x[0]), float)
-    assert isinstance(hs_inner(x[0], y[0]), complex)
 
 
 @pytest.mark.parametrize("n,k", SHAPES)
 def test_vec_and_unvec_match_slices(n, k):
     x = _stack(19, n, k)
-    assert np.array_equal(vec(x), [s.flatten(order="F") for s in x])
-    assert np.array_equal(unvec(vec(x), n), x)
+    assert np.array_equal(_vec(x), [s.flatten(order="F") for s in x])
+    assert np.array_equal(_unvec(_vec(x), n), x)
 
 
 @pytest.mark.parametrize("n,k", SHAPES)
@@ -243,10 +242,12 @@ def test_tabulated_is_bit_stable_in_any_stack(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [1, 2, 7, 64])
 @pytest.mark.parametrize(
-    "product", [triple_product_cstar, triple_product_jbstar, jordan_product]
+    "product",
+    [triple_product_cstar, triple_product_jbstar, _jordan],
+    ids=["triple_product_cstar", "triple_product_jbstar", "jordan_product"],
 )
 def test_stacked_products_are_bit_stable_in_any_stack(n, k, product):
-    arity = 2 if product is jordan_product else 3
+    arity = 2 if product is _jordan else 3
     # (k, 3, n, n): the slots are strided views, as derivation_limit_sequence's xyz[:, 0]
     xyz = np.stack([_stack(seed, n, k) for seed in (24, 25, 26)], axis=1)
     views = [xyz[:, i] for i in range(arity)]
@@ -312,7 +313,11 @@ def test_perturbed_map_and_control_match_slices(n, k):
     y[0] = 0.0
     _assert_slicewise(f(x), [f(s) for s in x])
     phi = PowerType(0.3, 0.5)
-    _assert_slicewise(phi.value(x, y, x), [phi.value(a, b, a) for a, b in zip(x, y)])
+    nx, ny = spectral_norm(x), spectral_norm(y)
+    _assert_slicewise(
+        phi.from_norms(nx, ny, nx),
+        [phi.from_norms(spectral_norm(a), spectral_norm(b), spectral_norm(a)) for a, b in zip(x, y)],
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -416,11 +421,11 @@ def _reference_axiom_fragment(config: ExperimentConfig, count: int) -> dict:
     cube = np.abs(spectral_norm(t(x, x, x)) - nx**3) / np.maximum(1.0, nx**3)
     probes, g = draws[:, 6:], gen[:, None]
     images = t(g, g, probes)
-    pairs = hs_inner(images[:, :, None], probes[:, None])
-    asym = np.abs(pairs - hs_inner(probes[:, :, None], images[:, None])).max(axis=(-2, -1))
-    neg = np.maximum(0.0, -hs_inner(images, probes).real.min(axis=-1))
+    pairs = _hs(images[:, :, None], probes[:, None])
+    asym = np.abs(pairs - _hs(probes[:, :, None], images[:, None])).max(axis=(-2, -1))
+    neg = np.maximum(0.0, -_hs(images, probes).real.min(axis=-1))
     ys = np.swapaxes(y.conj(), -1, -2)
-    j = jordan_product
+    j = _jordan
     jb = j(j(x, ys), z) + j(j(ys, z), x) - j(j(x, z), ys)
     nx, ny, nz = spectral_norm(draws[:, 2:5]).T
     agreement = spectral_norm(t(x, y, z) - jb) / np.maximum(1.0, nx * ny * nz)
@@ -707,8 +712,9 @@ def test_rate_scan_matches_level_by_level(n, scheme):
     f, _ = _perturbed_pair(n, p, scheme.hypothesis_form)
     probes = _stack(60, n, 5)
     levels = range(RATE_LEVELS.start - 1, RATE_LEVELS.stop)
-    by_level = np.stack([approximants(f, scheme, probes, [l])[0] for l in levels])
-    assert np.array_equal(approximants(f, scheme, probes, levels), by_level)
+    norms = spectral_norm(probes)
+    by_level = np.stack([_approximants(f, scheme, probes, [l], norms)[0] for l in levels])
+    assert np.array_equal(_approximants(f, scheme, probes, levels, norms), by_level)
     written_out = np.stack([f(scheme.scale(l) * probes) / scheme.scale(l) for l in levels])
     if scheme.base == 2:
         assert np.array_equal(by_level, written_out)
@@ -748,8 +754,8 @@ def _hypotheses_by_sample(f, h, phi, form, x, mus):
                 f(t(a, b, c)) - t(f(a), h(b), h(c)) - t(h(a), f(b), h(c)) - t(h(a), h(b), f(c))
             )
         )
-        den.append(phi.value(a, b, np.zeros_like(a)))
-        den_t.append(phi.value(a, b, c))
+        den.append(phi.from_norms(spectral_norm(a), spectral_norm(b), 0.0))
+        den_t.append(phi.from_norms(*map(spectral_norm, (a, b, c))))
     ratio = lambda r, d: max(ri / di if di > 0.0 else 0.0 for ri, di in zip(r, d))
     zero = [max(a, b) for a, b, d in zip(rf, rh, den) if d <= 0.0]
     return {
@@ -865,16 +871,21 @@ _BOUND_P = {
 }
 
 
+def _phi_tilde(phi, scheme, x, y, z):
+    """phi_tilde at (x, y, z): its closed-form kernel on the three norms."""
+    return _power_tilde(phi, scheme, *map(spectral_norm, (x, y, z)))
+
+
 def _hyers_by_phi_tilde(phi, scheme, x):
     """hyers_bound written out as its phi_tilde composition, one norm per argument."""
     zero = np.zeros_like(x)
     if scheme.hypothesis_form == "cauchy":
-        return 0.5 * phi_tilde(phi, scheme, x, x, zero)
+        return 0.5 * _phi_tilde(phi, scheme, x, x, zero)
     if not scheme.contractive:
         return (
-            phi_tilde(phi, scheme, x, -x, zero) + phi_tilde(phi, scheme, -x, 3.0 * x, zero)
+            _phi_tilde(phi, scheme, x, -x, zero) + _phi_tilde(phi, scheme, -x, 3.0 * x, zero)
         ) / 3.0
-    return phi_tilde(phi, scheme, x / 3.0, -x / 3.0, zero) + phi_tilde(
+    return _phi_tilde(phi, scheme, x / 3.0, -x / 3.0, zero) + _phi_tilde(
         phi, scheme, -x / 3.0, x, zero
     )
 
