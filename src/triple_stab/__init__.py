@@ -72,7 +72,6 @@ from .triple import (
     OperatorValidationError,
     Scaled,
     Tabulated,
-    check_axioms,
     make_theta_derivation,
     matrix_basis,
     theta_derivation_residual,

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import as_matrix, spectral_norm
 from .sampling import (
     ROLE_AXIOMS,
     ROLE_CERT_TRIPLES,
@@ -36,6 +36,7 @@ from .sampling import (
     ROLE_SEQUENCE_TRIPLES,
     ROLE_SKEW,
     ROLE_UNITARY,
+    check_int,
     check_seed,
     child_seed,
     haar_unitary,
@@ -63,7 +64,7 @@ from .stability import (
 from .triple import (
     Commutator,
     Conjugation,
-    check_axioms,
+    _check_axioms,
     make_theta_derivation,
 )
 
@@ -275,12 +276,14 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     """
     n = config.dim
     count = config.probe_count if samples is None else samples
+    count = _config_call(check_int, "sample count", count)
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {int_text(count)}")
     rng = rng_for(config.seed, ROLE_AXIOMS)
-    # per draw: a, b, x, y, z, the positivity generator and its four probes
-    draws = random_matrices(rng, 10 * count, n).reshape(count, 10, n, n)
-    fragment = {"samples": count, **check_axioms(*(draws[:, i] for i in range(6)), draws[:, 6:])}
+    # per draw: a, b, x, y, z, the positivity generator and its four probes,
+    # cast once to the working dtype: the kernel takes trusted stacks
+    draws = as_matrix(random_matrices(rng, 10 * count, n).reshape(count, 10, n, n))
+    fragment = {"samples": count, **_check_axioms(*(draws[:, i] for i in range(6)), draws[:, 6:])}
     fragment["passed"] = all(fragment[section]["passed"] for section, _ in _AXIOM_SECTIONS)
     return fragment
 
@@ -560,12 +563,12 @@ def emit_report(report, fmt: str, path: str) -> None:
         raise OSError(f"could not write report to {path}: {exc}") from exc
 
 
-def load_report(path: str) -> StabilityReport | dict:
-    """Read back a JSON report written by emit_report.
+def load_report(path: str) -> dict:
+    """Read back, as its dict, a JSON report written by emit_report.
 
-    A report that holds a field only recovery reports have is checked as one
-    and comes back as a StabilityReport; any other is checked against the
-    fields ``axioms_report`` writes and comes back as its dict.
+    A report that holds a field only recovery reports have is checked
+    against a recovery report's fields; any other against the fields
+    ``axioms_report`` writes.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -583,13 +586,11 @@ def load_report(path: str) -> StabilityReport | dict:
     unknown = [str(key) for key in data if key not in names]
     if unknown:
         raise ValueError(f"report has unknown fields: {', '.join(unknown)}")
-    if names is axioms_fields:
-        return data
-    # each bound row is four numbers, as the CSV writes them
-    rows = data["bound"].get("rows", []) if isinstance(data["bound"], dict) else []
+    # each bound row of a recovery report is four numbers, as the CSV writes them
+    rows = data["bound"].get("rows", []) if isinstance(data.get("bound"), dict) else []
     if not isinstance(rows, list):
         raise ValueError(f"report bound.rows must be a list, got {type(rows).__name__}")
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 4 and all(map(_is_cell, row))):
             raise ValueError(f"report bound.rows[{i}] must be four numbers, got {row!r}")
-    return StabilityReport(**{name: data[name] for name in names})
+    return data

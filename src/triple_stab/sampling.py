@@ -37,10 +37,15 @@ def int_text(value: int) -> str:
     return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
+def check_int(what: str, value) -> int:
+    """value as an int; a ValueError naming ``what`` unless it is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) <= MAX_SEED:
+    if not 0 <= check_int("seed", seed) <= MAX_SEED:
         raise ValueError(f"seed must fit in 64 bits, got {int_text(seed)}")
     return int(seed)
 
@@ -94,7 +99,7 @@ def make_probes(
     norm_max: float = 1e1,
 ) -> ComplexMatrix:
     """C-contiguous complex128 (count, dim, dim) stack: random directions at log-spaced norms."""
-    if count < 1:
+    if check_int("probe count", count) < 1:
         raise ValueError("probe count must be at least 1")
     if not 0.0 < norm_min <= norm_max < np.inf:
         raise ValueError("norm range must satisfy 0 < norm_min <= norm_max")
@@ -108,7 +113,7 @@ def make_probes(
 
 def make_mu_samples(count: int, rng: np.random.Generator) -> list[complex]:
     """Unimodular scalars: 1, i, -1, -i first, then seeded random phases."""
-    if count < 1:
+    if check_int("mu sample count", count) < 1:
         raise ValueError("mu sample count must be at least 1")
     fixed = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]
     out = fixed[:count]

@@ -644,22 +644,17 @@ def _guard_levels(scheme: Scheme, levels: Sequence[int], largest: float, cube_la
             )
 
 
-def _approximants(
-    f, scheme: Scheme, mx: ComplexMatrix, levels: Sequence[int], norms
-) -> np.ndarray:
-    """A_l(x) = f(s x) / s, s = scheme.scale(l), on a checked stack of known slice norms.
+def _approximants(f, scheme: Scheme, mx: ComplexMatrix, levels: Sequence[int], norms) -> np.ndarray:
+    """A_l(x) = f(s x) / s, s = scheme.scale(l), on a checked (k, n, n) stack and its norms.
 
-    One row per level of a nonempty list: shape (len(levels), *mx.shape).
+    One row per level of a nonempty list: shape (len(levels), k, n, n).
     Every level is guarded before f is called (``_guard_levels``), f's
     outputs are checked, and all levels are one ``_image`` call on the
-    unscaled probes, their norms and one scale per level.
+    unscaled probes, their (k,) norms and one scale per level.
     """
     _guard_levels(scheme, levels, np.abs(mx).max())
-    n = mx.shape[-1]
-    probes, norms = mx.reshape(-1, n, n), np.reshape(norms, -1)
     s = np.array([scheme.scale(l) for l in levels])[:, None]
-    out = as_matrix(_image(f, probes, norms, s)) / s[..., None, None]
-    return out.reshape(len(s), *mx.shape)
+    return as_matrix(_image(f, mx, norms, s)) / s[..., None, None]
 
 
 def direct_method(

@@ -6,27 +6,29 @@ Two realizations of the triple product are provided and kept in agreement:
 * Jordan form  {x, y, z} = (x o y*) o z + (y* o z) o x - (x o z) o y*
   with x o y = (x y + y x) / 2
 
-plus one batched checker of the triple axioms, which returns the axiom
-suite's report sections, a small immutable operator algebra (conjugations,
-commutators, sums, compositions, tabulated forms), and the constructor of
-exact theta-derivations from a conjugation (an exact triple homomorphism)
-and a commutator (an exact triple derivation), which checks its generators
-by type: their constructors check the rest.
+plus one batched kernel of the triple axioms, ``_check_axioms``, which
+returns the axiom suite's report sections, a small immutable operator
+algebra (conjugations, commutators, sums, compositions, tabulated forms),
+and the constructor of exact theta-derivations from a conjugation (an exact
+triple homomorphism) and a commutator (an exact triple derivation), which
+checks its generators by type: their constructors check the rest.
 One residual, ``theta_derivation_residual``, measures the paper's identity;
 a plain derivation is its case theta = identity.
 
-Products, operators, the residual and the axiom checker all accept stacks
-of shape (..., n, n) and act slice by slice, so a pipeline evaluates a whole
-probe set in one call per operator.  A slice's product does not depend on
-the rest of the stack, so products of different operands at one level go
-through one kernel call, concatenated: the axiom checker takes one
-``_cstar`` call per level of triple products, and the Jordan form one
-``_jordan`` call per level, bit for bit what each product gives alone.
+Products, operators and the residual accept stacks of shape (..., n, n),
+the axiom kernel (k, n, n) stacks, and all act slice by slice, so a
+pipeline evaluates a whole probe set in one call per operator.  A slice's
+product does not depend on the rest of the stack, so products of different
+operands at one level go through one kernel call, concatenated: the axiom
+kernel takes one ``_cstar`` call per level of triple products, and the
+Jordan form one ``_jordan`` call per level, bit for bit what each product
+gives alone.
 
 Each operand is checked once, at the public boundary (see ``linalg``): the
 public triple products check theirs and run kernels on trusted stacks
-(``_cstar``, ``_jbstar``, ``_jordan``), which the axiom checker uses on what
-it checked.  ``op(x)`` checks x, and ``op.apply`` takes a checked stack.
+(``_cstar``, ``_jbstar``, ``_jordan``), which the axiom kernel uses on the
+stacks the axiom suite checked.  ``op(x)`` checks x, and ``op.apply`` takes
+a checked stack.
 
 Every product of two n x n stacks, in the triple and Jordan products and in
 every operator, goes through one kernel, ``_stack_product``, which computes
@@ -60,7 +62,7 @@ from .linalg import (
 
 UNITARY_TOL = 1e-10
 SKEW_TOL = 1e-10
-# thresholds of the axiom checkers; the jordan one scales with the input norms
+# thresholds of the axiom kernel; the jordan one scales with the input norms
 AXIOM_COMMUTATIVITY_TOL = 1e-13
 AXIOM_JORDAN_TOL = 1e-10
 AXIOM_NORM_TOL = 1e-8
@@ -284,7 +286,7 @@ class Tabulated(LinearOperator):
 
 
 # ---------------------------------------------------------------------------
-# axiom checkers
+# axiom kernel
 # ---------------------------------------------------------------------------
 
 
@@ -293,7 +295,7 @@ def _within(threshold: float, **measured: float) -> dict:
     return {**measured, "threshold": threshold, "passed": max(measured.values()) <= threshold}
 
 
-def check_axioms(a, b, x, y, z, gen, probes) -> dict:
+def _check_axioms(a, b, x, y, z, gen, probes) -> dict:
     """The four triple axioms and the agreement of the two product forms.
 
     Commutativity || {x,y,z} - {z,y,x} ||; the Jordan identity, with both
@@ -306,22 +308,16 @@ def check_axioms(a, b, x, y, z, gen, probes) -> dict:
     below 0 at worst; and || C*-form - Jordan form || at (x, y, z) over
     max(1, ||x|| ||y|| ||z||).
 
-    a, b, x, y, z and gen are matrices or stacks of one shape, a slice per
-    draw, and ``probes`` has one more axis: each draw's m >= 1 probes.  Each
-    product level takes one kernel call, and the norms two: the inputs, then
-    the residuals (see the module docstring).  Returns the five axiom-suite
-    sections under the report's key names, each the worst value over the
-    draws against its threshold (a Jordan residual rescaled to AXIOM_JORDAN_TOL).
+    a, b, x, y, z and gen are trusted (k, n, n) stacks, a slice per draw, and
+    ``probes`` is the trusted (k, m, n, n) stack of each draw's m >= 1 probes.
+    Each product level takes one kernel call, and the norms two: the inputs,
+    then the residuals (see the module docstring).  Returns the five
+    axiom-suite sections under the report's key names, each the worst value
+    over the draws against its threshold (a Jordan residual rescaled to
+    AXIOM_JORDAN_TOL).
     """
-    *ops, probes = same_dim(a, b, x, y, z, gen, probes)
-    ops = np.broadcast_arrays(*ops)
-    draws, n = ops[0].shape[:-2], ops[0].shape[-1]
-    if probes.ndim != len(draws) + 3 or probes.shape[-3] == 0:
-        raise ValueError("check_axioms needs at least one probe per generator")
-    probes = np.broadcast_to(probes, (*draws, *probes.shape[-3:]))
-    a, b, x, y, z, gen = (op.reshape(-1, n, n) for op in ops)
-    k = len(x)
-    g = np.repeat(gen, probes.shape[-3], axis=0)
+    k, m, n = probes.shape[:3]
+    g = np.repeat(gen, m, axis=0)
     # first level: {x,y,z}, {z,y,x}, {a,b,x}, {b,a,y}, {a,b,z}, {x,x,x}, then
     # L(gen, gen) p = {gen, gen, p} for each probe p of each draw
     first = _cstar(
@@ -337,15 +333,12 @@ def check_axioms(a, b, x, y, z, gen, probes) -> dict:
         np.concatenate([b, y, bay, y]),
         np.concatenate([xyz, z, z, abz]),
     ).reshape(4, k, n, n)
-    na, nb, nx, ny, nz = _norm(np.stack([a, b, x, y, z])).reshape(5, *draws)
+    na, nb, nx, ny, nz = _norm(np.stack([a, b, x, y, z]))
     residuals = np.stack([xyz - zyx, lhs - (at_x - at_y + at_z), xxx, xyz - _jbstar(x, y, z)])
-    comm, jordan, cube, agreement = _norm(residuals).reshape(4, *draws)
+    comm, jordan, cube, agreement = _norm(residuals)
     # pairings over every ordered (i, j); swapping i and j conjugates the
     # gap, so the maximum over all pairs is the one over i <= j
-    gaps = np.abs(
-        _hs(images[..., :, None, :, :], probes[..., None, :, :, :])
-        - _hs(probes[..., :, None, :, :], images[..., None, :, :, :])
-    )
+    gaps = np.abs(_hs(images[:, :, None], probes[:, None]) - _hs(probes[:, :, None], images[:, None]))
     max_neg = np.maximum(0.0, -_hs(images, probes).real.min(axis=-1))
     # the Jordan threshold scales with the input norms; renormalize for the worst
     jordan_threshold = AXIOM_JORDAN_TOL * np.maximum(1.0, na * nb * nx * ny * nz)

@@ -9,6 +9,7 @@ and every stage refuses a caller-supplied map whose output is not finite.
 import numpy as np
 import pytest
 
+from triple_stab.lab import ConfigError, ExperimentConfig, run_axiom_suite
 from triple_stab.linalg import DimensionMismatchError
 from triple_stab.sampling import haar_unitary, make_mu_samples, make_probes, rng_for, skew_matrix
 from triple_stab.stability import (
@@ -33,7 +34,6 @@ from triple_stab.triple import (
     OperatorSum,
     Scaled,
     _vec,
-    check_axioms,
     make_theta_derivation,
     matrix_basis,
     theta_derivation_residual,
@@ -205,16 +205,6 @@ def test_matrix_basis_is_the_units_in_vec_order():
         assert np.array_equal(_vec(basis), np.eye(dim * dim))
 
 
-def test_l_positivity_refuses_probes_of_another_dimension():
-    ops = [np.eye(2)] * 6
-    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
-        check_axioms(*ops, np.stack([np.eye(3), 2 * np.eye(3)]))
-    # no probe axis, and a probe axis of length 0
-    for probes in (np.eye(2), np.zeros((0, 2, 2))):
-        with pytest.raises(ValueError, match="at least one probe per generator"):
-            check_axioms(*ops, probes)
-
-
 @pytest.mark.parametrize("count", [0, -1])
 def test_make_mu_samples_refuses_a_count_below_one(count):
     # a negative count would slice the fixed scalars from the end, and 0 would
@@ -223,6 +213,29 @@ def test_make_mu_samples_refuses_a_count_below_one(count):
         make_mu_samples(count, rng_for(62, 2))
     with pytest.raises(ValueError, match="probe count must be at least 1"):
         make_probes(2, count, rng_for(62, 1))
+
+
+# each count a caller passes, by the name its refusal gives
+_COUNTED = {
+    "sample count": lambda count: run_axiom_suite(ExperimentConfig(), samples=count),
+    "probe count": lambda count: make_probes(2, count, rng_for(62, 1)),
+    "mu sample count": lambda count: make_mu_samples(count, rng_for(62, 2)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_COUNTED))
+def test_counts_refuse_a_non_integer_by_name(what):
+    # a float count ended in a TypeError from numpy or a slice, and True
+    # passed as 1; the axiom suite raises a ConfigError, sampling a ValueError
+    error = ConfigError if what == "sample count" else ValueError
+    for count in (2.5, True, "3"):
+        with pytest.raises(ValueError) as raised:
+            _COUNTED[what](count)
+        assert raised.type is error
+        assert str(raised.value) == f"{what} must be an integer, got {count!r}"
+    # numpy integers stay accepted, as a seed may be one
+    out = _COUNTED[what](np.int64(3))
+    assert (out["samples"] if what == "sample count" else len(out)) == 3
 
 
 def test_rng_for_refuses_a_non_integer_seed():

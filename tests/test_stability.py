@@ -578,10 +578,10 @@ def test_scheme_approximant_overflow_guard():
     _, _, big_d = _generators(37)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=12)
     with pytest.raises(ScaleOverflowError):
-        _scan(f, Scheme.CAUCHY2, E11, [600])
+        _scan(f, Scheme.CAUCHY2, E11[None], [600])
     # 2.0 ** 3375 itself is not a float; the guard decides before computing it
     with pytest.raises(ScaleOverflowError):
-        _scan(f, Scheme.CAUCHY2, E11, [3375])
+        _scan(f, Scheme.CAUCHY2, E11[None], [3375])
 
 
 def test_approximants_guard_every_level_before_any_map_call():
@@ -617,8 +617,8 @@ def test_contractive_guard_trips_on_the_prefactor():
     f = make_perturbation(big_d, 0.1, 4.0, "jensen", seed=12)
     for scheme, level in ((Scheme.CAUCHY2_CONTRACTIVE, 500), (Scheme.JENSEN3_CONTRACTIVE, 700)):
         with pytest.raises(ScaleOverflowError):
-            _scan(f, scheme, E11, [level])
-    assert np.isfinite(_scan(f, Scheme.JENSEN3_CONTRACTIVE, E11, [300])).all()
+            _scan(f, scheme, E11[None], [level])
+    assert np.isfinite(_scan(f, Scheme.JENSEN3_CONTRACTIVE, E11[None], [300])).all()
     with pytest.raises(ScaleOverflowError):
         derivation_limit_sequence(f, f, Scheme.JENSEN3_CONTRACTIVE, [(E11, E11, E11)], [110])
 

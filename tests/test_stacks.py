@@ -66,12 +66,12 @@ from triple_stab.triple import (
     AXIOM_L_POSITIVITY_TOL,
     AXIOM_NORM_TOL,
     PRODUCT_AGREEMENT_TOL,
+    _check_axioms,
     _jordan,
     _stack_product,
     _unvec,
     _vec,
     _within,
-    check_axioms,
     theta_derivation_residual,
     triple_product_cstar,
     triple_product_jbstar,
@@ -386,8 +386,8 @@ def test_axiom_checkers_match_slices(n, k):
     # bit: the max of each value (the threshold included), the and of passed
     ops = [_stack(seed, n, k) for seed in (13, 14, 15, 16, 17, 19)]
     probes = np.stack([_stack(18 + i, n, 4) for i in range(k)])
-    stacked = check_axioms(*ops, probes)
-    singles = [check_axioms(*s) for s in zip(*ops, probes)]
+    stacked = _check_axioms(*ops, probes)
+    singles = [_check_axioms(*(op[i : i + 1] for op in (*ops, probes))) for i in range(k)]
     merged = {
         name: {
             key: (all if key == "passed" else max)(single[name][key] for single in singles)
@@ -402,7 +402,7 @@ def _reference_axiom_fragment(config: ExperimentConfig, count: int) -> dict:
     """``run_axiom_suite``'s fragment, written out one check and one product at a time.
 
     Each check takes its own products and norms, as before the suite went
-    through ``check_axioms``; the Jordan-form product is written out too.
+    through ``_check_axioms``; the Jordan-form product is written out too.
     """
     n = config.dim
     rng = rng_for(config.seed, ROLE_AXIOMS)

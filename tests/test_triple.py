@@ -27,10 +27,10 @@ from triple_stab.triple import (
     SKEW_TOL,
     Tabulated,
     UNITARY_TOL,
+    _check_axioms,
     _jordan,
     _unvec,
     _vec,
-    check_axioms,
     make_theta_derivation,
     matrix_basis,
     theta_derivation_residual,
@@ -160,8 +160,9 @@ def test_tabulated_rejects_coefficients_of_no_n_squared_side(shape):
 @given(st.integers(0, 10**6), st.integers(2, 4))
 def test_axiom_checkers_pass_on_random_input(seed, n):
     a, b, x, y, z, gen = (_random_matrix(seed + k, n) for k in range(6))
-    probes = [_random_matrix(seed + 6 + k, n) for k in range(4)]
-    report = check_axioms(a, b, x, y, z, gen, probes)
+    probes = np.stack([_random_matrix(seed + 6 + k, n) for k in range(4)])
+    # one draw: each operand a stack of one slice, and its four probes
+    report = _check_axioms(*(m[None] for m in (a, b, x, y, z, gen)), probes[None])
     assert list(report) == [
         "commutativity",
         "jordan_identity",
@@ -176,8 +177,9 @@ def test_axiom_checkers_pass_on_random_input(seed, n):
 
 def test_l_positivity_report():
     a, b, x, y, z = (_random_matrix(13 + k, 3) for k in range(5))
-    probes = [_random_matrix(300 + k, 3) for k in range(6)]
-    rep = check_axioms(a, b, x, y, z, _random_matrix(18, 3), probes)["l_positivity"]
+    probes = np.stack([_random_matrix(300 + k, 3) for k in range(6)])
+    ops = (m[None] for m in (a, b, x, y, z, _random_matrix(18, 3)))
+    rep = _check_axioms(*ops, probes[None])["l_positivity"]
     assert rep["passed"]
     assert rep["threshold"] == 1e-10
     assert rep["max_negativity"] <= 1e-10
