@@ -148,10 +148,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     schemes = list(Scheme)
     if args.scheme is not None:
         schemes = [Scheme.parse(args.scheme)]
-        if args.p is not None and not schemes[0].power_gate_ok(args.p):
+        if args.p is not None:
             # an explicitly requested combination outside the summability
             # gate is an error, not a table row
-            raise SummabilityError(schemes[0].gate_message(args.p))
+            schemes[0].require_gate(args.p)
     # the bounds read only ||x||, so a 1x1 unit prices them at every dim
     unit = matrix_basis(1)[0]
 

@@ -36,6 +36,7 @@ from .sampling import (
     ROLE_SEQUENCE_TRIPLES,
     ROLE_SKEW,
     ROLE_UNITARY,
+    check_count,
     check_int,
     check_seed,
     child_seed,
@@ -75,9 +76,9 @@ RATE_PROBE_COUNT = 120
 CERT_TRIPLE_COUNT = 100
 SEQUENCE_TRIPLE_COUNT = 40
 
-_UNITARY_KINDS = ("haar", "identity")
-_SKEW_KINDS = ("random", "zero")
-_GENERATOR_KEYS = {"unitary", "skew", "skew_scale"}
+# the generator spec's keys with their defaults, and the kinds each named key takes
+_GENERATOR_DEFAULTS = {"unitary": "haar", "skew": "random", "skew_scale": 1.0}
+_GENERATOR_KINDS = {"unitary": ("haar", "identity"), "skew": ("random", "zero")}
 
 
 class ConfigError(ValueError):
@@ -86,12 +87,6 @@ class ConfigError(ValueError):
 
 class ReportFormatError(ValueError):
     """A report cannot be rendered in the requested format."""
-
-
-def _require_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _config_call(call, *args):
@@ -112,28 +107,25 @@ def _require_float(name: str, value) -> float:
         raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return out
+    return out + 0.0  # -0.0 becomes 0.0, so a config echoes one zero
 
 
 def _generator_spec(g) -> dict:
     """The expanded generator spec: "identity" or an object, with its defaults filled in."""
     if g == "identity":
-        g = {"unitary": "identity", "skew": "random", "skew_scale": 1.0}
+        g = {"unitary": "identity"}
     if not isinstance(g, dict):
         raise ConfigError(
             f'generator must be "identity" or an object, got {g!r}'
         )
-    unknown = set(g) - _GENERATOR_KEYS
+    unknown = set(g) - set(_GENERATOR_DEFAULTS)
     if unknown:
         raise ConfigError(
             f"unknown generator fields: {', '.join(sorted(unknown))}"
         )
-    out = {
-        "unitary": g.get("unitary", "haar"),
-        "skew": g.get("skew", "random"),
-        "skew_scale": _require_float("skew_scale", g.get("skew_scale", 1.0)),
-    }
-    for key, kinds in (("unitary", _UNITARY_KINDS), ("skew", _SKEW_KINDS)):
+    out = {**_GENERATOR_DEFAULTS, **g}
+    out["skew_scale"] = _require_float("skew_scale", out["skew_scale"])
+    for key, kinds in _GENERATOR_KINDS.items():
         if out[key] not in kinds:
             raise ConfigError(f"generator {key} must be one of {kinds}, got {out[key]!r}")
     if out["skew_scale"] <= 0.0:
@@ -173,30 +165,32 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every field, then store the normalized values in place.
 
-        They are the canonical scheme tag, eps, p and tol as floats, and the
-        expanded generator spec, so a second call changes nothing.
+        They are dim, seed, probe_count and l_max as Python ints (a numpy
+        integer passes), the canonical scheme tag, eps, p and tol as floats
+        (-0.0 as 0.0), and the expanded generator spec, so a second call
+        changes nothing.
         """
-        _require_int("dim", self.dim)
-        if not 1 <= self.dim <= DIM_MAX:
-            raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {int_text(self.dim)}")
+        dim = _config_call(check_int, "dim", self.dim)
+        if not 1 <= dim <= DIM_MAX:
+            raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {int_text(dim)}")
         scheme = _config_call(Scheme.parse, self.scheme)
         eps = _require_float("eps", self.eps)
         p = _require_float("p", self.p)
         _config_call(PowerType, eps, p)
-        _config_call(check_seed, _require_int("seed", self.seed))
-        if _require_int("probe_count", self.probe_count) < 1:
-            raise ConfigError(f"probe_count must be >= 1, got {int_text(self.probe_count)}")
+        seed = _config_call(check_seed, self.seed)
+        probe_count = _config_call(check_count, "probe_count", self.probe_count)
         tol = _require_float("tol", self.tol)
         if tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {tol}")
-        if _require_int("l_max", self.l_max) < 1:
-            raise ConfigError(f"l_max must be >= 1, got {int_text(self.l_max)}")
-        if not scheme.power_gate_ok(p):
-            raise ConfigError(scheme.gate_message(p))
+        l_max = _config_call(check_count, "l_max", self.l_max)
+        _config_call(scheme.require_gate, p)
         # the defect constant 2^(p-1) must be a float
         _config_call(perturbation_amplitude, eps, p, scheme.hypothesis_form)
-        normalized = {"scheme": scheme.value, "eps": eps, "p": p, "tol": tol}
-        normalized["generator"] = _generator_spec(self.generator)
+        normalized = {
+            "dim": dim, "scheme": scheme.value, "eps": eps, "p": p, "seed": seed,
+            "probe_count": probe_count, "tol": tol, "l_max": l_max,
+            "generator": _generator_spec(self.generator),
+        }
         for name, value in normalized.items():
             object.__setattr__(self, name, value)  # how a frozen dataclass sets its own fields
 
@@ -276,9 +270,7 @@ def run_axiom_suite(config: ExperimentConfig, samples: int | None = None) -> dic
     """
     n = config.dim
     count = config.probe_count if samples is None else samples
-    count = _config_call(check_int, "sample count", count)
-    if count < 1:
-        raise ConfigError(f"sample count must be >= 1, got {int_text(count)}")
+    count = _config_call(check_count, "sample count", count)
     rng = rng_for(config.seed, ROLE_AXIOMS)
     # per draw: a, b, x, y, z, the positivity generator and its four probes,
     # cast once to the working dtype: the kernel takes trusted stacks
@@ -543,18 +535,17 @@ def render_csv(report_data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(report, fmt: str) -> str:
-    """A report, or its dict, as the text of a report file: JSON with a final newline, or CSV."""
-    data = report.to_dict() if isinstance(report, StabilityReport) else report
+def render_report(report: dict, fmt: str) -> str:
+    """A report's dict as the text of a report file: JSON with a final newline, or CSV."""
     if fmt == "json":
-        return render_json(data) + "\n"
+        return render_json(report) + "\n"
     if fmt == "csv":
-        return render_csv(data)
+        return render_csv(report)
     raise ReportFormatError(f"unknown report format {fmt!r}; expected json or csv")
 
 
-def emit_report(report, fmt: str, path: str) -> None:
-    """Persist a report, or its dict, as deterministic JSON or CSV."""
+def emit_report(report: dict, fmt: str, path: str) -> None:
+    """Persist a report's dict as deterministic JSON or CSV."""
     text = render_report(report, fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -44,6 +44,13 @@ def check_int(what: str, value) -> int:
     return int(value)
 
 
+def check_count(what: str, value) -> int:
+    """value as an int of at least 1; a ValueError naming ``what`` otherwise."""
+    if check_int(what, value) < 1:
+        raise ValueError(f"{what} must be >= 1, got {int_text(value)}")
+    return int(value)
+
+
 def check_seed(seed: int) -> int:
     if not 0 <= check_int("seed", seed) <= MAX_SEED:
         raise ValueError(f"seed must fit in 64 bits, got {int_text(seed)}")
@@ -99,8 +106,7 @@ def make_probes(
     norm_max: float = 1e1,
 ) -> ComplexMatrix:
     """C-contiguous complex128 (count, dim, dim) stack: random directions at log-spaced norms."""
-    if check_int("probe count", count) < 1:
-        raise ValueError("probe count must be at least 1")
+    count = check_count("probe count", count)
     if not 0.0 < norm_min <= norm_max < np.inf:
         raise ValueError("norm range must satisfy 0 < norm_min <= norm_max")
     lo, hi = np.log10(norm_min), np.log10(norm_max)
@@ -113,8 +119,7 @@ def make_probes(
 
 def make_mu_samples(count: int, rng: np.random.Generator) -> list[complex]:
     """Unimodular scalars: 1, i, -1, -i first, then seeded random phases."""
-    if check_int("mu sample count", count) < 1:
-        raise ValueError("mu sample count must be at least 1")
+    count = check_count("mu sample count", count)
     fixed = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]
     out = fixed[:count]
     while len(out) < count:

@@ -191,6 +191,11 @@ class Scheme(enum.Enum):
     def power_gate_ok(self, p: float) -> bool:
         return p > self.gate if self.contractive else p < self.gate
 
+    def require_gate(self, p: float) -> None:
+        """The one refusal of a p outside the summability gate: a SummabilityError naming it."""
+        if not self.power_gate_ok(p):
+            raise SummabilityError(self.gate_message(p))
+
     def derivation_levels(self) -> range:
         """Levels of the derivation-limit sequence; SchemeError where it is undefined."""
         if self.sequence_levels is None:
@@ -260,8 +265,7 @@ def _power_tilde(phi: PowerType, scheme: Scheme, nx, ny, nz=0.0):
 
     It is phi r^j0 / (1 - r), r the series ratio and j0 its start.
     """
-    if not scheme.power_gate_ok(phi.p):
-        raise SummabilityError(scheme.gate_message(phi.p))
+    scheme.require_gate(phi.p)
     r = scheme.series_ratio(phi.p)
     return phi.from_norms(nx, ny, nz) * r**scheme.series_start / (1.0 - r)
 
@@ -320,8 +324,7 @@ def hyers_series(phi: PowerType, scheme, x) -> float:
     _require_power(phi, "hyers_series")
     scheme = Scheme.parse(scheme)
     mx = as_matrix(x)
-    if not scheme.power_gate_ok(phi.p):
-        raise SummabilityError(scheme.gate_message(phi.p))
+    scheme.require_gate(phi.p)
     r = scheme.series_ratio(phi.p)
     # phi / eps; at eps = 0 the zero control, whose series is 0 from its first term
     unit = PowerType(float(phi.eps > 0.0), phi.p)

@@ -209,33 +209,40 @@ def test_matrix_basis_is_the_units_in_vec_order():
 def test_make_mu_samples_refuses_a_count_below_one(count):
     # a negative count would slice the fixed scalars from the end, and 0 would
     # give an empty list that only a later stage refuses, under its own name
-    with pytest.raises(ValueError, match="mu sample count must be at least 1"):
+    with pytest.raises(ValueError, match=f"mu sample count must be >= 1, got {count}$"):
         make_mu_samples(count, rng_for(62, 2))
-    with pytest.raises(ValueError, match="probe count must be at least 1"):
+    with pytest.raises(ValueError, match=f"probe count must be >= 1, got {count}$"):
         make_probes(2, count, rng_for(62, 1))
 
 
-# each count a caller passes, by the name its refusal gives
+# each count a caller passes, by the name its refusal gives: the count it
+# took, and the error a refusal raises
 _COUNTED = {
-    "sample count": lambda count: run_axiom_suite(ExperimentConfig(), samples=count),
-    "probe count": lambda count: make_probes(2, count, rng_for(62, 1)),
-    "mu sample count": lambda count: make_mu_samples(count, rng_for(62, 2)),
+    "sample count": (
+        lambda count: run_axiom_suite(ExperimentConfig(), samples=count)["samples"],
+        ConfigError,
+    ),
+    "probe count": (lambda count: len(make_probes(2, count, rng_for(62, 1))), ValueError),
+    "mu sample count": (lambda count: len(make_mu_samples(count, rng_for(62, 2))), ValueError),
+    "probe_count": (lambda count: ExperimentConfig(probe_count=count).probe_count, ConfigError),
+    "l_max": (lambda count: ExperimentConfig(l_max=count).l_max, ConfigError),
 }
 
 
 @pytest.mark.parametrize("what", sorted(_COUNTED))
 def test_counts_refuse_a_non_integer_by_name(what):
     # a float count ended in a TypeError from numpy or a slice, and True
-    # passed as 1; the axiom suite raises a ConfigError, sampling a ValueError
-    error = ConfigError if what == "sample count" else ValueError
+    # passed as 1; a config and the axiom suite raise a ConfigError,
+    # sampling a ValueError
+    call, error = _COUNTED[what]
     for count in (2.5, True, "3"):
         with pytest.raises(ValueError) as raised:
-            _COUNTED[what](count)
+            call(count)
         assert raised.type is error
         assert str(raised.value) == f"{what} must be an integer, got {count!r}"
-    # numpy integers stay accepted, as a seed may be one
-    out = _COUNTED[what](np.int64(3))
-    assert (out["samples"] if what == "sample count" else len(out)) == 3
+    # numpy integers stay accepted, as a seed may be one, and come back as ints
+    out = call(np.int64(3))
+    assert out == 3 and type(out) is int
 
 
 def test_rng_for_refuses_a_non_integer_seed():

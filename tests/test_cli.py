@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from triple_stab.cli import _GRID, build_parser, main
-from triple_stab.lab import DIM_MAX, ExperimentConfig, load_report, run_recovery
+from triple_stab.lab import DIM_MAX, ConfigError, ExperimentConfig, load_report, run_recovery
 from triple_stab.stability import (
     SERIES_TOL,
     PowerType,
@@ -409,13 +409,24 @@ def test_bounds_single_p_marks_gated_schemes(capsys):
     assert "rejected: scheme jensen3-contractive requires p > 3" in out
 
 
-def test_bounds_explicit_gate_violation_fails_before_output(capsys):
-    code = main(["bounds", "--scheme", "cauchy2", "--p", "1.0"])
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_bounds_explicit_gate_violation_fails_before_output(scheme, capsys):
+    # p = gate lies outside every gate; bounds, a config and both bound
+    # functions refuse it with the one text Scheme.require_gate raises
+    p = float(scheme.gate)
+    message = scheme.gate_message(p)
+    code = main(["bounds", "--scheme", scheme.value, "--p", str(p)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error:")
-    assert "requires p < 1" in captured.err
-    assert "closed_form" not in captured.out
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    with pytest.raises(ConfigError) as config:
+        ExperimentConfig(scheme=scheme.value, p=p)
+    assert str(config.value) == message
+    for bound in (hyers_bound, hyers_series):
+        with pytest.raises(SummabilityError) as refused:
+            bound(PowerType(1.0, p), scheme, matrix_basis(1)[0])
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(

@@ -251,6 +251,26 @@ def test_from_dict_coerces_numeric_fields():
     )
 
 
+def test_config_stores_numpy_integers_as_ints():
+    # a numpy integer passes a config, as it passes check_seed and
+    # make_probes, and is stored as the Python int a report renders
+    cfg = ExperimentConfig(
+        dim=np.int64(2), seed=np.uint64(42), probe_count=np.int32(100), l_max=np.int64(200)
+    )
+    assert [type(getattr(cfg, name)) for name in ("dim", "seed", "probe_count", "l_max")] == [int] * 4
+    assert render_json(cfg.to_dict()) == render_json(ExperimentConfig().to_dict())
+
+
+def test_config_stores_a_negative_zero_as_zero():
+    # -0.0 == 0.0, so the two configs' dicts compare equal even where one
+    # holds -0.0; their rendered texts differ there
+    signed = ExperimentConfig(eps=-0.0, p=-0.0).to_dict()
+    assert render_json(signed) == render_json(ExperimentConfig(eps=0.0, p=0.0).to_dict())
+    for data in ({"tol": -0.0}, {"generator": {"skew_scale": -0.0}}):
+        with pytest.raises(ConfigError, match=r"must be positive, got 0\.0$"):
+            ExperimentConfig.from_dict(data)
+
+
 def test_shipped_configs_are_valid():
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     paths = sorted(config_dir.glob("*.json"))
@@ -421,7 +441,7 @@ def _tiny_report():
 def test_emit_and_load_report_round_trip(tmp_path):
     report = _tiny_report()
     path = tmp_path / "report.json"
-    emit_report(report, "json", str(path))
+    emit_report(report.to_dict(), "json", str(path))
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     # a recovery report comes back as its dict, as an axioms report does
@@ -431,10 +451,10 @@ def test_emit_and_load_report_round_trip(tmp_path):
 def test_emit_report_csv_and_bad_format(tmp_path):
     report = _tiny_report()
     csv_path = tmp_path / "rows.csv"
-    emit_report(report, "csv", str(csv_path))
+    emit_report(report.to_dict(), "csv", str(csv_path))
     assert csv_path.read_text(encoding="utf-8").startswith("norm_x,bound,error,ratio\n")
     with pytest.raises(ReportFormatError, match="unknown report format"):
-        emit_report(report, "yaml", str(tmp_path / "x.yaml"))
+        emit_report(report.to_dict(), "yaml", str(tmp_path / "x.yaml"))
 
 
 def test_load_report_missing_fields(tmp_path):
@@ -593,7 +613,7 @@ def test_run_recovery_stops_after_failed_recovery(tmp_path):
     ):
         assert getattr(report, section) == {}
     path = tmp_path / "failed.json"
-    emit_report(report, "json", str(path))
+    emit_report(report.to_dict(), "json", str(path))
     assert load_report(str(path)) == report.to_dict()
 
 
@@ -1047,14 +1067,14 @@ def test_zero_eps_report_renders_and_names_its_infinite_ratio(tmp_path):
     assert inf in ratios and all(r == inf or r == 0.0 for r in ratios)
     assert all(isinstance(v, float) for row in report.bound["rows"] for v in row)
     path = tmp_path / "eps0.json"
-    emit_report(report, "json", str(path))
+    emit_report(report.to_dict(), "json", str(path))
     text = path.read_text()
     assert '"max_ratio": "inf"' in text and '"value": "inf"' in text
     loaded = load_report(str(path))
     assert loaded["bound"]["max_ratio"] == "inf"
     assert render_report(loaded, "json") == text
     csv_path = tmp_path / "eps0.csv"
-    emit_report(report, "csv", str(csv_path))
+    emit_report(report.to_dict(), "csv", str(csv_path))
     assert csv_path.read_text().splitlines()[1].endswith(",inf")
     assert render_report(loaded, "csv") == csv_path.read_text()
 
@@ -1070,7 +1090,7 @@ _ZERO_EPS_DIGESTS = {
 def test_zero_eps_report_keeps_its_bytes(pin_core_note):
     report = run_recovery(_shipped_config("cauchy2", eps=0.0))
     for fmt, expected in _ZERO_EPS_DIGESTS.items():
-        digest = hashlib.sha256(render_report(report, fmt).encode()).hexdigest()
+        digest = hashlib.sha256(render_report(report.to_dict(), fmt).encode()).hexdigest()
         assert digest == expected, f"{fmt}: {pin_core_note}"
 
 
@@ -1087,7 +1107,7 @@ def test_check_rows_are_read_back_from_the_saved_sections(name, overrides, tmp_p
     # the rows are a function of the sections: read back from a saved and
     # reloaded report, they equal the rows it was saved with
     path = tmp_path / "report.json"
-    emit_report(run_recovery(_shipped_config(name, **overrides)), "json", str(path))
+    emit_report(run_recovery(_shipped_config(name, **overrides)).to_dict(), "json", str(path))
     loaded = load_report(str(path))
     assert lab._checks(loaded) == loaded["checks"]
     if "eps" in overrides:
@@ -1248,8 +1268,8 @@ def test_shipped_configs_pass_in_extended_precision(name, dim, monkeypatch):
     assert [c["name"] for c in report.checks if not c["passed"]] == []
     assert [m.coeffs.dtype for m in recovered] == [np.dtype(np.clongdouble)] * 2
     # the report holds floats, so it renders as a float64 one does
-    assert json.loads(render_report(report, "json"))["passed"] is True
-    assert len(render_report(report, "csv").splitlines()) == 1 + len(report.bound["rows"])
+    assert json.loads(render_report(report.to_dict(), "json"))["passed"] is True
+    assert len(render_report(report.to_dict(), "csv").splitlines()) == 1 + len(report.bound["rows"])
 
 
 # (lo, hi) of the sampler's p draw, per scheme

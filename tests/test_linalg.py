@@ -204,6 +204,28 @@ def test_linalg_alone_decides_the_operand_contract():
     assert found == []
 
 
+def test_one_home_for_the_integer_and_gate_refusals():
+    # sampling alone spells the integer refusal, and Scheme.require_gate
+    # alone raises with the gate's message; every other check calls them
+    found = []
+    for path in sorted(Path(triple_stab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = set()
+        if path.name == "stability.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "require_gate":
+                    home.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            text = ast.unparse(node)
+            if "must be an integer" in text and path.name != "sampling.py":
+                found.append(f"{path.name}:{node.lineno} spells the integer refusal")
+            if "gate_message" in text and id(node) not in home:
+                found.append(f"{path.name}:{node.lineno} raises the gate message")
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # no linter runs on the package, so this walk stands in for one; the
     # package __init__ imports to re-export.  A name is used where it is
