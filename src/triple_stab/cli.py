@@ -143,27 +143,28 @@ def _p_text(p: float) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    # eps and an explicit p are checked as a control's, before any output
-    PowerType(args.eps, 0.0 if args.p is None else args.p)
+    # eps and an explicit p are checked as a control's, before any output;
+    # the rows use the floats it stores, -0.0 as 0.0
+    control = PowerType(args.eps, 0.0 if args.p is None else args.p)
     schemes = list(Scheme)
     if args.scheme is not None:
         schemes = [Scheme.parse(args.scheme)]
         if args.p is not None:
             # an explicitly requested combination outside the summability
             # gate is an error, not a table row
-            schemes[0].require_gate(args.p)
+            schemes[0].require_gate(control.p)
     # the bounds read only ||x||, so a 1x1 unit prices them at every dim
     unit = matrix_basis(1)[0]
 
     print(f"{'scheme':<22s} {'p':>6s} {'closed_form':>22s} {'series':>22s} {'rel_diff':>10s}")
     for scheme in schemes:
-        grid = (args.p,) if args.p is not None else _GRID[scheme]
+        grid = (control.p,) if args.p is not None else _GRID[scheme]
         for p in grid:
             lead = f"{scheme.value:<22s} {_p_text(p):>6s}"
             if not scheme.power_gate_ok(p):
                 print(f"{lead}   rejected: {scheme.gate_message(p)}")
                 continue
-            power = PowerType(args.eps, p)
+            power = PowerType(control.eps, p)
             closed = hyers_bound(power, scheme, unit)
             if not math.isfinite(closed):
                 print(f"{lead}   no bound: the closed form is not finite")

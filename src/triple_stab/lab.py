@@ -38,6 +38,7 @@ from .sampling import (
     ROLE_UNITARY,
     check_count,
     check_int,
+    check_positive,
     check_seed,
     child_seed,
     haar_unitary,
@@ -97,41 +98,20 @@ def _config_call(call, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _require_float(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:
-        # an integer past the float range; its digits may be too many for a str
-        raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return out + 0.0  # -0.0 becomes 0.0, so a config echoes one zero
-
-
 def _generator_spec(g) -> dict:
     """The expanded generator spec: "identity" or an object, with its defaults filled in."""
     if g == "identity":
         g = {"unitary": "identity"}
     if not isinstance(g, dict):
-        raise ConfigError(
-            f'generator must be "identity" or an object, got {g!r}'
-        )
+        raise ConfigError(f'generator must be "identity" or an object, got {g!r}')
     unknown = set(g) - set(_GENERATOR_DEFAULTS)
     if unknown:
-        raise ConfigError(
-            f"unknown generator fields: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"unknown generator fields: {', '.join(sorted(unknown))}")
     out = {**_GENERATOR_DEFAULTS, **g}
-    out["skew_scale"] = _require_float("skew_scale", out["skew_scale"])
+    out["skew_scale"] = _config_call(check_positive, "skew_scale", out["skew_scale"])
     for key, kinds in _GENERATOR_KINDS.items():
         if out[key] not in kinds:
             raise ConfigError(f"generator {key} must be one of {kinds}, got {out[key]!r}")
-    if out["skew_scale"] <= 0.0:
-        raise ConfigError(
-            f"skew_scale must be positive, got {out['skew_scale']!r}"
-        )
     return out
 
 
@@ -174,20 +154,16 @@ class ExperimentConfig:
         if not 1 <= dim <= DIM_MAX:
             raise ConfigError(f"dim must be in [1, {DIM_MAX}], got {int_text(dim)}")
         scheme = _config_call(Scheme.parse, self.scheme)
-        eps = _require_float("eps", self.eps)
-        p = _require_float("p", self.p)
-        _config_call(PowerType, eps, p)
+        phi = _config_call(PowerType, self.eps, self.p)
         seed = _config_call(check_seed, self.seed)
         probe_count = _config_call(check_count, "probe_count", self.probe_count)
-        tol = _require_float("tol", self.tol)
-        if tol <= 0.0:
-            raise ConfigError(f"tol must be positive, got {tol}")
+        tol = _config_call(check_positive, "tol", self.tol)
         l_max = _config_call(check_count, "l_max", self.l_max)
-        _config_call(scheme.require_gate, p)
+        _config_call(scheme.require_gate, phi.p)
         # the defect constant 2^(p-1) must be a float
-        _config_call(perturbation_amplitude, eps, p, scheme.hypothesis_form)
+        _config_call(perturbation_amplitude, phi.eps, phi.p, scheme.hypothesis_form)
         normalized = {
-            "dim": dim, "scheme": scheme.value, "eps": eps, "p": p, "seed": seed,
+            "dim": dim, "scheme": scheme.value, "eps": phi.eps, "p": phi.p, "seed": seed,
             "probe_count": probe_count, "tol": tol, "l_max": l_max,
             "generator": _generator_spec(self.generator),
         }
@@ -378,7 +354,8 @@ def _checks(sections: dict) -> list[dict]:
         ("hypothesis_ratio_h", hyp["max_ratio_h"], 1.0),
         ("hypothesis_zero_control", hyp["max_zero_control_residual"], ZERO_CONTROL_TOL),
     ):
-        rows.append(_check(name, value <= tolerance, value, tolerance))
+        # a saved report holds an infinite value as the string "inf"
+        rows.append(_check(name, float(value) <= tolerance, value, tolerance))
     for name, key in (("bound_ratio", "bound"), ("bound_ratio_theta", "bound_theta")):
         part = sections[key]
         rows.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))

@@ -8,6 +8,8 @@ existing streams.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import ComplexMatrix, _norm
@@ -49,6 +51,28 @@ def check_count(what: str, value) -> int:
     if check_int(what, value) < 1:
         raise ValueError(f"{what} must be >= 1, got {int_text(value)}")
     return int(value)
+
+
+def check_float(what: str, value) -> float:
+    """value as a finite float; a ValueError naming ``what`` unless it is a Python or numpy real."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        # an integer past the float range; its digits may be too many for a str
+        raise ValueError(f"{what} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {out!r}")
+    return out + 0.0  # -0.0 becomes 0.0, so a config echoes one zero
+
+
+def check_positive(what: str, value) -> float:
+    """value as a finite float above 0; a ValueError naming ``what`` otherwise."""
+    out = check_float(what, value)
+    if out <= 0.0:
+        raise ValueError(f"{what} must be positive, got {out!r}")
+    return out
 
 
 def check_seed(seed: int) -> int:

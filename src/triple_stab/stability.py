@@ -59,7 +59,16 @@ from .linalg import (
     require_dim,
     spectral_norm,
 )
-from .sampling import ROLE_PERTURBATION, ROLE_RECOVERY, make_probes, random_matrix, rng_for
+from .sampling import (
+    ROLE_PERTURBATION,
+    ROLE_RECOVERY,
+    check_count,
+    check_float,
+    check_positive,
+    make_probes,
+    random_matrix,
+    rng_for,
+)
 from .triple import (
     LinearOperator,
     Tabulated,
@@ -240,12 +249,13 @@ class PowerType:
     p: float
 
     def __post_init__(self):
-        # the one check of eps and p: configs, `bounds` and make_perturbation call it
-        for name, v in (("eps", self.eps), ("p", self.p)):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        # the one check of eps and p: configs, `bounds` and make_perturbation
+        # call it; the fields hold the floats check_float returns
+        for name in ("eps", "p"):
+            v = check_float(name, getattr(self, name))
             if v < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {v!r}")
+            object.__setattr__(self, name, v)  # how a frozen dataclass sets its own fields
 
     def from_norms(self, nx, ny, nz):
         """phi at arguments of norms nx, ny and nz: 0 at eps = 0, where ||x||^p may overflow."""
@@ -488,18 +498,18 @@ def make_perturbation(
     seed: int,
 ) -> PerturbedMap:
     """Seeded perturbation of an exact map, certified against PowerType(eps, p)."""
-    PowerType(eps, p)  # the control's own checks on eps and p
+    phi = PowerType(eps, p)  # the control's own checks on eps and p, and the floats they give
     form = _parse_form(form)
     rng = rng_for(seed, ROLE_PERTURBATION)
     raw = random_matrix(rng, base.dim)
     direction = raw / _norm(raw)
     direction.setflags(write=False)
     alpha, beta = (float(v) for v in rng.uniform(1.0, 2.0, 2))
-    amplitude = perturbation_amplitude(eps, p, form) if eps > 0.0 else 0.0
+    amplitude = perturbation_amplitude(phi.eps, phi.p, form) if phi.eps > 0.0 else 0.0
     return PerturbedMap(
         base=base,
         amplitude=amplitude,
-        exponent=p,
+        exponent=phi.p,
         direction=direction,
         alpha=alpha,
         beta=beta,
@@ -525,7 +535,9 @@ def _stack(mats, what: str, inner: int = 0) -> np.ndarray:
 def _ratio(num: np.ndarray, den: np.ndarray, at_zero) -> np.ndarray:
     """num / den where den > 0, else ``at_zero``, without dividing by zero."""
     out = np.array(np.broadcast_to(at_zero, np.shape(num)), dtype=float)
-    return np.divide(num, den, out=out, where=den > 0.0)
+    # a quotient past the float range is inf, as a norm past it is in linalg._norm
+    with np.errstate(over="ignore"):
+        return np.divide(num, den, out=out, where=den > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +571,7 @@ def verify_hypotheses(
     _require_power(phi, "verify_hypotheses")
     form = _parse_form(form)
     x = _stack(probes, "verify_hypotheses")
-    if len(mu_samples) == 0:
-        raise ValueError("verify_hypotheses needs at least one unimodular sample")
+    check_count("unimodular sample count", len(mu_samples))
     m = len(x)
     k = np.arange(m)
     iy = (k + max(1, m // 2) % m) % m
@@ -682,9 +693,7 @@ def direct_method(
     """
     _require_power(phi, "direct_method")
     scheme = Scheme.parse(scheme)
-    # written so that a NaN tol fails it too
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol = check_positive("tol", tol)
     xs = _stack(xs, "direct_method")
     # r^L need <= 1 from L = log(need) / log(1 / r) on, need = max(bound / target);
     # log(need) is a difference of logarithms, as need overflows at a huge eps
@@ -877,8 +886,7 @@ def verify_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> d
     over the three probes.  One op call over every argument (mu x, x, 0, the
     three probes and their scaled copies), one norm call.
     """
-    if len(mu_samples) == 0:
-        raise ValueError("verify_homogeneity needs at least one unimodular sample")
+    check_count("unimodular sample count", len(mu_samples))
     x = _stack(probes, "verify_homogeneity")
     xs, xc = x[:S1_PROBE_COUNT], x[[0, len(x) // 2, -1]]
     mu = np.array([complex(m) for m in mu_samples])[:, None, None, None]

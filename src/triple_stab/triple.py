@@ -167,9 +167,6 @@ class LinearOperator:
         """Lower to the dense n^2 x n^2 matrix acting on vec(x)."""
         return Tabulated(_vec(self.apply(matrix_basis(self.dim))).T)
 
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
-
 
 class Conjugation(LinearOperator):
     """x -> u x u* for a unitary u; an exact triple homomorphism.
@@ -225,9 +222,6 @@ class Scaled(LinearOperator):
     def apply(self, x) -> ComplexMatrix:
         return self.factor * self.inner.apply(x)
 
-    def __repr__(self):
-        return f"Scaled({self.factor!r}, {self.inner!r})"
-
 
 class OperatorSum(LinearOperator):
     """Pointwise sum of operators of a common dimension."""
@@ -246,9 +240,6 @@ class OperatorSum(LinearOperator):
             acc = acc + t.apply(x)
         return acc
 
-    def __repr__(self):
-        return f"OperatorSum({list(self.terms)!r})"
-
 
 class Compose(LinearOperator):
     """outer(inner(x))."""
@@ -261,9 +252,6 @@ class Compose(LinearOperator):
 
     def apply(self, x) -> ComplexMatrix:
         return self.outer.apply(self.inner.apply(x))
-
-    def __repr__(self):
-        return f"Compose({self.outer!r}, {self.inner!r})"
 
 
 class Tabulated(LinearOperator):
@@ -398,7 +386,7 @@ def make_theta_derivation(theta: Conjugation, d: Commutator) -> Compose:
     OperatorValidationError, and ``Compose`` refuses unequal dimensions.
     """
     if not isinstance(theta, Conjugation):
-        raise OperatorValidationError(f"theta must be a Conjugation, got {theta!r}")
+        raise OperatorValidationError(f"theta must be a Conjugation, got {type(theta).__name__}")
     if not isinstance(d, Commutator):
-        raise OperatorValidationError(f"d must be a Commutator, got {d!r}")
+        raise OperatorValidationError(f"d must be a Commutator, got {type(d).__name__}")
     return Compose(theta, d)

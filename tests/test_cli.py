@@ -529,6 +529,16 @@ def test_bounds_checks_eps_as_a_config_does(argv, fragment, capsys):
     assert "closed_form" not in captured.out
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--p"])
+def test_bounds_prints_a_negative_zero_as_zero(flag, capsys):
+    # the control stores -0.0 as 0.0, so no series cell reads -0 and no p
+    # cell or gate message reads -0.00 or -0
+    main(["bounds", flag, "-0.0"])
+    signed = capsys.readouterr().out
+    main(["bounds", flag, "0"])
+    assert signed == capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "p,message",
     [

@@ -169,6 +169,20 @@ def test_contractive_schemes_end_at_a_large_p(scheme, deadline):
             _shipped_config(scheme.replace("-", "_"), eps=eps, p=p)
 
 
+def test_an_overflowing_ratio_is_inf_without_a_warning():
+    # at a subnormal eps the control is so small that a residual over it
+    # leaves the float range: the ratio is inf, as a norm past the range is,
+    # and numpy prints no overflow warning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_recovery(
+            _shipped_config("jensen3_contractive", eps=1e-320, generator={"skew_scale": 1e3})
+        )
+    assert caught == []
+    assert report.hypotheses["max_ratio_f"] == math.inf and report.bound["max_ratio"] == math.inf
+    assert not report.passed
+
+
 def test_generator_spec_validation():
     ExperimentConfig(generator="identity")
     ExperimentConfig(generator={"unitary": "haar"})
@@ -259,6 +273,25 @@ def test_config_stores_numpy_integers_as_ints():
     )
     assert [type(getattr(cfg, name)) for name in ("dim", "seed", "probe_count", "l_max")] == [int] * 4
     assert render_json(cfg.to_dict()) == render_json(ExperimentConfig().to_dict())
+
+
+def test_config_stores_numpy_reals_as_floats():
+    # eps, p, tol and skew_scale take a numpy real, as the integer fields
+    # take a numpy integer, and hold the Python float it converts to
+    cases = [
+        ({"eps": np.float32(0.1)}, "eps", float(np.float32(0.1))),
+        ({"eps": np.int64(1)}, "eps", 1.0),
+        ({"p": np.float16(0.5)}, "p", 0.5),
+        ({"tol": np.float64(1e-9)}, "tol", 1e-9),
+    ]
+    for data, name, value in cases:
+        stored = getattr(ExperimentConfig(**data), name)
+        assert type(stored) is float and stored == value
+    skew_scale = ExperimentConfig(generator={"skew_scale": np.float32(2.0)}).generator["skew_scale"]
+    assert type(skew_scale) is float and skew_scale == 2.0
+    for value in (np.True_, 1j, np.complex128(1.0)):
+        with pytest.raises(ConfigError, match=r"^eps must be a number, got "):
+            ExperimentConfig(eps=value)
 
 
 def test_config_stores_a_negative_zero_as_zero():
@@ -1099,6 +1132,8 @@ _ROW_CASES = [
     *((name, {}) for name in sorted(_SHIPPED_DIGESTS)),
     ("cauchy2", {"l_max": 1}),
     *((name, {"eps": 0.0}) for name in sorted(_SHIPPED_DIGESTS)),
+    # a hypothesis ratio past the float range, saved as the string "inf"
+    ("jensen3_contractive", {"eps": 1e-320, "generator": {"skew_scale": 1e3}}),
 ]
 
 

@@ -205,8 +205,10 @@ def test_linalg_alone_decides_the_operand_contract():
 
 
 def test_one_home_for_the_integer_and_gate_refusals():
-    # sampling alone spells the integer refusal, and Scheme.require_gate
-    # alone raises with the gate's message; every other check calls them
+    # sampling alone spells the integer and float refusals, and
+    # Scheme.require_gate alone raises with the gate's message; every other
+    # check calls them.  as_matrix's "matrix entries must be finite" is the
+    # operand contract, not the float rule
     found = []
     for path in sorted(Path(triple_stab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -221,6 +223,9 @@ def test_one_home_for_the_integer_and_gate_refusals():
             text = ast.unparse(node)
             if "must be an integer" in text and path.name != "sampling.py":
                 found.append(f"{path.name}:{node.lineno} spells the integer refusal")
+            floats = ("must be a number", "must be finite, got", "must be positive")
+            if any(f in text for f in floats) and path.name != "sampling.py":
+                found.append(f"{path.name}:{node.lineno} spells the float refusal")
             if "gate_message" in text and id(node) not in home:
                 found.append(f"{path.name}:{node.lineno} raises the gate message")
     assert found == []

@@ -252,6 +252,19 @@ def test_power_type_validation():
         PowerType(math.nan, 0.5)
 
 
+def test_power_type_stores_the_floats_it_checked():
+    # numpy reals pass and are stored as Python floats, -0.0 as 0.0
+    phi = PowerType(np.float32(0.5), np.int64(1))
+    assert (type(phi.eps), type(phi.p)) == (float, float) and (phi.eps, phi.p) == (0.5, 1.0)
+    assert math.copysign(1.0, PowerType(-0.0, -0.0).eps) == 1.0
+    # a string is refused by name, not by math.isfinite's bare TypeError
+    _, _, big_d = _generators(33)
+    with pytest.raises(ValueError, match=r"^eps must be a number, got '0\.1'$"):
+        PowerType("0.1", 0.5)
+    with pytest.raises(ValueError, match=r"^eps must be a number, got '0\.1'$"):
+        make_perturbation(big_d, "0.1", 0.5, "cauchy", 1)
+
+
 def test_unimodular_average_decomposition():
     for gamma in (0.0, 0.25, 0.5, 0.9):
         mu1, mu2 = unimodular_average_decomposition(gamma)
@@ -434,10 +447,11 @@ def test_direct_method_rejects_zero_tol_and_other_controls():
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=31)
     phi = PowerType(0.1, 0.5)
     # a NaN tol is refused by name, not as a NaN bound
-    for tol in (0.0, math.nan):
-        with pytest.raises(ValueError, match="tol must be positive"):
+    refusals = ((0.0, "tol must be positive, got 0.0"), (math.nan, "tol must be finite, got nan"))
+    for tol, message in refusals:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             direct_method(f, Scheme.CAUCHY2, phi, E11[None], tol=tol)
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             recover_linear_map(f, Scheme.CAUCHY2, phi, tol=tol)
     with pytest.raises(TypeError):
         direct_method(f, Scheme.CAUCHY2, _plain_control, E11[None])

@@ -247,9 +247,9 @@ def test_make_theta_derivation_checks_generators_by_type_only(monkeypatch):
     assert calls == []
     assert (big_d.outer, big_d.inner) == (theta, d)
     # an operator of another type is refused, even when it acts the same
-    with pytest.raises(OperatorValidationError, match="theta must be a Conjugation"):
+    with pytest.raises(OperatorValidationError, match="^theta must be a Conjugation, got Tabulated$"):
         make_theta_derivation(theta.to_tabulated(), d)
-    with pytest.raises(OperatorValidationError, match="d must be a Commutator"):
+    with pytest.raises(OperatorValidationError, match="^d must be a Commutator, got Compose$"):
         make_theta_derivation(theta, Compose(theta, d))
 
 
