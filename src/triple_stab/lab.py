@@ -424,8 +424,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         sections["hypotheses"] = verify_hypotheses(f, h, phi, form, probes, mu_samples)
         lap("hypotheses")
 
-        bounds = verify_stability_bound(((f, d_hat), (h, theta_hat)), phi, scheme, probes)
-        sections["bound"], sections["bound_theta"] = bounds
+        sections["bound"], sections["bound_theta"] = verify_stability_bound(
+            ((f, d_hat), (h, theta_hat)), phi, scheme, probes
+        )
         del sections["bound_theta"]["rows"]
         lap("bound")
 
@@ -435,8 +436,9 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         sections["derivation_certificate"] = certify_theta_derivation(d_hat, theta_hat, cert_triples)
         lap("certificate")
 
-        seq = verify_derivation_sequence(f, h, scheme, config.p, seq_triples)
-        sections["derivation_sequence"] = seq
+        sections["derivation_sequence"] = verify_derivation_sequence(
+            f, h, scheme, config.p, seq_triples
+        )
         lap("sequence")
 
         sections["rate"] = estimate_convergence_rate(f, scheme, config.p, rate_probes)

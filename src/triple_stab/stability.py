@@ -119,7 +119,7 @@ class SummabilityError(ValueError):
 
 
 class SchemeError(ValueError):
-    """The requested operation is not defined for this scheme."""
+    """An unknown scheme tag."""
 
 
 class ScaleOverflowError(RuntimeError):
@@ -145,7 +145,7 @@ class Scheme(enum.Enum):
     """
 
     # tag, base b, contractive, gate on p, first index of the bound series,
-    # derivation-sequence levels (None where the residual is undefined);
+    # derivation-sequence levels (None: the run skips the sequence);
     # the contractive doubling series telescopes from j = 1
     CAUCHY2 = ("cauchy2", 2, False, 1, 0, 25)
     CAUCHY2_CONTRACTIVE = ("cauchy2-contractive", 2, True, 1, 1, None)
@@ -204,14 +204,6 @@ class Scheme(enum.Enum):
         """The one refusal of a p outside the summability gate: a SummabilityError naming it."""
         if not self.power_gate_ok(p):
             raise SummabilityError(self.gate_message(p))
-
-    def derivation_levels(self) -> range:
-        """Levels of the derivation-limit sequence; SchemeError where it is undefined."""
-        if self.sequence_levels is None:
-            raise SchemeError(
-                f"the derivation-limit residual is not defined for scheme {self.value}"
-            )
-        return range(self.sequence_levels)
 
     def gate_message(self, p: float) -> str:
         """Human-readable statement of the violated summability condition."""
@@ -697,8 +689,9 @@ def direct_method(
     xs = _stack(xs, "direct_method")
     # r^L need <= 1 from L = log(need) / log(1 / r) on, need = max(bound / target);
     # log(need) is a difference of logarithms, as need overflows at a huge eps
-    # before the bound does, and a zero bound has log -inf; the float test
-    # settles rounding
+    # before the bound does, and a zero bound has log -inf; rounding puts this
+    # estimate at most one level off the float test, so the search climbs
+    # from one level below it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bound, norms = _power_bound(phi, scheme, xs)
         target = tol * np.maximum(1.0, norms)
@@ -710,9 +703,7 @@ def direct_method(
         raise ConvergenceError(
             f"the stability bound at series ratio {r:.6g} {what}: no level certifies tol"
         )
-    level = math.ceil(log_need / -math.log(r)) if log_need > 0.0 else 0
-    while level > 0 and (r ** (level - 1) * bound <= target).all():
-        level -= 1
+    level = math.ceil(log_need / -math.log(r)) - 1 if log_need > 0.0 else 0
     while not (r**level * bound <= target).all():
         level += 1
     where = f"certified level L = {level} at series ratio {r:.6g}"
@@ -932,14 +923,11 @@ def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[
 
     The unscaled arguments are normed once, and each map is evaluated once
     over all levels, from those arguments, their norms and one scale per
-    level (``_image``): h takes the norms of f's x, y and z.  Raises
-    SchemeError for a scheme without
-    derivation-sequence levels (cauchy2-contractive); every level is guarded
-    before f is called (``_guard_levels``).
+    level (``_image``): h takes the norms of f's x, y and z.  Every level
+    is guarded before f is called (``_guard_levels``).
     """
     xyz = _stack(triples, "derivation_limit_sequence", inner=3)
     scheme = Scheme.parse(scheme)
-    scheme.derivation_levels()  # SchemeError where the residual is undefined
     if len(levels) == 0:
         raise ValueError("derivation_limit_sequence needs at least one level")
     mx, my, mz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
@@ -969,10 +957,9 @@ def verify_derivation_sequence(f, h, scheme, p: float, triples: Sequence) -> dic
     A scheme without sequence levels gives {"skipped": reason}, unread triples.
     """
     scheme = Scheme.parse(scheme)
-    try:
-        levels = list(scheme.derivation_levels())
-    except SchemeError as exc:
-        return {"skipped": str(exc)}
+    if scheme.sequence_levels is None:
+        return {"skipped": f"the derivation-limit residual is not defined for scheme {scheme.value}"}
+    levels = list(range(scheme.sequence_levels))
     residuals = derivation_limit_sequence(f, h, scheme, triples, levels)
     expected_rate = perturbation_decay_rate(scheme, p)
     # a report holds floats, whatever the working dtype

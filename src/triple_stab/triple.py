@@ -151,9 +151,6 @@ class LinearOperator:
 
     dim: int
 
-    def apply(self, x: ComplexMatrix) -> ComplexMatrix:
-        raise NotImplementedError
-
     def __call__(self, x) -> ComplexMatrix:
         return self.apply(self._operand(x))
 

@@ -205,18 +205,19 @@ def test_linalg_alone_decides_the_operand_contract():
 
 
 def test_one_home_for_the_integer_and_gate_refusals():
-    # sampling alone spells the integer and float refusals, and
-    # Scheme.require_gate alone raises with the gate's message; every other
+    # sampling alone spells the integer and float refusals,
+    # Scheme.require_gate alone raises with the gate's message, and
+    # Scheme.parse alone raises SchemeError, for an unknown tag; every other
     # check calls them.  as_matrix's "matrix entries must be finite" is the
     # operand contract, not the float rule
     found = []
     for path in sorted(Path(triple_stab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        home = set()
+        home = {"require_gate": set(), "parse": set()}
         if path.name == "stability.py":
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "require_gate":
-                    home.update(map(id, ast.walk(node)))
+                if isinstance(node, ast.FunctionDef) and node.name in home:
+                    home[node.name].update(map(id, ast.walk(node)))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise):
                 continue
@@ -226,8 +227,10 @@ def test_one_home_for_the_integer_and_gate_refusals():
             floats = ("must be a number", "must be finite, got", "must be positive")
             if any(f in text for f in floats) and path.name != "sampling.py":
                 found.append(f"{path.name}:{node.lineno} spells the float refusal")
-            if "gate_message" in text and id(node) not in home:
+            if "gate_message" in text and id(node) not in home["require_gate"]:
                 found.append(f"{path.name}:{node.lineno} raises the gate message")
+            if "SchemeError" in text and id(node) not in home["parse"]:
+                found.append(f"{path.name}:{node.lineno} raises SchemeError")
     assert found == []
 
 

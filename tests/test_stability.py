@@ -409,6 +409,42 @@ def test_direct_method_rounds_its_log_space_level_to_the_least_certified(power, 
     assert r**level * b <= tol < r ** (level - 1) * b
 
 
+@given(
+    # a scheme and a p inside its gate
+    st.one_of(
+        st.tuples(st.just(Scheme.CAUCHY2), st.floats(0.0, 0.95)),
+        st.tuples(st.just(Scheme.JENSEN3_CONTRACTIVE), st.floats(3.05, 8.0)),
+    ),
+    st.floats(0.0, 10.0),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+    st.integers(0, 200),
+)
+def test_direct_method_level_is_the_least_certified_by_linear_scan(
+    scheme_p, eps, tol, probe_norms, l_max
+):
+    # the level search against its definition: the least L >= 0 with
+    # r^L hyers_bound(x) <= tol * max(1, ||x||) on every slice, found by
+    # counting up from 0; a least L past l_max is a ConvergenceError
+    scheme, p = scheme_p
+    _, _, big_d = _generators(52)
+    phi = PowerType(eps, p)
+    f = make_perturbation(big_d, eps, p, scheme.hypothesis_form, seed=30)
+    unit = np.array([[0.6, 0.2j], [-0.3, 0.5]])
+    xs = np.stack([n * unit / spectral_norm(unit) for n in probe_norms])
+    r = scheme.series_ratio(p)
+    bound = np.array([hyers_bound(phi, scheme, x) for x in xs])
+    target = np.array([tol * max(1.0, spectral_norm(x)) for x in xs])
+    least = 0
+    while least <= l_max and not (r**least * bound <= target).all():
+        least += 1
+    if least > l_max:
+        with pytest.raises(ConvergenceError, match=f"exceeds l_max = {l_max}"):
+            direct_method(f, scheme, phi, xs, tol=tol, l_max=l_max)
+    else:
+        assert direct_method(f, scheme, phi, xs, tol=tol, l_max=l_max).l_used == least
+
+
 def test_direct_method_exact_map_converges_immediately():
     # eps = 0 certifies level 0: the approximant is f itself, with zero bound
     _, _, big_d = _generators(35)
@@ -730,12 +766,12 @@ def test_derivation_limit_residual_exact_pair():
     x = np.array([[0.3, 0.1j], [-0.2, 0.4]])
     y = np.array([[1.0, 0.0], [0.5, -0.5]])
     z = np.array([[0.0, 1.0j], [0.2, 0.1]])
-    for scheme in (Scheme.CAUCHY2, Scheme.JENSEN3, Scheme.JENSEN3_CONTRACTIVE):
+    # the scan computes any scheme's levels, cauchy2-contractive included,
+    # though the sequence stage skips that scheme
+    for scheme in Scheme:
         r = derivation_limit_sequence(f, h, scheme, [(x, y, z)], [0, 2, 4])
         assert r.shape == (3, 1)
         assert (r <= 1e-9).all()
-    with pytest.raises(SchemeError):
-        derivation_limit_sequence(f, h, Scheme.CAUCHY2_CONTRACTIVE, [(x, y, z)], [0])
 
 
 def test_derivation_limit_sequence_exact_pair_is_flat():

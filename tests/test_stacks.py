@@ -646,7 +646,7 @@ def test_derivation_sequence_matches_level_by_level(n, scheme):
     # by s commutes with every rounding, and at base 3 stays within round-off
     f, h = _perturbed_pair(n, SHIPPED_P[scheme], scheme.hypothesis_form)
     triples = _triples(40, n, 4)
-    levels = list(scheme.derivation_levels())
+    levels = list(range(scheme.sequence_levels))
     stacked = derivation_limit_sequence(f, h, scheme, triples, levels)
     assert np.array_equal(stacked, _sequence_by_level(f, h, scheme, triples, levels, _kernel))
     called = _sequence_by_level(f, h, scheme, triples, levels, _called)
@@ -675,7 +675,7 @@ def _sequence_own_norms(f, h, scheme, triples, levels):
 def test_derivation_sequence_equals_h_taking_its_own_norms(n, scheme):
     f, h = _perturbed_pair(n, SHIPPED_P[scheme], scheme.hypothesis_form)
     triples = _triples(45, n, 5)
-    levels = list(scheme.derivation_levels())
+    levels = list(range(scheme.sequence_levels))
     want = _sequence_own_norms(f, h, scheme, triples, levels)
     assert np.array_equal(derivation_limit_sequence(f, h, scheme, triples, levels), want)
 
@@ -687,7 +687,7 @@ def test_level_scans_make_one_map_call_each():
     # fit; the values are those of the map's own kernel, level by level
     f, h = _perturbed_pair(16, 0.5, "cauchy")
     triples = _triples(50, 16, 4)
-    levels = list(Scheme.CAUCHY2.derivation_levels())
+    levels = list(range(Scheme.CAUCHY2.sequence_levels))
     assert len(levels) == 25
     probes = _stack(53, 16, 40)
     calls = []
