@@ -462,7 +462,7 @@ def _render_float(value: float) -> str:
             raise ValueError(f"reports must not contain NaN, got {value!r}")
         return f'"{value}"'
     text = format(value, ".17g")
-    if "." not in text and "e" not in text and "E" not in text:
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 

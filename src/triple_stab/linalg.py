@@ -76,10 +76,6 @@ def _top_singular_value_2x2(m: ComplexMatrix) -> np.ndarray:
     # fmax skips nan, so a slice with an infinite part reads inf here even
     # when another of its parts is nan
     largest = np.fmax.reduce(np.abs(a).reshape(8, -1), axis=0)
-    # a slice with an infinite part has norm inf: zero it, so that no
-    # inf - inf or inf * 0 below makes its norm nan, and set inf at the end
-    infinite = np.isinf(largest)
-    a[..., infinite] = 0.0
     # scale each slice by a power of two that brings its largest part into
     # [0.5, 1): exact, and no square below can overflow or lose the top value
     e = np.frexp(largest)[1]
@@ -92,7 +88,8 @@ def _top_singular_value_2x2(m: ComplexMatrix) -> np.ndarray:
     x, y = x[0] + x[1], y[0] + y[1]
     d = g11 - g22
     top = np.ldexp(np.sqrt(g11 + g22 + np.sqrt(d * d + x * x + y * y)), e)
-    top[infinite] = np.inf
+    # a slice with an infinite part has norm inf, whatever its arithmetic gave
+    top[np.isinf(largest)] = np.inf
     return top.reshape(m.shape[:-2])
 
 
@@ -127,7 +124,8 @@ def _norm(m: ComplexMatrix):
     if n > 2:
         top = np.linalg.svd(m, compute_uv=False)[..., 0]
     else:
-        # a norm beyond the float range comes out inf, as from LAPACK, with no warning
-        with np.errstate(over="ignore"):
+        # a norm beyond the float range comes out inf, as from LAPACK, with no
+        # warning; an infinite slice's inf - inf is overwritten by the kernel
+        with np.errstate(over="ignore", invalid="ignore"):
             top = np.hypot(m.real, m.imag)[..., 0, 0] if n == 1 else _top_singular_value_2x2(m)
     return float(top) if m.ndim == 2 else top

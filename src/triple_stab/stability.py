@@ -279,7 +279,7 @@ def _require_power(phi, caller: str) -> None:
 
 
 def _multiple(mx, num: int, den: int):
-    """mx num / den with no operation where num or den is 1: x, -x, 3x, x/3 or -x/3."""
+    """mx num / den, skipping an operation by 1: it can flip a zero's sign, which the SVD reads."""
     out = mx if num == 1 else num * mx
     return out if den == 1 else out / den
 
@@ -287,11 +287,11 @@ def _multiple(mx, num: int, den: int):
 def _power_bound(phi: PowerType, scheme: Scheme, mx: ComplexMatrix):
     """hyers_bound of a power-type control at a checked mx, and ||mx||, from one norm call.
 
-    The call norms each distinct size of x in the scheme's Hyers terms
-    once: x (doubling), x and 3x (tripling), x/3 and x (contractive
-    tripling).  ||-y|| = ||y|| and ||0|| = 0 hold bit for bit, and the
-    terms are summed in phi_tilde's order, so the bound equals the
-    phi_tilde composition bit for bit.
+    The call norms each distinct size of x in the Hyers terms once: x
+    (doubling), x and 3x (tripling), x/3 and x (contractive tripling), and
+    sums the terms in phi_tilde's order: the phi_tilde composition bit for
+    bit at n <= 2, and within a few u at n >= 3 on slices with zero
+    entries, whose signs -y flips and LAPACK's SVD reads.
     """
     norms = _norm(np.stack([_multiple(mx, *size) for size in scheme.hyers_sizes]))
     bound = sum(_power_tilde(phi, scheme, norms[i], norms[j]) for i, j in scheme.hyers_index)
@@ -422,7 +422,9 @@ class PerturbedMap:
         # made, which keeps the peak memory of a large stack down
         image = s[..., None, None] * self.base.apply(mx)
         if self.amplitude == 0.0:
-            # s base(x) + 0, not s base(x): the sum turns a -0.0 entry into 0.0
+            # s base(x) + 0, not s base(x): the sum turns a -0.0 entry into 0.0,
+            # and skipping the defect keeps 0 * inf from making nan once
+            # ||x||^p leaves the float range
             return image + np.zeros_like(image)
         norms = s * nx
         envelope = self.amplitude * norm_power(norms, self.exponent)

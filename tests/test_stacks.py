@@ -890,6 +890,16 @@ def _hyers_by_phi_tilde(phi, scheme, x):
     )
 
 
+def _zero_parts(x, seed: int):
+    """x with about 30% of its real and imaginary parts zeroed, each keeping its sign."""
+    x = x.copy()
+    rng = np.random.default_rng(seed)
+    for part in (x.real, x.imag):
+        hit = rng.random(x.shape) < 0.3
+        part[hit] = np.copysign(0.0, part[hit])
+    return x
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_power_hyers_bound_equals_its_phi_tilde_composition(n, scheme):
@@ -907,6 +917,27 @@ def test_power_hyers_bound_equals_its_phi_tilde_composition(n, scheme):
         assert np.array_equal(got, singles)
     with pytest.raises(SummabilityError, match=f"requires p . {scheme.gate}"):
         hyers_bound(PowerType(0.3, float(scheme.gate)), scheme, x)
+    # with zero parts the composition's -x flips their signs, which LAPACK's
+    # SVD reads at n >= 3: there the two agree within a few u, not bit for bit
+    zeroed = _zero_parts(_stack(87, n, 300), 88)
+    for p in _BOUND_P[scheme]:
+        phi = PowerType(0.3, p)
+        got, want = hyers_bound(phi, scheme, zeroed), _hyers_by_phi_tilde(phi, scheme, zeroed)
+        if n <= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert (np.abs(got - want) <= 4 * UNIT_ROUNDOFF * want).all()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_power_bound_norm_keeps_the_signs_of_zero_parts(n, scheme):
+    # _multiple leaves x itself, so its zeros keep their signs and ||x|| is
+    # _norm(x) bit for bit; 1 * x / 1 would flip some, which the SVD reads
+    x = _zero_parts(_stack(89, n, 300), 90)
+    _, nx = stability._power_bound(PowerType(0.3, _BOUND_P[scheme][1]), scheme, x)
+    assert np.array_equal(nx, _norm(x))
+    assert not np.array_equal(_norm(1 * x / 1), nx)
 
 
 def _s1_by_calls(op, x, mus):
