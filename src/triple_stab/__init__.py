@@ -57,10 +57,8 @@ from .stability import (
     perturbation_decay_rate,
     recover_linear_map,
     recover_maps,
-    unimodular_average_decomposition,
     verify_derivation_sequence,
     verify_hypotheses,
-    verify_homogeneity,
     verify_stability_bound,
 )
 from .triple import (

@@ -60,7 +60,6 @@ from .stability import (
     recover_maps,
     verify_derivation_sequence,
     verify_hypotheses,
-    verify_homogeneity,
     verify_stability_bound,
 )
 from .triple import (
@@ -228,7 +227,7 @@ def _check(name: str, passed: bool, value=None, tolerance=None) -> dict:
 
 
 # what a section keeps beside the measured values of its ``triple._within`` part
-_NOT_MEASURED = ("threshold", "passed", "label", "lambda", "worst_index")
+_NOT_MEASURED = ("threshold", "passed", "worst_index")
 
 
 def _within_check(name: str, part: dict) -> dict:
@@ -299,7 +298,6 @@ class StabilityReport:
     rate: dict = field(default_factory=dict)
     derivation_certificate: dict = field(default_factory=dict)
     derivation_sequence: dict = field(default_factory=dict)
-    homogeneity: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict, compare=False)
 
     @classmethod
@@ -359,10 +357,6 @@ def _checks(sections: dict) -> list[dict]:
     for name, key in (("bound_ratio", "bound"), ("bound_ratio_theta", "bound_theta")):
         part = sections[key]
         rows.append(_check(name, part["passed"], part["max_ratio"], 1.0 + part["slack"]))
-    homogeneity = sections["homogeneity"]
-    rows.append(_within_check("s1_homogeneity", homogeneity["s1"]))
-    for entry in homogeneity["complex"]:
-        rows.append(_within_check(f"complex_homogeneity_{entry['label']}", entry))
     rows.append(_within_check("derivation_certificate", sections["derivation_certificate"]))
     seq = sections["derivation_sequence"]
     if "skipped" not in seq:
@@ -429,9 +423,6 @@ def run_recovery(config: ExperimentConfig, threads: int | None = None) -> Stabil
         )
         del sections["bound_theta"]["rows"]
         lap("bound")
-
-        sections["homogeneity"] = verify_homogeneity(d_hat, probes, mu_samples)
-        lap("homogeneity")
 
         sections["derivation_certificate"] = certify_theta_derivation(d_hat, theta_hat, cert_triples)
         lap("certificate")

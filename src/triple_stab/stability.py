@@ -91,15 +91,6 @@ CERT_PROBE_COUNT = 24
 ZERO_CONTROL_TOL = 1e-10
 # thresholds of the certificates on a recovered map
 BOUND_SLACK = 1e-9
-HOMOGENEITY_TOL = 1e-6
-# the homogeneity stage's S1 check takes the first probes, and its complex
-# check these lambdas, each under the label of its check row
-S1_PROBE_COUNT = 8
-COMPLEX_LAMBDAS = (
-    (complex(2.0, 0.0), "2"),
-    (complex(0.0, 1.0), "i"),
-    (complex(0.9, 2.3), "0.9+2.3i"),
-)
 DERIVATION_TOL = 1e-6
 # largest entry of a recovered map's table minus the exact map's
 RECOVERY_ERROR_TOL = 1e-6
@@ -838,80 +829,6 @@ def verify_stability_bound(
         {"rows": r.tolist(), "max_ratio": m, "slack": BOUND_SLACK, "passed": m <= 1.0 + BOUND_SLACK}
         for r, m in zip(rows, ratios.max(axis=1).astype(float).tolist())
     )
-
-
-def unimodular_average_decomposition(gamma: float) -> tuple[complex, complex]:
-    """Write gamma in [0, 1) as the average of two conjugate unimodular scalars."""
-    g = float(gamma)
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {g!r}")
-    mu = complex(g, math.sqrt(1.0 - g * g))
-    return mu, mu.conjugate()
-
-
-def _integer_and_pair(part: float):
-    """floor(part) and the unimodular pair averaging to its fraction (none for 0)."""
-    n = math.floor(part)
-    frac = part - n
-    return n, (unimodular_average_decomposition(frac) if frac > 0.0 else ())
-
-
-def _split(stack: np.ndarray, parts: list) -> list:
-    """stack cut into pieces as long as the items of parts, in order."""
-    return np.split(stack, np.cumsum([len(p) for p in parts[:-1]]))
-
-
-def verify_homogeneity(op, probes: Sequence, mu_samples: Sequence[complex]) -> dict:
-    """The homogeneity section: S1 and complex homogeneity of op, to HOMOGENEITY_TOL.
-
-    ``s1`` holds the max of ||op(mu x) - mu op(x)|| / max(1, ||x||) over
-    every scalar and the first S1_PROBE_COUNT probes, and ``zero_residual``,
-    ||op(0)||.  ``complex`` holds one entry per COMPLEX_LAMBDAS lambda, at
-    the first, middle and last probe.  lam = a1 + i a2 is split into integer
-    and fractional parts; fractional parts become averages of two unimodular
-    scalars, so the route value needs only additivity and unimodular
-    homogeneity of op, as in the linearity proof:
-
-        route = n1 op(x) + (op(m11 x) + op(m12 x)) / 2
-              + i * (n2 op(x) + (op(m21 x) + op(m22 x)) / 2)
-
-    An entry's residual is ||op(lam x) - route|| / max(1, |lam| ||x||), worst
-    over the three probes.  One op call over every argument (mu x, x, 0, the
-    three probes and their scaled copies), one norm call.
-    """
-    check_count("unimodular sample count", len(mu_samples))
-    x = _stack(probes, "verify_homogeneity")
-    xs, xc = x[:S1_PROBE_COUNT], x[[0, len(x) // 2, -1]]
-    mu = np.array([complex(m) for m in mu_samples])[:, None, None, None]
-    lams = [lam for lam, _ in COMPLEX_LAMBDAS]
-    # per lam, its real and imaginary parts as (integer part, unimodular pair or ())
-    splits = [(_integer_and_pair(lam.real), _integer_and_pair(lam.imag)) for lam in lams]
-    # op's arguments, in the order the lines below read their images
-    args = [(mu * xs).reshape(-1, *xs.shape[1:]), xs, np.zeros_like(xs[:1]), xc]
-    for lam, parts in zip(lams, splits):
-        args += [lam * xc, *(m * xc for _, pair in parts for m in pair)]
-    op_mu_x, op_x, op_0, image, *scaled = _split(op(np.concatenate(args)), args)
-    scaled, gaps = iter(scaled), []
-    for parts in splits:
-        direct, route = next(scaled), np.zeros_like(xc)
-        for factor, (whole, pair) in zip((1.0 + 0.0j, 1.0j), parts):
-            contribution = whole * image
-            if pair:
-                contribution = contribution + (next(scaled) + next(scaled)) / 2.0
-            route = route + factor * contribution
-        gaps.append(direct - route)
-    terms = [op_mu_x - (mu * op_x).reshape(op_mu_x.shape), xs, op_0, xc, *gaps]
-    diff, norm_x, zero, norm_c, *norm_gaps = _split(spectral_norm(np.concatenate(terms)), terms)
-    res = diff.reshape(len(mu), -1) / np.maximum(1.0, norm_x)
-    s1 = _within(HOMOGENEITY_TOL, max_residual=float(res.max()), zero_residual=float(zero[0]))
-    size = np.array([abs(lam) for lam in lams])[:, None]
-    residual = np.array(norm_gaps) / np.maximum(1.0, size * norm_c)
-    entries = [
-        {"label": label, "lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=r)}
-        for (lam, label), r in zip(COMPLEX_LAMBDAS, map(float, residual.max(axis=1)))
-    ]
-    passed = s1["passed"] and all(e["passed"] for e in entries)
-    return {"s1": s1, "complex": entries, "passed": passed}
 
 
 def derivation_limit_sequence(f, h, scheme, triples: Sequence, levels: Sequence[int]) -> np.ndarray:

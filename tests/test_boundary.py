@@ -24,7 +24,6 @@ from triple_stab.stability import (
     make_perturbation,
     recover_linear_map,
     verify_hypotheses,
-    verify_homogeneity,
     verify_stability_bound,
 )
 from triple_stab.triple import (
@@ -97,7 +96,6 @@ def _stage_calls(value):
         "verify_stability_bound_recovered": lambda: verify_stability_bound(
             [(f, _Spoiled(d_hat, value))], PHI, Scheme.CAUCHY2, probes
         ),
-        "verify_homogeneity": lambda: verify_homogeneity(_Spoiled(d_hat, value), probes, mus),
         "certify_theta_derivation_d": lambda: certify_theta_derivation(
             _Spoiled(d_hat, value), theta_hat, _triples()
         ),

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import re
@@ -13,7 +14,15 @@ from pathlib import Path
 import pytest
 
 from triple_stab.cli import _GRID, build_parser, main
-from triple_stab.lab import DIM_MAX, ConfigError, ExperimentConfig, load_report, run_recovery
+from triple_stab.lab import (
+    DIM_MAX,
+    ConfigError,
+    ExperimentConfig,
+    emit_report,
+    load_report,
+    render_json,
+    run_recovery,
+)
 from triple_stab.stability import (
     SERIES_TOL,
     PowerType,
@@ -144,7 +153,7 @@ def test_recover_command_writes_report(tmp_path, capsys):
     code = main(["recover", *TRIMMED, "--out", str(out_path)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "recover: 21/21 checks passed" in out
+    assert "recover: 17/17 checks passed" in out
     report = load_report(str(out_path))
     assert report["passed"]
     assert report["config"]["scheme"] == "jensen3-contractive"
@@ -296,6 +305,62 @@ def test_report_refuses_a_recover_report_with_an_unknown_field(tmp_path, capsys)
     assert captured.out == ""
 
 
+# the homogeneity section and its four check rows of a shipped cauchy2 report
+# written before the section went; the rows stood after bound_ratio_theta
+_OLD_HOMOGENEITY = {
+    "complex": [
+        {"label": "2", "lambda": [2.0, 0.0], "passed": True, "residual": 0.0, "threshold": 1e-06},
+        {"label": "i", "lambda": [0.0, 1.0], "passed": True, "residual": 0.0, "threshold": 1e-06},
+        {
+            "label": "0.9+2.3i", "lambda": [0.9, 2.3], "passed": True,
+            "residual": 1.287254854851403e-16, "threshold": 1e-06,
+        },
+    ],
+    "passed": True,
+    "s1": {
+        "max_residual": 4.181232360294748e-18, "passed": True, "threshold": 1e-06,
+        "zero_residual": 0.0,
+    },
+}
+_OLD_HOMOGENEITY_ROWS = [
+    {"name": name, "passed": True, "tolerance": 1e-06, "value": value}
+    for name, value in (
+        ("s1_homogeneity", 4.181232360294748e-18),
+        ("complex_homogeneity_2", 0.0),
+        ("complex_homogeneity_i", 0.0),
+        ("complex_homogeneity_0.9+2.3i", 1.287254854851403e-16),
+    )
+]
+# sha256 of render_json of that report, as its byte pin held it
+_OLD_CAUCHY2_DIGEST = "58841b3d24ef34a2a00da17302b56efe21919cf65abf8c016c3532eb55c724bf"
+
+
+def test_report_refuses_a_report_that_holds_the_homogeneity_section(
+    tmp_path, capsys, pin_core_note
+):
+    # a shipped cauchy2 report as it was written while the pipeline ran the
+    # homogeneity stage: today's report plus that section and its four rows,
+    # byte for byte (its sha256 is the one that report's pin held).  The
+    # schema dropped them with no compatibility shim, so it is refused
+    config = Path(__file__).resolve().parent.parent / "configs" / "cauchy2.json"
+    old = run_recovery(ExperimentConfig.from_dict(json.loads(config.read_text()))).to_dict()
+    rows = old["checks"]
+    at = [row["name"] for row in rows].index("bound_ratio_theta") + 1
+    old["checks"] = [*rows[:at], *_OLD_HOMOGENEITY_ROWS, *rows[at:]]
+    old["homogeneity"] = _OLD_HOMOGENEITY
+    digest = hashlib.sha256(render_json(old).encode()).hexdigest()
+    assert digest == _OLD_CAUCHY2_DIGEST, pin_core_note
+    saved = tmp_path / "old.json"
+    emit_report(old, "json", str(saved))
+    with pytest.raises(ValueError, match=r"^report has unknown fields: homogeneity$"):
+        load_report(str(saved))
+    for fmt in ("json", "csv"):
+        assert main(["report", "--in", str(saved), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: report has unknown fields: homogeneity\n"
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("edit", ["cell", "row"])
 def test_report_refuses_a_bound_row_that_is_not_four_numbers(tmp_path, capsys, fmt, edit):
@@ -371,7 +436,6 @@ def test_recover_timings_table_stays_out_of_the_report(tmp_path, capsys):
         "recover",
         "hypotheses",
         "bound",
-        "homogeneity",
         "certificate",
         "sequence",
         "rate",
@@ -710,21 +774,16 @@ _PINNED_RECOVER_OUT = """\
   PASS hypothesis_zero_control            value=0 tol=1e-10
   PASS bound_ratio                        value=0.436216 tol=1
   PASS bound_ratio_theta                  value=0.412148 tol=1
-  PASS s1_homogeneity                     value=1.12167e-16 tol=1e-06
-  PASS complex_homogeneity_2              value=0 tol=1e-06
-  PASS complex_homogeneity_i              value=0 tol=1e-06
-  PASS complex_homogeneity_0.9+2.3i       value=2.90103e-16 tol=1e-06
   PASS derivation_certificate             value=2.46509e-16 tol=1e-06
   PASS derivation_sequence_decreasing     value=0.0123461 tol=1
   PASS derivation_sequence_rate           value=0.0123459 tol=0.05
   PASS approximant_rate                   value=0.0123694 tol=0.05
-recover: 21/21 checks passed in <s> s
+recover: 17/17 checks passed in <s> s
 setup <s>
 axioms <s>
 recover <s>
 hypotheses <s>
 bound <s>
-homogeneity <s>
 certificate <s>
 sequence <s>
 rate <s>

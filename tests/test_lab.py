@@ -54,10 +54,6 @@ CHECK_NAMES = [
     "hypothesis_zero_control",
     "bound_ratio",
     "bound_ratio_theta",
-    "s1_homogeneity",
-    "complex_homogeneity_2",
-    "complex_homogeneity_i",
-    "complex_homogeneity_0.9+2.3i",
     "derivation_certificate",
     "derivation_sequence_decreasing",
     "derivation_sequence_rate",
@@ -464,7 +460,6 @@ def _tiny_report():
         rate={},
         derivation_certificate={},
         derivation_sequence={},
-        homogeneity={},
         checks=[],
         passed=True,
     )
@@ -625,8 +620,8 @@ def test_readme_library_example_runs():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
-    # the last line is the homogeneity section's s1 entry
-    assert run.stdout.splitlines()[-1].endswith("'passed': True}"), run.stdout
+    # the last line: f plus a conjugate-linear part fails the linearity certificate on d
+    assert run.stdout.splitlines()[-1] == "False d True", run.stdout
 
 
 def test_run_recovery_stops_after_failed_recovery(tmp_path):
@@ -642,7 +637,6 @@ def test_run_recovery_stops_after_failed_recovery(tmp_path):
         "rate",
         "derivation_certificate",
         "derivation_sequence",
-        "homogeneity",
     ):
         assert getattr(report, section) == {}
     path = tmp_path / "failed.json"
@@ -656,7 +650,6 @@ _RUN_STAGES = (
     "recover",
     "hypotheses",
     "bound",
-    "homogeneity",
     "certificate",
     "sequence",
     "rate",
@@ -759,8 +752,8 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
     ``spectral_norm`` or straight from the package's internals.  Each stage
     takes the norms of a probe stack in one call; a change that brings back
     one call per argument or per factor raises these counts.  The set-up
-    stage takes none for the generators, the bound stage two (one bound and
-    the errors of both maps) and the homogeneity stage one.  The perturbed
+    stage takes none for the generators and the bound stage two (one bound
+    and the errors of both maps).  The perturbed
     maps f and h take no norms of their own inside a stage: the hypothesis
     stage takes two (its arguments, then its residuals), the bound stage's
     maps reuse the probe norms and h reuses f's in the derivation sequence
@@ -769,9 +762,9 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
     checks took its own, seven in all).  A level scan norms its unscaled
     stack once for all levels, and the direct method's limit reuses the
     norms of its power-type bound (29/26/29/29 when each recovery's limit
-    normed its scaled probes again).  The S1 and complex homogeneity checks
-    share the homogeneity stage's one norm call (27/24/27/27 when each took
-    its own).
+    normed its scaled probes again).  The homogeneity stage took one more
+    (26/23/26/26) until it went: the linearity certificate of the recovery
+    already certifies that the limit is C-linear.
 
     Every map call of a stage is one ``PerturbedMap._at`` call: two in the
     hypothesis stage, two in the bound stage, one per recovery's limit, two
@@ -806,10 +799,10 @@ def test_shipped_runs_take_pinned_norm_counts(monkeypatch):
             run_recovery(_shipped_config(name, dim=dim))
             counts[name], kernel_counts[name] = len(calls), len(kernel_calls)
         assert counts == {
-            "cauchy2": 26,
-            "cauchy2_contractive": 23,
-            "jensen3": 26,
-            "jensen3_contractive": 26,
+            "cauchy2": 25,
+            "cauchy2_contractive": 22,
+            "jensen3": 25,
+            "jensen3_contractive": 25,
         }, dim
         assert kernel_counts == {
             "cauchy2": 9,
@@ -839,9 +832,8 @@ def test_shipped_runs_take_pinned_as_matrix_counts(monkeypatch):
     The level scans of the direct method and the rate stage run the map's
     kernel on their checked stacks too, and check only its output
     (45/41/45/45 when they called the map on each scaled stack).  The
-    homogeneity stage checks its probes once, its arguments in its one map
-    call and its residuals in its one norm call (42/38/42/42 when its S1
-    and complex checks each took their own).
+    homogeneity stage took three more until it went, its probes, its map's
+    outputs and its residuals (33/29/33/33).
 
     A config is checked once, when it is made, so a run calls no
     ``ExperimentConfig.validate`` (2 when the run and its axiom suite each
@@ -871,10 +863,10 @@ def test_shipped_runs_take_pinned_as_matrix_counts(monkeypatch):
         run_recovery(config)
         counts[name] = (len(calls), len(validations))
     assert counts == {
-        "cauchy2": (33, 0),
-        "cauchy2_contractive": (29, 0),
-        "jensen3": (33, 0),
-        "jensen3_contractive": (33, 0),
+        "cauchy2": (30, 0),
+        "cauchy2_contractive": (26, 0),
+        "jensen3": (30, 0),
+        "jensen3_contractive": (30, 0),
     }
 
 
@@ -907,44 +899,6 @@ def test_axiom_suite_takes_two_calls_of_each_kernel(monkeypatch, dim, samples):
     assert calls == {"_cstar": 2, "_jordan": 2, "_norm": 2}
 
 
-def test_homogeneity_stage_applies_the_recovered_map_once(monkeypatch):
-    # one map call and one norm call for the S1 check and every complex lambda
-    # together; one power-type bound per recovered map (the direct method) and
-    # one for the bound stage, shared by both maps
-    applied, normed, bounds, inside = [], [], [], []
-    stage, norm = lab.verify_homogeneity, linalg._norm
-
-    def counted_norm(x):
-        if inside:
-            normed.append(len(x))
-        return norm(x)
-
-    def counted_stage(op, *args):
-        inside.append(1)
-        try:
-            return stage(lambda x: applied.append(len(x)) or op(x), *args)
-        finally:
-            inside.clear()
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "triple_stab" and module.__dict__.get("_norm") is norm:
-            monkeypatch.setattr(module, "_norm", counted_norm)
-    monkeypatch.setattr(lab, "verify_homogeneity", counted_stage)
-    power_bound = stability._power_bound
-    monkeypatch.setattr(
-        stability, "_power_bound", lambda *args: bounds.append(1) or power_bound(*args)
-    )
-    report = run_recovery(_shipped_config("cauchy2"))
-    assert report.passed
-    # 16 scalars times 8 probes, the 8 probes and 0; then the three complex
-    # probes scaled by 1, 2, i, 0.9 + 2.3i and the unimodular pairs of 0.9
-    # and 0.3.  The norms: the 128 S1 differences, the 8 probes, op(0), the
-    # three complex probes and their gaps at the three lambdas
-    assert applied == [16 * 8 + 8 + 1 + 3 * 8]
-    assert normed == [16 * 8 + 8 + 1 + 3 + 3 * 3]
-    assert len(bounds) == 3
-
-
 def _plain_leaves(value) -> bool:
     """True when a section holds only Python scalars, lists and dicts: no numpy scalar."""
     if isinstance(value, dict):
@@ -973,7 +927,6 @@ def test_report_sections_hold_every_field_of_their_results(monkeypatch):
         "recover_maps",
         "verify_hypotheses",
         "verify_stability_bound",
-        "verify_homogeneity",
         "certify_theta_derivation",
         "verify_derivation_sequence",
         "estimate_convergence_rate",
@@ -992,7 +945,6 @@ def test_report_sections_hold_every_field_of_their_results(monkeypatch):
     }
     for section, name in (
         (report.hypotheses, "verify_hypotheses"),
-        (report.homogeneity, "verify_homogeneity"),
         (report.derivation_certificate, "certify_theta_derivation"),
         (report.derivation_sequence, "verify_derivation_sequence"),
         (report.rate, "estimate_convergence_rate"),
@@ -1016,7 +968,6 @@ def test_stages_called_directly_return_renderable_sections(monkeypatch):
         recovery,
         stability.verify_hypotheses(f, h, phi, "cauchy", probes, mus),
         *stability.verify_stability_bound([(f, d_hat), (h, theta_hat)], phi, "cauchy2", probes),
-        stability.verify_homogeneity(d_hat, probes, mus),
         stability.certify_theta_derivation(d_hat, theta_hat, probes.reshape(2, 3, 2, 2)),
         stability.verify_derivation_sequence(f, h, "cauchy2", config.p, probes.reshape(2, 3, 2, 2)),
         stability.estimate_convergence_rate(f, "cauchy2", config.p, probes),
@@ -1041,12 +992,14 @@ def test_run_recovery_makes_no_deep_copy(monkeypatch):
 # moved when the operators began to multiply each slice on its own (at
 # dim 2, elementwise) instead of laying the stack out as one tall GEMM,
 # which sums each entry's products in another order.  All four moved again
-# when the zero-control hypothesis test got its own check row
+# when the zero-control hypothesis test got its own check row, and again
+# when the homogeneity section and its four check rows went, no other byte
+# moving
 _SHIPPED_DIGESTS = {
-    "cauchy2": "58841b3d24ef34a2a00da17302b56efe21919cf65abf8c016c3532eb55c724bf",
-    "cauchy2_contractive": "a456cf2eb07b066c5f079a2cf0683c51f9aa03d42cdec0cae74ad99dacd1d39e",
-    "jensen3": "5d49baed1fda3ec00f53c3bf8e6d62838ffe6459577755317a4a9dc6ce2a7e26",
-    "jensen3_contractive": "2e54a7c52d160c8006eff011195755d4f9967f3db212b22011b5e758afa72375",
+    "cauchy2": "7d859bf53e15cc9e3830092d9f5997207a252b77ffad442c4ef5bdc51dbb451f",
+    "cauchy2_contractive": "79be1b85725bf7fdf94db027404523d6e0e0e286644329fe9fe98e5928d1a7c6",
+    "jensen3": "60d047e28a9147423ba6cb0be1cdffce2bda386ef6d12ef881a1351904f658dd",
+    "jensen3_contractive": "62e994cf05520a364f7577e2af03f8ddc9bdaab2f1a15f912bce1b2cc76c7f9a",
 }
 
 
@@ -1062,8 +1015,9 @@ def test_shipped_reports_keep_their_bytes(name, pin_core_note):
 # over the stack, which sums each entry's products in another order: the 40
 # reports at dims >= 2 moved at round-off and the 8 dim-1 reports kept
 # their bytes.  Then every report gained the ``hypothesis_zero_control``
-# row, which passes in all 48, and no other byte moved
-_REPORT_SET_DIGEST = "78e862509dc2cf7a2c08ed3b370fac6b2b4a431833308c547ebdc88f410f1556"
+# row, which passes in all 48, and no other byte moved.  Then every report
+# lost the ``homogeneity`` section and its four rows, and no other byte moved
+_REPORT_SET_DIGEST = "a693aebe324bb874dcda67f335af9551e237d90e8711a6387ee68480ad0b271a"
 
 
 @pytest.mark.slow
@@ -1113,9 +1067,11 @@ def test_zero_eps_report_renders_and_names_its_infinite_ratio(tmp_path):
 
 
 # sha256 of the JSON and CSV text of the eps = 0 cauchy2 report: its bound
-# ratio is inf, a value no other byte pin covers
+# ratio is inf, a value no other byte pin covers.  The JSON moved when the
+# homogeneity section and its four rows went; the CSV holds only the bound
+# table and kept its bytes
 _ZERO_EPS_DIGESTS = {
-    "json": "ec2d5ca70381f1cccafe9955586634a26ff47b617cc0bb45f9299c147c1a849d",
+    "json": "d4e71fc4e033e48e18bb9fbb588d23ea184589c84c171aa09c9057a36c6229be",
     "csv": "b9248e3d3149bdbbd417adbcf14c26558b3f4036705dff7c0b4a8b122498c409",
 }
 
@@ -1147,6 +1103,26 @@ def test_check_rows_are_read_back_from_the_saved_sections(name, overrides, tmp_p
     assert lab._checks(loaded) == loaded["checks"]
     if "eps" in overrides:
         assert loaded["bound"]["max_ratio"] == "inf"
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_DIGESTS))
+def test_within_rows_are_the_largest_of_their_measured_floats(name):
+    # _within_check takes the largest value outside _NOT_MEASURED as its
+    # row's value, so a part must hold nothing else there: a key of another
+    # kind added to a _within section would silently become the row's value
+    config = _shipped_config(name)
+    recovery = run_recovery(config).to_dict()
+    axioms, _ = axioms_report(config)
+    for report in (axioms, recovery):
+        parts = [(report["axioms"][section], check) for section, check in lab._AXIOM_SECTIONS]
+        if report is recovery:
+            parts.append((recovery["derivation_certificate"], "derivation_certificate"))
+        rows = {row["name"]: row for row in report["checks"]}
+        for part, check in parts:
+            measured = [v for k, v in part.items() if k not in lab._NOT_MEASURED]
+            assert measured and all(type(v) is float for v in measured), (check, part)
+            assert rows[check]["value"] == max(measured), check
+            assert rows[check]["tolerance"] == part["threshold"], check
 
 
 def test_check_rows_have_one_home():

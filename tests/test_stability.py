@@ -6,16 +6,22 @@ their analytic values, and the recovery pipeline against the exact
 generators it is supposed to reproduce.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from triple_stab.lab import ExperimentConfig, build_generators
 from triple_stab.linalg import as_matrix, spectral_norm
 from triple_stab.sampling import (
+    ROLE_MAP_F,
+    ROLE_MAP_H,
     ROLE_RECOVERY,
+    child_seed,
     haar_unitary,
     make_mu_samples,
     make_probes,
@@ -48,9 +54,7 @@ from triple_stab.stability import (
     pooled_rate,
     recover_linear_map,
     recover_maps,
-    unimodular_average_decomposition,
     verify_hypotheses,
-    verify_homogeneity,
     verify_stability_bound,
 )
 from triple_stab.triple import (
@@ -265,20 +269,6 @@ def test_power_type_stores_the_floats_it_checked():
         make_perturbation(big_d, "0.1", 0.5, "cauchy", 1)
 
 
-def test_unimodular_average_decomposition():
-    for gamma in (0.0, 0.25, 0.5, 0.9):
-        mu1, mu2 = unimodular_average_decomposition(gamma)
-        for mu in (mu1, mu2):
-            assert type(mu) is complex
-            assert abs(abs(mu) - 1.0) <= 1e-12
-        assert (mu1 + mu2) / 2.0 == complex(gamma, 0.0)
-    mu1, _ = unimodular_average_decomposition(0.9)
-    assert mu1.imag == pytest.approx(math.sqrt(0.19), rel=1e-15)
-    for bad in (1.0, -0.1, 2.0):
-        with pytest.raises(ValueError):
-            unimodular_average_decomposition(bad)
-
-
 def test_perturbation_defect_certificate():
     _, _, big_d = _generators(31)
     eps, p = 0.2, 0.5
@@ -332,7 +322,7 @@ def test_verify_hypotheses_ratios_stay_below_one():
     assert rep["samples"] == 20
 
 
-def test_hypotheses_and_s1_homogeneity_take_scalar_samples_as_an_array():
+def test_hypotheses_take_scalar_samples_as_an_array():
     # an ndarray of scalars has no truth value; a length test accepts it
     _, _, big_d = _generators(34)
     f = make_perturbation(big_d, 0.1, 0.5, "cauchy", seed=7)
@@ -343,14 +333,9 @@ def test_hypotheses_and_s1_homogeneity_take_scalar_samples_as_an_array():
     assert verify_hypotheses(f, h, phi, "cauchy", probes, np.array(mus)) == verify_hypotheses(
         f, h, phi, "cauchy", probes, mus
     )
-    assert verify_homogeneity(big_d, probes, np.array(mus)) == verify_homogeneity(
-        big_d, probes, mus
-    )
     for empty in ([], np.array([], dtype=complex)):
         with pytest.raises(ValueError, match="unimodular sample"):
             verify_hypotheses(f, h, phi, "cauchy", probes, empty)
-        with pytest.raises(ValueError, match="unimodular sample"):
-            verify_homogeneity(big_d, probes, empty)
 
 
 # (scheme, form, p): each scheme at its shipped p and near its gate
@@ -758,6 +743,52 @@ def test_recover_certifies_linearity():
     assert err["allowance"] == pytest.approx(allowance, rel=1e-12)
 
 
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_SHIPPED = sorted(path.stem for path in _CONFIGS.glob("*.json"))
+
+
+class _ConjugateLinearMutant:
+    """f plus 1e-7 part(x), part conjugate-linear: the limit is additive but not C-linear.
+
+    It keeps f's dimension and seed, so the linearity certificate draws the
+    probes it draws for f.
+    """
+
+    def __init__(self, f, part):
+        self.f, self.part, self.dim, self.seed = f, part, f.dim, f.seed
+
+    def __call__(self, x):
+        return self.f(x) + 1e-7 * self.part(np.asarray(x))
+
+
+_CONJUGATE_LINEAR_PARTS = {
+    "conj": np.conj,
+    "adjoint": lambda x: np.conj(x).swapaxes(-1, -2),
+}
+
+
+@pytest.mark.parametrize("part", sorted(_CONJUGATE_LINEAR_PARTS))
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_linearity_certificate_refuses_a_conjugate_linear_limit(name, part):
+    # the certificate compares the table of the limit on the matrix units with
+    # its direct value at complex probes, so it is the check of C-linearity:
+    # the shipped maps pass it, and f + 1e-7 x-bar or f + 1e-7 x* fails it on d
+    config = ExperimentConfig.from_dict(json.loads((_CONFIGS / f"{name}.json").read_text()))
+    scheme, phi = config.scheme_enum(), PowerType(config.eps, config.p)
+    form = scheme.hypothesis_form
+    theta, _, big_d = build_generators(config)
+    f = make_perturbation(big_d, config.eps, config.p, form, child_seed(config.seed, ROLE_MAP_F))
+    h = make_perturbation(theta, config.eps, config.p, form, child_seed(config.seed, ROLE_MAP_H))
+    args = ((big_d, theta), phi, scheme, config.tol, config.l_max)
+    section, _, _ = recover_maps(f, h, *args)
+    assert section["converged"] and "linearity_failure" not in section
+    mutant = _ConjugateLinearMutant(f, _CONJUGATE_LINEAR_PARTS[part])
+    section, d_hat, theta_hat = recover_maps(mutant, h, *args)
+    failure = section["linearity_failure"]
+    assert not section["converged"] and (d_hat, theta_hat) == (None, None)
+    assert failure["map"] == "d" and failure["gap"] > failure["allowance"]
+
+
 def test_derivation_limit_residual_exact_pair():
     # the one-triple sequence, which replaced derivation_limit_residual
     theta, _, big_d = _generators(43)
@@ -850,13 +881,11 @@ def test_hypotheses_evaluate_each_perturbed_map_once_on_one_norm_call(monkeypatc
 
 
 def test_checks_on_a_recovered_map_apply_it_once(monkeypatch):
-    # the homogeneity stage applies the map once and takes one norm call; the
-    # bound stage applies each map once and takes one bound and one error norm
-    # for all its pairs
+    # the bound stage applies each map once and takes one bound and one error
+    # norm for all its pairs
     theta, _, big_d = _generators(50)
     probes = make_probes(2, 8, rng_for(30, 2))
-    mus = make_mu_samples(16, rng_for(30, 3))
-    norms, bounds, op_calls = [], [], []
+    norms, bounds = [], []
     # every norm, public or internal, is one call of the kernel linalg._norm
     norm, power_bound = linalg._norm, stability._power_bound
     for module in (linalg, stability):
@@ -864,14 +893,6 @@ def test_checks_on_a_recovered_map_apply_it_once(monkeypatch):
     monkeypatch.setattr(
         stability, "_power_bound", lambda *args: bounds.append(1) or power_bound(*args)
     )
-    op = _counting(big_d, op_calls)
-    verify_homogeneity(op, probes, mus)
-    # one stack: 16 scalars times 8 probes, the probes and 0, then the first,
-    # middle and last probe scaled by 1, 2, i, 0.9 + 2.3i and the unimodular
-    # pairs of 0.9 and 0.3; one norm call over the S1 differences, the probes,
-    # op(0), the three probes and their gaps at the three lambdas
-    assert (op_calls, norms) == ([16 * 8 + 8 + 1 + 3 * 8], [16 * 8 + 8 + 1 + 3 + 3 * 3])
-    norms.clear()
     f_calls, h_calls = [], []
     # the exact maps take no norms of their own: one norm call for the bound,
     # over the one size of x a doubling bound takes, and one over the (pair,
@@ -911,45 +932,6 @@ def test_certify_theta_derivation_names_the_first_of_a_round_off_tie(monkeypatch
     cert = certify_theta_derivation(big_d, big_d, np.zeros((5, 3, 2, 2)))
     assert cert["worst_index"] == 1
     assert cert["max_relative_residual"] == top
-
-
-def test_s1_homogeneity_of_linear_map():
-    _, _, big_d = _generators(46)
-    probes = make_probes(2, 6, rng_for(22, 2))
-    mus = make_mu_samples(8, rng_for(22, 3))
-    rep = verify_homogeneity(big_d, probes, mus)
-    assert rep["passed"] and rep["s1"]["passed"]
-    assert rep["s1"]["max_residual"] <= 1e-12
-
-
-def test_complex_homogeneity_via_decomposition():
-    _, _, big_d = _generators(47)
-    x = np.array([[0.4, -0.3j], [0.2, 0.9]])
-    entries = verify_homogeneity(big_d, [x], [1.0])["complex"]
-    assert [(e["label"], e["lambda"]) for e in entries] == [
-        ("2", [2.0, 0.0]),
-        ("i", [0.0, 1.0]),
-        ("0.9+2.3i", [0.9, 2.3]),
-    ]
-    for entry in entries:
-        assert entry["passed"]
-        assert entry["residual"] <= 1e-12
-
-
-def test_complex_homogeneity_residual_is_relative_to_the_scaled_input():
-    # conjugation is additive and fixes real scalars, but maps i x to -i conj(x);
-    # at lam = i, x = 100 E11 the route gives 100i E11 against -100i E11, a gap
-    # of 200 on |lam| ||x|| = 100
-    section = verify_homogeneity(lambda x: x.conj(), [100.0 * E11], [1.0])
-    [entry] = [e for e in section["complex"] if e["label"] == "i"]
-    assert entry == {
-        "label": "i",
-        "lambda": [0.0, 1.0],
-        "residual": 2.0,
-        "threshold": 1e-6,
-        "passed": False,
-    }
-    assert not section["passed"]
 
 
 def test_estimate_rate_trivial_on_exact_map():

@@ -8,7 +8,6 @@ bit for bit, the same formula written out one level or one operator call
 at a time.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -39,8 +38,6 @@ from triple_stab.stability import (
     PowerType,
     Scheme,
     SummabilityError,
-    COMPLEX_LAMBDAS,
-    HOMOGENEITY_TOL,
     _approximants,
     _power_tilde,
     derivation_limit_sequence,
@@ -50,9 +47,7 @@ from triple_stab.stability import (
     perturbation_decay_rate,
     pooled_rate,
     recover_linear_map,
-    unimodular_average_decomposition,
     verify_hypotheses,
-    verify_homogeneity,
     verify_stability_bound,
 )
 from triple_stab.triple import (
@@ -938,51 +933,6 @@ def test_power_bound_norm_keeps_the_signs_of_zero_parts(n, scheme):
     _, nx = stability._power_bound(PowerType(0.3, _BOUND_P[scheme][1]), scheme, x)
     assert np.array_equal(nx, _norm(x))
     assert not np.array_equal(_norm(1 * x / 1), nx)
-
-
-def _s1_by_calls(op, x, mus):
-    """The S1 check written out: op at mu x, at x and at 0, one norm per term."""
-    mu = np.array(mus)[:, None, None, None]
-    res = spectral_norm(op(mu * x) - mu * op(x)) / np.maximum(1.0, spectral_norm(x))
-    return float(res.max()), spectral_norm(op(np.zeros_like(x[0])))
-
-
-def _complex_by_calls(op, lam, x):
-    """The complex-homogeneity residual at one lam, one op call per scaled argument."""
-    route, image = np.zeros_like(x), op(x)
-    for part, factor in ((lam.real, 1.0 + 0.0j), (lam.imag, 1.0j)):
-        whole = math.floor(part)
-        contribution = whole * image
-        if part - whole > 0.0:
-            mu1, mu2 = unimodular_average_decomposition(part - whole)
-            contribution = contribution + (op(mu1 * x) + op(mu2 * x)) / 2.0
-        route = route + factor * contribution
-    gap = spectral_norm(op(lam * x) - route)
-    return gap / np.maximum(1.0, abs(lam) * spectral_norm(x))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-@pytest.mark.parametrize("name", ["compose", "tabulated"])
-def test_homogeneity_checks_match_one_call_per_argument(monkeypatch, n, name):
-    # the stage applies op once over all its arguments; with every written-out
-    # call on a stack of at least two slices, the values agree bit for bit.  A
-    # lambda with a negative real part joins the shipped three
-    lams = (*COMPLEX_LAMBDAS, (complex(-1.25, 0.5), "-1.25+0.5i"))
-    monkeypatch.setattr(stability, "COMPLEX_LAMBDAS", lams)
-    op = _operators(n)[name]
-    x = _stack(87, n, 8)
-    mus = [np.exp(1j * a) for a in (0.3, 1.1, 2.9, 4.0)]
-    section = verify_homogeneity(op, x, mus)
-    s1 = section["s1"]
-    assert (s1["max_residual"], s1["zero_residual"]) == _s1_by_calls(op, x, mus)
-    assert s1["threshold"] == HOMOGENEITY_TOL
-    # one entry per lam, its residual the worst over the first, middle and last probe
-    want = [_complex_by_calls(op, lam, x[[0, 4, 7]]) for lam, _ in lams]
-    assert section["complex"] == [
-        {"label": label, "lambda": [lam.real, lam.imag], **_within(HOMOGENEITY_TOL, residual=r)}
-        for (lam, label), r in zip(lams, (float(row.max()) for row in want))
-    ]
-    assert section["passed"] == all(e["passed"] for e in [s1, *section["complex"]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
